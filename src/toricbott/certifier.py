@@ -115,23 +115,30 @@ def build_certificate(
     dprime: Sequence[int],
     l: InvariantDivisor,
     component_order: Optional[Callable[[frozenset], int]] = None,
+    witness: Optional[Sequence] = None,
 ) -> Certificate:
     """Build the induction tree for every p, re-verifying the hypothesis on
     each visited stratum.
 
     Components missing from the log set are added in ascending ray-index
     order unless ``component_order`` picks differently; the check result is
-    order-independent, the tree shape is not.
+    order-independent, the tree shape is not.  A supplied hypothesis
+    ``witness`` is checked (L - dD' must be ample) instead of re-solving the
+    LP for one.
     """
     require_smooth_complete(f)
     dprime = tuple(sorted(set(dprime)))
     if not l.integral:
         raise ValueError("l must be integral")
-    witness = hypothesis_feasible(f, l, dprime)
-    if witness is None:
-        raise HypothesisInfeasible("the ampleness hypothesis LP has no witness")
-    pick = component_order if component_order is not None else min
+    supplied = witness is not None
+    if not supplied:
+        witness = hypothesis_feasible(f, l, dprime)
+        if witness is None:
+            raise HypothesisInfeasible("the ampleness hypothesis LP has no witness")
     residual = residual_divisor(f, l, dprime, witness)
+    if supplied and not is_ample(f, residual):
+        raise ValueError("supplied witness does not satisfy the hypothesis")
+    pick = component_order if component_order is not None else min
 
     def build_node(fan_s: Fan, chain: tuple, p: int, logset: tuple,
                    twist: InvariantDivisor, ample_class: InvariantDivisor) -> CertificateNode:

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed validation or a vanishing violation,
-2 malformed input, 3 hypothesis infeasible.  The last two are deliberately
-distinct: an infeasible hypothesis is an out-of-scope input, a violation
-with a feasible hypothesis would falsify the theorem (or expose a bug).
+2 malformed input, 3 hypothesis infeasible, 4 internal error (an engine
+invariant broke: RuntimeError, AssertionError or RecursionError).  Codes 1
+and 3 are deliberately distinct: an infeasible hypothesis is an out-of-scope
+input, a violation with a feasible hypothesis would falsify the theorem (or
+expose a bug).  Code 4 keeps an engine fault from reading as a violation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> dict:
@@ -114,7 +117,7 @@ def cmd_vanishing(args) -> int:
             ok = ok and data["agree"]
         return EXIT_OK if ok else EXIT_FAIL
     # certify
-    cert = certifier.build_certificate(f, dprime, l)
+    cert = certifier.build_certificate(f, dprime, l, witness=witness)
     ok = certifier.check_certificate(f, cert)
     payload = certifier.certificate_to_dict(cert)
     if args.output:
@@ -316,6 +319,9 @@ def main(argv=None) -> int:
             ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except (RuntimeError, AssertionError, RecursionError) as exc:
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

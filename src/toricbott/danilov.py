@@ -1,8 +1,20 @@
 """Cohomology of twisted log differential forms on smooth complete toric varieties.
 
 The engine computes H^k(X, Omega^p_X(log D') (x) O(T)) for any ray subset D'
-and integral invariant twist T, one torus weight at a time, via alternating
-Cech complexes on the maximal-cone cover.
+and integral invariant twist T, one torus weight at a time.  At a weight m
+the cohomology is that of the complex on the cone poset of the fan,
+
+    C^i = sum over cones tau with dim tau = r - i of the sections over U_tau,
+
+whose differential restricts each cone's sections to each of its facets,
+tau without one ray rho, with the simplicial incidence sign
+(-1)^(position of rho in sorted tau).
+The cones of a complete simplicial fan triangulate the sphere, so this
+complex computes the same cohomology as the Cech complex of the
+maximal-cone cover with one term per cone instead of one per subset of
+maximal cones (Eisenbud-Mustata-Stillman, Cohomology on toric varieties
+and local cohomology with monomial supports, J. Symbolic Comput. 2000;
+Cox-Little-Schenck, Toric Varieties, ch. 9).
 
 The key structural fact making this tractable: the log forms along the full
 boundary trivialize, so over any chart the weight-m section space embeds
@@ -170,7 +182,14 @@ def _det_int(rows) -> int:
 
 
 class _Engine:
-    """Per-fan caches: cover subsets, dual bases, wedge minors, pattern cohomology."""
+    """Per-fan caches: the cone poset with facet incidences, dual bases,
+    wedge minors, pattern cohomology.
+
+    ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
+    facets): ``completion`` is the lowest-index maximal cone containing tau,
+    whose dual basis expresses the sections over tau, and ``facets`` pairs
+    each facet's index in ``levels[i + 1]`` with its incidence sign.
+    """
 
     def __init__(self, fan: Fan):
         require_smooth_complete(fan)
@@ -178,21 +197,22 @@ class _Engine:
         self.r = fan.dim
         self.n = fan.n_rays
         cones = fan.max_cones
-        self.N = len(cones)
-        if self.N > 14:
-            raise RuntimeError("cover has too many maximal cones for the dense Cech engine")
-        raysets = [frozenset(c) for c in cones]
         self.duals = [_dual_basis(fan, c) for c in cones]
-        self.by_size = []
-        self.subsets = []
-        for k in range(self.N):
-            level = []
-            for members in itertools.combinations(range(self.N), k + 1):
-                tau = frozenset.intersection(*(raysets[i] for i in members))
-                comp = next(ci for ci in range(self.N) if tau <= raysets[ci])
-                level.append((members, tuple(sorted(tau)), comp))
-            self.by_size.append(level)
-            self.subsets.extend(level)
+        raysets = [frozenset(c) for c in cones]
+        by_dim = [sorted({tau for c in cones for tau in itertools.combinations(c, k)})
+                  for k in range(self.r + 1)]
+        self.completion = {
+            tau: next(ci for ci, rs in enumerate(raysets) if rs.issuperset(tau))
+            for level in by_dim for tau in level
+        }
+        position = {tau: idx for level in by_dim for idx, tau in enumerate(level)}
+        self.levels = [
+            [(tau, self.completion[tau],
+              tuple((position[tau[:t] + tau[t + 1:]], -1 if t % 2 else 1)
+                    for t in range(len(tau))))
+             for tau in level]
+            for level in reversed(by_dim)
+        ]
         self._minors: dict = {}
         self._state_coh: dict = {}
         self._bounded: dict = {}
@@ -229,6 +249,7 @@ class _Engine:
         )
 
     def state_cohomology(self, p: int, states: tuple) -> tuple:
+        """h^0..h^r at one margin pattern, from the cone-poset complex."""
         key = (p, states)
         cached = self._state_coh.get(key)
         if cached is not None:
@@ -238,37 +259,27 @@ class _Engine:
             result = (0,) * (r + 1)
             self._state_coh[key] = result
             return result
-        allowed = []
-        for level in self.by_size:
-            allowed.append([self._allowed(p, tau, comp, states) for _, tau, comp in level])
-        level_dims = [sum(len(a) for a in lev) for lev in allowed]
+        allowed = [[self._allowed(p, tau, comp, states) for tau, comp, _ in level]
+                   for level in self.levels]
+        offsets = [list(itertools.accumulate((len(a) for a in lev), initial=0))
+                   for lev in allowed]
+        level_dims = [offs[-1] for offs in offsets]
         diffs = []
         full = tuple(itertools.combinations(range(r), p))
-        for k in range(self.N - 1):
-            src_level = self.by_size[k]
-            dst_level = self.by_size[k + 1]
-            src_index = {entry[0]: idx for idx, entry in enumerate(src_level)}
-            col_off = []
-            off = 0
-            for a in allowed[k]:
-                col_off.append(off)
-                off += len(a)
-            rows_ = [[0] * level_dims[k] for _ in range(level_dims[k + 1])]
-            row_off = 0
-            for d_idx, (members, _tau, comp_b) in enumerate(dst_level):
-                allowed_b = allowed[k + 1][d_idx]
-                allowed_b_index = {J: jj for jj, J in enumerate(allowed_b)}
-                for t in range(len(members)):
-                    facet = members[:t] + members[t + 1:]
-                    s_idx = src_index[facet]
-                    allowed_a = allowed[k][s_idx]
-                    if not allowed_a or not allowed_b:
-                        if allowed_a and not allowed_b:
-                            raise AssertionError("section space shrank along an inclusion")
-                        continue
-                    comp_a = src_level[s_idx][2]
-                    sign = -1 if t % 2 else 1
-                    base_col = col_off[s_idx]
+        for i in range(r):
+            rows_ = [[0] * level_dims[i] for _ in range(level_dims[i + 1])]
+            dst_index = [{J: jj for jj, J in enumerate(b)} for b in allowed[i + 1]]
+            for s_idx, (_tau, comp_a, facets) in enumerate(self.levels[i]):
+                allowed_a = allowed[i][s_idx]
+                if not allowed_a:
+                    continue
+                base_col = offsets[i][s_idx]
+                for d_idx, sign in facets:
+                    allowed_b_index = dst_index[d_idx]
+                    if not allowed_b_index:
+                        raise AssertionError("section space shrank along an inclusion")
+                    comp_b = self.levels[i + 1][d_idx][1]
+                    row_off = offsets[i + 1][d_idx]
                     for ii, I in enumerate(allowed_a):
                         for J in full:
                             val = self._minor(comp_a, comp_b, I, J)
@@ -280,16 +291,15 @@ class _Engine:
                                     "inclusion image leaves the allowed section space"
                                 )
                             rows_[row_off + jj][base_col + ii] += sign * val
-                row_off += len(allowed_b)
             diffs.append(
-                QMatrix(level_dims[k + 1], level_dims[k], tuple(tuple(row) for row in rows_))
+                QMatrix(level_dims[i + 1], level_dims[i], tuple(tuple(row) for row in rows_))
             )
         complex_ = ChainComplex(tuple(level_dims), tuple(diffs))
         h = cohomology_dims(complex_)
         for k in range(r + 1, len(h)):
             if h[k] != 0:
                 raise AssertionError(f"nonzero cohomology in degree {k} > dim")
-        result = tuple(h[: r + 1]) if len(h) >= r + 1 else tuple(h) + (0,) * (r + 1 - len(h))
+        result = tuple(h)
         self._state_coh[key] = result
         return result
 
@@ -460,7 +470,7 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     tau = tuple(sorted(tau))
     if not is_cone(f, tau):
         raise NotACone(f"{tau} does not span a cone of the fan")
-    comp = next(ci for ci in range(eng.N) if set(tau) <= set(f.max_cones[ci]))
+    comp = eng.completion[tau]
     margins = eng.margins(s.twist, tuple(int(x) for x in m))
     states = eng.states_from_margins(s.p, s.logset, margins)
     allowed_pos = eng._allowed(s.p, tau, comp, states)

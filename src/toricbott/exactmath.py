@@ -117,13 +117,17 @@ def rank(m: QMatrix) -> int:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         pivot = mat[r][col]
+        rowr = mat[r]
         for i in range(r + 1, nrows):
             factor = mat[i][col]
-            if factor == 0 and prev == 1:
-                continue
-            rowi, rowr = mat[i], mat[r]
+            rowi = mat[i]
             for j in range(col + 1, ncols):
-                rowi[j] = (pivot * rowi[j] - factor * rowr[j]) // prev
+                # Sylvester's identity makes every Bareiss division exact;
+                # a remainder means the elimination went wrong.
+                q, rem = divmod(pivot * rowi[j] - factor * rowr[j], prev)
+                if rem:
+                    raise AssertionError("inexact Bareiss division")
+                rowi[j] = q
             rowi[col] = 0
         prev = pivot
         r += 1
@@ -218,7 +222,10 @@ def cohomology_dims(c: ChainComplex) -> list:
     for i, dim in enumerate(c.dims):
         r_out = ranks[i] if i < len(ranks) else 0
         r_in = ranks[i - 1] if i > 0 else 0
-        out.append(dim - r_out - r_in)
+        h = dim - r_out - r_in
+        if h < 0:
+            raise AssertionError(f"negative cohomology dimension h^{i} = {h}")
+        out.append(h)
     return out
 
 

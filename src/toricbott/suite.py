@@ -82,7 +82,7 @@ def thm11_sweep(fan: Fan, certify: bool = True,
         else:
             out.failures.append(("verify", dprime, l.coeffs, report.violations))
         if certify:
-            cert = build_certificate(fan, dprime, l)
+            cert = build_certificate(fan, dprime, l, witness=witness)
             ok = check_certificate(fan, cert)
             if ok:
                 out.certified += 1

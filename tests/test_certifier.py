@@ -116,6 +116,31 @@ def test_cross_validate_examples():
     assert cross_validate(f1, (), ample).agree
 
 
+def test_supplied_witness_skips_the_lp(monkeypatch):
+    import toricbott.certifier as certifier
+
+    l = InvariantDivisor((2, 1, 0))
+    witness = hypothesis_feasible(P2, l, (1,))
+    expected = build_certificate(P2, (1,), l)
+    monkeypatch.setattr(certifier, "hypothesis_feasible", None)
+    assert build_certificate(P2, (1,), l, witness=witness) == expected
+
+
+def test_supplied_witness_must_make_residual_ample():
+    # d = 1 on ray 0 leaves O(0), which is not ample
+    with pytest.raises(ValueError, match="witness"):
+        build_certificate(P2, (0,), InvariantDivisor((1, 0, 0)), witness=(1,))
+
+
+def test_certifying_sweep_decides_each_hypothesis_once(monkeypatch):
+    import toricbott.certifier as certifier
+    import toricbott.suite as suite
+
+    monkeypatch.setattr(certifier, "hypothesis_feasible", None)
+    out = suite.thm11_sweep(P1, certify=True)
+    assert out.all_verified and out.all_certified and out.feasible > 0
+
+
 def test_serialization_roundtrip_and_stable_hash():
     cert = build_certificate(P2, (1,), 2 * ray_divisor(P2, 0))
     data = certificate_to_dict(cert)

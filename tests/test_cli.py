@@ -2,8 +2,15 @@ import json
 
 import pytest
 
-from toricbott.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_MALFORMED, EXIT_OK, main
-from toricbott.fan import fan_from_dict, projective_space
+from toricbott.cli import (
+    EXIT_FAIL,
+    EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
+    EXIT_MALFORMED,
+    EXIT_OK,
+    main,
+)
+from toricbott.fan import fan_from_dict, fan_to_dict, product, projective_space
 
 
 @pytest.fixture
@@ -136,6 +143,28 @@ def test_machine_and_table_contain_same_numbers(p2_file, tmp_path, capsys):
     assert json.loads(dims_line.removeprefix("h = ")) == machine["dims"]
     euler_line = next(line for line in table.splitlines() if line.startswith("euler ="))
     assert int(euler_line.split("=")[1]) == machine["euler"]
+
+
+def test_engine_fault_exits_internal_not_violation(p2_file, tmp_path, capsys, monkeypatch):
+    from toricbott.danilov import _Engine
+
+    monkeypatch.setattr(_Engine, "pattern_bounded", lambda self, states: False)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [2, 0, 0]}))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UnboundedCohomologyChamber" in err
+
+
+def test_cohomology_on_sixteen_maximal_cones(tmp_path, capsys):
+    p1 = projective_space(1)
+    fan_path = tmp_path / "p1_4.json"
+    fan_path.write_text(json.dumps(fan_to_dict(product(product(p1, p1), product(p1, p1)))))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [0] * 8}))
+    assert main(["--format", "machine", "cohomology", "--fan", str(fan_path),
+                 "--spec", str(spec)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 0, 0, 0, 0]
 
 
 def test_counterexample_degree(capsys):

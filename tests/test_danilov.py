@@ -1,5 +1,8 @@
 import itertools
+import json
+import os
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,14 @@ from toricbott.divisors import (
     zero_divisor,
 )
 from toricbott.exactmath import rank, QMatrix
-from toricbott.fan import Fan, NotACone, projective_space, product, stratum_fan
+from toricbott.fan import (
+    Fan,
+    NotACone,
+    projective_space,
+    product,
+    star_subdivision,
+    stratum_fan,
+)
 from toricbott.suite import suite_fans
 
 P1 = projective_space(1)
@@ -283,8 +293,6 @@ def test_trivial_bundle_reduction(name, rnd):
     full = tuple(range(f.n_rays))
     t = InvariantDivisor(tuple(rnd.randint(-2, 2) for _ in range(f.n_rays)))
     base = line_bundle_cohomology(f, t)
-    from math import comb
-
     for p in range(f.dim + 1):
         dims = log_spec_dims(f, p, full, t)
         assert dims == tuple(comb(f.dim, p) * v for v in base)
@@ -346,3 +354,63 @@ def test_point_fan_cohomology():
     assert point.dim == 0
     assert line_bundle_cohomology(point, InvariantDivisor(())) == (1,)
     assert log_spec_dims(point, 1, (), InvariantDivisor(())) == (0,)
+
+
+# --- cone-poset complex ------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cech.json")
+
+
+def _golden_fans():
+    fans = dict(suite_fans())
+    p3 = projective_space(3)
+    fans["p2xp1"] = product(P2, P1)
+    fans["blpt_p3"] = star_subdivision(p3, (0, 1, 2))
+    return fans
+
+
+def test_cone_complex_reproduces_nerve_golden_data():
+    with open(GOLDEN) as handle:
+        specs = json.load(handle)["specs"]
+    assert len(specs) >= 90
+    fans = _golden_fans()
+    for row in specs:
+        res = cech_cohomology(fans[row["fan"]], sheaf_spec(row["p"], row["logset"], row["twist"]))
+        support = [[list(m), list(d)] for m, d in sorted(res.weight_support.items())]
+        assert (list(res.dims), support) == (row["dims"], row["weight_support"]), row
+
+
+@pytest.mark.parametrize("fan, terms", [
+    (product(product(P1, P1), P1), 27),
+    (suite_fans()["bl3"], 13),
+    (product(product(P1, P1), product(P1, P1)), 81),
+])
+def test_one_complex_term_per_cone(fan, terms):
+    from toricbott.danilov import _engine
+
+    levels = _engine(fan).levels
+    assert sum(len(level) for level in levels) == terms
+    assert len(levels) == fan.dim + 1 and levels[-1][0][0] == ()
+
+
+def test_seven_ray_surface():
+    # h^{1,1} = n - 2 = 5; with twist -K the Euler characteristics are
+    # 6, 0, 1 and h^0(-K) = 6 lattice points, as Riemann-Roch and the
+    # anticanonical polygon give independently of the engine
+    f = P2
+    for _ in range(4):
+        f = star_subdivision(f, f.max_cones[0])
+    assert f.n_rays == 7
+    assert log_spec_dims(f, 1, (), zero_divisor(f)) == (0, 5, 0)
+    minus_k = -canonical_divisor(f)
+    dims = [log_spec_dims(f, p, (), minus_k) for p in range(3)]
+    assert dims == [(6, 0, 0), (5, 5, 0), (1, 0, 0)]
+
+
+def test_p1_to_the_fourth_hodge_numbers():
+    # sixteen maximal cones
+    p1_4 = product(product(P1, P1), product(P1, P1))
+    zero = zero_divisor(p1_4)
+    for p in range(5):
+        dims = log_spec_dims(p1_4, p, (), zero)
+        assert dims == tuple(comb(4, p) if q == p else 0 for q in range(5))

@@ -55,6 +55,64 @@ def test_rank_equals_rank_of_transpose(rows):
     assert rank(m) == rank(m.transpose())
 
 
+def _naive_rank(rows) -> int:
+    """Rank by plain Gaussian elimination over Fraction."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(mat[0])):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            factor = mat[i][col] / mat[r][col]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+bareiss_matrices = st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from((0, 1, -1, 2, -2, 3)), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bareiss_matrices)
+def test_rank_matches_naive_fraction_elimination(rows):
+    assert rank(QMatrix.from_rows(rows)) == _naive_rank(rows)
+
+
+def test_rank_matches_naive_on_seeded_samples():
+    # the shapes and entries of the property test, drawn uniformly: about one
+    # matrix in a hundred needs every Bareiss row update to be done
+    rng = random.Random(0)
+    for _ in range(5000):
+        rows = [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in range(rng.randint(1, 5))]]
+        rows += [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in rows[0]]
+                 for _ in range(rng.randint(0, 4))]
+        assert rank(QMatrix.from_rows(rows)) == _naive_rank(rows), rows
+
+
+def test_rank_row_with_zero_factor_is_still_scaled():
+    # the row below the first pivot has a zero in the pivot column; skipping
+    # its Bareiss update made a later division truncate and gave rank 2
+    assert rank(QMatrix.from_rows([[0, -1, 0, -1], [0, 0, -1, -2], [3, -1, 0, -1]])) == 3
+
+
+def test_negative_cohomology_dimension_is_an_error(monkeypatch):
+    import toricbott.exactmath as exactmath
+
+    monkeypatch.setattr(exactmath, "rank", lambda m: 2)
+    with pytest.raises(AssertionError, match="negative cohomology"):
+        cohomology_dims(ChainComplex((1, 1), (QMatrix.identity(1),)))
+
+
 def test_cohomology_exact_complex():
     c = ChainComplex((1, 1), (QMatrix.identity(1),))
     assert cohomology_dims(c) == [0, 0]
