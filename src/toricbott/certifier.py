@@ -31,6 +31,7 @@ from .divisors import (
     boundary_divisor,
     hypothesis_feasible,
     is_ample,
+    require_witness,
     residual_divisor,
     restrict_to_stratum,
 )
@@ -123,21 +124,20 @@ def build_certificate(
     Components missing from the log set are added in ascending ray-index
     order unless ``component_order`` picks differently; the check result is
     order-independent, the tree shape is not.  A supplied hypothesis
-    ``witness`` is checked (L - dD' must be ample) instead of re-solving the
-    LP for one.
+    ``witness`` is checked (one entry per log ray, in [0,1], with L - dD'
+    ample) instead of re-solving the LP for one.
     """
     require_smooth_complete(f)
     dprime = tuple(sorted(set(dprime)))
     if not l.integral:
         raise ValueError("l must be integral")
-    supplied = witness is not None
-    if not supplied:
+    if witness is None:
         witness = hypothesis_feasible(f, l, dprime)
         if witness is None:
             raise HypothesisInfeasible("the ampleness hypothesis LP has no witness")
-    residual = residual_divisor(f, l, dprime, witness)
-    if supplied and not is_ample(f, residual):
-        raise ValueError("supplied witness does not satisfy the hypothesis")
+        residual = residual_divisor(f, l, dprime, witness)
+    else:
+        residual = require_witness(f, l, dprime, witness)
     pick = component_order if component_order is not None else min
 
     def build_node(fan_s: Fan, chain: tuple, p: int, logset: tuple,

@@ -198,16 +198,18 @@ def cmd_suite(args) -> int:
     if any(name not in fans for name in names):
         print(f"unknown suite fan in {names}", file=sys.stderr)
         return EXIT_MALFORMED
-    if args.select == "thm11" and args.jobs > 1:
-        # per-instance determinism makes fan-level dispatch safe; results
-        # are reported in name order regardless of completion order
-        from concurrent.futures import ProcessPoolExecutor
+    if args.select == "thm11":
+        tasks = [(name, not args.no_certify) for name in names]
+        if args.jobs > 1:
+            # per-instance determinism makes fan-level dispatch safe; results
+            # are reported in name order regardless of completion order
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_thm11_worker,
-                                    [(n, not args.no_certify) for n in names]))
-        for name in names:
-            out = results[name]
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                results = list(pool.map(_thm11_worker, tasks))
+        else:
+            results = map(_thm11_worker, tasks)
+        for name, out in results:
             ok = out.all_verified and (args.no_certify or out.all_certified)
             overall_ok = overall_ok and ok
             print(f"{name}: {out.feasible}/{out.instances} feasible, "
@@ -215,12 +217,7 @@ def cmd_suite(args) -> int:
         return EXIT_OK if overall_ok else EXIT_FAIL
     for name in names:
         f = fans[name]
-        if args.select == "thm11":
-            out = suite.thm11_sweep(f, certify=not args.no_certify)
-            ok = out.all_verified and (args.no_certify or out.all_certified)
-            print(f"{name}: {out.feasible}/{out.instances} feasible, "
-                  f"verified={out.verified}, certified={out.certified}, ok={ok}")
-        elif args.select == "serre":
+        if args.select == "serre":
             failures = suite.serre_duality_failures(f, bound=args.bound)
             ok = not failures
             print(f"{name}: serre duality failures = {len(failures)}")

@@ -34,6 +34,10 @@ The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so weights are enumerated by chambers of the
 margin-level hyperplane arrangement and each pattern's cohomology is
 computed once.  A brute-force bounding-box mode exists for cross-validation.
+
+The cached dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``)
+key on the class of the twist modulo principal divisors, so linearly
+equivalent twists share one chamber enumeration.
 """
 
 from __future__ import annotations
@@ -42,17 +46,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from math import ceil, comb, floor, gcd
 from typing import Dict, Optional, Sequence
 
 from .exactmath import ChainComplex, QMatrix, cohomology_dims, polyhedron_bounded
 from .divisors import (
     InvariantDivisor,
     hypothesis_feasible,
-    is_ample,
     ray_divisor,
     rayset_divisor,
-    residual_divisor,
+    require_witness,
     restrict_to_stratum,
     zero_divisor,
 )
@@ -132,6 +135,10 @@ class SectionBasis:
         return len(self.allowed)
 
 
+def _euler(dims: Sequence[int]) -> int:
+    return sum((-1) ** k * v for k, v in enumerate(dims))
+
+
 @dataclass(frozen=True)
 class CohomologyResult:
     """Dimensions h^0..h^r with per-weight support."""
@@ -147,7 +154,7 @@ class CohomologyResult:
                 sums[k] += v
         if tuple(sums) != tuple(self.dims):
             raise ValueError("dims do not match weight support")
-        if self.euler != sum((-1) ** k * v for k, v in enumerate(self.dims)):
+        if self.euler != _euler(self.dims):
             raise ValueError("euler characteristic mismatch")
 
 
@@ -156,8 +163,7 @@ def _result_from_support(r: int, support: Dict[tuple, tuple]) -> CohomologyResul
     for wdims in support.values():
         for k, v in enumerate(wdims):
             dims[k] += v
-    euler = sum((-1) ** k * v for k, v in enumerate(dims))
-    return CohomologyResult(tuple(dims), support, euler)
+    return CohomologyResult(tuple(dims), support, _euler(dims))
 
 
 def _det_int(rows) -> int:
@@ -528,27 +534,40 @@ def chamber_support_box(f: Fan, s: LogFormSheafSpec) -> Optional[tuple]:
     return box
 
 
+def _class_representative(f: Fan, twist: tuple) -> tuple:
+    """T - div(chi^m0), the twist's representative that vanishes on the rays
+    of ``max_cones[0]``; m0 = sum of t_rho dual_rho over those rays.
+
+    The margin of weight m under T is the margin of m + m0 under the
+    representative, so both have the same dims at shifted weights.
+    """
+    if len(twist) != f.n_rays:
+        raise ValueError("twist length does not match the fan")
+    eng = _engine(f)
+    duals = eng.duals[0]
+    m0 = [sum(twist[ray] * duals[pos][k] for pos, ray in enumerate(f.max_cones[0]))
+          for k in range(f.dim)]
+    return eng.margins(twist, tuple(-x for x in m0))
+
+
 @lru_cache(maxsize=None)
 def _cech_dims(f: Fan, p: int, logset: frozenset, twist: tuple) -> tuple:
+    """h^0..h^r for a class representative twist (see _class_representative)."""
     support, _ = _engine(f).chamber_run(LogFormSheafSpec(p, logset, twist))
-    dims = [0] * (f.dim + 1)
-    for wdims in support.values():
-        for k, v in enumerate(wdims):
-            dims[k] += v
-    return tuple(dims)
+    return _result_from_support(f.dim, support).dims
 
 
 def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
     """h^0..h^r of O(D) for an integral invariant divisor."""
     if not d.integral:
         raise ValueError("line bundle needs an integral divisor")
-    return _cech_dims(f, 0, frozenset(), tuple(d.coeffs))
+    return _cech_dims(f, 0, frozenset(), _class_representative(f, d.coeffs))
 
 
 def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor) -> tuple:
     if not twist.integral:
         raise ValueError("twist must be integral")
-    return _cech_dims(f, p, frozenset(dprime), tuple(twist.coeffs))
+    return _cech_dims(f, p, frozenset(dprime), _class_representative(f, twist.coeffs))
 
 
 @dataclass(frozen=True)
@@ -587,8 +606,7 @@ def verify_vanishing(
             )
         checked = True
     elif witness is not None:
-        if not is_ample(f, residual_divisor(f, l, dprime, witness)):
-            raise ValueError("supplied witness does not satisfy the hypothesis")
+        require_witness(f, l, dprime, witness)
         checked = True
     twist = l - rayset_divisor(f, dprime)
     per_p = []
@@ -616,15 +634,6 @@ class HodgeCountReport:
     expected: tuple
     higher_vanishing_ok: bool
     table: tuple               # table[p][q]
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def hodge_count_check(f: Fan, dprime: Sequence[int]) -> HodgeCountReport:
@@ -657,7 +666,7 @@ def hodge_count_check(f: Fan, dprime: Sequence[int]) -> HodgeCountReport:
             table[p][k - p] for p in range(r + 1) if 0 <= k - p <= r
         )
         sums.append(total)
-        expected.append(_binomial(s, k))
+        expected.append(comb(s, k))
     passed = higher_ok and sums == expected
     return HodgeCountReport(passed, s, tuple(sums), tuple(expected), higher_ok, table)
 
@@ -666,10 +675,6 @@ def hodge_count_check(f: Fan, dprime: Sequence[int]) -> HodgeCountReport:
 class EulerAdditivityReport:
     passed: bool
     per_p: tuple               # (p, chi_mid, chi_sub, chi_quotient)
-
-
-def _euler(dims: tuple) -> int:
-    return sum((-1) ** k * v for k, v in enumerate(dims))
 
 
 def euler_additivity_check(

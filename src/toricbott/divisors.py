@@ -211,7 +211,7 @@ def hypothesis_feasible(
     k = len(dprime)
     if k == 0:
         return () if is_ample(f, l) else None
-    cols, minsums, fullsums, greedy, greedy_sums = _dprime_rows(f, dprime)
+    _, minsums, fullsums, greedy, greedy_sums = _dprime_rows(f, dprime)
 
     # Necessary condition per wall: the box minimum of the row must beat it.
     if any(ms >= b for ms, b in zip(minsums, targets)):
@@ -227,19 +227,22 @@ def hypothesis_feasible(
     if any(greedy) and all(s < b for s, b in zip(greedy_sums, targets)):
         return greedy
 
-    rows = []
-    rhs = []
-    strict = []
-    for col, b in zip(cols, targets):
-        rows.append(list(col))
-        rhs.append(b)
-        strict.append(True)
-    for j in range(k):
-        upper = [0] * k
-        upper[j] = 1
-        rows.append(upper)
-        rhs.append(1)
-        strict.append(False)
+    return _hypothesis_lp(f, dprime, targets)
+
+
+@lru_cache(maxsize=65_536)
+def _hypothesis_lp(f: Fan, dprime: tuple, targets: tuple) -> Optional[tuple]:
+    """The exact strict LP of the hypothesis, keyed on the wall numbers of L.
+
+    Linearly equivalent L have the same wall numbers and share one solve;
+    the witness serves each of them, since L - dD' is ample iff
+    targets - cols.d > 0 on every wall.
+    """
+    cols = _dprime_rows(f, dprime)[0]
+    k = len(dprime)
+    rows = [list(col) for col in cols] + [[int(i == j) for i in range(k)] for j in range(k)]
+    rhs = list(targets) + [1] * k
+    strict = [True] * len(cols) + [False] * k
     witness = lp_feasible_strict(QMatrix.from_rows(rows), rhs, strict, nonneg=True)
     if witness is None:
         return None
@@ -255,6 +258,28 @@ def residual_divisor(
     for j, d in zip(dprime, witness):
         coeffs[j] -= d
     return InvariantDivisor(tuple(coeffs))
+
+
+def require_witness(
+    f: Fan, l: InvariantDivisor, dprime: Sequence[int], witness: Sequence
+) -> InvariantDivisor:
+    """Check a supplied hypothesis witness and return its residual l - dD'.
+
+    The witness must have one entry per ray of D' (in sorted order), lie in
+    [0,1]^{D'} and make the residual ample; otherwise ValueError.
+    """
+    dprime = tuple(sorted(set(dprime)))
+    if len(witness) != len(dprime):
+        raise ValueError("supplied witness does not satisfy the hypothesis: "
+                         f"{len(witness)} entries for {len(dprime)} log rays")
+    if any(not 0 <= as_rational(d) <= 1 for d in witness):
+        raise ValueError("supplied witness does not satisfy the hypothesis: "
+                         "it leaves the unit box")
+    residual = residual_divisor(f, l, dprime, witness)
+    if not is_ample(f, residual):
+        raise ValueError("supplied witness does not satisfy the hypothesis: "
+                         "L - dD' is not ample")
+    return residual
 
 
 def restrict_to_stratum(

@@ -132,6 +132,15 @@ def test_supplied_witness_must_make_residual_ample():
         build_certificate(P2, (0,), InvariantDivisor((1, 0, 0)), witness=(1,))
 
 
+@pytest.mark.parametrize("dprime, l, witness, message", [
+    ((0,), InvariantDivisor((0, 0, 0)), (-1,), "unit box"),
+    ((0, 1), InvariantDivisor((1, 0, 0)), (0,), "entries"),
+])
+def test_supplied_witness_must_fit_the_log_set_and_unit_box(dprime, l, witness, message):
+    with pytest.raises(ValueError, match=message):
+        build_certificate(P2, dprime, l, witness=witness)
+
+
 def test_certifying_sweep_decides_each_hypothesis_once(monkeypatch):
     import toricbott.certifier as certifier
     import toricbott.suite as suite

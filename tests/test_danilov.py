@@ -199,6 +199,17 @@ def test_bad_witness_rejected():
         verify_vanishing(P2, (0,), zero_divisor(P2), witness=(0,))
 
 
+@pytest.mark.parametrize("dprime, l, witness, message", [
+    # d = -1 makes L - dD' = D_0 ample, but no d in [0, 1] does
+    ((0,), InvariantDivisor((0, 0, 0)), (-1,), "unit box"),
+    # a one-entry witness for a two-ray D' must not be truncated into use
+    ((0, 1), InvariantDivisor((1, 0, 0)), (0,), "entries"),
+])
+def test_witness_must_fit_the_log_set_and_unit_box(dprime, l, witness, message):
+    with pytest.raises(ValueError, match=message):
+        verify_vanishing(P2, dprime, l, witness=witness)
+
+
 # --- hodge counts ----------------------------------------------------------
 
 def test_hodge_count_torus():
@@ -414,3 +425,20 @@ def test_p1_to_the_fourth_hodge_numbers():
     for p in range(5):
         dims = log_spec_dims(p1_4, p, (), zero)
         assert dims == tuple(comb(4, p) if q == p else 0 for q in range(5))
+
+
+def test_cached_dims_depend_only_on_the_twist_class():
+    # the cached lookups key on a class representative of the twist; the
+    # reference is the uncached cech_cohomology at the unmoved twist
+    rng = random.Random(4417)
+    for name, f in _golden_fans().items():
+        for _ in range(8):
+            p = rng.randint(0, f.dim)
+            dprime = tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays))))
+            twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
+            m = tuple(rng.randint(-3, 3) for _ in range(f.dim))
+            moved = InvariantDivisor(twist) + principal_divisor(f, m)
+            expected = cech_cohomology(f, sheaf_spec(p, dprime, twist)).dims
+            assert log_spec_dims(f, p, dprime, moved) == expected, (name, p, dprime, twist, m)
+            expected = cech_cohomology(f, sheaf_spec(0, (), twist)).dims
+            assert line_bundle_cohomology(f, moved) == expected, (name, twist, m)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbott.danilov import line_bundle_cohomology
+from toricbott.exactmath import lp_feasible_strict
 from toricbott.divisors import (
     InvariantDivisor,
     canonical_divisor,
@@ -173,6 +174,31 @@ def test_hypothesis_witness_is_valid(name, rnd):
         return
     assert all(0 <= Fraction(x) <= 1 for x in w)
     assert is_ample(f, residual_divisor(f, l, dprime, w))
+
+
+def test_linearly_equivalent_bundles_share_one_exact_lp(monkeypatch):
+    import toricbott.divisors as divisors
+
+    bl3 = suite_fans()["bl3"]
+    dprime = (0, 2, 4)
+    l1 = InvariantDivisor((0, 1, 1, 0, 2, 0))
+    l2 = l1 + principal_divisor(bl3, (1, -1))
+    assert l2.coeffs == (1, 0, 1, 0, 1, 1)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lp_feasible_strict(*args, **kwargs)
+
+    divisors._hypothesis_lp.cache_clear()
+    monkeypatch.setattr(divisors, "lp_feasible_strict", counting)
+    w1 = hypothesis_feasible(bl3, l1, dprime)
+    assert len(calls) == 1  # no short-circuit decided l1
+    w2 = hypothesis_feasible(bl3, l2, dprime)
+    assert len(calls) == 1
+    assert w1 is not None and w2 == w1
+    for l in (l1, l2):
+        assert is_ample(bl3, residual_divisor(bl3, l, dprime, w1))
 
 
 def test_every_suite_fan_is_projective():
