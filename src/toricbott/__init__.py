@@ -72,5 +72,22 @@ from .counterexample import (
     scenario,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ChainComplex", "QMatrix", "cohomology_dims", "lp_feasible_strict",
+    "polyhedron_bounded", "rank",
+    "Fan", "FanDiagnostics", "Wall", "builtin", "fan_from_dict", "fan_hash",
+    "fan_to_dict", "hirzebruch", "product", "projective_space",
+    "star_subdivision", "stratum_fan", "validate", "walls",
+    "CartierData", "InvariantDivisor", "canonical_divisor", "cartier_data",
+    "hypothesis_feasible", "intersect_wall", "is_ample", "is_nef",
+    "is_projective", "restrict_to_stratum",
+    "CohomologyResult", "LogFormSheafSpec", "cech_cohomology",
+    "euler_additivity_check", "hodge_count_check", "line_bundle_cohomology",
+    "sheaf_spec", "verify_vanishing", "weight_sections",
+    "Certificate", "CertificateNode", "VanishingClaim", "build_certificate",
+    "certificate_from_dict", "certificate_to_dict", "check_certificate",
+    "cross_validate",
+    "ScenarioReport", "minimal_failing_degree", "relative_ample_check",
+    "riemann_roch_consistency", "scenario",
+]
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ from .divisors import (
     require_witness,
     residual_divisor,
     restrict_to_stratum,
+    sorted_logset,
 )
 from .fan import Fan, fan_hash, require_smooth_complete, stratum_fan
 
@@ -128,7 +129,7 @@ def build_certificate(
     ample) instead of re-solving the LP for one.
     """
     require_smooth_complete(f)
-    dprime = tuple(sorted(set(dprime)))
+    dprime = sorted_logset(f, dprime)
     if not l.integral:
         raise ValueError("l must be integral")
     if witness is None:
@@ -229,6 +230,8 @@ def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False)
             raise MalformedNode("certificate was built for a different fan")
         if len(cert.roots) != f.dim + 1:
             raise MalformedNode("certificate must carry one root per form degree")
+        if not set(cert.logset) <= set(range(f.n_rays)):
+            raise MalformedNode("certificate log set has invalid ray indices")
         if len(cert.hypothesis_witness) != len(cert.logset):
             raise MalformedNode("hypothesis witness length does not match the log set")
         l = InvariantDivisor(cert.divisor)

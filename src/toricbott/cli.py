@@ -92,7 +92,7 @@ def cmd_vanishing(args) -> int:
     l = divisors.divisor_from_dict(_load_json(args.divisor))
     dprime = _parse_indices(args.logset)
     witness = divisors.hypothesis_feasible(f, l, dprime)
-    if witness is None and not args.unchecked:
+    if witness is None and (args.vanishing_action == "certify" or not args.unchecked):
         print("hypothesis infeasible: no d in [0,1]^{D'} makes L - dD' ample",
               file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -104,11 +104,11 @@ def cmd_vanishing(args) -> int:
         for p, dims in enumerate(report.per_p):
             lines.append(f"p={p}: h = {list(dims)}")
         if args.vanishing_action == "cross-validate" and witness is not None:
-            cross = certifier.cross_validate(f, dprime, l)
-            data["certificate_ok"] = cross.certificate_ok
-            data["agree"] = cross.agree
-            lines.append(f"certificate_ok: {cross.certificate_ok}")
-            lines.append(f"agree: {cross.agree}")
+            cert = certifier.build_certificate(f, dprime, l, witness=witness)
+            data["certificate_ok"] = certifier.check_certificate(f, cert)
+            data["agree"] = data["certificate_ok"] and report.passed
+            lines.append(f"certificate_ok: {data['certificate_ok']}")
+            lines.append(f"agree: {data['agree']}")
         _emit(data, args.format, lines)
         if args.unchecked and witness is None:
             return EXIT_OK
@@ -168,13 +168,14 @@ def cmd_counterexample(args) -> int:
         minimal = next((r.d for r in reports if r.bott_fails), None)
         data = {
             "minimal_failing_degree": minimal,
-            "rows": [vars(r) | {} for r in reports],
+            "rows": [vars(r) for r in reports],
         }
-        lines = ["  d  genus  deg_L  rr_bound  fails"]
+        lines = ["  d      e  deg(w2 N*)  genus  deg L  a.D  b.D  rr_bound  fails"]
         for r in reports:
-            mark = " <- minimal" if minimal == r.d else ""
-            lines.append(f"{r.d:3d}  {r.genus:5d}  {r.deg_L:5d}  {r.rr_lower_bound:8d}"
-                         f"  {str(r.bott_fails):5s}{mark}")
+            mark = "  <- minimal" if minimal == r.d else ""
+            lines.append(f"{r.d:3d} {r.e_invariant:6d} {r.deg_wedge2_conormal:11d} "
+                         f"{r.genus:6d} {r.deg_L:6d} {r.a_dot_D:4d} {r.b_dot_D:4d} "
+                         f"{r.rr_lower_bound:9d}  {str(r.bott_fails):5s}{mark}")
         _emit(data, args.format, lines)
         return EXIT_OK
     r = counterexample.scenario(args.degree)
@@ -214,13 +215,17 @@ def cmd_suite(args) -> int:
             overall_ok = overall_ok and ok
             print(f"{name}: {out.feasible}/{out.instances} feasible, "
                   f"verified={out.verified}, certified={out.certified}, ok={ok}")
+            for failure in out.failures:
+                print(f"    {failure}")
         return EXIT_OK if overall_ok else EXIT_FAIL
     for name in names:
         f = fans[name]
         if args.select == "serre":
             failures = suite.serre_duality_failures(f, bound=args.bound)
-            ok = not failures
-            print(f"{name}: serre duality failures = {len(failures)}")
+            log_failures = suite.log_serre_duality_failures(f, rng, args.sample)
+            ok = not failures and not log_failures
+            print(f"{name}: serre duality failures = {len(failures)}, "
+                  f"log serre duality failures = {len(log_failures)}")
         elif args.select == "hodge":
             ok = True
             for dprime in suite.hodge_chart_subsets(f):

@@ -33,7 +33,9 @@ the A^1 model (t^m dlog t regular iff m >= 1).
 The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so weights are enumerated by chambers of the
 margin-level hyperplane arrangement and each pattern's cohomology is
-computed once.  A brute-force bounding-box mode exists for cross-validation.
+computed once.  ``_Engine.pattern`` is the one rule turning margins into
+ray states, for arrangement vertices (rational margins) and lattice weights
+alike.  A brute-force bounding-box mode exists for cross-validation.
 
 The cached dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``)
 key on the class of the twist modulo principal divisors, so linearly
@@ -47,9 +49,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, gcd
+from operator import mul
 from typing import Dict, Optional, Sequence
 
-from .exactmath import ChainComplex, QMatrix, cohomology_dims, polyhedron_bounded
+from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, polyhedron_bounded
 from .divisors import (
     InvariantDivisor,
     hypothesis_feasible,
@@ -57,6 +60,7 @@ from .divisors import (
     rayset_divisor,
     require_witness,
     restrict_to_stratum,
+    sorted_logset,
     zero_divisor,
 )
 from .fan import Fan, NotACone, _dual_basis, is_cone, require_smooth_complete, stratum_fan
@@ -99,22 +103,6 @@ def sheaf_spec(p: int, logset: Sequence[int], twist) -> LogFormSheafSpec:
     if any(not isinstance(c, int) for c in coeffs):
         raise ValueError("twist must be integral")
     return LogFormSheafSpec(int(p), frozenset(logset), tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class WeightConditions:
-    """A weight together with its per-ray margins c_rho = <m, u_rho> + t_rho."""
-
-    weight: tuple
-    margins: tuple
-
-
-def weight_conditions(f: Fan, twist: Sequence[int], m: Sequence[int]) -> WeightConditions:
-    m = tuple(int(x) for x in m)
-    margins = tuple(
-        sum(mk * uk for mk, uk in zip(m, ray)) + t for ray, t in zip(f.rays, twist)
-    )
-    return WeightConditions(m, margins)
 
 
 @dataclass(frozen=True)
@@ -164,27 +152,6 @@ def _result_from_support(r: int, support: Dict[tuple, tuple]) -> CohomologyResul
         for k, v in enumerate(wdims):
             dims[k] += v
     return CohomologyResult(tuple(dims), support, _euler(dims))
-
-
-def _det_int(rows) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f_ = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f_ * h) - b * (d * i - f_ * g) + c * (d * h - e * g)
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * _det_int(minor)
-    return total
 
 
 class _Engine:
@@ -239,7 +206,7 @@ class _Engine:
         if key not in self._minors:
             kmat = self._change(a, b)
             sub = [[kmat[i][j] for j in j_pos] for i in i_pos]
-            self._minors[key] = _det_int(sub)
+            self._minors[key] = det(sub)
         return self._minors[key]
 
     def _allowed(self, p: int, tau: tuple, comp: int, states: tuple):
@@ -311,20 +278,34 @@ class _Engine:
 
     def margins(self, twist: tuple, m: tuple) -> tuple:
         return tuple(
-            sum(mk * uk for mk, uk in zip(m, ray)) + t
+            sum(map(mul, m, ray)) + t
             for ray, t in zip(self.fan.rays, twist)
         )
 
-    def states_from_margins(self, p: int, logset: frozenset, margins: tuple) -> tuple:
-        out = []
-        for i, c in enumerate(margins):
-            if c < 0:
-                out.append(DEAD)
-            elif c == 0:
-                out.append(FREE if (p == 0 or i in logset) else RESTRICTED)
+    def merged(self, p: int, logset: frozenset) -> tuple:
+        """Per ray: True where the levels 0 and 1 give the same state (p = 0,
+        or the ray carries a log pole), so a zero margin is already FREE."""
+        return tuple(p == 0 or i in logset for i in range(self.n))
+
+    @staticmethod
+    def pattern(merged: tuple, margins, den: int = 1) -> Optional[tuple]:
+        """Ray states of the margins num/den (den > 0), or None when some
+        margin lies strictly between two levels that give different states.
+
+        Integral margins (den = 1) always have a pattern: c <= -1 is DEAD,
+        c >= 1 is FREE, and c = 0 is FREE on merged rays, else RESTRICTED.
+        """
+        states = []
+        for mg, num in zip(merged, margins):
+            if num <= -den:
+                states.append(DEAD)
+            elif num >= (0 if mg else den):
+                states.append(FREE)
+            elif num == 0:
+                states.append(RESTRICTED)
             else:
-                out.append(FREE)
-        return tuple(out)
+                return None
+        return tuple(states)
 
     def pattern_bounded(self, states: tuple) -> bool:
         key = states
@@ -352,29 +333,29 @@ class _Engine:
         (the rays span), hence has a vertex of the level arrangement; so
         collecting arrangement vertices discovers every realizable pattern.
         """
-        p, logset, twist = spec.p, spec.logset, spec.twist
+        p, twist = spec.p, spec.twist
         r = self.r
         if r == 0:
             dims = self.state_cohomology(p, ())
             support = {(): dims} if any(dims) else {}
             return support, (() if support else None)
+        merged = self.merged(p, spec.logset)
         hyperplanes = []
         for i in range(self.n):
-            merged = p == 0 or i in logset
-            levels = (-1, 0) if merged else (-1, 0, 1)
+            levels = (-1, 0) if merged[i] else (-1, 0, 1)
             for lv in levels:
                 hyperplanes.append((i, lv - twist[i]))
         vertices = set()
         for combo in itertools.combinations(hyperplanes, r):
             rows = [list(self.fan.rays[i]) for i, _ in combo]
             rhs = [val for _, val in combo]
-            d = _det_int(rows)
+            d = det(rows)
             if d == 0:
                 continue
             nums = []
             for col in range(r):
                 rep = [row[:col] + [b] + row[col + 1:] for row, b in zip(rows, rhs)]
-                nums.append(_det_int(rep))
+                nums.append(det(rep))
             if d < 0:
                 d = -d
                 nums = [-x for x in nums]
@@ -384,25 +365,11 @@ class _Engine:
             vertices.add((tuple(x // g for x in nums), d // g))
         patterns: Dict[tuple, list] = {}
         for nums, den in vertices:
-            states = []
-            ok = True
-            for i in range(self.n):
-                ray = self.fan.rays[i]
-                s = sum(nk * uk for nk, uk in zip(nums, ray)) + den * twist[i]
-                merged = p == 0 or i in logset
-                if s <= -den:
-                    states.append(DEAD)
-                elif merged and s >= 0:
-                    states.append(FREE)
-                elif not merged and s == 0:
-                    states.append(RESTRICTED)
-                elif not merged and s >= den:
-                    states.append(FREE)
-                else:
-                    ok = False
-                    break
-            if ok:
-                patterns.setdefault(tuple(states), []).append((nums, den))
+            margins = [sum(map(mul, nums, ray)) + den * t
+                       for ray, t in zip(self.fan.rays, twist)]
+            states = self.pattern(merged, margins, den)
+            if states is not None:
+                patterns.setdefault(states, []).append((nums, den))
         support: Dict[tuple, tuple] = {}
         box_union = None
         for states, verts in patterns.items():
@@ -431,21 +398,20 @@ class _Engine:
             if volume > 5_000_000:
                 raise RuntimeError("chamber lattice box is unreasonably large")
             for m in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-                margins = self.margins(twist, m)
-                if self.states_from_margins(p, logset, margins) == states:
+                if self.pattern(merged, self.margins(twist, m)) == states:
                     support[m] = dims
         box = tuple(tuple(pair) for pair in box_union) if box_union is not None else None
         return support, box
 
     def box_run(self, spec: LogFormSheafSpec, bounds) -> Dict[tuple, tuple]:
-        p, logset, twist = spec.p, spec.logset, spec.twist
+        p, twist = spec.p, spec.twist
         if self.r == 0:
             dims = self.state_cohomology(p, ())
             return {(): dims} if any(dims) else {}
+        merged = self.merged(p, spec.logset)
         support: Dict[tuple, tuple] = {}
         for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-            margins = self.margins(twist, m)
-            states = self.states_from_margins(p, logset, margins)
+            states = self.pattern(merged, self.margins(twist, m))
             dims = self.state_cohomology(p, states)
             if any(dims):
                 support[m] = dims
@@ -478,7 +444,7 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
         raise NotACone(f"{tau} does not span a cone of the fan")
     comp = eng.completion[tau]
     margins = eng.margins(s.twist, tuple(int(x) for x in m))
-    states = eng.states_from_margins(s.p, s.logset, margins)
+    states = eng.pattern(eng.merged(s.p, s.logset), margins)
     allowed_pos = eng._allowed(s.p, tau, comp, states)
     cone = f.max_cones[comp]
     duals = eng.duals[comp]
@@ -486,7 +452,7 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     vectors = []
     for I in allowed_pos:
         rows = [duals[i] for i in I]
-        vectors.append(tuple(_det_int([[rows[a][j] for j in J] for a in range(len(I))])
+        vectors.append(tuple(det([[rows[a][j] for j in J] for a in range(len(I))])
                              for J in full))
     allowed_rays = tuple(tuple(cone[i] for i in I) for I in allowed_pos)
     return SectionBasis(cone, allowed_rays, tuple(vectors))
@@ -567,7 +533,8 @@ def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
 def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor) -> tuple:
     if not twist.integral:
         raise ValueError("twist must be integral")
-    return _cech_dims(f, p, frozenset(dprime), _class_representative(f, twist.coeffs))
+    dprime = frozenset(sorted_logset(f, dprime))
+    return _cech_dims(f, p, dprime, _class_representative(f, twist.coeffs))
 
 
 @dataclass(frozen=True)
@@ -594,7 +561,7 @@ def verify_vanishing(
     ``unchecked`` is set, which runs the engine as a negative control.
     """
     require_smooth_complete(f)
-    dprime = tuple(sorted(set(dprime)))
+    dprime = sorted_logset(f, dprime)
     if not l.integral:
         raise ValueError("l must be integral")
     checked = False
@@ -685,7 +652,7 @@ def euler_additivity_check(
     For each p, chi of Omega^p(log D')(-D') (x) L must equal the sum of the
     chis of the two outer terms, all three computed independently."""
     require_smooth_complete(f)
-    dprime = tuple(sorted(set(dprime)))
+    dprime = sorted_logset(f, dprime)
     if not 0 <= h < f.n_rays:
         raise ValueError(f"ray index {h} out of range")
     if h in dprime:

@@ -78,6 +78,15 @@ def canonical_divisor(f: Fan) -> InvariantDivisor:
     return InvariantDivisor((-1,) * f.n_rays)
 
 
+def sorted_logset(f: Fan, dprime: Sequence[int]) -> tuple:
+    """D' as the sorted tuple of its distinct ray indices; ValueError if one
+    is not a ray of the fan."""
+    dprime = tuple(sorted(set(dprime)))
+    if any(not 0 <= j < f.n_rays for j in dprime):
+        raise ValueError(f"logset ray index out of range in {dprime}")
+    return dprime
+
+
 def rayset_divisor(f: Fan, rays: Sequence[int]) -> InvariantDivisor:
     rays = set(rays)
     return InvariantDivisor(tuple(int(i in rays) for i in range(f.n_rays)))
@@ -204,9 +213,7 @@ def hypothesis_feasible(
     require_smooth_complete(f)
     if not l.integral:
         raise ValueError("l must be integral")
-    dprime = tuple(sorted(set(dprime)))
-    if any(not 0 <= j < f.n_rays for j in dprime):
-        raise ValueError("logset ray index out of range")
+    dprime = sorted_logset(f, dprime)
     targets = wall_numbers(f, l)
     k = len(dprime)
     if k == 0:
@@ -268,7 +275,7 @@ def require_witness(
     The witness must have one entry per ray of D' (in sorted order), lie in
     [0,1]^{D'} and make the residual ample; otherwise ValueError.
     """
-    dprime = tuple(sorted(set(dprime)))
+    dprime = sorted_logset(f, dprime)
     if len(witness) != len(dprime):
         raise ValueError("supplied witness does not satisfy the hypothesis: "
                          f"{len(witness)} entries for {len(dprime)} log rays")

@@ -136,52 +136,30 @@ def rank(m: QMatrix) -> int:
     return r
 
 
-def det(m: QMatrix):
-    """Exact determinant of a square rational matrix."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
+def det(rows) -> int:
+    """Exact determinant of a square integer matrix given as a list of rows.
+
+    Closed forms up to 3 x 3 (the hot path: vertex and wedge-minor
+    determinants of the cohomology engine), cofactor expansion beyond.
+    """
+    n = len(rows)
     if n == 0:
         return 1
-    mat = [[Fraction(x) for x in row] for row in m.entries]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        pivot = mat[col][col]
-        result *= pivot
-        for i in range(col + 1, n):
-            factor = mat[i][col] / pivot
-            if factor:
-                for j in range(col, n):
-                    mat[i][j] -= factor * mat[col][j]
-    return as_rational(sign * result)
-
-
-def invert(m: QMatrix) -> QMatrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    if m.rows != m.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    mat = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pivot = mat[col][col]
-        mat[col] = [x / pivot for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[col])]
-    return QMatrix.from_rows([row[n:] for row in mat])
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        a, b, c = rows[0]
+        d, e, f = rows[1]
+        g, h, i = rows[2]
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    total = 0
+    for j in range(n):
+        if rows[0][j]:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += (-1) ** j * rows[0][j] * det(minor)
+    return total
 
 
 @dataclass(frozen=True)
@@ -202,14 +180,6 @@ class ChainComplex:
             if d.cols != self.dims[i] or d.rows != self.dims[i + 1]:
                 raise ValueError(f"differential {i} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.dims[i + 1]}x{self.dims[i]}")
-
-    @classmethod
-    def from_differentials(cls, diffs: Sequence[QMatrix]) -> "ChainComplex":
-        diffs = tuple(diffs)
-        if not diffs:
-            raise ValueError("cannot infer term dimensions without differentials")
-        dims = tuple([d.cols for d in diffs] + [diffs[-1].rows])
-        return cls(dims, diffs)
 
 
 def cohomology_dims(c: ChainComplex) -> list:

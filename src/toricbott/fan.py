@@ -13,13 +13,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Dict, Sequence
 
-from .exactmath import QMatrix, det, invert, lp_feasible_strict
+from .exactmath import QMatrix, det, lp_feasible_strict
 
 
 class FanError(ValueError):
@@ -123,26 +122,31 @@ def _check_structure(f: Fan) -> None:
         raise MalformedInput("some ray is not used by any maximal cone")
 
 
-def ray_matrix(f: Fan, cone: Sequence[int]) -> QMatrix:
-    """Matrix whose columns are the primitive generators of the cone."""
-    return QMatrix.from_rows([[f.rays[i][k] for i in cone] for k in range(f.dim)])
-
-
 @lru_cache(maxsize=None)
-def _dual_basis_rational(f: Fan, cone: tuple) -> tuple:
-    """Rows m_i with <m_i, u_j> = delta_ij for the cone's rays."""
-    return invert(ray_matrix(f, cone)).entries
+def _scaled_dual_basis(f: Fan, cone: tuple) -> tuple:
+    """(|det|, rows m_i with <m_i, u_j> = |det| delta_ij) for the cone's rays.
+
+    The rows are sign(det) times the integer adjugate of the ray matrix, i.e.
+    |det| times its inverse; they cut out the same cone as the dual basis.
+    """
+    rays = [f.rays[i] for i in cone]
+    d = det(rays)
+    sign = -1 if d < 0 else 1
+    n = len(rays)
+    rows = tuple(
+        tuple(sign * (-1) ** (i + k)
+              * det([r[:k] + r[k + 1:] for j, r in enumerate(rays) if j != i])
+              for k in range(n))
+        for i in range(n)
+    )
+    return abs(d), rows
 
 
-@lru_cache(maxsize=None)
 def _dual_basis(f: Fan, cone: tuple) -> tuple:
-    """Integer dual basis of a unimodular cone."""
-    entries = _dual_basis_rational(f, cone)
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
-    for row, orig in zip(rows, entries):
-        for a, b in zip(row, orig):
-            if a != b:
-                raise FanError("cone ray matrix is not unimodular")
+    """Integer dual basis of a unimodular cone: <m_i, u_j> = delta_ij."""
+    scale, rows = _scaled_dual_basis(f, cone)
+    if scale != 1:
+        raise FanError("cone ray matrix is not unimodular")
     return rows
 
 
@@ -158,11 +162,12 @@ def _facet_incidence(f: Fan) -> Dict[tuple, list]:
 def _pairwise_face_check(f: Fan) -> bool:
     """LP check that every pairwise intersection is the common-ray face.
 
-    For smooth simplicial cones sigma = {x : M_sigma x >= 0}; the
-    intersection equals cone(sigma(1) & sigma'(1)) iff no point of the
-    intersection has a strictly positive coordinate at a non-shared ray.
+    For simplicial cones sigma = {x : M_sigma x >= 0}, with M_sigma the
+    scaled dual basis; the intersection equals cone(sigma(1) & sigma'(1)) iff
+    no point of the intersection has a strictly positive coordinate at a
+    non-shared ray.
     """
-    duals = [_dual_basis_rational(f, c) for c in f.max_cones]
+    duals = [_scaled_dual_basis(f, c)[1] for c in f.max_cones]
     for a, b in itertools.combinations(range(len(f.max_cones)), 2):
         shared = set(f.max_cones[a]) & set(f.max_cones[b])
         for src, other in ((a, b), (b, a)):
@@ -188,23 +193,6 @@ def _pairwise_face_check(f: Fan) -> bool:
     return True
 
 
-def _point_location_ok(f: Fan, samples: int = 8) -> bool:
-    """Randomized redundant completeness check: random directions must land
-    inside some maximal cone."""
-    rng = random.Random(20_24)
-    duals = [_dual_basis_rational(f, c) for c in f.max_cones]
-    for _ in range(samples):
-        x = [rng.randint(-9, 9) for _ in range(f.dim)]
-        if all(v == 0 for v in x):
-            x[0] = 1
-        covered = any(
-            all(sum(m[k] * x[k] for k in range(f.dim)) >= 0 for m in dual) for dual in duals
-        )
-        if not covered:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def validate(f: Fan) -> FanDiagnostics:
     """Smoothness, completeness and fan-axiom diagnostics.
@@ -220,10 +208,10 @@ def validate(f: Fan) -> FanDiagnostics:
             reasons.append("zero-dimensional fan must consist of the zero cone")
         return FanDiagnostics(True, complete, True, tuple(reasons))
 
-    dets = [det(ray_matrix(f, c)) for c in f.max_cones]
-    smooth = all(abs(d) == 1 for d in dets)
+    dets = [_scaled_dual_basis(f, c)[0] for c in f.max_cones]  # |det| per cone
+    smooth = all(d == 1 for d in dets)
     if not smooth:
-        bad = [c for c, d in zip(f.max_cones, dets) if abs(d) != 1]
+        bad = [c for c, d in zip(f.max_cones, dets) if d != 1]
         reasons.append(f"non-unimodular maximal cones: {bad}")
 
     simplicial = all(d != 0 for d in dets)
@@ -235,6 +223,9 @@ def validate(f: Fan) -> FanDiagnostics:
     else:
         reasons.append("degenerate maximal cone; fan axioms not checkable")
 
+    # Facet pairing, wall connectivity and the pairwise-face check make the
+    # cones a closed connected pseudomanifold embedded in the sphere, which
+    # therefore covers it.
     complete = True
     facets = _facet_incidence(f)
     for facet, cones in facets.items():
@@ -257,9 +248,6 @@ def validate(f: Fan) -> FanDiagnostics:
         if len(seen) != len(f.max_cones):
             complete = False
             reasons.append("wall-adjacency graph is disconnected")
-    if complete and simplicial and fan_axioms and not _point_location_ok(f):
-        complete = False
-        reasons.append("random direction not covered by any maximal cone")
     return FanDiagnostics(smooth, complete, fan_axioms, tuple(reasons))
 
 

@@ -141,6 +141,17 @@ def test_supplied_witness_must_fit_the_log_set_and_unit_box(dprime, l, witness, 
         build_certificate(P2, dprime, l, witness=witness)
 
 
+def test_log_rays_must_be_rays_of_the_fan():
+    with pytest.raises(ValueError, match="out of range"):
+        build_certificate(P2, (-1,), InvariantDivisor((1, 0, 0)), witness=(0,))
+    cert = build_certificate(P2, (1,), InvariantDivisor((2, 0, 0)))
+    for logset in ((7,), (-1,)):
+        tampered = dataclasses.replace(cert, logset=logset)
+        assert not check_certificate(P2, tampered)
+        with pytest.raises(MalformedNode, match="invalid ray indices"):
+            check_certificate(P2, tampered, raise_on_failure=True)
+
+
 def test_certifying_sweep_decides_each_hypothesis_once(monkeypatch):
     import toricbott.certifier as certifier
     import toricbott.suite as suite

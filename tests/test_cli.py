@@ -88,6 +88,21 @@ def test_vanishing_unchecked_negative_control(p2_file, divisor_file, capsys):
     assert [1, 1, 1] in data["violations"]
 
 
+def test_vanishing_certify_unchecked_infeasible_exit_code(p2_file, divisor_file, capsys):
+    # a certificate needs the hypothesis, --unchecked or not
+    d = divisor_file([0, 0, 0])
+    assert main(["vanishing", "certify", "--fan", p2_file, "--divisor", d,
+                 "--logset", "0", "--unchecked"]) == EXIT_INFEASIBLE
+    assert "hypothesis infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["check", "certify", "cross-validate"])
+def test_vanishing_log_ray_out_of_range_is_malformed(p2_file, divisor_file, action):
+    d = divisor_file([1, 0, 0])
+    assert main(["vanishing", action, "--fan", p2_file, "--divisor", d,
+                 "--logset", "5", "--unchecked"]) == EXIT_MALFORMED
+
+
 def test_vanishing_certify_writes_certificate(p2_file, divisor_file, tmp_path):
     d = divisor_file([1, 0, 0])
     cert_path = tmp_path / "cert.json"
@@ -102,6 +117,24 @@ def test_cross_validate_command(p2_file, divisor_file):
     d = divisor_file([2, 1, 0])
     assert main(["vanishing", "cross-validate", "--fan", p2_file,
                  "--divisor", d]) == EXIT_OK
+
+
+def test_cross_validate_runs_the_direct_check_once(p2_file, divisor_file, capsys,
+                                                   monkeypatch):
+    import toricbott.certifier as certifier
+    import toricbott.danilov as danilov
+
+    calls = []
+    original = danilov.verify_vanishing
+    for module in (danilov, certifier):
+        monkeypatch.setattr(module, "verify_vanishing",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+    d = divisor_file([2, 1, 0])
+    assert main(["vanishing", "cross-validate", "--fan", p2_file, "--divisor", d,
+                 "--logset", "0"]) == EXIT_OK
+    assert len(calls) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["certificate_ok: True", "agree: True"]
 
 
 def test_cohomology_command(p2_file, tmp_path, capsys):
@@ -183,6 +216,11 @@ def test_counterexample_scan_table(capsys):
     assert main(["counterexample", "--scan", "6..9"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "<- minimal" in out
+    lines = out.splitlines()
+    assert lines[0].split() == ["d", "e", "deg(w2", "N*)", "genus", "deg", "L", "a.D",
+                                "b.D", "rr_bound", "fails"]
+    assert lines[3].split() == ["8", "72", "-56", "21", "16", "1", "1", "4", "True",
+                                "<-", "minimal"]
 
 
 def test_counterexample_bad_degree():
@@ -193,6 +231,23 @@ def test_suite_smoke(capsys):
     assert main(["suite", "--select", "thm11", "--fans", "p1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ok=True" in out
+
+
+def test_suite_serre_smoke(capsys):
+    assert main(["suite", "--select", "serre", "--fans", "p1", "--bound", "1",
+                 "--sample", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "p1: serre duality failures = 0, log serre duality failures = 0\n")
+
+
+def test_suite_thm11_prints_each_failure(capsys, monkeypatch):
+    import toricbott.suite as suite
+
+    failure = ("verify", (0,), (1, 0), ((0, 1, 1),))
+    monkeypatch.setattr(suite, "thm11_sweep", lambda fan, certify: suite.SweepOutcome(
+        instances=1, feasible=1, failures=[failure]))
+    assert main(["suite", "--select", "thm11", "--fans", "p1"]) == EXIT_FAIL
+    assert capsys.readouterr().out.splitlines()[1:] == [f"    {failure}"]
 
 
 def test_suite_euler_smoke(capsys):

@@ -20,7 +20,6 @@ from toricbott.danilov import (
     log_spec_dims,
     sheaf_spec,
     verify_vanishing,
-    weight_conditions,
     weight_sections,
 )
 from toricbott.divisors import (
@@ -96,9 +95,10 @@ def test_weight_sections_independent_of_completion():
                 assert rank(a) == len(vecs)
 
 
-def test_weight_conditions_margins():
-    wc = weight_conditions(P2, (2, 0, 0), (1, 0))
-    assert wc.margins == (3, 0, -1)
+def test_engine_margins():
+    from toricbott.danilov import _engine
+
+    assert _engine(P2).margins((2, 0, 0), (1, 0)) == (3, 0, -1)
 
 
 def test_affine_line_model():
@@ -210,6 +210,22 @@ def test_witness_must_fit_the_log_set_and_unit_box(dprime, l, witness, message):
         verify_vanishing(P2, dprime, l, witness=witness)
 
 
+@pytest.mark.parametrize("dprime, witness, unchecked", [
+    ((5,), (1,), False),
+    ((-1,), (0,), False),      # not a ray counted from the end
+    ((5, -1), None, True),     # checked without the hypothesis too
+])
+def test_log_rays_must_be_rays_of_the_fan(dprime, witness, unchecked):
+    with pytest.raises(ValueError, match="out of range"):
+        verify_vanishing(P2, dprime, InvariantDivisor((1, 0, 0)), witness=witness,
+                         unchecked=unchecked)
+
+
+def test_log_spec_dims_rejects_a_log_ray_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        log_spec_dims(P2, 1, (7,), zero_divisor(P2))
+
+
 # --- hodge counts ----------------------------------------------------------
 
 def test_hodge_count_torus():
@@ -318,7 +334,7 @@ def test_weight_pattern_constancy():
     eng = _engine(P2)
     patterns = {}
     for m, dims in res.weight_support.items():
-        states = eng.states_from_margins(s.p, s.logset, eng.margins(s.twist, m))
+        states = eng.pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
         patterns.setdefault(states, set()).add(dims)
     for dims_set in patterns.values():
         assert len(dims_set) == 1

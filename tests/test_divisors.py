@@ -21,8 +21,10 @@ from toricbott.divisors import (
     is_projective,
     principal_divisor,
     ray_divisor,
+    require_witness,
     residual_divisor,
     restrict_to_stratum,
+    sorted_logset,
     wall_numbers,
     zero_divisor,
 )
@@ -150,6 +152,17 @@ def test_hypothesis_examples():
     w = hypothesis_feasible(P2, 2 * d0, (0, 1, 2))
     assert w is not None
     assert is_ample(P2, residual_divisor(P2, 2 * d0, (0, 1, 2), w))
+
+
+def test_sorted_logset_sorts_and_checks_the_range():
+    assert sorted_logset(P2, (2, 0, 2)) == (0, 2)
+    for bad in ((3,), (-1,), (0, 7)):
+        with pytest.raises(ValueError, match="out of range"):
+            sorted_logset(P2, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            hypothesis_feasible(P2, ray_divisor(P2, 0), bad)
+        with pytest.raises(ValueError, match="out of range"):
+            require_witness(P2, ray_divisor(P2, 0), bad, (0,) * len(bad))
 
 
 def test_hypothesis_with_empty_logset_is_ampleness():

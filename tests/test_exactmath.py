@@ -11,6 +11,7 @@ from toricbott.exactmath import (
     EmptyInput,
     QMatrix,
     cohomology_dims,
+    det,
     lp_feasible_strict,
     lp_max,
     polyhedron_bounded,
@@ -103,6 +104,67 @@ def test_rank_row_with_zero_factor_is_still_scaled():
     # the row below the first pivot has a zero in the pivot column; skipping
     # its Bareiss update made a later division truncate and gave rank 2
     assert rank(QMatrix.from_rows([[0, -1, 0, -1], [0, 0, -1, -2], [3, -1, 0, -1]])) == 3
+
+
+def _naive_det(rows):
+    """Determinant by plain Gaussian elimination over Fraction."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    n = len(mat)
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            result = -result
+        result *= mat[col][col]
+        for i in range(col + 1, n):
+            factor = mat[i][col] / mat[col][col]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[col])]
+    return result
+
+
+square_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0, 1, -1, 2, -2, 3)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_det_matches_naive_fraction_elimination(rows):
+    assert det(rows) == _naive_det(rows)
+
+
+def test_det_matches_naive_on_seeded_samples():
+    # every size 0..5; about a third are made singular by replacing a row
+    # with a combination of two others (or by a zero row)
+    rng = random.Random(0)
+    singular = 0
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        rows = [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.35:
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[k] = [0] * n if k in (i, j) else [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        expected = _naive_det(rows)
+        singular += expected == 0
+        assert det(rows) == expected, rows
+    assert singular > 500
+
+
+def test_det_small_cases():
+    assert det([]) == 1
+    assert det([[-4]]) == -4
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert det([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]]) == 0
+    assert det([[2 * int(i == j) for j in range(5)] for i in range(5)]) == 32
 
 
 def test_negative_cohomology_dimension_is_an_error(monkeypatch):

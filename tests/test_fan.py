@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from toricbott.fan import (
     Fan,
+    FanDiagnostics,
+    FanError,
     MalformedInput,
     NotACone,
     UnknownFamily,
@@ -20,10 +22,15 @@ from toricbott.fan import (
     stratum_fan,
     validate,
     walls,
+    _dual_basis,
 )
 from toricbott.suite import suite_fans
 
 P2 = projective_space(2)
+DET_TWO = Fan(2, ((1, 0), (1, 2), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+MISSING_CONE = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+# cone(e1, e2) and cone(e1, e1 + e2) overlap in the interior
+OVERLAPPING = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
 
 
 def test_p2_is_smooth_and_complete():
@@ -32,14 +39,41 @@ def test_p2_is_smooth_and_complete():
 
 
 def test_missing_cone_not_complete():
-    f = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
-    diag = validate(f)
+    diag = validate(MISSING_CONE)
     assert diag.smooth and not diag.complete
 
 
 def test_determinant_two_not_smooth():
-    f = Fan(2, ((1, 0), (1, 2), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
-    assert not validate(f).smooth
+    assert not validate(DET_TWO).smooth
+
+
+def test_validate_diagnostics_are_pinned():
+    # completeness is decided by facet pairing, connectivity and the
+    # pairwise-face LP alone; each fixture keeps its verdicts and reasons
+    assert validate(DET_TWO) == FanDiagnostics(
+        False, True, True, ("non-unimodular maximal cones: [(0, 1)]",))
+    assert validate(MISSING_CONE) == FanDiagnostics(
+        True, False, True, ("facet (0,) lies in 1 maximal cones",))
+    assert validate(OVERLAPPING) == FanDiagnostics(
+        True, False, False, ("two maximal cones overlap beyond their common ray face",
+                             "facet (1,) lies in 1 maximal cones"))
+
+
+def test_dual_basis_is_dual_to_the_cone_rays():
+    p1, p3 = projective_space(1), projective_space(3)
+    fans = dict(suite_fans(), p2xp1=product(P2, p1), blpt_p3=star_subdivision(p3, (0, 1, 2)),
+                p1_4=product(product(p1, p1), product(p1, p1)))
+    for name, f in fans.items():
+        for cone in f.max_cones:
+            duals = _dual_basis(f, cone)
+            pairing = [[sum(a * b for a, b in zip(m, f.rays[ray])) for ray in cone]
+                       for m in duals]
+            assert pairing == [[int(i == j) for j in range(f.dim)] for i in range(f.dim)], name
+
+
+def test_dual_basis_rejects_a_non_unimodular_cone():
+    with pytest.raises(FanError, match="unimodular"):
+        _dual_basis(DET_TWO, (0, 1))
 
 
 def test_nonprimitive_ray_rejected():
@@ -53,9 +87,7 @@ def test_wrong_cone_size_rejected():
 
 
 def test_overlapping_cones_fail_fan_axioms():
-    # cone(e1, e2) and cone(e1+2e2, e2-ish) overlap in the interior
-    f = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
-    assert not validate(f).fan_axioms
+    assert not validate(OVERLAPPING).fan_axioms
 
 
 def test_wall_counts():
