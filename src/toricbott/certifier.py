@@ -357,7 +357,8 @@ def certificate_from_dict(data: dict) -> Certificate:
             tuple(int(i) for i in data["logset"]),
             tuple(int(x) for x in data["divisor"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+        # RecursionError: nesting far deeper than any fan's ray count
         raise MalformedNode(f"bad certificate data: {exc}") from exc
 
 

@@ -35,20 +35,25 @@ The complex at weight m depends only on the clipped margin pattern
 margin-level hyperplane arrangement and each pattern's cohomology is
 computed once.  ``_Engine.pattern`` is the one rule turning margins into
 ray states, for arrangement vertices (rational margins) and lattice weights
-alike.  A brute-force bounding-box mode exists for cross-validation.
+alike.  A vertex puts the rays of a nonsingular r-subset S on chosen levels;
+it is solved from the adjugate and |det| of S's ray matrix, which the engine
+tabulates once per fan, so a pass enumerates only the level choices per ray.
+A brute-force bounding-box mode exists for cross-validation.
 
-The cached dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``)
-key on the class of the twist modulo principal divisors, so linearly
-equivalent twists share one chamber enumeration.
+The arrangement depends on p only through the per-ray flags of
+``_Engine.merged``, which are the same for every p >= 1.  The cached
+dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``) therefore
+run one chamber pass per (p = 0 or p >= 1, flags, twist class) that yields
+the dims of every p in the group; the twist is taken modulo principal
+divisors, so linearly equivalent twists share the pass too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor, gcd
+from math import comb, gcd
 from operator import mul
 from typing import Dict, Optional, Sequence
 
@@ -63,7 +68,8 @@ from .divisors import (
     sorted_logset,
     zero_divisor,
 )
-from .fan import Fan, NotACone, _dual_basis, is_cone, require_smooth_complete, stratum_fan
+from .fan import (Fan, NotACone, _dual_basis, _scaled_dual_basis, is_cone,
+                  require_smooth_complete, stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -156,7 +162,8 @@ def _result_from_support(r: int, support: Dict[tuple, tuple]) -> CohomologyResul
 
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, dual bases,
-    wedge minors, pattern cohomology.
+    the vertex solvers of the level arrangement, wedge minors, pattern
+    cohomology.
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -186,6 +193,14 @@ class _Engine:
              for tau in level]
             for level in reversed(by_dim)
         ]
+        # Per nonsingular r-subset S of rays: S, |det S| and the rows of
+        # fan._scaled_dual_basis(S) (|det S| times the inverse ray matrix),
+        # stored as columns so that each vertex coordinate is one dot product.
+        self.solvers = []
+        for subset in itertools.combinations(range(self.n), self.r):
+            scale, rows = _scaled_dual_basis(fan, subset)
+            if scale:
+                self.solvers.append((subset, scale, tuple(zip(*rows))))
         self._minors: dict = {}
         self._state_coh: dict = {}
         self._bounded: dict = {}
@@ -326,82 +341,82 @@ class _Engine:
         self._bounded[key] = result
         return result
 
-    def chamber_run(self, spec: LogFormSheafSpec):
-        """Enumerate contributing weights chamber by chamber.
+    def vertices(self, merged: tuple, twist: tuple) -> set:
+        """Vertices (nums, den) of the margin-level arrangement, m = nums/den
+        with den > 0 and gcd(nums, den) = 1.
+
+        A vertex puts the rays of a subset S in ``solvers`` on chosen levels:
+        <m, u_j> = b_j = level_j - t_j for j in S, so m = sum_j b_j row_j /
+        |det S|.  Only the level choices per ray are enumerated; subsets that
+        repeat a ray never arise.
+        """
+        levels = [(-1, 0) if mg else (-1, 0, 1) for mg in merged]
+        out = set()
+        for subset, den, cols in self.solvers:
+            for rhs in itertools.product(*[[lv - twist[i] for lv in levels[i]] for i in subset]):
+                nums = tuple(sum(map(mul, rhs, col)) for col in cols)
+                g = gcd(den, *nums)
+                out.add((tuple(x // g for x in nums), den // g) if g != 1 else (nums, den))
+        return out
+
+    def chamber_patterns(self, merged: tuple, twist: tuple) -> Dict[tuple, list]:
+        """Realizable margin patterns, each with the arrangement vertices
+        whose pattern it is.
 
         Every nonempty margin-pattern region of a complete fan is line-free
         (the rays span), hence has a vertex of the level arrangement; so
         collecting arrangement vertices discovers every realizable pattern.
         """
-        p, twist = spec.p, spec.twist
-        r = self.r
-        if r == 0:
-            dims = self.state_cohomology(p, ())
-            support = {(): dims} if any(dims) else {}
-            return support, (() if support else None)
-        merged = self.merged(p, spec.logset)
-        hyperplanes = []
-        for i in range(self.n):
-            levels = (-1, 0) if merged[i] else (-1, 0, 1)
-            for lv in levels:
-                hyperplanes.append((i, lv - twist[i]))
-        vertices = set()
-        for combo in itertools.combinations(hyperplanes, r):
-            rows = [list(self.fan.rays[i]) for i, _ in combo]
-            rhs = [val for _, val in combo]
-            d = det(rows)
-            if d == 0:
-                continue
-            nums = []
-            for col in range(r):
-                rep = [row[:col] + [b] + row[col + 1:] for row, b in zip(rows, rhs)]
-                nums.append(det(rep))
-            if d < 0:
-                d = -d
-                nums = [-x for x in nums]
-            g = d
-            for x in nums:
-                g = gcd(g, abs(x))
-            vertices.add((tuple(x // g for x in nums), d // g))
         patterns: Dict[tuple, list] = {}
-        for nums, den in vertices:
+        for nums, den in self.vertices(merged, twist):
             margins = [sum(map(mul, nums, ray)) + den * t
                        for ray, t in zip(self.fan.rays, twist)]
             states = self.pattern(merged, margins, den)
             if states is not None:
                 patterns.setdefault(states, []).append((nums, den))
-        support: Dict[tuple, tuple] = {}
-        box_union = None
-        for states, verts in patterns.items():
-            dims = self.state_cohomology(p, states)
-            if not any(dims):
+        return patterns
+
+    def chamber_pass(self, degrees: tuple, merged: tuple, twist: tuple):
+        """Contributing weights of every form degree in ``degrees``, which
+        must all have the ray flags ``merged``, from one enumeration.
+
+        Returns (found, box): ``found`` lists (dims per degree, lattice
+        weights) for each pattern with cohomology in some degree, and ``box``
+        bounds those weights per coordinate (None when there are none).
+        """
+        r = self.r
+        if r == 0:
+            dims = tuple(self.state_cohomology(p, ()) for p in degrees)
+            return ([(dims, [()])], ()) if any(map(any, dims)) else ([], None)
+        found = []
+        box = None
+        for states, verts in self.chamber_patterns(merged, twist).items():
+            dims = tuple(self.state_cohomology(p, states) for p in degrees)
+            if not any(map(any, dims)):
                 continue
             if not self.pattern_bounded(states):
                 raise UnboundedCohomologyChamber(
                     "nonzero cohomology pattern on an unbounded chamber; "
                     "the fan is not complete or the engine is inconsistent"
                 )
-            los, his = [], []
-            for coord in range(r):
-                values = [Fraction(nums[coord], den) for nums, den in verts]
-                los.append(ceil(min(values)))
-                his.append(floor(max(values)))
-            if box_union is None:
-                box_union = [list(pair) for pair in zip(los, his)]
-            else:
-                for coord in range(r):
-                    box_union[coord][0] = min(box_union[coord][0], los[coord])
-                    box_union[coord][1] = max(box_union[coord][1], his[coord])
+            bounds = [(min(-(-nums[k] // den) for nums, den in verts),
+                       max(nums[k] // den for nums, den in verts)) for k in range(r)]
+            box = bounds if box is None else [(min(lo, blo), max(hi, bhi))
+                                              for (lo, hi), (blo, bhi) in zip(bounds, box)]
             volume = 1
-            for lo, hi in zip(los, his):
+            for lo, hi in bounds:
                 volume *= max(0, hi - lo + 1)
             if volume > 5_000_000:
                 raise RuntimeError("chamber lattice box is unreasonably large")
-            for m in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-                if self.pattern(merged, self.margins(twist, m)) == states:
-                    support[m] = dims
-        box = tuple(tuple(pair) for pair in box_union) if box_union is not None else None
-        return support, box
+            weights = [m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+                       if self.pattern(merged, self.margins(twist, m)) == states]
+            found.append((dims, weights))
+        return found, (tuple(box) if box is not None else None)
+
+    def chamber_run(self, spec: LogFormSheafSpec):
+        """{weight: dims} of one sheaf and the box bounding its weights."""
+        found, box = self.chamber_pass((spec.p,), self.merged(spec.p, spec.logset), spec.twist)
+        return {m: dims[0] for dims, weights in found for m in weights}, box
 
     def box_run(self, spec: LogFormSheafSpec, bounds) -> Dict[tuple, tuple]:
         p, twist = spec.p, spec.twist
@@ -517,24 +532,46 @@ def _class_representative(f: Fan, twist: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _cech_dims(f: Fan, p: int, logset: frozenset, twist: tuple) -> tuple:
-    """h^0..h^r for a class representative twist (see _class_representative)."""
-    support, _ = _engine(f).chamber_run(LogFormSheafSpec(p, logset, twist))
-    return _result_from_support(f.dim, support).dims
+def _cech_dims(f: Fan, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
+    """h^0..h^r for each form degree in ``degrees``, all with the ray flags
+    ``merged``, at a class representative twist (see _class_representative).
+
+    One chamber pass serves the whole group: p = 0 alone, or every p >= 1.
+    """
+    totals = [[0] * (f.dim + 1) for _ in degrees]
+    found, _ = _engine(f).chamber_pass(degrees, merged, twist)
+    for dims, weights in found:
+        for total, wdims in zip(totals, dims):
+            for k, v in enumerate(wdims):
+                total[k] += len(weights) * v
+    return tuple(map(tuple, totals))
 
 
 def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
     """h^0..h^r of O(D) for an integral invariant divisor."""
     if not d.integral:
         raise ValueError("line bundle needs an integral divisor")
-    return _cech_dims(f, 0, frozenset(), _class_representative(f, d.coeffs))
+    merged = _engine(f).merged(0, frozenset())
+    return _cech_dims(f, (0,), merged, _class_representative(f, d.coeffs))[0]
 
 
 def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor) -> tuple:
+    """h^0..h^r of Omega^p(log D') (x) O(T), looked up by the twist's class.
+
+    Every p >= 1 gives the same ray flags, so one cached pass answers them
+    all; p = 0 has its own.
+    """
+    if p < 0:
+        raise ValueError("form degree must be nonnegative")
     if not twist.integral:
         raise ValueError("twist must be integral")
     dprime = frozenset(sorted_logset(f, dprime))
-    return _cech_dims(f, p, dprime, _class_representative(f, twist.coeffs))
+    representative = _class_representative(f, twist.coeffs)
+    if p > f.dim:
+        return (0,) * (f.dim + 1)
+    degrees = (0,) if p == 0 else tuple(range(1, f.dim + 1))
+    dims = _cech_dims(f, degrees, _engine(f).merged(p, dprime), representative)
+    return dims[degrees.index(p)]
 
 
 @dataclass(frozen=True)

@@ -105,17 +105,22 @@ def _integer_rows(m: QMatrix) -> list:
     return out
 
 
-def rank(m: QMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    mat = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
+def _bareiss(mat: list, ncols: int) -> tuple:
+    """Fraction-free (Bareiss) row echelon form of the integer rows ``mat``,
+    in place.  Returns (rank, sign of the row permutation, last pivot); for
+    a nonsingular square matrix the last pivot is the determinant up to that
+    sign."""
+    nrows = len(mat)
     r = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
         pivot = mat[r][col]
         rowr = mat[r]
         for i in range(r + 1, nrows):
@@ -133,14 +138,20 @@ def rank(m: QMatrix) -> int:
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign, prev
+
+
+def rank(m: QMatrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    return _bareiss(_integer_rows(m), m.cols)[0]
 
 
 def det(rows) -> int:
     """Exact determinant of a square integer matrix given as a list of rows.
 
-    Closed forms up to 3 x 3 (the hot path: vertex and wedge-minor
-    determinants of the cohomology engine), cofactor expansion beyond.
+    Closed forms up to 3 x 3 (the hot path: wedge minors of the cohomology
+    engine and dual bases of surface and threefold cones), fraction-free
+    Bareiss elimination beyond.
     """
     n = len(rows)
     if n == 0:
@@ -154,12 +165,8 @@ def det(rows) -> int:
         d, e, f = rows[1]
         g, h, i = rows[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * det(minor)
-    return total
+    full_rank, sign, last = _bareiss([list(row) for row in rows], n)
+    return sign * last if full_rank == n else 0
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+import os
+import sys
 import types
 
 import toricbott
@@ -7,3 +11,17 @@ def test_public_names_resolve_and_are_not_modules():
     assert len(toricbott.__all__) == len(set(toricbott.__all__))
     for name in toricbott.__all__:
         assert not isinstance(getattr(toricbott, name), types.ModuleType), name
+
+
+def test_traced_benchmark_boundaries_resolve(monkeypatch):
+    # the traced benchmark wraps these names; a rename here must not leave
+    # its wrappers pointing at nothing
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.BOUNDARIES
+    for module, function in spans.BOUNDARIES:
+        target = getattr(importlib.import_module(f"toricbott.{module}"), function, None)
+        assert callable(target), (module, function)

@@ -171,6 +171,24 @@ def test_serialization_roundtrip_and_stable_hash():
     assert check_certificate(P2, back)
 
 
+def test_malformed_witness_number_is_malformed_node():
+    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data["hypothesis_witness"] = ["1/0"]
+    with pytest.raises(MalformedNode):
+        certificate_from_dict(data)
+
+
+def test_deeply_nested_roots_are_malformed_node():
+    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    node = data["roots"][0]
+    for _ in range(5000):
+        node = {"claim": node["claim"], "rule": RESIDUE_RULE, "added_ray": 0,
+                "sub": node, "quotient": node}
+    data["roots"] = [node]
+    with pytest.raises(MalformedNode):
+        certificate_from_dict(data)
+
+
 def test_witness_in_unit_box_and_matching_length():
     cert = build_certificate(P2, (0, 1), 2 * ray_divisor(P2, 0))
     assert len(cert.hypothesis_witness) == 2

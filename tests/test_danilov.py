@@ -2,7 +2,7 @@ import itertools
 import json
 import os
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,7 @@ from toricbott.divisors import (
     rayset_divisor,
     zero_divisor,
 )
-from toricbott.exactmath import rank, QMatrix
+from toricbott.exactmath import det, rank, QMatrix
 from toricbott.fan import (
     Fan,
     NotACone,
@@ -458,3 +458,82 @@ def test_cached_dims_depend_only_on_the_twist_class():
             assert log_spec_dims(f, p, dprime, moved) == expected, (name, p, dprime, twist, m)
             expected = cech_cohomology(f, sheaf_spec(0, (), twist)).dims
             assert line_bundle_cohomology(f, moved) == expected, (name, twist, m)
+
+
+# --- arrangement vertices and the shared chamber pass ----------------------
+
+def _cramer_vertices(f, merged, twist):
+    """Arrangement vertices by Cramer's rule on every r-subset of level
+    hyperplanes, gcd-normalised with a positive denominator."""
+    hyperplanes = [(i, lv - twist[i]) for i in range(f.n_rays)
+                   for lv in ((-1, 0) if merged[i] else (-1, 0, 1))]
+    vertices = set()
+    for combo in itertools.combinations(hyperplanes, f.dim):
+        rows = [list(f.rays[i]) for i, _ in combo]
+        d = det(rows)
+        if d == 0:
+            continue
+        nums = [det([row[:col] + [b] + row[col + 1:] for row, (_, b) in zip(rows, combo)])
+                for col in range(f.dim)]
+        if d < 0:
+            d, nums = -d, [-x for x in nums]
+        g = gcd(d, *nums)
+        vertices.add((tuple(x // g for x in nums), d // g))
+    return vertices
+
+
+def test_vertex_table_matches_cramer_oracle():
+    from toricbott.danilov import _engine
+
+    rng = random.Random(2718)
+    fans = _golden_fans()
+    fans["p1^4"] = product(product(P1, P1), product(P1, P1))
+    for name, f in fans.items():
+        eng = _engine(f)
+        for _ in range(2):
+            twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
+            logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
+            for merged in (eng.merged(0, logset), eng.merged(1, logset)):
+                expected = _cramer_vertices(f, merged, twist)
+                assert eng.vertices(merged, twist) == expected, (name, merged, twist)
+                by_pattern = {}
+                for nums, den in expected:
+                    margins = [sum(a * b for a, b in zip(nums, ray)) + den * t
+                               for ray, t in zip(f.rays, twist)]
+                    states = eng.pattern(merged, margins, den)
+                    if states is not None:
+                        by_pattern.setdefault(states, set()).add((nums, den))
+                got = {states: set(verts)
+                       for states, verts in eng.chamber_patterns(merged, twist).items()}
+                assert got == by_pattern, (name, merged, twist)
+
+
+def test_shared_pass_matches_one_degree_at_a_time():
+    # log_spec_dims answers every p >= 1 from one pass; the reference is
+    # the uncached cech_cohomology run for one p only
+    rng = random.Random(9931)
+    for name, f in _golden_fans().items():
+        for trial in range(4):
+            dprime = (tuple(range(f.n_rays)) if trial == 0 else
+                      tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))))
+            twist = InvariantDivisor(tuple(rng.randint(-2, 2) for _ in range(f.n_rays)))
+            for p in range(f.dim + 2):
+                expected = cech_cohomology(f, sheaf_spec(p, dprime, twist)).dims
+                assert log_spec_dims(f, p, dprime, twist) == expected, (name, p, dprime, twist)
+
+
+@pytest.mark.parametrize("name, passes", [("p2", 57), ("bl1", 276), ("p3", 140)])
+def test_verify_sweep_runs_one_pass_per_flags_and_class(monkeypatch, name, passes):
+    # one pass per (p = 0 or p >= 1, ray flags, twist class); one pass per
+    # (p, D', twist class) ran 144, 720 and 512
+    from toricbott.danilov import _cech_dims, _Engine
+    from toricbott.suite import thm11_sweep
+
+    calls = []
+    original = _Engine.chamber_pass
+    monkeypatch.setattr(_Engine, "chamber_pass",
+                        lambda self, *args: calls.append(args) or original(self, *args))
+    _cech_dims.cache_clear()
+    out = thm11_sweep(suite_fans()[name], certify=False)
+    assert out.all_verified
+    assert len(calls) == passes

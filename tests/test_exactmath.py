@@ -141,12 +141,12 @@ def test_det_matches_naive_fraction_elimination(rows):
 
 
 def test_det_matches_naive_on_seeded_samples():
-    # every size 0..5; about a third are made singular by replacing a row
+    # every size 0..8; about a third are made singular by replacing a row
     # with a combination of two others (or by a zero row)
     rng = random.Random(0)
     singular = 0
     for _ in range(3000):
-        n = rng.randint(0, 5)
+        n = rng.randint(0, 8)
         rows = [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in range(n)] for _ in range(n)]
         if n and rng.random() < 0.35:
             i, j, k = (rng.randrange(n) for _ in range(3))
