@@ -7,14 +7,17 @@ short exact sequence that adds one boundary component H to the log set,
       -> Om^p_H(log D'|_H)(-D'|_H) (x) E|_H -> 0,
 
 so the middle claim follows from the two outer claims in degrees k >= 1.
-A leaf carries the full boundary in its log set: there the sheaf is a sum
-of copies of the line bundle O(E - D), and the checker recomputes its
-higher cohomology directly instead of citing Kawamata-Viehweg vanishing.
+A leaf carries the full boundary in its log set: there the sheaf is
+O(E - D)^{C(r,p)}, a sum of copies of one line bundle, and the checker
+recomputes that bundle's higher cohomology directly instead of citing
+Kawamata-Viehweg vanishing.
 
-Claims are stored per form degree p; the tree shape is the same for all p,
-so a certificate holds one root per p = 0..dim(X).  Strata are addressed by
-a descent chain of ray indices, one per level (level 0 indexes a ray of the
-ambient fan, level 1 a ray of that stratum's fan, and so on).
+One tree proves the vanishing for every form degree p at once: the
+sequence keeps p fixed, so its sub and quotient claims are the same for
+each p, and the leaf test looks at O(E - D) alone, which does not depend
+on p.  Claims therefore carry no p.  Strata are addressed by a descent
+chain of ray indices, one per level (level 0 indexes a ray of the ambient
+fan, level 1 a ray of that stratum's fan, and so on).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .divisors import (
     restrict_to_stratum,
     sorted_logset,
 )
-from .fan import Fan, fan_hash, require_smooth_complete, stratum_fan
+from .fan import Fan, fan_hash, json_ints, require_smooth_complete, stratum_fan
 
 
 class CertificateError(ValueError):
@@ -68,21 +71,22 @@ RESIDUE_RULE = "residue_step"
 
 @dataclass(frozen=True)
 class VanishingClaim:
-    """h^k = 0 for all k >= 1 for Om^p(log A)(-A) (x) E on a stratum.
+    """h^k = 0 for all p and all k >= 1 for Om^p(log A)(-A) (x) E on a stratum.
 
     ``stratum`` is the descent chain of ray indices; ``logset`` and the
     integral divisor ``twist`` (the E above) live on that stratum's fan.
+    The claim holds for every p because the residue sequence keeps p and
+    the leaf bundle O(E - D) does not depend on it.
     """
 
     stratum: tuple
-    p: int
     logset: tuple
     twist: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "stratum", tuple(int(i) for i in self.stratum))
-        object.__setattr__(self, "logset", tuple(sorted(int(i) for i in self.logset)))
-        object.__setattr__(self, "twist", tuple(int(t) for t in self.twist))
+        object.__setattr__(self, "stratum", tuple(self.stratum))
+        object.__setattr__(self, "logset", tuple(sorted(self.logset)))
+        object.__setattr__(self, "twist", tuple(self.twist))
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,8 @@ class CertificateNode:
 
 @dataclass(frozen=True)
 class Certificate:
-    """One claim tree per form degree, plus the hypothesis witness."""
+    """The claim tree, held as a one-element ``roots`` tuple, plus the
+    hypothesis witness."""
 
     roots: tuple
     hypothesis_witness: tuple
@@ -105,11 +110,21 @@ class Certificate:
     divisor: tuple
 
 
-def _descend(f: Fan, chain: Sequence[int]) -> Fan:
-    cur = f
-    for ray in chain:
-        cur = stratum_fan(cur, (ray,)).fan
-    return cur
+FORMAT = "toricbott-certificate/2"
+
+
+def _residue_step(fan_s: Fan, claim: VanishingClaim, h: int):
+    """The stratum V(h) and the sub and quotient claims of the residue
+    sequence that adds ray h of ``fan_s`` to the log set of ``claim``."""
+    sp = stratum_fan(fan_s, (h,))
+    sub = VanishingClaim(claim.stratum, claim.logset + (h,), claim.twist)
+    adjacent = set(sp.adjacent)
+    quotient = VanishingClaim(
+        claim.stratum + (h,),
+        tuple(sp.map_ray(i) for i in claim.logset if i in adjacent),
+        restrict_to_stratum(fan_s, InvariantDivisor(claim.twist), (h,)).coeffs,
+    )
+    return sp, sub, quotient
 
 
 def build_certificate(
@@ -119,8 +134,8 @@ def build_certificate(
     component_order: Optional[Callable[[frozenset], int]] = None,
     witness: Optional[Sequence] = None,
 ) -> Certificate:
-    """Build the induction tree for every p, re-verifying the hypothesis on
-    each visited stratum.
+    """Build the induction tree, which serves every p, re-verifying the
+    hypothesis on each visited stratum.
 
     Components missing from the log set are added in ascending ray-index
     order unless ``component_order`` picks differently; the check result is
@@ -141,32 +156,25 @@ def build_certificate(
         residual = require_witness(f, l, dprime, witness)
     pick = component_order if component_order is not None else min
 
-    def build_node(fan_s: Fan, chain: tuple, p: int, logset: tuple,
-                   twist: InvariantDivisor, ample_class: InvariantDivisor) -> CertificateNode:
-        if len(chain) > f.n_rays + f.dim:
+    def build_node(fan_s: Fan, claim: VanishingClaim,
+                   ample_class: InvariantDivisor) -> CertificateNode:
+        if len(claim.stratum) > f.n_rays + f.dim:
             raise AssertionError("certificate tree deeper than rays + dimension")
-        claim = VanishingClaim(chain, p, logset, twist.coeffs)
-        missing = frozenset(range(fan_s.n_rays)) - set(logset)
+        missing = frozenset(range(fan_s.n_rays)) - set(claim.logset)
         if not missing:
             return CertificateNode(claim, LEAF_RULE)
         h = pick(missing)
-        sub = build_node(fan_s, chain, p, tuple(sorted(logset + (h,))), twist, ample_class)
-        sp = stratum_fan(fan_s, (h,))
+        sp, sub, quotient = _residue_step(fan_s, claim, h)
         restricted_ample = restrict_to_stratum(fan_s, ample_class, (h,))
         if not is_ample(sp.fan, restricted_ample):
             raise StratumHypothesisFails(
-                f"restricted residual class is not ample on stratum chain {chain + (h,)}"
+                f"restricted residual class is not ample on stratum chain {quotient.stratum}"
             )
-        adjacent = set(sp.adjacent)
-        logset_h = tuple(sorted(sp.map_ray(i) for i in logset if i in adjacent))
-        twist_h = restrict_to_stratum(fan_s, twist, (h,))
-        quotient = build_node(sp.fan, chain + (h,), p, logset_h, twist_h, restricted_ample)
-        return CertificateNode(claim, RESIDUE_RULE, h, sub, quotient)
+        return CertificateNode(claim, RESIDUE_RULE, h, build_node(fan_s, sub, ample_class),
+                               build_node(sp.fan, quotient, restricted_ample))
 
-    roots = tuple(
-        build_node(f, (), p, dprime, l, residual) for p in range(f.dim + 1)
-    )
-    return Certificate(roots, tuple(witness), fan_hash(f), dprime, tuple(l.coeffs))
+    root = build_node(f, VanishingClaim((), dprime, l.coeffs), residual)
+    return Certificate((root,), tuple(witness), fan_hash(f), dprime, tuple(l.coeffs))
 
 
 def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> int:
@@ -178,13 +186,12 @@ def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> int:
         raise MalformedNode("claim logset has invalid ray indices")
     if len(claim.twist) != fan_s.n_rays:
         raise MalformedNode("claim twist length does not match the stratum fan")
-    twist = InvariantDivisor(claim.twist)
     if node.rule == LEAF_RULE:
         if node.added_ray is not None or node.sub_child or node.quotient_child:
             raise MalformedNode("leaf node carries residue-step data")
         if set(claim.logset) != set(range(fan_s.n_rays)):
             raise MalformedNode("leaf log set must be the full boundary")
-        bundle = twist - boundary_divisor(fan_s)
+        bundle = InvariantDivisor(claim.twist) - boundary_divisor(fan_s)
         dims = line_bundle_cohomology(fan_s, bundle)
         if any(dims[k] != 0 for k in range(1, len(dims))):
             raise LeafNonzero(
@@ -198,21 +205,14 @@ def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> int:
         raise MalformedNode(f"bad added component {h!r}")
     if node.sub_child is None or node.quotient_child is None:
         raise MalformedNode("residue step is missing a child")
+    sp, expected_sub, expected_quot = _residue_step(fan_s, claim, h)
     # Children are checked before the structural comparison so that a bad
     # leaf deep in the tree surfaces as LeafNonzero, not as a mismatch of
     # some ancestor.
-    sp = stratum_fan(fan_s, (h,))
     leaves = _check_node(fan_s, node.sub_child, chain)
     leaves += _check_node(sp.fan, node.quotient_child, chain + (h,))
-    expected_sub = VanishingClaim(
-        chain, claim.p, tuple(sorted(claim.logset + (h,))), claim.twist
-    )
     if node.sub_child.claim != expected_sub:
         raise MalformedNode("sub child claim is not the residue-sequence subobject")
-    adjacent = set(sp.adjacent)
-    logset_h = tuple(sorted(sp.map_ray(i) for i in claim.logset if i in adjacent))
-    twist_h = restrict_to_stratum(fan_s, twist, (h,))
-    expected_quot = VanishingClaim(chain + (h,), claim.p, logset_h, twist_h.coeffs)
     if node.quotient_child.claim != expected_quot:
         raise MalformedNode("quotient child claim is not the residue-sequence quotient")
     return leaves
@@ -228,22 +228,20 @@ def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False)
         require_smooth_complete(f)
         if cert.fan_sha256 != fan_hash(f):
             raise MalformedNode("certificate was built for a different fan")
-        if len(cert.roots) != f.dim + 1:
-            raise MalformedNode("certificate must carry one root per form degree")
+        if len(cert.roots) != 1:
+            raise MalformedNode("certificate must carry exactly one root")
         if not set(cert.logset) <= set(range(f.n_rays)):
             raise MalformedNode("certificate log set has invalid ray indices")
-        if len(cert.hypothesis_witness) != len(cert.logset):
-            raise MalformedNode("hypothesis witness length does not match the log set")
-        l = InvariantDivisor(cert.divisor)
-        residual = residual_divisor(f, l, cert.logset, cert.hypothesis_witness)
-        if any(not (0 <= Fraction(d) <= 1) for d in cert.hypothesis_witness):
-            raise MalformedNode("hypothesis witness leaves the unit box")
-        if not is_ample(f, residual):
-            raise MalformedNode("hypothesis witness does not make the residual class ample")
-        for p, root in enumerate(cert.roots):
-            if root.claim != VanishingClaim((), p, cert.logset, cert.divisor):
-                raise MalformedNode(f"root claim for p={p} does not match the certificate data")
-            _check_node(f, root, ())
+        if len(cert.divisor) != f.n_rays:
+            raise MalformedNode("certificate divisor length does not match the fan")
+        try:
+            require_witness(f, InvariantDivisor(cert.divisor), cert.logset,
+                            cert.hypothesis_witness)
+        except ValueError as exc:
+            raise MalformedNode(str(exc)) from exc
+        if cert.roots[0].claim != VanishingClaim((), cert.logset, cert.divisor):
+            raise MalformedNode("root claim does not match the certificate data")
+        _check_node(f, cert.roots[0], ())
         return True
     except CertificateError:
         if raise_on_failure:
@@ -299,7 +297,6 @@ def _node_to_dict(node: CertificateNode) -> dict:
     data = {
         "claim": {
             "stratum": list(node.claim.stratum),
-            "p": node.claim.p,
             "logset": list(node.claim.logset),
             "twist": list(node.claim.twist),
         },
@@ -314,10 +311,9 @@ def _node_to_dict(node: CertificateNode) -> dict:
 
 def _node_from_dict(data: dict) -> CertificateNode:
     claim = VanishingClaim(
-        tuple(data["claim"]["stratum"]),
-        int(data["claim"]["p"]),
-        tuple(data["claim"]["logset"]),
-        tuple(data["claim"]["twist"]),
+        json_ints(data["claim"]["stratum"]),
+        json_ints(data["claim"]["logset"]),
+        json_ints(data["claim"]["twist"]),
     )
     rule = data["rule"]
     if rule == LEAF_RULE:
@@ -326,7 +322,7 @@ def _node_from_dict(data: dict) -> CertificateNode:
         return CertificateNode(
             claim,
             RESIDUE_RULE,
-            int(data["added_ray"]),
+            json_ints([data["added_ray"]])[0],
             _node_from_dict(data["sub"]),
             _node_from_dict(data["quotient"]),
         )
@@ -335,7 +331,7 @@ def _node_from_dict(data: dict) -> CertificateNode:
 
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
-        "format": "toricbott-certificate/1",
+        "format": FORMAT,
         "fan_sha256": cert.fan_sha256,
         "logset": list(cert.logset),
         "divisor": list(cert.divisor),
@@ -346,16 +342,16 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(data: dict) -> Certificate:
     try:
-        witness = tuple(
-            Fraction(x) if isinstance(x, str) else Fraction(int(x))
-            for x in data["hypothesis_witness"]
-        )
+        if data["format"] != FORMAT:
+            raise MalformedNode(f"unsupported certificate format {data['format']!r}")
         return Certificate(
             tuple(_node_from_dict(r) for r in data["roots"]),
-            witness,
+            # an int or an exact "a/b" string; a JSON float is not exact
+            tuple(Fraction(x) if isinstance(x, str) else Fraction(*json_ints([x]))
+                  for x in data["hypothesis_witness"]),
             str(data["fan_sha256"]),
-            tuple(int(i) for i in data["logset"]),
-            tuple(int(x) for x in data["divisor"]),
+            json_ints(data["logset"]),
+            json_ints(data["divisor"]),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         # RecursionError: nesting far deeper than any fan's ray count

@@ -289,14 +289,13 @@ def require_witness(
     return residual
 
 
-def restrict_to_stratum(
-    f: Fan, d: InvariantDivisor, tau: Sequence[int], character: Optional[Sequence] = None
-) -> InvariantDivisor:
+def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> InvariantDivisor:
     """Divisor class restricted to the stratum V(tau), on stratum_fan(f, tau).
 
-    The class is normalized by a character m* with <m*, u_rho> = -a_rho on
-    tau, after which the adjacent-ray coefficients restrict verbatim.  The
-    output depends on the character only up to linear equivalence.
+    The class is normalized by the character m* with <m*, u_rho> = -a_rho on
+    tau that vanishes on the other rays of the base cone, after which the
+    adjacent-ray coefficients restrict verbatim.  Another normalizing
+    character would change the result only up to linear equivalence.
     """
     tau = tuple(sorted(tau))
     if not is_cone(f, tau):
@@ -306,18 +305,11 @@ def restrict_to_stratum(
         return d
     base_cone = f.max_cones[sp.base_cone]
     duals = _dual_basis(f, base_cone)
-    if character is None:
-        mstar = [Fraction(0)] * f.dim
-        for pos, ray in enumerate(base_cone):
-            if ray in tau:
-                for kk in range(f.dim):
-                    mstar[kk] += -Fraction(d.coeffs[ray]) * duals[pos][kk]
-    else:
-        mstar = [Fraction(x) for x in character]
-        for ray in tau:
-            val = sum(m * u for m, u in zip(mstar, f.rays[ray]))
-            if val != -d.coeffs[ray]:
-                raise ValueError("character does not normalize the divisor on tau")
+    mstar = [Fraction(0)] * f.dim
+    for pos, ray in enumerate(base_cone):
+        if ray in tau:
+            for kk in range(f.dim):
+                mstar[kk] += -Fraction(d.coeffs[ray]) * duals[pos][kk]
     coeffs = [0] * sp.fan.n_rays
     for ray, new in sp.ray_map:
         coeffs[new] = as_rational(
@@ -337,7 +329,7 @@ def divisor_from_dict(data: dict) -> InvariantDivisor:
         for x in data["coeffs"]:
             if isinstance(x, str):
                 coeffs.append(Fraction(x))
-            elif isinstance(x, int):
+            elif type(x) is int:
                 coeffs.append(x)
             else:
                 raise ValueError(f"bad coefficient {x!r}")

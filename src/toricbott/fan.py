@@ -425,11 +425,20 @@ def fan_to_dict(f: Fan) -> dict:
     }
 
 
+def json_ints(values) -> tuple:
+    """A JSON list of integers as a tuple; TypeError for any other entry
+    (float, bool, string), so that no reader truncates a number."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise TypeError(f"expected integers, got {list(values)!r}")
+    return values
+
+
 def fan_from_dict(data: dict) -> Fan:
     try:
-        fan = Fan(int(data["dim"]),
-                  tuple(tuple(int(x) for x in r) for r in data["rays"]),
-                  tuple(tuple(int(i) for i in c) for c in data["max_cones"]))
+        (dim,) = json_ints([data["dim"]])
+        fan = Fan(dim, tuple(json_ints(r) for r in data["rays"]),
+                  tuple(json_ints(c) for c in data["max_cones"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad fan data: {exc}") from exc
     _check_structure(fan)

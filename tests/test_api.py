@@ -13,15 +13,32 @@ def test_public_names_resolve_and_are_not_modules():
         assert not isinstance(getattr(toricbott, name), types.ModuleType), name
 
 
-def test_traced_benchmark_boundaries_resolve(monkeypatch):
-    # the traced benchmark wraps these names; a rename here must not leave
-    # its wrappers pointing at nothing
+def _load_spans(monkeypatch):
+    """perfbench/spans.py, loaded by path without writing bytecode."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_benchmark_boundaries_resolve(monkeypatch):
+    # the traced benchmark wraps these names; a rename here must not leave
+    # its wrappers pointing at nothing
+    spans = _load_spans(monkeypatch)
     assert spans.BOUNDARIES
     for module, function in spans.BOUNDARIES:
         target = getattr(importlib.import_module(f"toricbott.{module}"), function, None)
         assert callable(target), (module, function)
+
+
+def test_traced_benchmark_counts_certificate_leaves(monkeypatch):
+    # the traced benchmark walks Certificate.roots and the child fields; a
+    # rename of either must fail here rather than in a traced run
+    spans = _load_spans(monkeypatch)
+    p2 = toricbott.projective_space(2)
+    cert = toricbott.build_certificate(p2, (), toricbott.InvariantDivisor((1, 0, 0)))
+    tracer = spans.Tracer()
+    tracer._observe("certifier.build_certificate", (), cert)
+    assert tracer.leaves == toricbott.certifier.leaf_count(cert) > 1

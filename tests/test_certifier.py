@@ -12,6 +12,7 @@ from toricbott.certifier import (
     LeafNonzero,
     MalformedNode,
     RESIDUE_RULE,
+    VanishingClaim,
     build_certificate,
     certificate_from_dict,
     certificate_hash,
@@ -23,7 +24,7 @@ from toricbott.certifier import (
 )
 from toricbott.danilov import verify_vanishing
 from toricbott.divisors import InvariantDivisor, hypothesis_feasible, ray_divisor, zero_divisor
-from toricbott.fan import hirzebruch, product, projective_space
+from toricbott.fan import hirzebruch, product, projective_space, stratum_fan
 from toricbott.suite import suite_fans
 
 P1 = projective_space(1)
@@ -60,6 +61,19 @@ def test_p1_tree_shape():
     assert root.sub_child.sub_child.rule == LEAF_RULE
     assert root.quotient_child.claim.stratum == (0,)
     assert check_certificate(P1, cert)
+
+
+def test_p2_first_residue_step_by_hand():
+    # adding D_0 to D' = D_1 with E = 2 D_0: the quotient lives on D_0 = P^1,
+    # keeps the trace of D_1 (a point) in its log set and twists by O(2)
+    cert = build_certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    root = cert.roots[0]
+    assert root.added_ray == 0
+    assert root.sub_child.claim == VanishingClaim((), (0, 1), (2, 0, 0))
+    quotient = root.quotient_child.claim
+    assert quotient.stratum == (0,)
+    assert quotient.logset == (stratum_fan(P2, (0,)).map_ray(1),)
+    assert len(quotient.twist) == 2 and sum(quotient.twist) == 2
 
 
 def test_infeasible_raises():
@@ -178,6 +192,66 @@ def test_malformed_witness_number_is_malformed_node():
         certificate_from_dict(data)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("hypothesis_witness",), [0.5]),
+    (("divisor",), [2.7, 0, 0]),
+    (("divisor",), [True, 0, 0]),
+    (("logset",), [1.0]),
+    (("roots", 0, "claim", "stratum"), [0.0]),
+    (("roots", 0, "claim", "twist"), [2, 0.5, 0]),
+    (("roots", 0, "added_ray"), 0.0),
+    (("roots", 0, "added_ray"), True),
+])
+def test_non_integer_json_numbers_are_malformed_node(path, value):
+    # a JSON float or bool is never truncated into an int
+    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(MalformedNode):
+        certificate_from_dict(data)
+
+
+@pytest.mark.parametrize("divisor", [(2, 0), (2, 0, 0, 0)])
+def test_divisor_of_wrong_length_is_malformed(divisor):
+    cert = build_certificate(P2, (2,), InvariantDivisor((2, 0, 0)))
+    bad = dataclasses.replace(cert, divisor=divisor)
+    with pytest.raises(MalformedNode, match="divisor length"):
+        check_certificate(P2, bad, raise_on_failure=True)
+
+
+def test_format_1_is_rejected_by_name():
+    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data["format"] = "toricbott-certificate/1"
+    with pytest.raises(MalformedNode, match="toricbott-certificate/1"):
+        certificate_from_dict(data)
+
+
+def test_certificate_with_two_roots_is_malformed():
+    cert = build_certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    assert len(cert.roots) == 1
+    bad = dataclasses.replace(cert, roots=cert.roots * 2)
+    assert not check_certificate(P2, bad)
+    with pytest.raises(MalformedNode, match="one root"):
+        check_certificate(P2, bad, raise_on_failure=True)
+
+
+@pytest.mark.parametrize("fan, dprime, coeffs, digest", [
+    (P2, (1,), (2, 0, 0),
+     "33cc67043eee974d26500e3c2dabd6a25487e4a4887f673a6a4f660f5d99a45b"),
+    (projective_space(3), (2,), (1, 0, 1, 0),
+     "92e09d89ba1532ddacd2a2e5471e4f81a11c5c795c9d3febd67fb9e076d53e4f"),
+])
+def test_format_2_hash_is_pinned(fan, dprime, coeffs, digest):
+    cert = build_certificate(fan, dprime, InvariantDivisor(coeffs))
+    data = certificate_to_dict(cert)
+    assert data["format"] == "toricbott-certificate/2"
+    assert '"p"' not in json.dumps(data)
+    assert certificate_hash(cert) == digest
+    assert certificate_hash(certificate_from_dict(json.loads(json.dumps(data)))) == digest
+
+
 def test_deeply_nested_roots_are_malformed_node():
     data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
     node = data["roots"][0]
@@ -214,7 +288,7 @@ def test_leaf_count_bound():
             continue
         cert = build_certificate(f, (), l)
         strata = visited_strata(cert)
-        assert leaf_count(cert) <= (f.dim + 1) * (2 ** f.n_rays) * len(strata)
+        assert leaf_count(cert) <= (2 ** f.n_rays) * len(strata)
 
 
 def test_visited_strata_avoid_the_log_set():

@@ -10,6 +10,7 @@ from toricbott.cli import (
     EXIT_OK,
     main,
 )
+from toricbott.certifier import certificate_from_dict, leaf_count
 from toricbott.fan import fan_from_dict, fan_to_dict, product, projective_space
 
 
@@ -58,6 +59,13 @@ def test_malformed_fan_file(tmp_path):
     assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
 
 
+def test_fan_file_with_float_ray_is_malformed(tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1.5, -1]],
+                                "max_cones": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
+
+
 def test_blowup_adds_ray(p2_file, tmp_path):
     out = tmp_path / "bl.json"
     assert main(["fan", "blowup", "--fan", p2_file, "--cone", "0,1",
@@ -103,14 +111,17 @@ def test_vanishing_log_ray_out_of_range_is_malformed(p2_file, divisor_file, acti
                  "--logset", "5", "--unchecked"]) == EXIT_MALFORMED
 
 
-def test_vanishing_certify_writes_certificate(p2_file, divisor_file, tmp_path):
+def test_vanishing_certify_writes_certificate(p2_file, divisor_file, tmp_path, capsys):
     d = divisor_file([1, 0, 0])
     cert_path = tmp_path / "cert.json"
     assert main(["vanishing", "certify", "--fan", p2_file, "--divisor", d,
                  "-o", str(cert_path)]) == EXIT_OK
     data = json.load(open(cert_path))
-    assert data["format"] == "toricbott-certificate/1"
-    assert len(data["roots"]) == 3
+    assert data["format"] == "toricbott-certificate/2"
+    assert len(data["roots"]) == 1
+    printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    cert = certificate_from_dict(data)
+    assert int(printed["leaves"]) == leaf_count(cert) > 0
 
 
 def test_cross_validate_command(p2_file, divisor_file):

@@ -203,6 +203,24 @@ def test_fan_from_dict_rejects_junk():
         fan_from_dict({"dim": 2, "rays": [[1, 0]], "max_cones": [[0, 5]]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.9),
+    ("dim", True),
+    ("dim", "2"),
+    ("rays", [[1, 0], [0, 1], [-1.5, -1]]),
+    ("rays", [[1, 0], [0, 1], [-1.0, -1]]),
+    ("rays", [[True, 0], [0, 1], [-1, -1]]),
+    ("max_cones", [[0, 1], [1, 2], [0, 2.0]]),
+    ("max_cones", [[0, True], [1, 2], [0, 2]]),
+])
+def test_fan_from_dict_rejects_non_integer_numbers(field, value):
+    # the reader must not truncate: [-1.5, -1] once loaded silently as P2
+    data = fan_to_dict(P2)
+    data[field] = value
+    with pytest.raises(MalformedInput):
+        fan_from_dict(data)
+
+
 def test_fan_hash_is_stable():
     assert fan_hash(P2) == fan_hash(projective_space(2))
     assert fan_hash(P2) != fan_hash(projective_space(3))
