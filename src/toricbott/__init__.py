@@ -32,10 +32,8 @@ from .fan import (
     walls,
 )
 from .divisors import (
-    CartierData,
     InvariantDivisor,
     canonical_divisor,
-    cartier_data,
     hypothesis_feasible,
     intersect_wall,
     is_ample,
@@ -78,9 +76,9 @@ __all__ = [
     "Fan", "FanDiagnostics", "Wall", "builtin", "fan_from_dict", "fan_hash",
     "fan_to_dict", "hirzebruch", "product", "projective_space",
     "star_subdivision", "stratum_fan", "validate", "walls",
-    "CartierData", "InvariantDivisor", "canonical_divisor", "cartier_data",
-    "hypothesis_feasible", "intersect_wall", "is_ample", "is_nef",
-    "is_projective", "restrict_to_stratum",
+    "InvariantDivisor", "canonical_divisor", "hypothesis_feasible",
+    "intersect_wall", "is_ample", "is_nef", "is_projective",
+    "restrict_to_stratum",
     "CohomologyResult", "LogFormSheafSpec", "cech_cohomology",
     "euler_additivity_check", "hodge_count_check", "line_bundle_cohomology",
     "sheaf_spec", "verify_vanishing", "weight_sections",

@@ -118,10 +118,9 @@ def _residue_step(fan_s: Fan, claim: VanishingClaim, h: int):
     sequence that adds ray h of ``fan_s`` to the log set of ``claim``."""
     sp = stratum_fan(fan_s, (h,))
     sub = VanishingClaim(claim.stratum, claim.logset + (h,), claim.twist)
-    adjacent = set(sp.adjacent)
     quotient = VanishingClaim(
         claim.stratum + (h,),
-        tuple(sp.map_ray(i) for i in claim.logset if i in adjacent),
+        sp.restrict_logset(claim.logset),
         restrict_to_stratum(fan_s, InvariantDivisor(claim.twist), (h,)).coeffs,
     )
     return sp, sub, quotient

@@ -60,6 +60,7 @@ from typing import Dict, Optional, Sequence
 from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, polyhedron_bounded
 from .divisors import (
     InvariantDivisor,
+    _zero_on,
     hypothesis_feasible,
     ray_divisor,
     rayset_divisor,
@@ -68,8 +69,8 @@ from .divisors import (
     sorted_logset,
     zero_divisor,
 )
-from .fan import (Fan, NotACone, _dual_basis, _scaled_dual_basis, is_cone,
-                  require_smooth_complete, stratum_fan)
+from .fan import (Fan, NotACone, _dual_basis, _dual_pairings, _scaled_dual_basis, is_cone,
+                  json_ints, require_smooth_complete, stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -91,24 +92,30 @@ DEAD, RESTRICTED, FREE = 0, 1, 2
 
 @dataclass(frozen=True)
 class LogFormSheafSpec:
-    """(p, logset, twist) describing Omega^p(log D') (x) O(T)."""
+    """(p, logset, twist) describing Omega^p(log D') (x) O(T).
+
+    p, the log-set entries and the twist entries must be ints (not bools or
+    floats); anything else is a ValueError rather than a truncated number.
+    """
 
     p: int
     logset: frozenset
     twist: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "logset", frozenset(int(i) for i in self.logset))
-        object.__setattr__(self, "twist", tuple(int(t) for t in self.twist))
+        try:
+            json_ints([self.p])
+            object.__setattr__(self, "logset", frozenset(json_ints(self.logset)))
+            object.__setattr__(self, "twist", json_ints(self.twist))
+        except TypeError as exc:
+            raise ValueError(f"sheaf spec needs integers: {exc}") from exc
         if self.p < 0:
             raise ValueError("form degree must be nonnegative")
 
 
 def sheaf_spec(p: int, logset: Sequence[int], twist) -> LogFormSheafSpec:
-    coeffs = twist.coeffs if isinstance(twist, InvariantDivisor) else tuple(twist)
-    if any(not isinstance(c, int) for c in coeffs):
-        raise ValueError("twist must be integral")
-    return LogFormSheafSpec(int(p), frozenset(logset), tuple(coeffs))
+    coeffs = twist.coeffs if isinstance(twist, InvariantDivisor) else twist
+    return LogFormSheafSpec(p, logset, coeffs)
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,8 @@ def _result_from_support(r: int, support: Dict[tuple, tuple]) -> CohomologyResul
 
 
 class _Engine:
-    """Per-fan caches: the cone poset with facet incidences, dual bases,
-    the vertex solvers of the level arrangement, wedge minors, pattern
+    """Per-fan caches: the cone poset with facet incidences, the vertex
+    solvers of the level arrangement, wedge minors, pattern
     cohomology.
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
@@ -177,7 +184,6 @@ class _Engine:
         self.r = fan.dim
         self.n = fan.n_rays
         cones = fan.max_cones
-        self.duals = [_dual_basis(fan, c) for c in cones]
         raysets = [frozenset(c) for c in cones]
         by_dim = [sorted({tau for c in cones for tau in itertools.combinations(c, k)})
                   for k in range(self.r + 1)]
@@ -204,24 +210,15 @@ class _Engine:
         self._minors: dict = {}
         self._state_coh: dict = {}
         self._bounded: dict = {}
-        self._kmat: dict = {}
-
-    def _change(self, a: int, b: int):
-        key = (a, b)
-        if key not in self._kmat:
-            cone_b = self.fan.max_cones[b]
-            self._kmat[key] = [
-                [sum(mi[k] * self.fan.rays[rb][k] for k in range(self.r)) for rb in cone_b]
-                for mi in self.duals[a]
-            ]
-        return self._kmat[key]
 
     def _minor(self, a: int, b: int, i_pos: tuple, j_pos: tuple) -> int:
+        """Minor of the change from cone a's dual basis to cone b's: rows
+        i_pos of a's dual pairing table at the rays j_pos of cone b."""
         key = (a, b, i_pos, j_pos)
         if key not in self._minors:
-            kmat = self._change(a, b)
-            sub = [[kmat[i][j] for j in j_pos] for i in i_pos]
-            self._minors[key] = det(sub)
+            table = _dual_pairings(self.fan, a)
+            cone_b = self.fan.max_cones[b]
+            self._minors[key] = det([[table[i][cone_b[j]] for j in j_pos] for i in i_pos])
         return self._minors[key]
 
     def _allowed(self, p: int, tau: tuple, comp: int, states: tuple):
@@ -462,7 +459,7 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     states = eng.pattern(eng.merged(s.p, s.logset), margins)
     allowed_pos = eng._allowed(s.p, tau, comp, states)
     cone = f.max_cones[comp]
-    duals = eng.duals[comp]
+    duals = _dual_basis(f, cone)
     full = tuple(itertools.combinations(range(f.dim), s.p))
     vectors = []
     for I in allowed_pos:
@@ -500,6 +497,8 @@ def cech_cohomology(
         bounds = tuple((int(lo), int(hi)) for lo, hi in box)
         if len(bounds) != f.dim:
             raise ValueError("box must have one (lo, hi) pair per dimension")
+        if any(lo > hi for lo, hi in bounds):
+            raise ValueError(f"box has a pair with lo > hi: {bounds}")
         support = eng.box_run(s, bounds)
     else:
         raise ValueError(f"unknown weight enumeration mode {mode!r}")
@@ -524,11 +523,7 @@ def _class_representative(f: Fan, twist: tuple) -> tuple:
     """
     if len(twist) != f.n_rays:
         raise ValueError("twist length does not match the fan")
-    eng = _engine(f)
-    duals = eng.duals[0]
-    m0 = [sum(twist[ray] * duals[pos][k] for pos, ray in enumerate(f.max_cones[0]))
-          for k in range(f.dim)]
-    return eng.margins(twist, tuple(-x for x in m0))
+    return _zero_on(f, twist, 0, f.max_cones[0])
 
 
 @lru_cache(maxsize=None)
@@ -565,12 +560,13 @@ def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor
         raise ValueError("form degree must be nonnegative")
     if not twist.integral:
         raise ValueError("twist must be integral")
+    eng = _engine(f)
     dprime = frozenset(sorted_logset(f, dprime))
     representative = _class_representative(f, twist.coeffs)
     if p > f.dim:
         return (0,) * (f.dim + 1)
     degrees = (0,) if p == 0 else tuple(range(1, f.dim + 1))
-    dims = _cech_dims(f, degrees, _engine(f).merged(p, dprime), representative)
+    dims = _cech_dims(f, degrees, eng.merged(p, dprime), representative)
     return dims[degrees.index(p)]
 
 
@@ -699,8 +695,7 @@ def euler_additivity_check(
     mid_twist = l - rayset_divisor(f, dprime)
     sub_twist = mid_twist - ray_divisor(f, h)
     sp = stratum_fan(f, (h,))
-    adjacent = set(sp.adjacent)
-    logset_h = tuple(sorted(sp.map_ray(i) for i in dprime if i in adjacent))
+    logset_h = sp.restrict_logset(dprime)
     twist_h = restrict_to_stratum(f, mid_twist, (h,))
     rows = []
     ok = True

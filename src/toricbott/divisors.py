@@ -1,9 +1,14 @@
-"""Torus-invariant divisors: Cartier data, curve intersections, positivity.
+"""Torus-invariant divisors: curve intersections, positivity, restriction.
 
-An invariant R-divisor is a rational coefficient per ray.  Positivity on a
-complete fan is decided through intersection numbers with the invariant
-wall curves, all in exact arithmetic.  The sign convention of the wall
-formula is pinned once by a startup self-test: O(1) . line = 1 on P^2.
+An invariant R-divisor is a rational coefficient per ray.  On a smooth cone
+sigma with dual basis m_i, the character m = -sum a_rho m_rho over chosen
+rays rho of sigma makes D + div(chi^m) vanish on those rays; ``_zero_on``
+is that one rule, read off the fan's dual pairing table.  Wall intersection
+numbers, restriction to strata and the engine's class representatives all
+use it.  Positivity on a complete fan is decided through intersection
+numbers with the invariant wall curves, all in exact arithmetic.  The sign
+convention of the wall formula is pinned once by a startup self-test:
+O(1) . line = 1 on P^2.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .fan import (
     Fan,
     NotACone,
     Wall,
-    _dual_basis,
+    _dual_pairings,
     is_cone,
     require_smooth_complete,
     stratum_fan,
@@ -50,13 +55,6 @@ class InvariantDivisor:
 
     def __rmul__(self, scalar) -> "InvariantDivisor":
         return InvariantDivisor(tuple(as_rational(scalar * a) for a in self.coeffs))
-
-
-@dataclass(frozen=True)
-class CartierData:
-    """One rational covector m_sigma per maximal cone with <m_sigma, u_rho> = -a_rho."""
-
-    per_cone: tuple
 
 
 def zero_divisor(f: Fan) -> InvariantDivisor:
@@ -99,33 +97,35 @@ def principal_divisor(f: Fan, m: Sequence[int]) -> InvariantDivisor:
     )
 
 
-def cartier_data(f: Fan, d: InvariantDivisor) -> CartierData:
-    """Per-cone trivializing covectors, unique since the fan is smooth."""
-    require_smooth_complete(f)
-    if len(d.coeffs) != f.n_rays:
-        raise ValueError("coefficient count does not match the fan")
-    per_cone = []
-    for cone in f.max_cones:
-        duals = _dual_basis(f, cone)
-        m = tuple(
-            as_rational(sum(-d.coeffs[ray] * duals[pos][k] for pos, ray in enumerate(cone)))
-            for k in range(f.dim)
-        )
-        per_cone.append(m)
-    return CartierData(tuple(per_cone))
+def _zero_on(f: Fan, coeffs: tuple, cone: int, rays) -> tuple:
+    """coeffs + div(chi^m) with m = -sum a_rho m_rho over ``rays``, a subset
+    of ``max_cones[cone]`` whose dual basis is m_i.
+
+    The result is 0 at ``rays`` and keeps the cone's other rays' entries;
+    it is coeffs - sum a_rho row_rho in the cone's dual pairing table, exact
+    for int and Fraction coefficients alike.
+    """
+    table = _dual_pairings(f, cone)
+    out = coeffs
+    for row, ray in zip(table, f.max_cones[cone]):
+        a = coeffs[ray]
+        if a and ray in rays:
+            out = tuple(c - a * x for c, x in zip(out, row))
+    return out
 
 
 def intersect_wall(f: Fan, d: InvariantDivisor, w: Wall):
     """Intersection number of the R-divisor with the wall curve C_tau.
 
-    Computed as <m_sigma - m_sigma', u'> where u' completes tau in sigma';
-    the expression is symmetric in the two cones by the wall relation.
+    With m_sigma the character making D vanish on sigma, this is
+    <m_sigma - m_sigma', u'> for u' completing tau in sigma'; since
+    <m_sigma', u'> = -a_u', it is the entry at u' of D + div(chi^{m_sigma}).
     """
-    cd = cartier_data(f, d)
-    ma = cd.per_cone[w.sigma]
-    mb = cd.per_cone[w.sigma_prime]
-    u = f.rays[w.u_extra_prime]
-    return as_rational(sum((a - b) * x for a, b, x in zip(ma, mb, u)))
+    require_smooth_complete(f)
+    if len(d.coeffs) != f.n_rays:
+        raise ValueError("coefficient count does not match the fan")
+    zero = _zero_on(f, d.coeffs, w.sigma, f.max_cones[w.sigma])
+    return as_rational(zero[w.u_extra_prime])
 
 
 @lru_cache(maxsize=None)
@@ -292,10 +292,10 @@ def require_witness(
 def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> InvariantDivisor:
     """Divisor class restricted to the stratum V(tau), on stratum_fan(f, tau).
 
-    The class is normalized by the character m* with <m*, u_rho> = -a_rho on
-    tau that vanishes on the other rays of the base cone, after which the
-    adjacent-ray coefficients restrict verbatim.  Another normalizing
-    character would change the result only up to linear equivalence.
+    The class is moved by the character that makes it vanish on tau and
+    leaves the other rays of the base cone alone (``_zero_on``), after which
+    the adjacent-ray coefficients restrict verbatim.  Another such character
+    would change the result only up to linear equivalence.
     """
     tau = tuple(sorted(tau))
     if not is_cone(f, tau):
@@ -303,19 +303,8 @@ def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> Inva
     sp = stratum_fan(f, tau)
     if tau == ():
         return d
-    base_cone = f.max_cones[sp.base_cone]
-    duals = _dual_basis(f, base_cone)
-    mstar = [Fraction(0)] * f.dim
-    for pos, ray in enumerate(base_cone):
-        if ray in tau:
-            for kk in range(f.dim):
-                mstar[kk] += -Fraction(d.coeffs[ray]) * duals[pos][kk]
-    coeffs = [0] * sp.fan.n_rays
-    for ray, new in sp.ray_map:
-        coeffs[new] = as_rational(
-            d.coeffs[ray] + sum(m * u for m, u in zip(mstar, f.rays[ray]))
-        )
-    return InvariantDivisor(tuple(coeffs))
+    zero = _zero_on(f, d.coeffs, sp.base_cone, tau)
+    return InvariantDivisor(tuple(zero[i] for i in sp.adjacent))
 
 
 def divisor_to_dict(d: InvariantDivisor) -> dict:

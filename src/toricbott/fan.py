@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Dict, Sequence
 
 from .exactmath import QMatrix, det, lp_feasible_strict
@@ -148,6 +149,19 @@ def _dual_basis(f: Fan, cone: tuple) -> tuple:
     if scale != 1:
         raise FanError("cone ray matrix is not unimodular")
     return rows
+
+
+@lru_cache(maxsize=None)
+def _dual_pairings(f: Fan, cone: int) -> tuple:
+    """Rows <m_i, u_rho> over every ray rho, for the dual basis m_i of the
+    maximal cone ``max_cones[cone]``.
+
+    Row i is div(chi^{m_i}): 1 at the cone's i-th ray, 0 at its other rays.
+    Every change between a cone's dual coordinates and the rays reads this
+    table.
+    """
+    return tuple(tuple(sum(map(mul, m, ray)) for ray in f.rays)
+                 for m in _dual_basis(f, f.max_cones[cone]))
 
 
 def _facet_incidence(f: Fan) -> Dict[tuple, list]:
@@ -317,63 +331,51 @@ def star_subdivision(f: Fan, tau: Sequence[int]) -> Fan:
 
 @dataclass(frozen=True)
 class StratumProjection:
-    """Quotient fan of Star(tau) with the data mapping ambient rays onto it."""
+    """Fan of the stratum V(tau) in the quotient lattice N/<tau>.
+
+    ``adjacent[k]`` is the ambient ray that projects onto stratum ray k;
+    ``base_cone`` is the maximal cone containing tau whose dual basis
+    splits the quotient (see ``stratum_fan``).
+    """
 
     fan: Fan
-    ray_map: tuple          # pairs (ambient ray index, stratum ray index)
-    matrix: tuple           # projection N -> N/<tau> as integer rows
-    base_cone: int          # maximal cone used to split the quotient
+    adjacent: tuple
+    base_cone: int
 
-    def map_ray(self, i: int) -> int:
-        for a, b in self.ray_map:
-            if a == i:
-                return b
-        raise KeyError(i)
-
-    @property
-    def adjacent(self) -> tuple:
-        return tuple(a for a, _ in self.ray_map)
+    def restrict_logset(self, logset: Sequence[int]) -> tuple:
+        """The stratum rays whose ambient rays lie in ``logset``: the log
+        set that the quotient of the residue sequence carries on V(tau)."""
+        logset = set(logset)
+        return tuple(k for k, i in enumerate(self.adjacent) if i in logset)
 
 
 @lru_cache(maxsize=None)
 def stratum_fan(f: Fan, tau: tuple) -> StratumProjection:
-    """Fan of the closed stratum V(tau) in the quotient lattice N/<tau>."""
+    """Fan of the closed stratum V(tau) in the quotient lattice N/<tau>.
+
+    The rows of the base cone's dual pairing table at the rays outside tau
+    give coordinates on N/<tau>; the adjacent rays project onto them.
+    """
     require_smooth_complete(f)
     tau = tuple(sorted(tau))
     if tau == ():
-        ident = tuple(tuple(int(i == j) for j in range(f.dim)) for i in range(f.dim))
-        return StratumProjection(f, tuple((i, i) for i in range(f.n_rays)), ident, 0)
+        return StratumProjection(f, tuple(range(f.n_rays)), 0)
     if not is_cone(f, tau):
         raise NotACone(f"{tau} does not span a cone of the fan")
     base = next(ci for ci, c in enumerate(f.max_cones) if set(tau) <= set(c))
-    duals = _dual_basis(f, f.max_cones[base])
-    proj_rows = tuple(
-        duals[pos] for pos, ray in enumerate(f.max_cones[base]) if ray not in tau
-    )
-
-    def project(v):
-        return tuple(sum(row[k] * v[k] for k in range(f.dim)) for row in proj_rows)
-
+    table = _dual_pairings(f, base)
+    proj_rows = [table[pos] for pos, ray in enumerate(f.max_cones[base]) if ray not in tau]
     star = [c for c in f.max_cones if set(tau) <= set(c)]
-    adjacent = sorted({i for c in star for i in c if i not in tau})
-    images = []
-    for i in adjacent:
-        img = project(f.rays[i])
-        g = 0
-        for x in img:
-            g = gcd(g, abs(x))
-        if g != 1:
-            raise FanError(f"projected ray {img} is not primitive")
-        if img in images:
-            raise FanError("two adjacent rays project to the same stratum ray")
-        images.append(img)
-    index_of = {i: images.index(project(f.rays[i])) for i in adjacent}
+    adjacent = tuple(sorted({i for c in star for i in c if i not in tau}))
+    images = tuple(tuple(row[i] for row in proj_rows) for i in adjacent)
+    index_of = {i: k for k, i in enumerate(adjacent)}
     cones = tuple(
         tuple(sorted(index_of[i] for i in c if i not in tau)) for c in star
     )
-    out = Fan(f.dim - len(tau), tuple(images), cones)
+    out = Fan(f.dim - len(tau), images, cones)
+    # also rejects a projected ray that is not primitive or repeats another
     require_smooth_complete(out)
-    return StratumProjection(out, tuple(sorted(index_of.items())), proj_rows, base)
+    return StratumProjection(out, adjacent, base)
 
 
 def projective_space(r: int) -> Fan:

@@ -5,6 +5,7 @@ import sys
 import types
 
 import toricbott
+import toricbott.suite
 
 
 def test_public_names_resolve_and_are_not_modules():
@@ -42,3 +43,27 @@ def test_traced_benchmark_counts_certificate_leaves(monkeypatch):
     tracer = spans.Tracer()
     tracer._observe("certifier.build_certificate", (), cert)
     assert tracer.leaves == toricbott.certifier.leaf_count(cert) > 1
+
+
+def test_traced_sweep_sees_every_layer(monkeypatch):
+    # the traced benchmark reads these layers through wrappers on module
+    # attributes; a rewrite that bypasses one of them must fail here
+    spans = _load_spans(monkeypatch)
+    p2 = toricbott.projective_space(2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        setup = tracer.open("setup")
+        toricbott.validate(p2)
+        tracer.close(setup)
+        solve = tracer.open("solve")
+        outcome = toricbott.suite.thm11_sweep(p2, certify=True, coeffs=(0, 1))
+        tracer.close(solve)
+    finally:
+        tracer.uninstall()
+    assert outcome.certified > 0
+    layers, balanced = tracer.layer_metrics(setup, solve)
+    for name in ("divisors.restrict_calls", "divisors.restrict_distinct",
+                 "fan.stratum_calls", "certifier.leaves", "danilov.spec_calls"):
+        assert layers[name][0] > 0, name
+    assert balanced

@@ -72,8 +72,34 @@ def test_p2_first_residue_step_by_hand():
     assert root.sub_child.claim == VanishingClaim((), (0, 1), (2, 0, 0))
     quotient = root.quotient_child.claim
     assert quotient.stratum == (0,)
-    assert quotient.logset == (stratum_fan(P2, (0,)).map_ray(1),)
+    assert quotient.logset == (stratum_fan(P2, (0,)).adjacent.index(1),)
     assert len(quotient.twist) == 2 and sum(quotient.twist) == 2
+
+
+def test_p3_first_residue_step_by_hand():
+    # P^3 with rays e1, e2, e3, -e1-e2-e3; adding D_0 to D' = D_1 with
+    # E = 2 D_0.  The base cone of V(D_0) is (0, 1, 2) with the standard dual
+    # basis, so the adjacent rays 1, 2, 3 project by (e2*, e3*) onto
+    # (1, 0), (0, 1), (-1, -1): V(D_0) is P^2 and ambient ray 1 is its ray 0.
+    # The character -2 e1* makes E vanish on D_0; it adds
+    # <-2 e1*, u> = 0, 0, 2 at rays 1, 2, 3, so E|_{D_0} = 2 D_2 = O(2).
+    p3 = projective_space(3)
+    sp = stratum_fan(p3, (0,))
+    assert sp.fan == P2 and sp.adjacent == (1, 2, 3) and sp.base_cone == 0
+    cert = build_certificate(p3, (1,), 2 * ray_divisor(p3, 0))
+    root = cert.roots[0]
+    assert root.added_ray == 0
+    assert root.sub_child.claim == VanishingClaim((), (0, 1), (2, 0, 0, 0))
+    assert root.quotient_child.claim == VanishingClaim((0,), (0,), (0, 0, 2))
+    # the quotient's own first step adds its ray 1 (the trace of D_2).  On
+    # P^2 the base cone of ray 1 is (0, 1), with the standard dual basis,
+    # and E|_{D_0} is 0 there, so the entries at the adjacent rays 0 and 2
+    # restrict verbatim; the trace of D_1 (ray 0) stays in the log set.
+    step = root.quotient_child
+    assert step.added_ray == 1
+    assert step.sub_child.claim == VanishingClaim((0,), (0, 1), (0, 0, 2))
+    assert step.quotient_child.claim == VanishingClaim((0, 1), (0,), (0, 2))
+    assert check_certificate(p3, cert)
 
 
 def test_infeasible_raises():

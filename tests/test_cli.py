@@ -164,6 +164,20 @@ def test_cohomology_box_mode_needs_bound(p2_file, tmp_path):
                  "--mode", "box"]) == EXIT_MALFORMED
 
 
+def test_cohomology_box_with_negative_bound_is_malformed(p2_file, tmp_path):
+    # --box-bound -1 gives the box (1, -1) per coordinate, which holds no weight
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [0, 0, 0]}))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
+                 "--mode", "box", "--box-bound", "-1"]) == EXIT_MALFORMED
+
+
+def test_cohomology_spec_with_float_is_malformed(p2_file, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 1.7, "logset": [0.9], "twist": [0, 0, 1]}))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_MALFORMED
+
+
 def test_cohomology_box_matches_chamber(p2_file, tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p": 1, "logset": [0], "twist": [0, 0, 1]}))

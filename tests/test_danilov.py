@@ -12,6 +12,7 @@ from toricbott.danilov import (
     ChartConditionFails,
     CohomologyResult,
     HypothesisNotVerified,
+    LogFormSheafSpec,
     cech_cohomology,
     chamber_support_box,
     euler_additivity_check,
@@ -362,6 +363,26 @@ def test_box_mode_requires_bounds():
     s = sheaf_spec(0, [], zero_divisor(P2))
     with pytest.raises(ValueError):
         cech_cohomology(P2, s, mode="box")
+
+
+def test_box_mode_rejects_an_inverted_pair():
+    s = sheaf_spec(0, [], zero_divisor(P2))
+    assert cech_cohomology(P2, s, mode="box", box=((0, 0), (0, 0))).dims == (1, 0, 0)
+    with pytest.raises(ValueError, match="lo > hi"):
+        cech_cohomology(P2, s, mode="box", box=((3, -3), (0, 0)))
+
+
+@pytest.mark.parametrize("p, logset, twist", [
+    (1.7, [0.9], [0, 0, 1]),   # would truncate to p = 1, logset [0]
+    (1, [0], [True, 0, 0]),    # a bool is not the integer 1
+    (True, [], [0, 0, 0]),
+    (1, [0], [0, 0, 0.5]),
+])
+def test_sheaf_spec_rejects_non_integers(p, logset, twist):
+    with pytest.raises(ValueError, match="integers"):
+        sheaf_spec(p, logset, twist)
+    with pytest.raises(ValueError, match="integers"):
+        LogFormSheafSpec(p, logset, twist)
 
 
 def test_unbounded_nonzero_chamber_is_an_error(monkeypatch):

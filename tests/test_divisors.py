@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from toricbott.exactmath import lp_feasible_strict
 from toricbott.divisors import (
     InvariantDivisor,
+    _zero_on,
     canonical_divisor,
-    cartier_data,
     divisor_from_dict,
     divisor_to_dict,
     hypothesis_feasible,
@@ -28,35 +28,18 @@ from toricbott.divisors import (
     zero_divisor,
 )
 from toricbott.fan import (
+    _dual_basis,
     hirzebruch,
     product,
     projective_space,
+    star_subdivision,
+    stratum_fan,
     walls,
 )
 from toricbott.suite import suite_fans
 
 P1 = projective_space(1)
 P2 = projective_space(2)
-
-
-def test_cartier_data_p2():
-    cd = cartier_data(P2, ray_divisor(P2, 0))
-    cone_index = P2.max_cones.index((0, 1))
-    assert cd.per_cone[cone_index] == (-1, 0)
-
-
-def test_cartier_data_zero():
-    cd = cartier_data(P2, zero_divisor(P2))
-    assert all(m == (0, 0) for m in cd.per_cone)
-
-
-def test_cartier_data_p1():
-    d = InvariantDivisor((1, 0)) if P1.rays[0] == (1,) else InvariantDivisor((0, 1))
-    cd = cartier_data(P1, d)
-    plus = P1.max_cones.index((P1.rays.index((1,)),))
-    minus = P1.max_cones.index((P1.rays.index((-1,)),))
-    assert cd.per_cone[plus] == (-1,)
-    assert cd.per_cone[minus] == (0,)
 
 
 def test_canonical_divisors():
@@ -237,3 +220,82 @@ def test_divisor_file_format():
         divisor_from_dict({"coeffs": [1.5]})
     with pytest.raises(ValueError):
         divisor_from_dict({"coeffs": [True, 0, 0]})
+
+
+def _covector_restriction(f, d, tau):
+    """Restriction to V(tau) written out from its definition in Fraction
+    arithmetic: the covector m* = -sum_{rho in tau} a_rho m_rho over the
+    base cone's dual basis m_i, then a_rho + <m*, u_rho> at each adjacent
+    ray, in the stratum fan's ray order."""
+    sp = stratum_fan(f, tuple(sorted(tau)))
+    cone = f.max_cones[sp.base_cone]
+    duals = _dual_basis(f, cone)
+    mstar = [Fraction(0)] * f.dim
+    for pos, ray in enumerate(cone):
+        if ray in tau:
+            for k in range(f.dim):
+                mstar[k] -= Fraction(d.coeffs[ray]) * duals[pos][k]
+    return InvariantDivisor(tuple(
+        d.coeffs[ray] + sum(m * u for m, u in zip(mstar, f.rays[ray]))
+        for ray in sp.adjacent
+    ))
+
+
+BL_PT_P3 = star_subdivision(projective_space(3), (0, 1, 2))
+
+
+def _rule_fans():
+    fans = dict(suite_fans())
+    fans["p2xp1"] = product(P2, P1)
+    fans["blpt_p3"] = BL_PT_P3
+    return fans
+
+
+@pytest.mark.parametrize("name", sorted(_rule_fans()))
+def test_restriction_matches_the_covector_formula(name):
+    f = _rule_fans()[name]
+    rng = random.Random(f"restrict-{name}")
+    taus = sorted({tau for cone in f.max_cones for k in (1, 2)
+                   for tau in itertools.combinations(cone, k)})
+    for tau in taus:
+        for rational in (False, True):
+            coeffs = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rational
+                           else rng.randint(-4, 4) for _ in range(f.n_rays))
+            d = InvariantDivisor(coeffs)
+            restricted = restrict_to_stratum(f, d, tau)
+            assert restricted == _covector_restriction(f, d, tau), (tau, coeffs)
+            if d.integral:
+                # restricted twists stay int
+                assert all(type(x) is int for x in restricted.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_rule_fans())), st.randoms(use_true_random=False))
+def test_zero_on_moves_within_the_class(name, rnd):
+    f = _rule_fans()[name]
+    cone = rnd.randrange(len(f.max_cones))
+    rays = tuple(rnd.sample(f.max_cones[cone], rnd.randint(0, f.dim)))
+    coeffs = tuple(Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(f.n_rays))
+    moved = _zero_on(f, coeffs, cone, rays)
+    for ray in f.max_cones[cone]:
+        assert moved[ray] == (0 if ray in rays else coeffs[ray])
+    difference = InvariantDivisor(moved) - InvariantDivisor(coeffs)
+    assert all(v == 0 for v in wall_numbers(f, difference))
+
+
+def test_exceptional_divisor_restricts_to_o_minus_one():
+    # Bl_pt P^3: the exceptional divisor E = D_4 is a P^2 with normal
+    # bundle O(-1), so E|_E meets every line of E in -1
+    e = ray_divisor(BL_PT_P3, 4)
+    restricted = restrict_to_stratum(BL_PT_P3, e, (4,))
+    stratum = stratum_fan(BL_PT_P3, (4,)).fan
+    assert stratum.n_rays == 3
+    assert wall_numbers(stratum, restricted) == (-1, -1, -1)
+    assert sum(restricted.coeffs) == -1
+
+
+def test_hyperplane_restricts_to_o_one_on_a_hyperplane():
+    p3 = projective_space(3)
+    restricted = restrict_to_stratum(p3, ray_divisor(p3, 0), (1,))
+    assert stratum_fan(p3, (1,)).fan == P2
+    assert wall_numbers(P2, restricted) == (1, 1, 1)
