@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import mul
 from typing import Dict, Optional, Sequence
 
@@ -88,6 +88,9 @@ class ChartConditionFails(ValueError):
 
 # Per-ray states of a weight, derived from the clipped margin pattern.
 DEAD, RESTRICTED, FREE = 0, 1, 2
+
+# Most lattice weights one box may hold, for a chamber or an explicit box.
+_MAX_BOX_WEIGHTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,7 @@ class _Engine:
                 rows.append([-x for x in ray])
             else:
                 rows.append([-x for x in ray])
-        result = polyhedron_bounded(QMatrix.from_rows(rows), [0] * len(rows))
+        result = polyhedron_bounded(rows, [0] * len(rows))
         self._bounded[key] = result
         return result
 
@@ -400,10 +403,7 @@ class _Engine:
                        max(nums[k] // den for nums, den in verts)) for k in range(r)]
             box = bounds if box is None else [(min(lo, blo), max(hi, bhi))
                                               for (lo, hi), (blo, bhi) in zip(bounds, box)]
-            volume = 1
-            for lo, hi in bounds:
-                volume *= max(0, hi - lo + 1)
-            if volume > 5_000_000:
+            if prod(max(0, hi - lo + 1) for lo, hi in bounds) > _MAX_BOX_WEIGHTS:
                 raise RuntimeError("chamber lattice box is unreasonably large")
             weights = [m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
                        if self.pattern(merged, self.margins(twist, m)) == states]
@@ -447,7 +447,7 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
 
     The chart cone is completed to the lowest-index maximal cone sigma; the
     returned vectors express the admissible dual-basis wedges in the
-    standard basis of wedge^p M_Q.
+    standard basis of wedge^p M_Q.  The weight entries must be ints.
     """
     _check_spec(f, s)
     eng = _engine(f)
@@ -455,7 +455,13 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     if not is_cone(f, tau):
         raise NotACone(f"{tau} does not span a cone of the fan")
     comp = eng.completion[tau]
-    margins = eng.margins(s.twist, tuple(int(x) for x in m))
+    try:
+        m = json_ints(m)
+    except TypeError as exc:
+        raise ValueError(f"weight needs integers: {exc}") from exc
+    if len(m) != f.dim:
+        raise ValueError("weight length does not match the fan")
+    margins = eng.margins(s.twist, m)
     states = eng.pattern(eng.merged(s.p, s.logset), margins)
     allowed_pos = eng._allowed(s.p, tau, comp, states)
     cone = f.max_cones[comp]
@@ -485,7 +491,9 @@ def cech_cohomology(
 
     mode="chamber" enumerates realizable margin patterns from the level
     arrangement; mode="box" brute-forces all weights in the explicit
-    per-coordinate integer box (required argument in that mode).
+    per-coordinate integer box (required argument in that mode).  A box with
+    a non-integer bound, a pair with lo > hi or more than 5,000,000 weights
+    is a ValueError, raised before any weight is enumerated.
     """
     _check_spec(f, s)
     eng = _engine(f)
@@ -494,11 +502,16 @@ def cech_cohomology(
     elif mode == "box":
         if box is None:
             raise ValueError("box mode requires explicit bounds")
-        bounds = tuple((int(lo), int(hi)) for lo, hi in box)
-        if len(bounds) != f.dim:
+        try:
+            bounds = tuple(json_ints(pair) for pair in box)
+        except TypeError as exc:
+            raise ValueError(f"box needs integers: {exc}") from exc
+        if len(bounds) != f.dim or any(len(pair) != 2 for pair in bounds):
             raise ValueError("box must have one (lo, hi) pair per dimension")
         if any(lo > hi for lo, hi in bounds):
             raise ValueError(f"box has a pair with lo > hi: {bounds}")
+        if prod(hi - lo + 1 for lo, hi in bounds) > _MAX_BOX_WEIGHTS:
+            raise ValueError(f"box {bounds} holds more than {_MAX_BOX_WEIGHTS} weights")
         support = eng.box_run(s, bounds)
     else:
         raise ValueError(f"unknown weight enumeration mode {mode!r}")

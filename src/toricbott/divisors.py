@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactmath import QMatrix, as_rational, lp_feasible_strict
+from .exactmath import as_rational, lp_feasible_strict
 from .fan import (
     Fan,
     NotACone,
@@ -185,7 +185,7 @@ def is_projective(f: Fan) -> bool:
         return True
     w = wall_matrix(f)
     rows = [[-x for x in row] for row in w]
-    witness = lp_feasible_strict(QMatrix.from_rows(rows), [0] * len(rows))
+    witness = lp_feasible_strict(rows, [0] * len(rows))
     return witness is not None
 
 
@@ -250,10 +250,8 @@ def _hypothesis_lp(f: Fan, dprime: tuple, targets: tuple) -> Optional[tuple]:
     rows = [list(col) for col in cols] + [[int(i == j) for i in range(k)] for j in range(k)]
     rhs = list(targets) + [1] * k
     strict = [True] * len(cols) + [False] * k
-    witness = lp_feasible_strict(QMatrix.from_rows(rows), rhs, strict, nonneg=True)
-    if witness is None:
-        return None
-    return tuple(as_rational(x) for x in witness)
+    witness = lp_feasible_strict(rows, rhs, strict, nonneg=True)
+    return None if witness is None else tuple(witness)
 
 
 def residual_divisor(

@@ -1,8 +1,9 @@
-"""Exact rational linear algebra and strict-inequality LP feasibility.
+"""Exact integer linear algebra and strict-inequality LP feasibility.
 
-All arithmetic is exact: arbitrary-precision integers and stdlib
-``fractions.Fraction`` (a value that happens to be integral is kept as a
-plain ``int``).  No floating point appears anywhere; ranks, kernels and LP
+Ranks and determinants are taken of integer matrices by fraction-free
+(Bareiss) elimination, whose every division is exact; the LP works over
+stdlib ``fractions.Fraction`` (a value that happens to be integral is kept
+as a plain ``int``).  No floating point appears anywhere; ranks and LP
 verdicts are exact yes/no facts, so there is no tolerance to tune.
 
 The LP solver is a dense two-phase tableau simplex with Bland's rule.  With
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 
@@ -41,7 +41,11 @@ def as_rational(x):
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense row-major matrix over the rationals."""
+    """Dense row-major integer matrix: one differential of a ChainComplex.
+
+    The shape is carried explicitly so that a map to or from a zero term
+    keeps its column or row count.  Every entry must be an ``int``.
+    """
 
     rows: int
     cols: int
@@ -54,55 +58,8 @@ class QMatrix:
             len(row) != self.cols for row in self.entries
         ):
             raise ValueError("entry count must equal rows x cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
-        data = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = other.entries
-        out = []
-        for row in self.entries:
-            new = []
-            for j in range(other.cols):
-                acc = 0
-                for k, a in enumerate(row):
-                    if a:
-                        acc += a * ot[k][j]
-                new.append(as_rational(acc))
-            out.append(tuple(new))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-
-def _integer_rows(m: QMatrix) -> list:
-    """Row-scale a rational matrix to integers (rank/kernel preserving)."""
-    out = []
-    for row in m.entries:
-        mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+        if any(type(x) is not int for row in self.entries for x in row):
+            raise ValueError("matrix entries must be integers")
 
 
 def _bareiss(mat: list, ncols: int) -> tuple:
@@ -142,8 +99,8 @@ def _bareiss(mat: list, ncols: int) -> tuple:
 
 
 def rank(m: QMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    return _bareiss(_integer_rows(m), m.cols)[0]
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    return _bareiss([list(row) for row in m.entries], m.cols)[0]
 
 
 def det(rows) -> int:
@@ -190,10 +147,22 @@ class ChainComplex:
 
 
 def cohomology_dims(c: ChainComplex) -> list:
-    """Exact cohomology dimensions h^i = dim ker d_i - rank d_{i-1}."""
+    """Exact cohomology dimensions h^i = dim ker d_i - rank d_{i-1}.
+
+    d_{i+1} d_i = 0 is checked first, row by row: each row of d_{i+1}
+    combines the rows of d_i, and a nonzero combination raises
+    ComplexNotExactlyComposable.
+    """
     for i in range(len(c.differentials) - 1):
-        if not c.differentials[i + 1].mul(c.differentials[i]).is_zero():
-            raise ComplexNotExactlyComposable(f"d_{i + 1} . d_{i} != 0")
+        # each row of d_{i+1} d_i is a combination of the rows of d_i
+        inner = c.differentials[i].entries
+        for coeffs in c.differentials[i + 1].entries:
+            acc = [0] * c.dims[i]
+            for a, row in zip(coeffs, inner):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, row)]
+            if any(acc):
+                raise ComplexNotExactlyComposable(f"d_{i + 1} . d_{i} != 0")
     ranks = [rank(d) for d in c.differentials]
     out = []
     for i, dim in enumerate(c.dims):
@@ -324,53 +293,48 @@ def lp_max(a_rows, b, c, nonneg: bool = False):
     return "optimal", x, as_rational(-val2)
 
 
-def lp_feasible_strict(a: QMatrix, b: Sequence, strict: Optional[Sequence[bool]] = None,
-                       nonneg: bool = False):
+def lp_feasible_strict(a: Sequence[Sequence], b: Sequence,
+                       strict: Optional[Sequence[bool]] = None, nonneg: bool = False):
     """Witness for {a.x < b on strict rows, a.x <= b on the rest}, or None.
 
-    Feasibility of the open system is decided by maximizing a slack eps with
-    a.x + eps <= b on strict rows and eps <= 1; the system is feasible iff
-    the optimum eps is positive, and the witness then satisfies every strict
-    row with exact slack >= eps.  ``nonneg`` restricts the witness to x >= 0.
+    ``a`` is a list of coefficient rows.  Feasibility of the open system is
+    decided by maximizing a slack eps with a.x + eps <= b on strict rows and
+    eps <= 1; the system is feasible iff the optimum eps is positive, and the
+    witness then satisfies every strict row with exact slack >= eps.
+    ``nonneg`` restricts the witness to x >= 0.
     """
-    nvars = a.cols
+    nvars = len(a[0]) if a else 0
     if strict is None:
-        strict = [True] * a.rows
-    if len(strict) != a.rows or len(b) != a.rows:
+        strict = [True] * len(a)
+    if len(strict) != len(a) or len(b) != len(a):
         raise ValueError("row count mismatch")
-    rows = []
-    rhs = []
-    for i in range(a.rows):
-        rows.append(list(a.entries[i]) + [1 if strict[i] else 0])
-        rhs.append(b[i])
+    rows = [list(row) + [int(is_strict)] for row, is_strict in zip(a, strict)]
     rows.append([0] * nvars + [1])
-    rhs.append(1)
-    status, x, value = lp_max(rows, rhs, [0] * nvars + [1], nonneg=nonneg)
+    status, x, value = lp_max(rows, list(b) + [1], [0] * nvars + [1], nonneg=nonneg)
     if status == "infeasible":
         return None
     if status == "unbounded":
         raise UnboundedAuxiliary("eps <= 1 should bound the auxiliary LP")
-    if value > 0:
-        return [as_rational(v) for v in x[:nvars]]
-    return None
+    return x[:nvars] if value > 0 else None
 
 
-def polyhedron_bounded(a: QMatrix, b: Sequence) -> bool:
-    """True iff the nonempty polyhedron {x : a.x <= b} is bounded.
+def polyhedron_bounded(a: Sequence[Sequence], b: Sequence) -> bool:
+    """True iff the nonempty polyhedron {x : a.x <= b} is bounded, for a
+    list of coefficient rows ``a``.
 
     Boundedness is equivalent to the recession cone {x : a.x <= 0} being
     trivial, decided by one LP per signed coordinate direction.
     """
-    status, _, _ = lp_max([list(row) for row in a.entries], list(b), [0] * a.cols)
+    ncols = len(a[0]) if a else 0
+    status, _, _ = lp_max(a, b, [0] * ncols)
     if status == "infeasible":
         raise EmptyInput("polyhedron is empty")
-    zero_rhs = [0] * a.rows
-    for i in range(a.cols):
+    zero_rhs = [0] * len(a)
+    for i in range(ncols):
         for sign in (1, -1):
-            direction = [0] * a.cols
+            direction = [0] * ncols
             direction[i] = sign
-            rows = [list(row) for row in a.entries] + [direction]
-            status, _, value = lp_max(rows, zero_rhs + [1], direction)
+            status, _, value = lp_max(list(a) + [direction], zero_rhs + [1], direction)
             if status == "unbounded" or (status == "optimal" and value > 0):
                 return False
     return True

@@ -19,7 +19,7 @@ from math import gcd
 from operator import mul
 from typing import Dict, Sequence
 
-from .exactmath import QMatrix, det, lp_feasible_strict
+from .exactmath import det, lp_feasible_strict
 
 
 class FanError(ValueError):
@@ -201,7 +201,7 @@ def _pairwise_face_check(f: Fan) -> bool:
                 probe = rows + [[-x for x in duals[src][pos]]]
                 probe_rhs = rhs + [0]
                 probe_strict = strict + [True]
-                witness = lp_feasible_strict(QMatrix.from_rows(probe), probe_rhs, probe_strict)
+                witness = lp_feasible_strict(probe, probe_rhs, probe_strict)
                 if witness is not None:
                     return False
     return True

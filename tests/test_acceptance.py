@@ -74,7 +74,7 @@ def test_criterion_3_negative_control():
     # independent hand computation: the only contributing weight is 0, where
     # the three wall charts span (1,0), (0,1), (-1,1) and the full space
     # sits on the torus chart; d1 = [[1,0,-1],[0,-1,1]] has rank 2.
-    hand_rank = rank(QMatrix.from_rows([[1, 0, -1], [0, -1, 1]]))
+    hand_rank = rank(QMatrix(2, 3, ((1, 0, -1), (0, -1, 1))))
     hand_h1 = (3 - hand_rank) - 0
     ok = engine.dims == (0, 1, 0) and hand_h1 == 1 and engine.dims[1] == hand_h1
     _announce(3, ok, "h^1(P^2, Omega^1) = 1 exactly, matching the hand Cech value")

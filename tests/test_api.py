@@ -5,6 +5,7 @@ import sys
 import types
 
 import toricbott
+import toricbott.danilov
 import toricbott.suite
 
 
@@ -50,6 +51,10 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
     # attributes; a rewrite that bypasses one of them must fail here
     spans = _load_spans(monkeypatch)
     p2 = toricbott.projective_space(2)
+    # start cold, so that complexes, ranks and boundedness LPs are computed
+    # inside the sweep even when earlier tests have filled the caches
+    toricbott.danilov._engine.cache_clear()
+    toricbott.danilov._cech_dims.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -64,6 +69,8 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
     assert outcome.certified > 0
     layers, balanced = tracer.layer_metrics(setup, solve)
     for name in ("divisors.restrict_calls", "divisors.restrict_distinct",
-                 "fan.stratum_calls", "certifier.leaves", "danilov.spec_calls"):
+                 "fan.stratum_calls", "certifier.leaves", "danilov.spec_calls",
+                 "exactmath.complex_calls", "exactmath.complex_entries",
+                 "exactmath.rank_calls", "exactmath.bounded_calls"):
         assert layers[name][0] > 0, name
     assert balanced

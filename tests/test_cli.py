@@ -290,3 +290,15 @@ def test_suite_parallel_dispatch(capsys):
 
 def test_suite_unknown_fan(capsys):
     assert main(["suite", "--select", "thm11", "--fans", "nope"]) == EXIT_MALFORMED
+
+
+def test_cohomology_oversize_box_is_malformed(tmp_path, capsys):
+    # 2001^3 weights on P3 would take hours to enumerate; refused at once
+    fan = tmp_path / "p3.json"
+    assert main(["fan", "builtin", "--name", "projective_space", "--dim", "3",
+                 "-o", str(fan)]) == EXIT_OK
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [0, 0, 0, 0]}))
+    assert main(["cohomology", "--fan", str(fan), "--spec", str(spec),
+                 "--mode", "box", "--box-bound", "1000"]) == EXIT_MALFORMED
+    assert "weights" in capsys.readouterr().err

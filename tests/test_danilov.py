@@ -87,9 +87,10 @@ def test_weight_sections_independent_of_completion():
         reordered = Fan(2, P2.rays, tuple(reversed(P2.max_cones)))
         for m, vecs in spans:
             other = weight_sections(reordered, s, tau, m)
-            a = QMatrix.from_rows(list(vecs) + list(other.vectors)) if vecs or other.vectors else None
-            if a is None:
+            rows = tuple(vecs) + other.vectors
+            if not rows:
                 continue
+            a = QMatrix(len(rows), len(rows[0]), rows)
             # equal subspaces: stacking both bases must not raise the rank
             assert len(vecs) == other.dim
             if vecs:
@@ -140,7 +141,7 @@ def test_hand_cech_oracle_weight_zero_omega1():
 
     with rank 2, so h^1 = (3 - 2) - 0 = 1 and h^2 = 2 - 2 = 0.
     """
-    d1 = QMatrix.from_rows([[1, 0, -1], [0, -1, 1]])
+    d1 = QMatrix(2, 3, ((1, 0, -1), (0, -1, 1)))
     assert rank(d1) == 2
     hand_h1 = (3 - rank(d1)) - 0
     assert hand_h1 == 1
@@ -370,6 +371,52 @@ def test_box_mode_rejects_an_inverted_pair():
     assert cech_cohomology(P2, s, mode="box", box=((0, 0), (0, 0))).dims == (1, 0, 0)
     with pytest.raises(ValueError, match="lo > hi"):
         cech_cohomology(P2, s, mode="box", box=((3, -3), (0, 0)))
+
+
+def test_box_mode_rejects_non_integer_bounds():
+    # int() truncation used to turn this box into ((0, 0), (0, 0))
+    s = sheaf_spec(0, [], zero_divisor(P2))
+    with pytest.raises(ValueError, match="integers"):
+        cech_cohomology(P2, s, mode="box", box=((-0.5, 0.9), (0, 0.99)))
+    with pytest.raises(ValueError, match="integers"):
+        cech_cohomology(P2, s, mode="box", box=((True, 1), (0, 0)))
+
+
+def test_weight_sections_rejects_non_integer_weights():
+    # int() truncation used to answer for the weight (0, 0)
+    s = sheaf_spec(1, [], (0, 0, 0))
+    with pytest.raises(ValueError, match="integers"):
+        weight_sections(P2, s, (0, 1), (0.7, 0.2))
+    with pytest.raises(ValueError, match="length"):
+        weight_sections(P2, s, (0, 1), (0,))
+
+
+def test_box_mode_refuses_an_oversize_box_before_enumerating(monkeypatch):
+    from toricbott.danilov import _Engine
+
+    def no_enumeration(self, spec, bounds):
+        raise AssertionError("weights were enumerated")
+
+    monkeypatch.setattr(_Engine, "box_run", no_enumeration)
+    p3 = projective_space(3)
+    s = sheaf_spec(0, [], zero_divisor(p3))
+    # 2001^3, about 8e9 weights
+    with pytest.raises(ValueError, match="5000000 weights"):
+        cech_cohomology(p3, s, mode="box", box=((-1000, 1000),) * 3)
+
+
+def test_one_weight_cap_for_explicit_boxes_and_chambers(monkeypatch):
+    import toricbott.danilov as danilov
+
+    monkeypatch.setattr(danilov, "_MAX_BOX_WEIGHTS", 8)
+    s = sheaf_spec(0, [], 2 * ray_divisor(P2, 0))
+    # sections of O(2) are the weights of the triangle (0, 0), (-2, 0), (-2, 2)
+    assert cech_cohomology(P2, s, mode="box", box=((-2, -1), (0, 3))).dims == (5, 0, 0)
+    with pytest.raises(ValueError, match="more than 8 weights"):
+        cech_cohomology(P2, s, mode="box", box=((-2, 0), (0, 2)))
+    # the chamber of those sections spans the same 3 x 3 box
+    with pytest.raises(RuntimeError, match="unreasonably large"):
+        cech_cohomology(P2, s)
 
 
 @pytest.mark.parametrize("p, logset, twist", [
