@@ -86,11 +86,23 @@ class ChartConditionFails(ValueError):
     """No maximal cone whose complement rays all carry log poles."""
 
 
+class WeightBoxTooLarge(ValueError):
+    """A lattice box, of a chamber or given explicitly, holds more weights
+    than one call enumerates."""
+
+
 # Per-ray states of a weight, derived from the clipped margin pattern.
 DEAD, RESTRICTED, FREE = 0, 1, 2
 
 # Most lattice weights one box may hold, for a chamber or an explicit box.
 _MAX_BOX_WEIGHTS = 5_000_000
+
+
+def _require_box_size(bounds) -> None:
+    """WeightBoxTooLarge if the box of (lo, hi) pairs holds more than
+    _MAX_BOX_WEIGHTS lattice weights."""
+    if prod(max(0, hi - lo + 1) for lo, hi in bounds) > _MAX_BOX_WEIGHTS:
+        raise WeightBoxTooLarge(f"box {bounds} holds more than {_MAX_BOX_WEIGHTS} weights")
 
 
 @dataclass(frozen=True)
@@ -403,8 +415,7 @@ class _Engine:
                        max(nums[k] // den for nums, den in verts)) for k in range(r)]
             box = bounds if box is None else [(min(lo, blo), max(hi, bhi))
                                               for (lo, hi), (blo, bhi) in zip(bounds, box)]
-            if prod(max(0, hi - lo + 1) for lo, hi in bounds) > _MAX_BOX_WEIGHTS:
-                raise RuntimeError("chamber lattice box is unreasonably large")
+            _require_box_size(bounds)
             weights = [m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
                        if self.pattern(merged, self.margins(twist, m)) == states]
             found.append((dims, weights))
@@ -492,8 +503,9 @@ def cech_cohomology(
     mode="chamber" enumerates realizable margin patterns from the level
     arrangement; mode="box" brute-forces all weights in the explicit
     per-coordinate integer box (required argument in that mode).  A box with
-    a non-integer bound, a pair with lo > hi or more than 5,000,000 weights
-    is a ValueError, raised before any weight is enumerated.
+    a non-integer bound or a pair with lo > hi is a ValueError, raised before
+    any weight is enumerated; so is a box of more than 5,000,000 weights,
+    explicit or a chamber's, as WeightBoxTooLarge.
     """
     _check_spec(f, s)
     eng = _engine(f)
@@ -510,8 +522,7 @@ def cech_cohomology(
             raise ValueError("box must have one (lo, hi) pair per dimension")
         if any(lo > hi for lo, hi in bounds):
             raise ValueError(f"box has a pair with lo > hi: {bounds}")
-        if prod(hi - lo + 1 for lo, hi in bounds) > _MAX_BOX_WEIGHTS:
-            raise ValueError(f"box {bounds} holds more than {_MAX_BOX_WEIGHTS} weights")
+        _require_box_size(bounds)
         support = eng.box_run(s, bounds)
     else:
         raise ValueError(f"unknown weight enumeration mode {mode!r}")

@@ -1,10 +1,13 @@
 """Exact integer linear algebra and strict-inequality LP feasibility.
 
-Ranks and determinants are taken of integer matrices by fraction-free
-(Bareiss) elimination, whose every division is exact; the LP works over
-stdlib ``fractions.Fraction`` (a value that happens to be integral is kept
-as a plain ``int``).  No floating point appears anywhere; ranks and LP
-verdicts are exact yes/no facts, so there is no tolerance to tune.
+Every kernel works on integer rows with one fraction-free update, whose
+every division is exact: ranks and determinants by Bareiss elimination, and
+the LP by a simplex tableau of integer rows over one common denominator
+(integer pivoting as in Edmonds and in Avis's lrs).  A stdlib
+``fractions.Fraction`` appears only in an LP's returned witness and value
+(a value that happens to be integral is kept as a plain ``int``).  No
+floating point appears anywhere; ranks and LP verdicts are exact yes/no
+facts, so there is no tolerance to tune.
 
 The LP solver is a dense two-phase tableau simplex with Bland's rule.  With
 exact pivots, cycling is the only possible failure mode and Bland's rule
@@ -39,6 +42,13 @@ def as_rational(x):
     return int(f) if f.denominator == 1 else f
 
 
+def _require_ints(values, what: str) -> None:
+    """ValueError unless every value is an ``int`` (not a bool, float or
+    Fraction)."""
+    if any(type(x) is not int for x in values):
+        raise ValueError(f"{what} must be integers")
+
+
 @dataclass(frozen=True)
 class QMatrix:
     """Dense row-major integer matrix: one differential of a ChainComplex.
@@ -58,8 +68,21 @@ class QMatrix:
             len(row) != self.cols for row in self.entries
         ):
             raise ValueError("entry count must equal rows x cols")
-        if any(type(x) is not int for row in self.entries for x in row):
-            raise ValueError("matrix entries must be integers")
+        _require_ints((x for row in self.entries for x in row), "matrix entries")
+
+
+def _eliminate(row: list, prow: list, pivot: int, factor: int, prev: int, start: int):
+    """row[j] = (pivot * row[j] - factor * prow[j]) / prev for j >= start, in
+    place: the fraction-free step of Bareiss and of the integer simplex.
+
+    Sylvester's identity makes every division exact; a remainder means the
+    elimination went wrong.
+    """
+    for j in range(start, len(row)):
+        q, rem = divmod(pivot * row[j] - factor * prow[j], prev)
+        if rem:
+            raise AssertionError("inexact fraction-free division")
+        row[j] = q
 
 
 def _bareiss(mat: list, ncols: int) -> tuple:
@@ -81,15 +104,8 @@ def _bareiss(mat: list, ncols: int) -> tuple:
         pivot = mat[r][col]
         rowr = mat[r]
         for i in range(r + 1, nrows):
-            factor = mat[i][col]
             rowi = mat[i]
-            for j in range(col + 1, ncols):
-                # Sylvester's identity makes every Bareiss division exact;
-                # a remainder means the elimination went wrong.
-                q, rem = divmod(pivot * rowi[j] - factor * rowr[j], prev)
-                if rem:
-                    raise AssertionError("inexact Bareiss division")
-                rowi[j] = q
+            _eliminate(rowi, rowr, pivot, rowi[col], prev, col + 1)
             rowi[col] = 0
         prev = pivot
         r += 1
@@ -179,52 +195,60 @@ class _Unbounded(Exception):
     pass
 
 
-def _pivot(tableau, rhs, basis, row, col):
-    pivot = tableau[row][col]
-    inv = Fraction(1) / pivot
-    tableau[row] = [x * inv for x in tableau[row]]
-    rhs[row] *= inv
+def _pivot(tableau, basis, row, col, den) -> int:
+    """Pivot on tableau[row][col]; returns the new common denominator.
+
+    The rows hold den times the simplex tableau (right-hand side last), with
+    den = |det B| > 0 for the basis B, so every other row becomes
+    (p * row - row[col] * prow) / den exactly and den becomes |p|.  Only
+    driving an artificial out of a degenerate row meets a negative pivot;
+    the tableau is then negated to keep den positive.
+    """
     prow = tableau[row]
-    for i in range(len(tableau)):
-        if i == row:
-            continue
-        factor = tableau[i][col]
-        if factor:
-            tableau[i] = [a - factor * b for a, b in zip(tableau[i], prow)]
-            rhs[i] -= factor * rhs[row]
+    p = prow[col]
+    for i, other in enumerate(tableau):
+        if i != row:
+            _eliminate(other, prow, p, other[col], den, 0)
     basis[row] = col
+    if p < 0:
+        for other in tableau:
+            other[:] = [-x for x in other]
+    return abs(p)
 
 
-def _run_simplex(tableau, rhs, basis, cost):
-    """Minimize cost over the current basic feasible tableau (Bland's rule)."""
-    ncols = len(cost)
+def _objective(cost, tableau, basis, den) -> list:
+    """den times the reduced costs of ``cost`` at the current basis, and
+    -den times the objective value last."""
+    obj = [den * x for x in cost] + [0]
+    for j, row in zip(basis, tableau):
+        if cost[j]:
+            obj = [o - cost[j] * x for o, x in zip(obj, row)]
+    return obj
+
+
+def _run_simplex(tableau, basis, den) -> int:
+    """Minimize over the current basic feasible tableau (Bland's rule), whose
+    last row is the objective; returns the final common denominator."""
+    obj = tableau[-1]
     while True:
-        cb = [cost[b] for b in basis]
-        support = [i for i, v in enumerate(cb) if v]
-        entering = None
-        for j in range(ncols):
-            red = cost[j]
-            for i in support:
-                t = tableau[i][j]
-                if t:
-                    red -= cb[i] * t
-            if red < 0:
-                entering = j
-                break
+        entering = next((j for j in range(len(obj) - 1) if obj[j] < 0), None)
         if entering is None:
-            return sum(cb[i] * rhs[i] for i in support)
+            return den
         leave = None
-        best = None
         for i in range(len(basis)):
             t = tableau[i][entering]
             if t > 0:
-                ratio = rhs[i] / t
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # the ratios rhs / t of row i and of the best row, cross-multiplied
+                here = tableau[i][-1] * tableau[leave][entering]
+                best = tableau[leave][-1] * t
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise _Unbounded
-        _pivot(tableau, rhs, basis, leave, entering)
+        den = _pivot(tableau, basis, leave, entering, den)
 
 
 def lp_max(a_rows, b, c, nonneg: bool = False):
@@ -233,64 +257,63 @@ def lp_max(a_rows, b, c, nonneg: bool = False):
     Returns (status, x, value) with status one of "optimal", "infeasible",
     "unbounded".  Variables are free by default and split x = u - v
     internally; with ``nonneg`` they are constrained to x >= 0 instead,
-    which halves the tableau.
+    which halves the tableau.  Every coefficient must be an ``int``, and
+    every row must have one per variable.
     """
+    _require_ints((x for row in a_rows for x in row), "LP coefficients")
+    _require_ints(b, "LP right-hand sides")
+    _require_ints(c, "LP objective coefficients")
     m = len(a_rows)
     n = len(c)
-    F0 = Fraction(0)
+    if len(b) != m or any(len(row) != n for row in a_rows):
+        raise ValueError(f"LP needs {m} right-hand sides and {n} coefficients per row")
     nsplit = n if nonneg else 2 * n
     ncols = nsplit + m
-    tableau = []
-    rhs = []
-    flipped = []
-    for i in range(m):
-        coeffs = [Fraction(x) for x in a_rows[i]]
-        row = coeffs + ([] if nonneg else [-x for x in coeffs]) + [F0] * m
-        row[nsplit + i] = Fraction(1)
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-            flipped.append(i)
-        tableau.append(row)
-        rhs.append(bi)
     # Phase I is only needed where the slack cannot start basic, i.e. on
     # sign-flipped rows; artificials are added just there.
+    flipped = [i for i in range(m) if b[i] < 0]
     basis = [nsplit + i for i in range(m)]
+    tableau = []
+    for i in range(m):
+        coeffs = list(a_rows[i])
+        row = coeffs + ([] if nonneg else [-x for x in coeffs]) + [0] * (m + len(flipped))
+        row[nsplit + i] = 1
+        row.append(b[i])
+        if b[i] < 0:
+            row = [-x for x in row]
+            basis[i] = ncols + flipped.index(i)
+            row[basis[i]] = 1
+        tableau.append(row)
+    den = 1
     if flipped:
-        for pos, i in enumerate(flipped):
-            for k in range(m):
-                tableau[k].append(Fraction(1 if k == i else 0))
-            basis[i] = ncols + pos
-        cost1 = [F0] * ncols + [Fraction(1)] * len(flipped)
-        val = _run_simplex(tableau, rhs, basis, cost1)
-        if val > 0:
+        tableau.append(_objective([0] * ncols + [1] * len(flipped), tableau, basis, den))
+        den = _run_simplex(tableau, basis, den)
+        # the objective's last entry is -den times the artificials' sum
+        if tableau.pop()[-1] < 0:
             return "infeasible", None, None
         for i in range(len(basis) - 1, -1, -1):
             if basis[i] >= ncols:
                 piv = next((j for j in range(ncols) if tableau[i][j] != 0), None)
                 if piv is None:
                     del tableau[i]
-                    del rhs[i]
                     del basis[i]
                 else:
-                    _pivot(tableau, rhs, basis, i, piv)
+                    den = _pivot(tableau, basis, i, piv, den)
         for row in tableau:
-            del row[ncols:]
-    cost2 = [-Fraction(x) for x in c]
-    if not nonneg:
-        cost2 += [Fraction(x) for x in c]
-    cost2 += [F0] * m
+            del row[ncols:-1]
+    cost = [-x for x in c] + ([] if nonneg else list(c)) + [0] * m
+    tableau.append(_objective(cost, tableau, basis, den))
     try:
-        val2 = _run_simplex(tableau, rhs, basis, cost2)
+        den = _run_simplex(tableau, basis, den)
     except _Unbounded:
         return "unbounded", None, None
-    values = {basis[i]: rhs[i] for i in range(len(basis))}
+    values = {j: row[-1] for j, row in zip(basis, tableau)}
     if nonneg:
-        x = [as_rational(values.get(j, F0)) for j in range(n)]
+        nums = [values.get(j, 0) for j in range(n)]
     else:
-        x = [as_rational(values.get(j, F0) - values.get(n + j, F0)) for j in range(n)]
-    return "optimal", x, as_rational(-val2)
+        nums = [values.get(j, 0) - values.get(n + j, 0) for j in range(n)]
+    x = [as_rational(Fraction(v, den)) for v in nums]
+    return "optimal", x, as_rational(Fraction(tableau[-1][-1], den))
 
 
 def lp_feasible_strict(a: Sequence[Sequence], b: Sequence,

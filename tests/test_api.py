@@ -74,3 +74,25 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
                  "exactmath.rank_calls", "exactmath.bounded_calls"):
         assert layers[name][0] > 0, name
     assert balanced
+
+
+def test_traced_sweep_sees_the_exact_lp(monkeypatch):
+    # the P2 sweep above is decided by short-circuits alone; this one runs
+    # the exact hypothesis LP, which the traced benchmark must still see
+    spans = _load_spans(monkeypatch)
+    f2 = toricbott.hirzebruch(2)
+    toricbott.divisors._hypothesis_lp.cache_clear()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        setup = tracer.open("setup")
+        toricbott.validate(f2)
+        tracer.close(setup)
+        solve = tracer.open("solve")
+        toricbott.suite.thm11_sweep(f2, certify=False, coeffs=(0, 1))
+        tracer.close(solve)
+    finally:
+        tracer.uninstall()
+    layers, _ = tracer.layer_metrics(setup, solve)
+    assert layers["exactmath.lp_calls"][0] > 0
+    assert layers["divisors.shortcut_ratio"][0] < 1

@@ -302,3 +302,11 @@ def test_cohomology_oversize_box_is_malformed(tmp_path, capsys):
     assert main(["cohomology", "--fan", str(fan), "--spec", str(spec),
                  "--mode", "box", "--box-bound", "1000"]) == EXIT_MALFORMED
     assert "weights" in capsys.readouterr().err
+
+
+def test_cohomology_oversize_chamber_is_malformed(p2_file, tmp_path, capsys):
+    # the chamber of O(3000) on P2 spans 3001^2 weights: a size error, not a fault
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [3000, 0, 0]}))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_MALFORMED
+    assert "weights" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from toricbott.danilov import (
     CohomologyResult,
     HypothesisNotVerified,
     LogFormSheafSpec,
+    WeightBoxTooLarge,
     cech_cohomology,
     chamber_support_box,
     euler_additivity_check,
@@ -415,7 +416,14 @@ def test_one_weight_cap_for_explicit_boxes_and_chambers(monkeypatch):
     with pytest.raises(ValueError, match="more than 8 weights"):
         cech_cohomology(P2, s, mode="box", box=((-2, 0), (0, 2)))
     # the chamber of those sections spans the same 3 x 3 box
-    with pytest.raises(RuntimeError, match="unreasonably large"):
+    with pytest.raises(WeightBoxTooLarge, match="more than 8 weights"):
+        cech_cohomology(P2, s)
+
+
+def test_large_chamber_box_is_a_named_size_error():
+    # the sections of O(3000) fill a 3001 x 3001 box, refused before listing it
+    s = sheaf_spec(0, [], (3000, 0, 0))
+    with pytest.raises(WeightBoxTooLarge, match="more than 5000000 weights"):
         cech_cohomology(P2, s)
 
 

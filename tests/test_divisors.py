@@ -195,6 +195,32 @@ def test_linearly_equivalent_bundles_share_one_exact_lp(monkeypatch):
         assert is_ample(bl3, residual_divisor(bl3, l, dprime, w1))
 
 
+@pytest.mark.parametrize("name, dprime, coeffs, expected", [
+    ("f2", (1,), (0, 1, 1, 0), (Fraction(2, 3),)),
+    ("bl2", (0, 1), (0, 1, 1, 0, 1), (0, Fraction(1, 2))),
+    ("bl3", (0, 1, 2), (0, 1, 1, 0, 1, 0), (Fraction(1, 3),) * 3),
+    ("bl3", (0, 1, 4, 5), (0, 1, 0, 0, 1, 0), None),
+])
+def test_exact_lp_witnesses_are_pinned(monkeypatch, name, dprime, coeffs, expected):
+    # the pivot and tie rules decide these witnesses, and the certificates
+    # carry them; a change to either rule must show here first
+    import toricbott.divisors as divisors
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lp_feasible_strict(*args, **kwargs)
+
+    divisors._hypothesis_lp.cache_clear()
+    monkeypatch.setattr(divisors, "lp_feasible_strict", counting)
+    w = hypothesis_feasible(suite_fans()[name], InvariantDivisor(coeffs), dprime)
+    assert len(calls) == 1
+    assert w == expected
+    if w is not None:
+        assert tuple(map(type, w)) == tuple(map(type, expected))
+
+
 def test_every_suite_fan_is_projective():
     for f in suite_fans().values():
         assert is_projective(f)

@@ -295,20 +295,60 @@ def test_strict_lp_mixed_rows():
     assert x + y < 1 and x >= 0 and y >= 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=2),
-                  st.integers(-4, 4), st.booleans()),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_strict_lp_witness_satisfies_rows_exactly(rows):
+def _fourier_motzkin_feasible(rows) -> bool:
+    """Naive oracle: is {a.x < b on strict rows, a.x <= b on the rest}
+    feasible?  ``rows`` holds (a, b, strict) triples.
+
+    Fourier-Motzkin elimination over Fraction: eliminating x_k combines
+    every row with a positive x_k coefficient with every row with a negative
+    one, each scaled to cancel x_k, and a combination with a strict row is
+    strict.  Once no variable is left, every row must read 0 < b or 0 <= b.
+    """
+    rows = [([Fraction(x) for x in a], Fraction(b), strict) for a, b, strict in rows]
+    nvars = len(rows[0][0]) if rows else 0
+    for k in range(nvars):
+        upper = [r for r in rows if r[0][k] > 0]
+        lower = [r for r in rows if r[0][k] < 0]
+        rows = [r for r in rows if r[0][k] == 0]
+        for ua, ub, ustrict in upper:
+            for la, lb, lstrict in lower:
+                s, t = ua[k], -la[k]
+                rows.append(([x / s + y / t for x, y in zip(ua, la)], ub / s + lb / t,
+                             ustrict or lstrict))
+    return all(b > 0 if strict else b >= 0 for _, b, strict in rows)
+
+
+def test_fourier_motzkin_oracle_on_known_systems():
+    assert _fourier_motzkin_feasible([([1], 1, True), ([-1], 0, True)])
+    assert not _fourier_motzkin_feasible([([1], 0, True), ([-1], 0, False)])
+    assert _fourier_motzkin_feasible([([1], 0, False), ([-1], 0, False)])
+    assert not _fourier_motzkin_feasible([([1, 1], 1, False), ([-1, 0], -1, False),
+                                          ([0, -1], 0, True)])
+
+
+def _systems(with_strict: bool):
+    """At most 6 integer rows (a, b, strict) over 1 to 3 variables."""
+    def row(n):
+        return st.tuples(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         st.integers(-4, 4),
+                         st.booleans() if with_strict else st.just(False))
+
+    return st.integers(1, 3).flatmap(lambda n: st.lists(row(n), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems(with_strict=True), st.booleans())
+def test_strict_lp_witness_satisfies_rows_exactly(rows, nonneg):
+    # the verdict must match the oracle, so a wrong None fails too; nonneg
+    # adds the rows -x_i <= 0
     a = [r for r, _, _ in rows]
     b = [bi for _, bi, _ in rows]
     strict = [s for _, _, s in rows]
-    w = lp_feasible_strict(a, b, strict)
+    n = len(a[0])
+    if nonneg:
+        rows = rows + [([-int(i == j) for j in range(n)], 0, False) for i in range(n)]
+    w = lp_feasible_strict(a, b, strict, nonneg=nonneg)
+    assert (w is not None) == _fourier_motzkin_feasible(rows)
     if w is None:
         return
     for (coeffs, bi, is_strict) in rows:
@@ -317,6 +357,49 @@ def test_strict_lp_witness_satisfies_rows_exactly(rows):
             assert value < bi
         else:
             assert value <= bi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems(with_strict=False))
+def test_polyhedron_bounded_matches_fourier_motzkin(rows):
+    a = [r for r, _, _ in rows]
+    b = [bi for _, bi, _ in rows]
+    if not _fourier_motzkin_feasible(rows):
+        with pytest.raises(EmptyInput):
+            polyhedron_bounded(a, b)
+        return
+    # the recession cone {a.x <= 0} is nontrivial iff some +-x_i > 0 in it
+    n = len(a[0])
+    cone = [(r, 0, False) for r in a]
+    recedes = any(
+        _fourier_motzkin_feasible(cone + [([-sign * int(i == j) for j in range(n)], 0, True)])
+        for i in range(n) for sign in (1, -1)
+    )
+    assert polyhedron_bounded(a, b) == (not recedes)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, True])
+def test_lp_rejects_non_integer_data(entry):
+    for call in (lambda: lp_max([[entry]], [1], [1]),
+                 lambda: lp_max([[1]], [entry], [1]),
+                 lambda: lp_max([[1]], [1], [entry]),
+                 lambda: lp_feasible_strict([[1, entry]], [1]),
+                 lambda: polyhedron_bounded([[1], [-1]], [entry, 0])):
+        with pytest.raises(ValueError, match="integers"):
+            call()
+
+
+def test_lp_rejects_ragged_rows():
+    # a row of the wrong length used to shift the slack columns:
+    # {x < 1, -x < 0} with the second row given as [-1, 3] answered x = -3/2
+    with pytest.raises(ValueError, match="coefficients per row"):
+        lp_feasible_strict([[1], [-1, 3]], [1, 0])
+    with pytest.raises(ValueError, match="coefficients per row"):
+        lp_max([[1, 5], [-1, 0]], [1, 0], [1])
+    with pytest.raises(ValueError, match="right-hand sides"):
+        lp_max([[1], [-1]], [1], [1])
+    with pytest.raises(ValueError, match="coefficients per row"):
+        polyhedron_bounded([[1, 0], [-1]], [1, 0])
 
 
 def test_bounded_unit_square():
@@ -353,6 +436,14 @@ def test_lp_max_unbounded():
 def test_lp_max_infeasible():
     status, _, _ = lp_max([[1], [-1]], [-1, 0], [1])
     assert status == "infeasible"
+
+
+def test_lp_max_drives_an_artificial_out_with_a_negative_pivot():
+    # {x <= 2, -x <= -2, x >= 0} is the point 2: Phase I leaves the
+    # artificial of the flipped row basic at level 0, and the pivot that
+    # drives it out is negative; without negating the tableau to keep its
+    # denominator positive, Phase II answers x = 0
+    assert lp_max([[1], [-1]], [2, -2], [-2], nonneg=True) == ("optimal", [2], -4)
 
 
 def test_lp_max_nonneg_mode():
