@@ -164,6 +164,8 @@ def cmd_cohomology(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.scan:
         lo, hi = (int(x) for x in args.scan.split(".."))
+        if lo > hi:
+            raise ValueError(f"empty scan range {args.scan}")
         reports = [counterexample.scenario(d) for d in range(lo, hi + 1)]
         minimal = next((r.d for r in reports if r.bott_fails), None)
         data = {
@@ -198,6 +200,9 @@ def cmd_suite(args) -> int:
     overall_ok = True
     if any(name not in fans for name in names):
         print(f"unknown suite fan in {names}", file=sys.stderr)
+        return EXIT_MALFORMED
+    if args.bound < 0 or args.sample < 0:
+        print("--bound and --sample must be nonnegative", file=sys.stderr)
         return EXIT_MALFORMED
     if args.select == "thm11":
         tasks = [(name, not args.no_certify) for name in names]

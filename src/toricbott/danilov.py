@@ -42,10 +42,13 @@ A brute-force bounding-box mode exists for cross-validation.
 
 The arrangement depends on p only through the per-ray flags of
 ``_Engine.merged``, which are the same for every p >= 1.  The cached
-dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``) therefore
-run one chamber pass per (p = 0 or p >= 1, flags, twist class) that yields
-the dims of every p in the group; the twist is taken modulo principal
-divisors, so linearly equivalent twists share the pass too.
+dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``, through
+``_Engine.dims``) therefore run one chamber pass per (p = 0 or p >= 1,
+flags, twist class) that yields the dims of every p in the group; the twist
+is taken modulo principal divisors, so linearly equivalent twists share the
+pass too.  An automorphism of the fan induces one of X carrying D_rho to
+D_pi(rho) (``fan.automorphisms``), so the pass also answers every image of
+(flags, twist class) under the fan's automorphism group: one pass per orbit.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from .divisors import (
     sorted_logset,
     zero_divisor,
 )
-from .fan import (Fan, NotACone, _dual_basis, _dual_pairings, _scaled_dual_basis, is_cone,
-                  json_ints, require_smooth_complete, stratum_fan)
+from .fan import (Fan, NotACone, _dual_basis, _dual_pairings, _scaled_dual_basis, automorphisms,
+                  is_cone, json_ints, require_smooth_complete, stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -185,7 +188,7 @@ def _result_from_support(r: int, support: Dict[tuple, tuple]) -> CohomologyResul
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
     solvers of the level arrangement, wedge minors, pattern
-    cohomology.
+    cohomology, total dims per orbit of (flags, twist class).
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -225,6 +228,7 @@ class _Engine:
         self._minors: dict = {}
         self._state_coh: dict = {}
         self._bounded: dict = {}
+        self._dims: dict = {}
 
     def _minor(self, a: int, b: int, i_pos: tuple, j_pos: tuple) -> int:
         """Minor of the change from cone a's dual basis to cone b's: rows
@@ -426,6 +430,34 @@ class _Engine:
         found, box = self.chamber_pass((spec.p,), self.merged(spec.p, spec.logset), spec.twist)
         return {m: dims[0] for dims, weights in found for m in weights}, box
 
+    def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
+        """h^0..h^r for each form degree in ``degrees``, all with the ray
+        flags ``merged``, at a class representative twist (see
+        _class_representative).
+
+        One chamber pass serves the whole group (p = 0 alone, or every
+        p >= 1) and every image of (merged, twist class) under the fan's
+        automorphisms: the automorphism of X carrying D_rho to D_pi(rho)
+        carries the sheaf to the one with flags and twist moved by pi.
+        """
+        key = (degrees, merged, twist)
+        cached = self._dims.get(key)
+        if cached is not None:
+            return cached
+        totals = [[0] * (self.r + 1) for _ in degrees]
+        found, _ = self.chamber_pass(degrees, merged, twist)
+        for dims, weights in found:
+            for total, wdims in zip(totals, dims):
+                for k, v in enumerate(wdims):
+                    total[k] += len(weights) * v
+        result = tuple(map(tuple, totals))
+        # v -> v o pi is the action of pi^-1; over the group it gives the orbit
+        for perm in automorphisms(self.fan):
+            moved = tuple(twist[i] for i in perm)
+            self._dims[(degrees, tuple(merged[i] for i in perm),
+                        _class_representative(self.fan, moved))] = result
+        return result
+
     def box_run(self, spec: LogFormSheafSpec, bounds) -> Dict[tuple, tuple]:
         p, twist = spec.p, spec.twist
         if self.r == 0:
@@ -550,28 +582,12 @@ def _class_representative(f: Fan, twist: tuple) -> tuple:
     return _zero_on(f, twist, 0, f.max_cones[0])
 
 
-@lru_cache(maxsize=None)
-def _cech_dims(f: Fan, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
-    """h^0..h^r for each form degree in ``degrees``, all with the ray flags
-    ``merged``, at a class representative twist (see _class_representative).
-
-    One chamber pass serves the whole group: p = 0 alone, or every p >= 1.
-    """
-    totals = [[0] * (f.dim + 1) for _ in degrees]
-    found, _ = _engine(f).chamber_pass(degrees, merged, twist)
-    for dims, weights in found:
-        for total, wdims in zip(totals, dims):
-            for k, v in enumerate(wdims):
-                total[k] += len(weights) * v
-    return tuple(map(tuple, totals))
-
-
 def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
     """h^0..h^r of O(D) for an integral invariant divisor."""
     if not d.integral:
         raise ValueError("line bundle needs an integral divisor")
-    merged = _engine(f).merged(0, frozenset())
-    return _cech_dims(f, (0,), merged, _class_representative(f, d.coeffs))[0]
+    eng = _engine(f)
+    return eng.dims((0,), eng.merged(0, frozenset()), _class_representative(f, d.coeffs))[0]
 
 
 def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor) -> tuple:
@@ -590,7 +606,7 @@ def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor
     if p > f.dim:
         return (0,) * (f.dim + 1)
     degrees = (0,) if p == 0 else tuple(range(1, f.dim + 1))
-    dims = _cech_dims(f, degrees, eng.merged(p, dprime), representative)
+    dims = eng.dims(degrees, eng.merged(p, dprime), representative)
     return dims[degrees.index(p)]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .exactmath import as_rational, lp_feasible_strict
@@ -45,10 +46,16 @@ class InvariantDivisor:
         return all(isinstance(x, int) for x in self.coeffs)
 
     def __add__(self, other: "InvariantDivisor") -> "InvariantDivisor":
-        return InvariantDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return InvariantDivisor(tuple(map(add, self.coeffs, self._same_length(other))))
 
     def __sub__(self, other: "InvariantDivisor") -> "InvariantDivisor":
-        return InvariantDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return InvariantDivisor(tuple(map(sub, self.coeffs, self._same_length(other))))
+
+    def _same_length(self, other: "InvariantDivisor") -> tuple:
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError(f"divisors with {len(self.coeffs)} and {len(other.coeffs)} "
+                             "coefficients do not live on one fan")
+        return other.coeffs
 
     def __neg__(self) -> "InvariantDivisor":
         return InvariantDivisor(tuple(-a for a in self.coeffs))
@@ -156,6 +163,8 @@ def _convention_selftest() -> bool:
 
 @lru_cache(maxsize=262_144)
 def _wall_targets(f: Fan, coeffs: tuple) -> tuple:
+    if len(coeffs) != f.n_rays:
+        raise ValueError(f"divisor has {len(coeffs)} coefficients for {f.n_rays} rays")
     return tuple(
         as_rational(sum(c * x for c, x in zip(row, coeffs))) for row in wall_matrix(f)
     )

@@ -164,6 +164,36 @@ def _dual_pairings(f: Fan, cone: int) -> tuple:
                  for m in _dual_basis(f, f.max_cones[cone]))
 
 
+@lru_cache(maxsize=None)
+def automorphisms(f: Fan) -> tuple:
+    """Ray permutations pi, pi[rho] = pi(rho), of the lattice automorphisms
+    g with g u_rho = u_pi(rho) that map the fan onto itself; sorted, so the
+    identity comes first.
+
+    Such a g sends the rays of ``max_cones[0]`` to the rays of a maximal
+    cone in some order, and that order fixes it: u_rho = sum_i table[i][rho]
+    u_i over cone 0's rays u_i (the dual pairing table of cone 0), so
+    g u_rho = sum_i table[i][rho] g(u_i).  Each candidate is kept when every
+    image is a ray and every maximal cone maps to a maximal cone.  The
+    automorphism of X that g induces carries D_rho to D_pi(rho)
+    (Cox-Little-Schenck, Toric Varieties, Thm 3.3.4).
+    """
+    require_smooth_complete(f)
+    columns = tuple(zip(*_dual_pairings(f, 0)))
+    index = {ray: i for i, ray in enumerate(f.rays)}
+    cones = set(f.max_cones)
+    out = set()
+    for cone in f.max_cones:
+        for order in itertools.permutations(cone):
+            images = [f.rays[i] for i in order]
+            perm = tuple(index.get(tuple(sum(map(mul, col, coords)) for coords in zip(*images)))
+                         for col in columns)
+            if None not in perm and all(tuple(sorted(perm[i] for i in c)) in cones
+                                        for c in f.max_cones):
+                out.add(perm)
+    return tuple(sorted(out))
+
+
 def _facet_incidence(f: Fan) -> Dict[tuple, list]:
     facets: Dict[tuple, list] = {}
     for ci, cone in enumerate(f.max_cones):

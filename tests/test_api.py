@@ -54,7 +54,6 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
     # start cold, so that complexes, ranks and boundedness LPs are computed
     # inside the sweep even when earlier tests have filled the caches
     toricbott.danilov._engine.cache_clear()
-    toricbott.danilov._cech_dims.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -111,6 +111,15 @@ def test_vanishing_log_ray_out_of_range_is_malformed(p2_file, divisor_file, acti
                  "--logset", "5", "--unchecked"]) == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("action, coeffs", [("check", [1, 1, 1, -9]), ("certify", [1, 1]),
+                                             ("cross-validate", [1])])
+def test_vanishing_wrong_length_divisor_is_malformed(p2_file, divisor_file, capsys,
+                                                     action, coeffs):
+    d = divisor_file(coeffs)
+    assert main(["vanishing", action, "--fan", p2_file, "--divisor", d]) == EXIT_MALFORMED
+    assert f"{len(coeffs)} coefficients for 3 rays" in capsys.readouterr().err
+
+
 def test_vanishing_certify_writes_certificate(p2_file, divisor_file, tmp_path, capsys):
     d = divisor_file([1, 0, 0])
     cert_path = tmp_path / "cert.json"
@@ -250,6 +259,19 @@ def test_counterexample_scan_table(capsys):
 
 def test_counterexample_bad_degree():
     assert main(["counterexample", "--degree", "0"]) == EXIT_MALFORMED
+
+
+def test_counterexample_inverted_scan_is_malformed(capsys):
+    assert main(["counterexample", "--scan", "5..1"]) == EXIT_MALFORMED
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("select, option, value", [("serre", "--bound", "-1"),
+                                                   ("serre", "--sample", "-2"),
+                                                   ("euler", "--sample", "-2")])
+def test_suite_negative_bound_or_sample_is_malformed(capsys, select, option, value):
+    assert main(["suite", "--select", select, "--fans", "p1", option, value]) == EXIT_MALFORMED
+    assert capsys.readouterr().out == ""
 
 
 def test_suite_smoke(capsys):

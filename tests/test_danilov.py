@@ -536,6 +536,41 @@ def test_cached_dims_depend_only_on_the_twist_class():
             assert line_bundle_cohomology(f, moved) == expected, (name, twist, m)
 
 
+def _moved(perm, dprime, twist):
+    """(pi D', pi T) for the ray permutation pi: D_rho goes to D_pi(rho)."""
+    moved = [0] * len(twist)
+    for rho, t in enumerate(twist):
+        moved[perm[rho]] = t
+    return tuple(sorted(perm[rho] for rho in dprime)), tuple(moved)
+
+
+def test_fan_automorphisms_preserve_cohomology():
+    # the cached lookups share one chamber pass across each orbit of the
+    # fan's automorphisms; the uncached cech_cohomology must see the same
+    # symmetry, and a lookup answered from another orbit member's pass must
+    # agree with it
+    from toricbott.danilov import _engine
+    from toricbott.fan import automorphisms
+
+    rng = random.Random(6007)
+    cases = []
+    for name, f in _golden_fans().items():
+        for perm in automorphisms(f):
+            for _ in range(2):
+                p = rng.randint(0, f.dim)
+                dprime = tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays))))
+                twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
+                image = _moved(perm, dprime, twist)
+                expected = cech_cohomology(f, sheaf_spec(p, dprime, twist)).dims
+                got = cech_cohomology(f, sheaf_spec(p, *image)).dims
+                assert got == expected, (name, perm, p, dprime, twist)
+                cases.append((f, p, dprime, twist, image, expected))
+    _engine.cache_clear()
+    for f, p, dprime, twist, (moved_dprime, moved_twist), expected in cases:
+        assert log_spec_dims(f, p, dprime, InvariantDivisor(twist)) == expected
+        assert log_spec_dims(f, p, moved_dprime, InvariantDivisor(moved_twist)) == expected
+
+
 # --- arrangement vertices and the shared chamber pass ----------------------
 
 def _cramer_vertices(f, merged, twist):
@@ -598,18 +633,19 @@ def test_shared_pass_matches_one_degree_at_a_time():
                 assert log_spec_dims(f, p, dprime, twist) == expected, (name, p, dprime, twist)
 
 
-@pytest.mark.parametrize("name, passes", [("p2", 57), ("bl1", 276), ("p3", 140)])
+@pytest.mark.parametrize("name, passes", [("p2", 33), ("bl1", 216), ("p3", 52),
+                                          ("bl3", 397)])
 def test_verify_sweep_runs_one_pass_per_flags_and_class(monkeypatch, name, passes):
-    # one pass per (p = 0 or p >= 1, ray flags, twist class); one pass per
-    # (p, D', twist class) ran 144, 720 and 512
-    from toricbott.danilov import _cech_dims, _Engine
+    # one pass per orbit of (p = 0 or p >= 1, ray flags, twist class) under
+    # the fan's automorphisms
+    from toricbott.danilov import _engine, _Engine
     from toricbott.suite import thm11_sweep
 
     calls = []
     original = _Engine.chamber_pass
     monkeypatch.setattr(_Engine, "chamber_pass",
                         lambda self, *args: calls.append(args) or original(self, *args))
-    _cech_dims.cache_clear()
+    _engine.cache_clear()
     out = thm11_sweep(suite_fans()[name], certify=False)
     assert out.all_verified
     assert len(calls) == passes

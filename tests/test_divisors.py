@@ -135,6 +135,28 @@ def test_hypothesis_examples():
     assert is_ample(P2, residual_divisor(P2, 2 * d0, (0, 1, 2), w))
 
 
+def test_wrong_length_divisors_are_rejected():
+    # a zip over coefficients would drop the extra entries or the missing
+    # rays and answer for another divisor
+    from toricbott.danilov import euler_additivity_check
+
+    with pytest.raises(ValueError, match="2 coefficients for 3 rays"):
+        hypothesis_feasible(P2, InvariantDivisor((1, 1)), ())
+    with pytest.raises(ValueError, match="4 coefficients for 3 rays"):
+        is_ample(P2, InvariantDivisor((1, 1, 1, -9)))
+    with pytest.raises(ValueError):
+        is_ample(P2, InvariantDivisor((1,)))
+    with pytest.raises(ValueError):
+        is_nef(P2, InvariantDivisor((1,)))
+    with pytest.raises(ValueError, match="do not live on one fan"):
+        InvariantDivisor((1, 0)) + InvariantDivisor((1, 0, 0))
+    with pytest.raises(ValueError, match="do not live on one fan"):
+        InvariantDivisor((1, 0, 0, 0)) - InvariantDivisor((1, 0, 0))
+    with pytest.raises(ValueError):
+        euler_additivity_check(P2, (), 0, InvariantDivisor((1,)))
+    assert InvariantDivisor((1, 2)) - InvariantDivisor((3, -1)) == InvariantDivisor((-2, 3))
+
+
 def test_sorted_logset_sorts_and_checks_the_range():
     assert sorted_logset(P2, (2, 0, 2)) == (0, 2)
     for bad in ((3,), (-1,), (0, 7)):

@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from toricbott.fan import (
     validate,
     walls,
     _dual_basis,
+    automorphisms,
 )
+from toricbott.exactmath import det
 from toricbott.suite import suite_fans
 
 P2 = projective_space(2)
@@ -235,3 +239,64 @@ def test_double_subdivision_stays_valid(name):
     once = star_subdivision(f, f.max_cones[0])
     twice = star_subdivision(once, once.max_cones[-1])
     assert validate(twice).ok
+
+
+def _inverse(rows):
+    """Inverse of a nonsingular square matrix, by Gauss-Jordan over Fraction."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                aug[i] = [a - aug[i][col] * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _brute_force_automorphisms(f):
+    """Every ray permutation pi with an integral g, det g = +-1, such that
+    g u_rho = u_pi(rho) for every ray and every maximal cone maps onto a
+    maximal cone.  g is solved from the first r linearly independent rays."""
+    basis = next(s for s in itertools.combinations(range(f.n_rays), f.dim)
+                 if det([list(f.rays[i]) for i in s]) != 0)
+    # columns of B are the basis rays; g B = C gives g = C B^-1
+    b_inv = _inverse([[f.rays[i][k] for i in basis] for k in range(f.dim)])
+    cones = {frozenset(c) for c in f.max_cones}
+    found = set()
+    for perm in itertools.permutations(range(f.n_rays)):
+        if any(frozenset(perm[i] for i in c) not in cones for c in f.max_cones):
+            continue
+        c_rows = [[f.rays[perm[i]][k] for i in basis] for k in range(f.dim)]
+        g = [[sum(a * b for a, b in zip(row, col)) for col in zip(*b_inv)] for row in c_rows]
+        if any(x.denominator != 1 for row in g for x in row):
+            continue
+        g = [[int(x) for x in row] for row in g]
+        if det(g) not in (1, -1):
+            continue
+        if all(tuple(sum(a * b for a, b in zip(row, f.rays[rho])) for row in g)
+               == f.rays[perm[rho]] for rho in range(f.n_rays)):
+            found.add(perm)
+    return found
+
+
+_P1 = projective_space(1)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("p1", 2), ("p2", 6), ("p3", 24), ("p1xp1", 8), ("f1", 2), ("f2", 2),
+    ("bl1", 2), ("bl2", 2), ("bl3", 12),
+    ("p2xp1", 12), ("blpt_p3", 6), ("p1^3", 48),
+])
+def test_automorphisms_match_the_brute_force_oracle(name, order):
+    fans = dict(suite_fans())
+    fans["p2xp1"] = product(P2, _P1)
+    fans["blpt_p3"] = star_subdivision(projective_space(3), (0, 1, 2))
+    fans["p1^3"] = product(product(_P1, _P1), _P1)
+    f = fans[name]
+    group = automorphisms(f)
+    assert len(group) == len(set(group)) == order
+    assert set(group) == _brute_force_automorphisms(f)
+    assert group[0] == tuple(range(f.n_rays))
