@@ -35,7 +35,6 @@ from .divisors import (
     hypothesis_feasible,
     is_ample,
     require_witness,
-    residual_divisor,
     restrict_to_stratum,
     sorted_logset,
 )
@@ -140,19 +139,17 @@ def build_certificate(
     order unless ``component_order`` picks differently; the check result is
     order-independent, the tree shape is not.  A supplied hypothesis
     ``witness`` is checked (one entry per log ray, in [0,1], with L - dD'
-    ample) instead of re-solving the LP for one.
+    ample) instead of re-solving the LP for one.  Each stratum re-checks the
+    integer residual class N (L - dD'), restricted: it is ample exactly when
+    the restriction of L - dD' is.
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
-    if not l.integral:
-        raise ValueError("l must be integral")
     if witness is None:
         witness = hypothesis_feasible(f, l, dprime)
         if witness is None:
             raise HypothesisInfeasible("the ampleness hypothesis LP has no witness")
-        residual = residual_divisor(f, l, dprime, witness)
-    else:
-        residual = require_witness(f, l, dprime, witness)
+    residual = require_witness(f, l, dprime, witness)
     pick = component_order if component_order is not None else min
 
     def build_node(fan_s: Fan, claim: VanishingClaim,
@@ -287,11 +284,6 @@ def cross_validate(f: Fan, dprime: Sequence[int], l: InvariantDivisor) -> CrossV
     return CrossValidationReport(cert_ok, direct, cert_ok and direct.passed)
 
 
-def _fraction_str(x) -> str:
-    fr = Fraction(x)
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
-
-
 def _node_to_dict(node: CertificateNode) -> dict:
     data = {
         "claim": {
@@ -334,7 +326,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "fan_sha256": cert.fan_sha256,
         "logset": list(cert.logset),
         "divisor": list(cert.divisor),
-        "hypothesis_witness": [_fraction_str(x) for x in cert.hypothesis_witness],
+        "hypothesis_witness": [str(Fraction(x)) for x in cert.hypothesis_witness],
         "roots": [_node_to_dict(r) for r in cert.roots],
     }
 

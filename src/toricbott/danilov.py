@@ -41,9 +41,9 @@ tabulates once per fan, so a pass enumerates only the level choices per ray.
 A brute-force bounding-box mode exists for cross-validation.
 
 The arrangement depends on p only through the per-ray flags of
-``_Engine.merged``, which are the same for every p >= 1.  The cached
-dimension lookups (``line_bundle_cohomology``, ``log_spec_dims``, through
-``_Engine.dims``) therefore run one chamber pass per (p = 0 or p >= 1,
+``_Engine.merged``, which are the same for every p >= 1.  The one cached
+dimension lookup ``_log_dims`` (read through ``_Engine.dims`` by every entry
+point and check below) therefore runs one chamber pass per (p = 0 or p >= 1,
 flags, twist class) that yields the dims of every p in the group; the twist
 is taken modulo principal divisors, so linearly equivalent twists share the
 pass too.  An automorphism of the fan induces one of X carrying D_rho to
@@ -582,32 +582,35 @@ def _class_representative(f: Fan, twist: tuple) -> tuple:
     return _zero_on(f, twist, 0, f.max_cones[0])
 
 
-def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
-    """h^0..h^r of O(D) for an integral invariant divisor."""
-    if not d.integral:
-        raise ValueError("line bundle needs an integral divisor")
+def _log_dims(f: Fan, ps: Sequence[int], dprime: frozenset, twist: tuple) -> tuple:
+    """h^0..h^r of Omega^p(log D') (x) O(T) for each p >= 0 in ``ps``
+    (zero for p > r), looked up by the twist's class.
+
+    The twist is reduced to its class representative once, and each
+    form-degree group that ``ps`` meets (p = 0 alone, and every p >= 1,
+    which share their ray flags) is read with one ``_Engine.dims`` lookup.
+    """
     eng = _engine(f)
-    return eng.dims((0,), eng.merged(0, frozenset()), _class_representative(f, d.coeffs))[0]
+    representative = _class_representative(f, twist)
+    dims = {}
+    for degrees in ((0,), tuple(range(1, f.dim + 1))):
+        if any(p in degrees for p in ps):
+            dims.update(zip(degrees, eng.dims(degrees, eng.merged(degrees[0], dprime),
+                                              representative)))
+    zero = (0,) * (f.dim + 1)
+    return tuple(dims.get(p, zero) for p in ps)
+
+
+def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
+    """h^0..h^r of O(D) for an invariant divisor."""
+    return _log_dims(f, (0,), frozenset(), d.coeffs)[0]
 
 
 def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor) -> tuple:
-    """h^0..h^r of Omega^p(log D') (x) O(T), looked up by the twist's class.
-
-    Every p >= 1 gives the same ray flags, so one cached pass answers them
-    all; p = 0 has its own.
-    """
+    """h^0..h^r of Omega^p(log D') (x) O(T), looked up by the twist's class."""
     if p < 0:
         raise ValueError("form degree must be nonnegative")
-    if not twist.integral:
-        raise ValueError("twist must be integral")
-    eng = _engine(f)
-    dprime = frozenset(sorted_logset(f, dprime))
-    representative = _class_representative(f, twist.coeffs)
-    if p > f.dim:
-        return (0,) * (f.dim + 1)
-    degrees = (0,) if p == 0 else tuple(range(1, f.dim + 1))
-    dims = eng.dims(degrees, eng.merged(p, dprime), representative)
-    return dims[degrees.index(p)]
+    return _log_dims(f, (p,), frozenset(sorted_logset(f, dprime)), twist.coeffs)[0]
 
 
 @dataclass(frozen=True)
@@ -635,8 +638,6 @@ def verify_vanishing(
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
-    if not l.integral:
-        raise ValueError("l must be integral")
     checked = False
     if witness is None and not unchecked:
         witness = hypothesis_feasible(f, l, dprime)
@@ -649,18 +650,13 @@ def verify_vanishing(
         require_witness(f, l, dprime, witness)
         checked = True
     twist = l - rayset_divisor(f, dprime)
-    per_p = []
-    violations = []
-    for p in range(f.dim + 1):
-        dims = log_spec_dims(f, p, dprime, twist)
-        per_p.append(dims)
-        for k in range(1, len(dims)):
-            if dims[k] != 0:
-                violations.append((p, k, dims[k]))
+    per_p = _log_dims(f, range(f.dim + 1), frozenset(dprime), twist.coeffs)
+    violations = tuple((p, k, dims[k]) for p, dims in enumerate(per_p)
+                       for k in range(1, len(dims)) if dims[k] != 0)
     return VanishingReport(
         not violations,
-        tuple(violations),
-        tuple(per_p),
+        violations,
+        per_p,
         tuple(witness) if witness is not None else None,
         checked,
     )
@@ -684,7 +680,7 @@ def hodge_count_check(f: Fan, dprime: Sequence[int]) -> HodgeCountReport:
     counts the removed coordinate hyperplanes of that chart.
     """
     require_smooth_complete(f)
-    dset = frozenset(dprime)
+    dset = frozenset(sorted_logset(f, dprime))
     all_rays = set(range(f.n_rays))
     candidates = [c for c in f.max_cones if (all_rays - set(c)) <= dset]
     if not candidates:
@@ -694,10 +690,7 @@ def hodge_count_check(f: Fan, dprime: Sequence[int]) -> HodgeCountReport:
         raise AssertionError("chart count s should not depend on the chart")
     s = s_values.pop()
     r = f.dim
-    zero = zero_divisor(f)
-    table = tuple(
-        log_spec_dims(f, p, sorted(dset), zero) for p in range(r + 1)
-    )
+    table = _log_dims(f, range(r + 1), dset, zero_divisor(f).coeffs)
     higher_ok = all(table[p][q] == 0 for p in range(r + 1) for q in range(1, r + 1))
     sums = []
     expected = []
@@ -730,19 +723,18 @@ def euler_additivity_check(
         raise ValueError(f"ray index {h} out of range")
     if h in dprime:
         raise ValueError("h must not already carry a log pole")
-    if not l.integral:
-        raise ValueError("l must be integral")
     mid_twist = l - rayset_divisor(f, dprime)
     sub_twist = mid_twist - ray_divisor(f, h)
     sp = stratum_fan(f, (h,))
-    logset_h = sp.restrict_logset(dprime)
     twist_h = restrict_to_stratum(f, mid_twist, (h,))
+    ps = range(f.dim + 1)
+    mids = _log_dims(f, ps, frozenset(dprime), mid_twist.coeffs)
+    subs = _log_dims(f, ps, frozenset(dprime + (h,)), sub_twist.coeffs)
+    quots = _log_dims(sp.fan, ps, frozenset(sp.restrict_logset(dprime)), twist_h.coeffs)
     rows = []
     ok = True
-    for p in range(f.dim + 1):
-        chi_mid = _euler(log_spec_dims(f, p, dprime, mid_twist))
-        chi_sub = _euler(log_spec_dims(f, p, dprime + (h,), sub_twist))
-        chi_quot = _euler(log_spec_dims(sp.fan, p, logset_h, twist_h))
+    for p, mid, sub, quot in zip(ps, mids, subs, quots):
+        chi_mid, chi_sub, chi_quot = _euler(mid), _euler(sub), _euler(quot)
         rows.append((p, chi_mid, chi_sub, chi_quot))
         if chi_mid != chi_sub + chi_quot:
             ok = False

@@ -1,6 +1,6 @@
 """Torus-invariant divisors: curve intersections, positivity, restriction.
 
-An invariant R-divisor is a rational coefficient per ray.  On a smooth cone
+An invariant divisor is an integer coefficient per ray.  On a smooth cone
 sigma with dual basis m_i, the character m = -sum a_rho m_rho over chosen
 rays rho of sigma makes D + div(chi^m) vanish on those rays; ``_zero_on``
 is that one rule, read off the fan's dual pairing table.  Wall intersection
@@ -16,16 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from math import lcm
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .exactmath import as_rational, lp_feasible_strict
+from .exactmath import lp_feasible_strict
 from .fan import (
     Fan,
     NotACone,
     Wall,
     _dual_pairings,
     is_cone,
+    json_ints,
     require_smooth_complete,
     stratum_fan,
     walls,
@@ -34,16 +36,18 @@ from .fan import (
 
 @dataclass(frozen=True)
 class InvariantDivisor:
-    """Rational coefficient a_rho per ray; models sums a_1 D_1 + ... + a_n D_n."""
+    """Integer coefficient a_rho per ray; models sums a_1 D_1 + ... + a_n D_n.
+
+    Any other coefficient (a Fraction, float or bool) is a ValueError.
+    """
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_rational(x) for x in self.coeffs))
-
-    @property
-    def integral(self) -> bool:
-        return all(isinstance(x, int) for x in self.coeffs)
+        try:
+            object.__setattr__(self, "coeffs", json_ints(self.coeffs))
+        except TypeError as exc:
+            raise ValueError(f"divisor coefficients must be integers: {exc}") from exc
 
     def __add__(self, other: "InvariantDivisor") -> "InvariantDivisor":
         return InvariantDivisor(tuple(map(add, self.coeffs, self._same_length(other))))
@@ -60,8 +64,8 @@ class InvariantDivisor:
     def __neg__(self) -> "InvariantDivisor":
         return InvariantDivisor(tuple(-a for a in self.coeffs))
 
-    def __rmul__(self, scalar) -> "InvariantDivisor":
-        return InvariantDivisor(tuple(as_rational(scalar * a) for a in self.coeffs))
+    def __rmul__(self, scalar: int) -> "InvariantDivisor":
+        return InvariantDivisor(tuple(scalar * a for a in self.coeffs))
 
 
 def zero_divisor(f: Fan) -> InvariantDivisor:
@@ -87,7 +91,7 @@ def sorted_logset(f: Fan, dprime: Sequence[int]) -> tuple:
     """D' as the sorted tuple of its distinct ray indices; ValueError if one
     is not a ray of the fan."""
     dprime = tuple(sorted(set(dprime)))
-    if any(not 0 <= j < f.n_rays for j in dprime):
+    if dprime and not 0 <= dprime[0] <= dprime[-1] < len(f.rays):
         raise ValueError(f"logset ray index out of range in {dprime}")
     return dprime
 
@@ -98,7 +102,10 @@ def rayset_divisor(f: Fan, rays: Sequence[int]) -> InvariantDivisor:
 
 
 def principal_divisor(f: Fan, m: Sequence[int]) -> InvariantDivisor:
-    """div(chi^m) = sum <m, u_rho> D_rho."""
+    """div(chi^m) = sum <m, u_rho> D_rho; ValueError unless m has one entry
+    per coordinate of the lattice."""
+    if len(m) != f.dim:
+        raise ValueError(f"weight has {len(m)} entries for a lattice of rank {f.dim}")
     return InvariantDivisor(
         tuple(sum(mk * uk for mk, uk in zip(m, ray)) for ray in f.rays)
     )
@@ -109,8 +116,7 @@ def _zero_on(f: Fan, coeffs: tuple, cone: int, rays) -> tuple:
     of ``max_cones[cone]`` whose dual basis is m_i.
 
     The result is 0 at ``rays`` and keeps the cone's other rays' entries;
-    it is coeffs - sum a_rho row_rho in the cone's dual pairing table, exact
-    for int and Fraction coefficients alike.
+    it is coeffs - sum a_rho row_rho in the cone's dual pairing table.
     """
     table = _dual_pairings(f, cone)
     out = coeffs
@@ -121,8 +127,8 @@ def _zero_on(f: Fan, coeffs: tuple, cone: int, rays) -> tuple:
     return out
 
 
-def intersect_wall(f: Fan, d: InvariantDivisor, w: Wall):
-    """Intersection number of the R-divisor with the wall curve C_tau.
+def intersect_wall(f: Fan, d: InvariantDivisor, w: Wall) -> int:
+    """Intersection number of the divisor with the wall curve C_tau.
 
     With m_sigma the character making D vanish on sigma, this is
     <m_sigma - m_sigma', u'> for u' completing tau in sigma'; since
@@ -132,7 +138,7 @@ def intersect_wall(f: Fan, d: InvariantDivisor, w: Wall):
     if len(d.coeffs) != f.n_rays:
         raise ValueError("coefficient count does not match the fan")
     zero = _zero_on(f, d.coeffs, w.sigma, f.max_cones[w.sigma])
-    return as_rational(zero[w.u_extra_prime])
+    return zero[w.u_extra_prime]
 
 
 @lru_cache(maxsize=None)
@@ -165,9 +171,7 @@ def _convention_selftest() -> bool:
 def _wall_targets(f: Fan, coeffs: tuple) -> tuple:
     if len(coeffs) != f.n_rays:
         raise ValueError(f"divisor has {len(coeffs)} coefficients for {f.n_rays} rays")
-    return tuple(
-        as_rational(sum(c * x for c, x in zip(row, coeffs))) for row in wall_matrix(f)
-    )
+    return tuple(sum(map(mul, row, coeffs)) for row in wall_matrix(f))
 
 
 def wall_numbers(f: Fan, d: InvariantDivisor) -> tuple:
@@ -181,10 +185,7 @@ def is_nef(f: Fan, d: InvariantDivisor) -> bool:
 def is_ample(f: Fan, d: InvariantDivisor) -> bool:
     """Strict positivity on every wall curve; for complete fans this is
     strict convexity of the support function."""
-    values = wall_numbers(f, d)
-    if f.dim == 0:
-        return True
-    return all(v > 0 for v in values)
+    return all(v > 0 for v in wall_numbers(f, d))
 
 
 def is_projective(f: Fan) -> bool:
@@ -220,8 +221,6 @@ def hypothesis_feasible(
     few candidate vectors short-circuit most instances before the exact LP.
     """
     require_smooth_complete(f)
-    if not l.integral:
-        raise ValueError("l must be integral")
     dprime = sorted_logset(f, dprime)
     targets = wall_numbers(f, l)
     k = len(dprime)
@@ -266,29 +265,34 @@ def _hypothesis_lp(f: Fan, dprime: tuple, targets: tuple) -> Optional[tuple]:
 def residual_divisor(
     f: Fan, l: InvariantDivisor, dprime: Sequence[int], witness: Sequence
 ) -> InvariantDivisor:
-    """l - sum_j d_j D_j for a witness vector aligned with sorted(dprime)."""
+    """N (l - sum_j d_j D_j), N the lcm of the denominators of the witness
+    (aligned with sorted(dprime)): an integer class, ample exactly when
+    l - dD', and restricting to N times its restriction."""
     dprime = tuple(sorted(set(dprime)))
-    coeffs = list(l.coeffs)
+    n = lcm(*(d.denominator for d in witness))
+    coeffs = [n * c for c in l.coeffs]
     for j, d in zip(dprime, witness):
-        coeffs[j] -= d
+        coeffs[j] -= d.numerator * (n // d.denominator)
     return InvariantDivisor(tuple(coeffs))
 
 
 def require_witness(
     f: Fan, l: InvariantDivisor, dprime: Sequence[int], witness: Sequence
 ) -> InvariantDivisor:
-    """Check a supplied hypothesis witness and return its residual l - dD'.
+    """Check a supplied hypothesis witness and return its integer residual
+    class N (l - dD') (see ``residual_divisor``).
 
-    The witness must have one entry per ray of D' (in sorted order), lie in
-    [0,1]^{D'} and make the residual ample; otherwise ValueError.
+    The witness must have one int or Fraction entry per ray of D' (in
+    sorted order), lie in [0,1]^{D'} and make the residual ample; otherwise
+    ValueError.
     """
     dprime = sorted_logset(f, dprime)
     if len(witness) != len(dprime):
         raise ValueError("supplied witness does not satisfy the hypothesis: "
                          f"{len(witness)} entries for {len(dprime)} log rays")
-    if any(not 0 <= as_rational(d) <= 1 for d in witness):
+    if any(type(d) not in (int, Fraction) or not 0 <= d <= 1 for d in witness):
         raise ValueError("supplied witness does not satisfy the hypothesis: "
-                         "it leaves the unit box")
+                         "it is not an int or Fraction vector in the unit box")
     residual = residual_divisor(f, l, dprime, witness)
     if not is_ample(f, residual):
         raise ValueError("supplied witness does not satisfy the hypothesis: "
@@ -315,20 +319,15 @@ def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> Inva
 
 
 def divisor_to_dict(d: InvariantDivisor) -> dict:
-    return {"coeffs": [x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
-                       for x in d.coeffs]}
+    return {"coeffs": list(d.coeffs)}
 
 
 def divisor_from_dict(data: dict) -> InvariantDivisor:
     try:
-        coeffs = []
-        for x in data["coeffs"]:
-            if isinstance(x, str):
-                coeffs.append(Fraction(x))
-            elif type(x) is int:
-                coeffs.append(x)
-            else:
-                raise ValueError(f"bad coefficient {x!r}")
-        return InvariantDivisor(tuple(coeffs))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        coeffs = tuple(data["coeffs"])
+        bad = [x for x in coeffs if type(x) is not int]
+        if bad:
+            raise ValueError(f"coefficient {bad[0]!r} is not an integer")
+        return InvariantDivisor(coeffs)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad divisor data: {exc}") from exc

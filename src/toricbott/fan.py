@@ -44,7 +44,8 @@ class UnknownFamily(FanError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Rays plus maximal cones in the cocharacter lattice Z^dim."""
+    """Rays plus maximal cones in the cocharacter lattice Z^dim; hashed once,
+    at construction, since every per-fan cache is keyed on the fan."""
 
     dim: int
     rays: tuple
@@ -55,6 +56,10 @@ class Fan:
         object.__setattr__(
             self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
         )
+        object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_rays(self) -> int:
@@ -461,7 +466,7 @@ def json_ints(values) -> tuple:
     """A JSON list of integers as a tuple; TypeError for any other entry
     (float, bool, string), so that no reader truncates a number."""
     values = tuple(values)
-    if any(type(x) is not int for x in values):
+    if not {int}.issuperset(map(type, values)):
         raise TypeError(f"expected integers, got {list(values)!r}")
     return values
 
@@ -477,6 +482,7 @@ def fan_from_dict(data: dict) -> Fan:
     return fan
 
 
+@lru_cache(maxsize=None)
 def fan_hash(f: Fan) -> str:
     """Stable content hash of the fan (used in certificates)."""
     blob = json.dumps(fan_to_dict(f), sort_keys=True).encode()

@@ -111,6 +111,13 @@ def test_vanishing_log_ray_out_of_range_is_malformed(p2_file, divisor_file, acti
                  "--logset", "5", "--unchecked"]) == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("action", ["check", "certify"])
+def test_vanishing_rational_divisor_is_malformed(p2_file, divisor_file, capsys, action):
+    d = divisor_file([2, "1/2", 0])
+    assert main(["vanishing", action, "--fan", p2_file, "--divisor", d]) == EXIT_MALFORMED
+    assert "coefficient '1/2' is not an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("action, coeffs", [("check", [1, 1, 1, -9]), ("certify", [1, 1]),
                                              ("cross-validate", [1])])
 def test_vanishing_wrong_length_divisor_is_malformed(p2_file, divisor_file, capsys,

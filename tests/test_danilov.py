@@ -649,3 +649,32 @@ def test_verify_sweep_runs_one_pass_per_flags_and_class(monkeypatch, name, passe
     out = thm11_sweep(suite_fans()[name], certify=False)
     assert out.all_verified
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("name", ["bl3", "p3"])
+def test_verify_reads_each_form_degree_group_once(monkeypatch, name):
+    # verify_vanishing reads p = 0 and all p >= 1 with one lookup each; its
+    # per_p must equal the one-degree answers of log_spec_dims
+    from toricbott.danilov import _Engine
+    from toricbott.divisors import hypothesis_feasible
+
+    f = suite_fans()[name]
+    rng = random.Random(f"per-p-{name}")
+    lookups = []
+    original = _Engine.dims
+    monkeypatch.setattr(_Engine, "dims",
+                        lambda self, *args: lookups.append(args) or original(self, *args))
+    checked = 0
+    while checked < 12:
+        dprime = tuple(i for i in range(f.n_rays) if rng.random() < 0.5)
+        l = InvariantDivisor(tuple(rng.randint(0, 2) for _ in range(f.n_rays)))
+        witness = hypothesis_feasible(f, l, dprime)
+        if witness is None:
+            continue
+        lookups.clear()
+        report = verify_vanishing(f, dprime, l, witness=witness)
+        assert [args[0] for args in lookups] == [(0,), tuple(range(1, f.dim + 1))]
+        twist = l - rayset_divisor(f, dprime)
+        assert report.per_p == tuple(log_spec_dims(f, p, dprime, twist)
+                                     for p in range(f.dim + 1))
+        checked += 1

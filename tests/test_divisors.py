@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -135,6 +136,31 @@ def test_hypothesis_examples():
     assert is_ample(P2, residual_divisor(P2, 2 * d0, (0, 1, 2), w))
 
 
+@pytest.mark.parametrize("name, dprime, coeffs, witness, residual", [
+    ("p2", (0, 1, 2), (2, 0, 0), (0, 0, 0), (2, 0, 0)),
+    ("f2", (1,), (0, 1, 1, 0), (Fraction(2, 3),), (0, 1, 3, 0)),
+    ("bl2", (0, 1), (0, 1, 1, 0, 1), (0, Fraction(1, 2)), (0, 1, 2, 0, 2)),
+    ("bl3", (0, 1, 2), (0, 1, 1, 0, 1, 0), (Fraction(1, 3),) * 3, (-1, 2, 2, 0, 3, 0)),
+])
+def test_residual_is_the_cleared_integer_class(name, dprime, coeffs, witness, residual):
+    # N (L - dD') with N the lcm of the witness denominators: ample exactly
+    # when L - dD' is, and it restricts to N times its restriction
+    f = suite_fans()[name]
+    l = InvariantDivisor(coeffs)
+    r = require_witness(f, l, dprime, witness)
+    assert r == residual_divisor(f, l, dprime, witness) == InvariantDivisor(residual)
+    n, _ = _cleared(witness)
+    rational = list(coeffs)
+    for j, d in zip(dprime, witness):
+        rational[j] -= d
+    assert r.coeffs == tuple(n * x for x in rational)
+    for tau in ((j,) for j in range(f.n_rays)):
+        expected = tuple(n * x for x in _covector_restriction(f, rational, tau))
+        restricted = restrict_to_stratum(f, r, tau)
+        assert restricted.coeffs == expected
+        assert is_ample(stratum_fan(f, tau).fan, restricted)
+
+
 def test_wrong_length_divisors_are_rejected():
     # a zip over coefficients would drop the extra entries or the missing
     # rays and answer for another divisor
@@ -260,17 +286,35 @@ def test_restriction_examples():
 
 
 def test_divisor_file_format():
-    d = InvariantDivisor((1, Fraction(1, 2), -3))
+    d = InvariantDivisor((1, 0, -3))
     data = divisor_to_dict(d)
-    assert data["coeffs"] == [1, "1/2", -3]
+    assert data["coeffs"] == [1, 0, -3]
+    assert all(type(x) is int for x in data["coeffs"])
     assert divisor_from_dict(data) == d
+    for bad in ("1/2", 1.5, True):
+        with pytest.raises(ValueError, match=f"coefficient {bad!r} is not an integer"):
+            divisor_from_dict({"coeffs": [1, bad, 0]})
     with pytest.raises(ValueError):
-        divisor_from_dict({"coeffs": [1.5]})
-    with pytest.raises(ValueError):
-        divisor_from_dict({"coeffs": [True, 0, 0]})
+        divisor_from_dict({"coeffs": 3})
 
 
-def _covector_restriction(f, d, tau):
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), 0.5, 1.0, True])
+def test_divisor_coefficients_must_be_ints(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        InvariantDivisor((1, bad, 0))
+    if type(bad) is not bool:  # True * 1 is the int 1
+        with pytest.raises(ValueError, match="must be integers"):
+            bad * InvariantDivisor((1, 0, 0))
+
+
+def test_principal_divisor_needs_one_entry_per_coordinate():
+    assert principal_divisor(P2, (1, 0)) == InvariantDivisor((1, 0, -1))
+    for m in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match="entries for a lattice of rank 2"):
+            principal_divisor(P2, m)
+
+
+def _covector_restriction(f, coeffs, tau):
     """Restriction to V(tau) written out from its definition in Fraction
     arithmetic: the covector m* = -sum_{rho in tau} a_rho m_rho over the
     base cone's dual basis m_i, then a_rho + <m*, u_rho> at each adjacent
@@ -282,11 +326,15 @@ def _covector_restriction(f, d, tau):
     for pos, ray in enumerate(cone):
         if ray in tau:
             for k in range(f.dim):
-                mstar[k] -= Fraction(d.coeffs[ray]) * duals[pos][k]
-    return InvariantDivisor(tuple(
-        d.coeffs[ray] + sum(m * u for m, u in zip(mstar, f.rays[ray]))
-        for ray in sp.adjacent
-    ))
+                mstar[k] -= Fraction(coeffs[ray]) * duals[pos][k]
+    return tuple(coeffs[ray] + sum(m * u for m, u in zip(mstar, f.rays[ray]))
+                 for ray in sp.adjacent)
+
+
+def _cleared(coeffs):
+    """(N, N * coeffs as ints) with N the lcm of the denominators."""
+    n = math.lcm(*(Fraction(x).denominator for x in coeffs))
+    return n, tuple(int(n * x) for x in coeffs)
 
 
 BL_PT_P3 = star_subdivision(projective_space(3), (0, 1, 2))
@@ -309,12 +357,12 @@ def test_restriction_matches_the_covector_formula(name):
         for rational in (False, True):
             coeffs = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rational
                            else rng.randint(-4, 4) for _ in range(f.n_rays))
-            d = InvariantDivisor(coeffs)
-            restricted = restrict_to_stratum(f, d, tau)
-            assert restricted == _covector_restriction(f, d, tau), (tau, coeffs)
-            if d.integral:
-                # restricted twists stay int
-                assert all(type(x) is int for x in restricted.coeffs)
+            # restriction is linear: N D restricts to N times D's restriction
+            n, cleared = _cleared(coeffs)
+            restricted = restrict_to_stratum(f, InvariantDivisor(cleared), tau)
+            expected = tuple(n * x for x in _covector_restriction(f, coeffs, tau))
+            assert restricted.coeffs == expected, (tau, coeffs)
+            assert all(type(x) is int for x in restricted.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,7 +371,8 @@ def test_zero_on_moves_within_the_class(name, rnd):
     f = _rule_fans()[name]
     cone = rnd.randrange(len(f.max_cones))
     rays = tuple(rnd.sample(f.max_cones[cone], rnd.randint(0, f.dim)))
-    coeffs = tuple(Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(f.n_rays))
+    _, coeffs = _cleared([Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))
+                          for _ in range(f.n_rays)])
     moved = _zero_on(f, coeffs, cone, rays)
     for ray in f.max_cones[cone]:
         assert moved[ray] == (0 if ray in rays else coeffs[ray])
