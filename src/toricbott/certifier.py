@@ -173,8 +173,8 @@ def build_certificate(
     return Certificate((root,), tuple(witness), fan_hash(f), dprime, tuple(l.coeffs))
 
 
-def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> int:
-    """Validate one node recursively; returns the leaf count below it."""
+def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> None:
+    """Validate one node and, recursively, its children."""
     claim = node.claim
     if claim.stratum != chain:
         raise MalformedNode(f"claim stratum {claim.stratum} does not match chain {chain}")
@@ -193,7 +193,7 @@ def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> int:
             raise LeafNonzero(
                 f"leaf line bundle {bundle.coeffs} on chain {chain} has h={dims}"
             )
-        return 1
+        return
     if node.rule != RESIDUE_RULE:
         raise MalformedNode(f"unknown rule {node.rule!r}")
     h = node.added_ray
@@ -205,13 +205,12 @@ def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> int:
     # Children are checked before the structural comparison so that a bad
     # leaf deep in the tree surfaces as LeafNonzero, not as a mismatch of
     # some ancestor.
-    leaves = _check_node(fan_s, node.sub_child, chain)
-    leaves += _check_node(sp.fan, node.quotient_child, chain + (h,))
+    _check_node(fan_s, node.sub_child, chain)
+    _check_node(sp.fan, node.quotient_child, chain + (h,))
     if node.sub_child.claim != expected_sub:
         raise MalformedNode("sub child claim is not the residue-sequence subobject")
     if node.quotient_child.claim != expected_quot:
         raise MalformedNode("quotient child claim is not the residue-sequence quotient")
-    return leaves
 
 
 def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False) -> bool:

@@ -39,7 +39,7 @@ class ScenarioReport:
 
 def scenario(d: int) -> ScenarioReport:
     """All numeric invariants of the family at curve degree d."""
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise DomainError(f"need an integer degree d >= 1, got {d!r}")
     e_invariant = d * d + d
     deg_wedge2_conormal = d - d * d

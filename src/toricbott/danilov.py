@@ -142,7 +142,8 @@ class SectionBasis:
 
     ``allowed`` lists the admissible dual-basis index sets (by ray index of
     the completing cone); ``vectors`` are their coordinates in the standard
-    basis of wedge^p M_Q, ordered by ``wedge_index_sets``.
+    basis of wedge^p M_Q, whose index sets are ordered lexicographically
+    (``itertools.combinations(range(r), p)``).
     """
 
     completion: tuple
@@ -259,10 +260,6 @@ class _Engine:
         if cached is not None:
             return cached
         r = self.r
-        if p > r:
-            result = (0,) * (r + 1)
-            self._state_coh[key] = result
-            return result
         allowed = [[self._allowed(p, tau, comp, states) for tau, comp, _ in level]
                    for level in self.levels]
         offsets = [list(itertools.accumulate((len(a) for a in lev), initial=0))
@@ -401,9 +398,6 @@ class _Engine:
         bounds those weights per coordinate (None when there are none).
         """
         r = self.r
-        if r == 0:
-            dims = tuple(self.state_cohomology(p, ()) for p in degrees)
-            return ([(dims, [()])], ()) if any(map(any, dims)) else ([], None)
         found = []
         box = None
         for states, verts in self.chamber_patterns(merged, twist).items():
@@ -460,9 +454,6 @@ class _Engine:
 
     def box_run(self, spec: LogFormSheafSpec, bounds) -> Dict[tuple, tuple]:
         p, twist = spec.p, spec.twist
-        if self.r == 0:
-            dims = self.state_cohomology(p, ())
-            return {(): dims} if any(dims) else {}
         merged = self.merged(p, spec.logset)
         support: Dict[tuple, tuple] = {}
         for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
@@ -519,11 +510,6 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     return SectionBasis(cone, allowed_rays, tuple(vectors))
 
 
-def wedge_index_sets(r: int, p: int) -> tuple:
-    """Ordering of the standard basis of wedge^p M_Q used by SectionBasis."""
-    return tuple(itertools.combinations(range(r), p))
-
-
 def cech_cohomology(
     f: Fan,
     s: LogFormSheafSpec,
@@ -577,8 +563,6 @@ def _class_representative(f: Fan, twist: tuple) -> tuple:
     The margin of weight m under T is the margin of m + m0 under the
     representative, so both have the same dims at shifted weights.
     """
-    if len(twist) != f.n_rays:
-        raise ValueError("twist length does not match the fan")
     return _zero_on(f, twist, 0, f.max_cones[0])
 
 

@@ -117,7 +117,10 @@ def _zero_on(f: Fan, coeffs: tuple, cone: int, rays) -> tuple:
 
     The result is 0 at ``rays`` and keeps the cone's other rays' entries;
     it is coeffs - sum a_rho row_rho in the cone's dual pairing table.
+    ValueError unless there is one coefficient per ray.
     """
+    if len(coeffs) != f.n_rays:
+        raise ValueError(f"divisor has {len(coeffs)} coefficients for {f.n_rays} rays")
     table = _dual_pairings(f, cone)
     out = coeffs
     for row, ray in zip(table, f.max_cones[cone]):
@@ -135,8 +138,6 @@ def intersect_wall(f: Fan, d: InvariantDivisor, w: Wall) -> int:
     <m_sigma', u'> = -a_u', it is the entry at u' of D + div(chi^{m_sigma}).
     """
     require_smooth_complete(f)
-    if len(d.coeffs) != f.n_rays:
-        raise ValueError("coefficient count does not match the fan")
     zero = _zero_on(f, d.coeffs, w.sigma, f.max_cones[w.sigma])
     return zero[w.u_extra_prime]
 
@@ -191,8 +192,6 @@ def is_ample(f: Fan, d: InvariantDivisor) -> bool:
 def is_projective(f: Fan) -> bool:
     """A complete fan is projective iff some divisor is ample (strict LP)."""
     require_smooth_complete(f)
-    if f.dim == 0:
-        return True
     w = wall_matrix(f)
     rows = [[-x for x in row] for row in w]
     witness = lp_feasible_strict(rows, [0] * len(rows))
@@ -224,8 +223,6 @@ def hypothesis_feasible(
     dprime = sorted_logset(f, dprime)
     targets = wall_numbers(f, l)
     k = len(dprime)
-    if k == 0:
-        return () if is_ample(f, l) else None
     _, minsums, fullsums, greedy, greedy_sums = _dprime_rows(f, dprime)
 
     # Necessary condition per wall: the box minimum of the row must beat it.
@@ -312,8 +309,6 @@ def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> Inva
     if not is_cone(f, tau):
         raise NotACone(f"{tau} does not span a cone of the fan")
     sp = stratum_fan(f, tau)
-    if tau == ():
-        return d
     zero = _zero_on(f, d.coeffs, sp.base_cone, tau)
     return InvariantDivisor(tuple(zero[i] for i in sp.adjacent))
 

@@ -120,24 +120,9 @@ def rank(m: QMatrix) -> int:
 
 
 def det(rows) -> int:
-    """Exact determinant of a square integer matrix given as a list of rows.
-
-    Closed forms up to 3 x 3 (the hot path: wedge minors of the cohomology
-    engine and dual bases of surface and threefold cones), fraction-free
-    Bareiss elimination beyond.
-    """
+    """Exact determinant of a square integer matrix given as a list of rows,
+    by fraction-free (Bareiss) elimination; the empty matrix has det 1."""
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     full_rank, sign, last = _bareiss([list(row) for row in rows], n)
     return sign * last if full_rank == n else 0
 

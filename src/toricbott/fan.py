@@ -42,20 +42,36 @@ class UnknownFamily(FanError):
     """Unknown builtin fan family."""
 
 
+def json_ints(values) -> tuple:
+    """A JSON list of integers as a tuple; TypeError for any other entry
+    (float, bool, string), so that no reader truncates a number."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        raise TypeError(f"expected integers, got {list(values)!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class Fan:
     """Rays plus maximal cones in the cocharacter lattice Z^dim; hashed once,
-    at construction, since every per-fan cache is keyed on the fan."""
+    at construction, since every per-fan cache is keyed on the fan.
+
+    The dimension, ray entries and cone indices must be ints (not bools or
+    floats); anything else is MalformedInput rather than a truncated number.
+    """
 
     dim: int
     rays: tuple
     max_cones: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
-        )
+        try:
+            json_ints([self.dim])
+            object.__setattr__(self, "rays", tuple(json_ints(r) for r in self.rays))
+            object.__setattr__(self, "max_cones",
+                               tuple(tuple(sorted(json_ints(c))) for c in self.max_cones))
+        except TypeError as exc:
+            raise MalformedInput(f"fan data must be integers: {exc}") from exc
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
 
     def __hash__(self) -> int:
@@ -251,12 +267,6 @@ def validate(f: Fan) -> FanDiagnostics:
     """
     _check_structure(f)
     reasons = []
-    if f.dim == 0:
-        complete = f.max_cones == ((),)
-        if not complete:
-            reasons.append("zero-dimensional fan must consist of the zero cone")
-        return FanDiagnostics(True, complete, True, tuple(reasons))
-
     dets = [_scaled_dual_basis(f, c)[0] for c in f.max_cones]  # |det| per cone
     smooth = all(d == 1 for d in dets)
     if not smooth:
@@ -444,14 +454,18 @@ def product(f1: Fan, f2: Fan) -> Fan:
 
 
 def builtin(name: str, **params) -> Fan:
-    """Standard fan families by name (CLI entry point)."""
-    if name == "projective_space":
-        return projective_space(int(params["dim"]))
-    if name == "hirzebruch":
-        return hirzebruch(int(params["param"]))
-    if name == "product":
-        return product(params["f1"], params["f2"])
-    raise UnknownFamily(f"unknown builtin family {name!r}")
+    """Standard fan families by name (CLI entry point): projective_space
+    takes ``dim`` and hirzebruch ``param``, an int; MalformedInput if it is
+    missing or not an int."""
+    families = {"projective_space": (projective_space, "dim"), "hirzebruch": (hirzebruch, "param")}
+    if name not in families:
+        raise UnknownFamily(f"unknown builtin family {name!r}")
+    make, key = families[name]
+    try:
+        (value,) = json_ints([params[key]])
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"builtin family {name!r} needs an integer {key!r}") from exc
+    return make(value)
 
 
 def fan_to_dict(f: Fan) -> dict:
@@ -462,21 +476,10 @@ def fan_to_dict(f: Fan) -> dict:
     }
 
 
-def json_ints(values) -> tuple:
-    """A JSON list of integers as a tuple; TypeError for any other entry
-    (float, bool, string), so that no reader truncates a number."""
-    values = tuple(values)
-    if not {int}.issuperset(map(type, values)):
-        raise TypeError(f"expected integers, got {list(values)!r}")
-    return values
-
-
 def fan_from_dict(data: dict) -> Fan:
     try:
-        (dim,) = json_ints([data["dim"]])
-        fan = Fan(dim, tuple(json_ints(r) for r in data["rays"]),
-                  tuple(json_ints(c) for c in data["max_cones"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        fan = Fan(data["dim"], data["rays"], data["max_cones"])
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad fan data: {exc}") from exc
     _check_structure(fan)
     return fan

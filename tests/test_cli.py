@@ -66,6 +66,12 @@ def test_fan_file_with_float_ray_is_malformed(tmp_path):
     assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("name, option", [("projective_space", "dim"), ("hirzebruch", "param")])
+def test_builtin_without_its_parameter_is_malformed(capsys, name, option):
+    assert main(["fan", "builtin", "--name", name]) == EXIT_MALFORMED
+    assert f"needs an integer '{option}'" in capsys.readouterr().err
+
+
 def test_blowup_adds_ray(p2_file, tmp_path):
     out = tmp_path / "bl.json"
     assert main(["fan", "blowup", "--fan", p2_file, "--cone", "0,1",

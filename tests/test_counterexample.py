@@ -45,6 +45,13 @@ def test_domain_error():
         scenario(-3)
 
 
+def test_degree_must_be_an_int():
+    # True is an int subclass and would run as d = 1
+    for bad in (True, 8.0, "8"):
+        with pytest.raises(DomainError):
+            scenario(bad)
+
+
 def test_relative_ample_for_all_small_degrees():
     assert all(relative_ample_check(d) for d in range(1, 51))
 

@@ -459,6 +459,21 @@ def test_point_fan_cohomology():
     assert log_spec_dims(point, 1, (), InvariantDivisor(())) == (0,)
 
 
+@pytest.mark.parametrize("p, dims, support, box", [(0, (1,), {(): (1,)}, ()), (1, (0,), {}, None)])
+def test_point_fan_cech_cohomology(p, dims, support, box):
+    point = stratum_fan(P2, (0, 1)).fan
+    s = sheaf_spec(p, [], ())
+    for result in (cech_cohomology(point, s), cech_cohomology(point, s, mode="box", box=())):
+        assert (result.dims, result.weight_support) == (dims, support)
+    assert chamber_support_box(point, s) == box
+
+
+def test_form_degree_above_the_dimension_has_no_cohomology():
+    s = sheaf_spec(3, [0], (1, 0, 0))
+    for result in (cech_cohomology(P2, s), cech_cohomology(P2, s, mode="box", box=((-2, 2),) * 2)):
+        assert (result.dims, result.weight_support) == ((0, 0, 0), {})
+
+
 # --- cone-poset complex ------------------------------------------------------
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cech.json")

@@ -180,6 +180,12 @@ def test_wrong_length_divisors_are_rejected():
         InvariantDivisor((1, 0, 0, 0)) - InvariantDivisor((1, 0, 0))
     with pytest.raises(ValueError):
         euler_additivity_check(P2, (), 0, InvariantDivisor((1,)))
+    # restriction must neither index past a short divisor nor drop a long
+    # one's extra entries
+    with pytest.raises(ValueError, match="1 coefficients for 3 rays"):
+        restrict_to_stratum(P2, InvariantDivisor((1,)), (0,))
+    with pytest.raises(ValueError, match="4 coefficients for 3 rays"):
+        restrict_to_stratum(P2, InvariantDivisor((1, 0, 0, 5)), (0,))
     assert InvariantDivisor((1, 2)) - InvariantDivisor((3, -1)) == InvariantDivisor((-2, 3))
 
 
@@ -195,12 +201,14 @@ def test_sorted_logset_sorts_and_checks_the_range():
 
 
 def test_hypothesis_with_empty_logset_is_ampleness():
-    for name, f in suite_fans().items():
-        if f.n_rays > 4:
-            continue
-        for coeffs in itertools.product((0, 1), repeat=f.n_rays):
+    # with D' empty the witness is the empty vector exactly when L is ample
+    fans = suite_fans()
+    cases = [(f, (0, 1)) for f in fans.values() if f.n_rays <= 4]
+    cases += [(fans[name], (-1, 0, 1, 2)) for name in ("p2", "f1", "bl1")]
+    for f, values in cases:
+        for coeffs in itertools.product(values, repeat=f.n_rays):
             l = InvariantDivisor(coeffs)
-            assert (hypothesis_feasible(f, l, ()) is not None) == is_ample(f, l)
+            assert hypothesis_feasible(f, l, ()) == (() if is_ample(f, l) else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,6 +291,14 @@ def test_restriction_examples():
     fiber = ray_divisor(p1xp1, 0)
     r = restrict_to_stratum(p1xp1, fiber, (2,))
     assert sum(r.coeffs) == 1
+
+
+def test_restriction_to_the_empty_cone_is_the_identity():
+    rng = random.Random(13)
+    for f in suite_fans().values():
+        for _ in range(20):
+            d = InvariantDivisor(tuple(rng.randint(-3, 3) for _ in range(f.n_rays)))
+            assert restrict_to_stratum(f, d, ()) == d
 
 
 def test_divisor_file_format():

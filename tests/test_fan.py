@@ -27,6 +27,7 @@ from toricbott.fan import (
     _dual_basis,
     automorphisms,
 )
+from toricbott.divisors import is_projective
 from toricbott.exactmath import det
 from toricbott.suite import suite_fans
 
@@ -194,6 +195,35 @@ def test_builtin_dispatch():
     assert builtin("hirzebruch", param=1) == hirzebruch(1)
     with pytest.raises(UnknownFamily):
         builtin("weighted_projective", dim=2)
+
+
+def test_builtin_needs_its_integer_parameter():
+    with pytest.raises(MalformedInput, match="'dim'"):
+        builtin("projective_space")
+    with pytest.raises(MalformedInput, match="'param'"):
+        builtin("hirzebruch", dim=2)
+    for bad in (2.7, True, "2"):
+        with pytest.raises(MalformedInput, match="'dim'"):
+            builtin("projective_space", dim=bad)
+
+
+@pytest.mark.parametrize("dim, rays, cones", [
+    (1, ((1.9,), (-1,)), ((0,), (1,))),
+    (1.0, ((1,), (-1,)), ((0,), (1,))),
+    (True, ((1,), (-1,)), ((0,), (1,))),
+    (1, ((True,), (-1,)), ((0,), (1,))),
+    (1, ((1,), (-1,)), ((0.0,), (1,))),
+], ids=["float-ray", "float-dim", "bool-dim", "bool-ray", "float-index"])
+def test_fan_constructor_rejects_non_integer_numbers(dim, rays, cones):
+    # a truncating constructor would turn the first fan into P^1
+    with pytest.raises(MalformedInput):
+        Fan(dim, rays, cones)
+
+
+def test_point_fan_validates_and_is_projective():
+    point = stratum_fan(P2, (0, 1)).fan
+    assert validate(point) == FanDiagnostics(True, True, True, ())
+    assert is_projective(point)
 
 
 def test_fan_file_format_roundtrip():
