@@ -38,7 +38,8 @@ from .divisors import (
     restrict_to_stratum,
     sorted_logset,
 )
-from .fan import Fan, fan_hash, json_ints, require_smooth_complete, stratum_fan
+from .exactmath import json_ints
+from .fan import Fan, fan_hash, require_smooth_complete, stratum_fan
 
 
 class CertificateError(ValueError):
@@ -275,9 +276,14 @@ class CrossValidationReport:
     agree: bool
 
 
-def cross_validate(f: Fan, dprime: Sequence[int], l: InvariantDivisor) -> CrossValidationReport:
-    """Run both proof paths; they must both succeed, or something is wrong."""
-    cert = build_certificate(f, dprime, l)
+def cross_validate(f: Fan, dprime: Sequence[int], l: InvariantDivisor,
+                   witness: Optional[Sequence] = None) -> CrossValidationReport:
+    """Run both proof paths; they must both succeed, or something is wrong.
+
+    A supplied hypothesis ``witness`` is checked and used by both paths
+    instead of solving the LP; without one the certificate finds it.
+    """
+    cert = build_certificate(f, dprime, l, witness=witness)
     cert_ok = check_certificate(f, cert)
     direct = verify_vanishing(f, dprime, l, witness=cert.hypothesis_witness)
     return CrossValidationReport(cert_ok, direct, cert_ok and direct.passed)
@@ -301,9 +307,9 @@ def _node_to_dict(node: CertificateNode) -> dict:
 
 def _node_from_dict(data: dict) -> CertificateNode:
     claim = VanishingClaim(
-        json_ints(data["claim"]["stratum"]),
-        json_ints(data["claim"]["logset"]),
-        json_ints(data["claim"]["twist"]),
+        json_ints(data["claim"]["stratum"], "stratum index"),
+        json_ints(data["claim"]["logset"], "log ray"),
+        json_ints(data["claim"]["twist"], "twist entry"),
     )
     rule = data["rule"]
     if rule == LEAF_RULE:
@@ -312,7 +318,7 @@ def _node_from_dict(data: dict) -> CertificateNode:
         return CertificateNode(
             claim,
             RESIDUE_RULE,
-            json_ints([data["added_ray"]])[0],
+            json_ints([data["added_ray"]], "added ray")[0],
             _node_from_dict(data["sub"]),
             _node_from_dict(data["quotient"]),
         )
@@ -337,11 +343,11 @@ def certificate_from_dict(data: dict) -> Certificate:
         return Certificate(
             tuple(_node_from_dict(r) for r in data["roots"]),
             # an int or an exact "a/b" string; a JSON float is not exact
-            tuple(Fraction(x) if isinstance(x, str) else Fraction(*json_ints([x]))
+            tuple(Fraction(x) if isinstance(x, str) else Fraction(*json_ints([x], "witness entry"))
                   for x in data["hypothesis_witness"]),
             str(data["fan_sha256"]),
-            json_ints(data["logset"]),
-            json_ints(data["divisor"]),
+            json_ints(data["logset"], "log ray"),
+            json_ints(data["divisor"], "coefficient"),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         # RecursionError: nesting far deeper than any fan's ray count

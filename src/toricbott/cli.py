@@ -97,25 +97,24 @@ def cmd_vanishing(args) -> int:
               file=sys.stderr)
         return EXIT_INFEASIBLE
     if args.vanishing_action in ("check", "cross-validate"):
-        report = danilov.verify_vanishing(f, dprime, l, witness=witness,
-                                          unchecked=args.unchecked)
+        both = None
+        if args.vanishing_action == "cross-validate" and witness is not None:
+            both = certifier.cross_validate(f, dprime, l, witness)
+            report = both.direct
+        else:
+            report = danilov.verify_vanishing(f, dprime, l, witness=witness,
+                                              unchecked=args.unchecked)
         data = _report_payload(report)
         lines = [f"pass: {report.passed}"]
         for p, dims in enumerate(report.per_p):
             lines.append(f"p={p}: h = {list(dims)}")
-        if args.vanishing_action == "cross-validate" and witness is not None:
-            cert = certifier.build_certificate(f, dprime, l, witness=witness)
-            data["certificate_ok"] = certifier.check_certificate(f, cert)
-            data["agree"] = data["certificate_ok"] and report.passed
-            lines.append(f"certificate_ok: {data['certificate_ok']}")
-            lines.append(f"agree: {data['agree']}")
+        if both is not None:
+            data["certificate_ok"], data["agree"] = both.certificate_ok, both.agree
+            lines += [f"certificate_ok: {both.certificate_ok}", f"agree: {both.agree}"]
         _emit(data, args.format, lines)
         if args.unchecked and witness is None:
             return EXIT_OK
-        ok = report.passed
-        if args.vanishing_action == "cross-validate" and witness is not None:
-            ok = ok and data["agree"]
-        return EXIT_OK if ok else EXIT_FAIL
+        return EXIT_OK if report.passed and (both is None or both.agree) else EXIT_FAIL
     # certify
     cert = certifier.build_certificate(f, dprime, l, witness=witness)
     ok = certifier.check_certificate(f, cert)
@@ -140,10 +139,7 @@ def cmd_cohomology(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad sheaf spec: {exc}") from exc
     box = None
-    if args.mode == "box":
-        if args.box_bound is None:
-            print("box mode requires --box-bound", file=sys.stderr)
-            return EXIT_MALFORMED
+    if args.box_bound is not None:
         box = tuple((-args.box_bound, args.box_bound) for _ in range(f.dim))
     result = danilov.cech_cohomology(f, spec, mode=args.mode, box=box)
     data = {
@@ -197,13 +193,14 @@ def cmd_suite(args) -> int:
     fans = suite.suite_fans()
     names = sorted(fans) if args.fans == "all" else args.fans.split(",")
     rng = random.Random(args.seed)
-    overall_ok = True
     if any(name not in fans for name in names):
         print(f"unknown suite fan in {names}", file=sys.stderr)
         return EXIT_MALFORMED
-    if args.bound < 0 or args.sample < 0:
-        print("--bound and --sample must be nonnegative", file=sys.stderr)
+    if args.bound < 0 or args.sample < 0 or args.jobs < 1:
+        print("--bound and --sample must be nonnegative and --jobs positive", file=sys.stderr)
         return EXIT_MALFORMED
+    rows = {}
+    lines = []
     if args.select == "thm11":
         tasks = [(name, not args.no_certify) for name in names]
         if args.jobs > 1:
@@ -217,37 +214,31 @@ def cmd_suite(args) -> int:
             results = map(_thm11_worker, tasks)
         for name, out in results:
             ok = out.all_verified and (args.no_certify or out.all_certified)
-            overall_ok = overall_ok and ok
-            print(f"{name}: {out.feasible}/{out.instances} feasible, "
-                  f"verified={out.verified}, certified={out.certified}, ok={ok}")
-            for failure in out.failures:
-                print(f"    {failure}")
-        return EXIT_OK if overall_ok else EXIT_FAIL
-    for name in names:
-        f = fans[name]
-        if args.select == "serre":
-            failures = suite.serre_duality_failures(f, bound=args.bound)
-            log_failures = suite.log_serre_duality_failures(f, rng, args.sample)
-            ok = not failures and not log_failures
-            print(f"{name}: serre duality failures = {len(failures)}, "
-                  f"log serre duality failures = {len(log_failures)}")
-        elif args.select == "hodge":
-            ok = True
-            for dprime in suite.hodge_chart_subsets(f):
-                report = danilov.hodge_count_check(f, dprime)
-                ok = ok and report.passed
-            print(f"{name}: hodge counts ok={ok}")
-        elif args.select == "euler":
-            ok = True
-            for _, fan_, dprime, h, l in suite.sample_euler_instances(
-                    {name: f}, rng, args.sample):
-                report = danilov.euler_additivity_check(fan_, dprime, h, l)
-                ok = ok and report.passed
-            print(f"{name}: euler additivity ok={ok}")
-        else:
-            print(f"unknown suite selector {args.select!r}", file=sys.stderr)
-            return EXIT_MALFORMED
-        overall_ok = overall_ok and ok
+            rows[name] = dict(vars(out), ok=ok)
+            lines.append(f"{name}: {out.feasible}/{out.instances} feasible, "
+                         f"verified={out.verified}, certified={out.certified}, ok={ok}")
+            lines += [f"    {failure}" for failure in out.failures]
+    else:
+        for name in names:
+            f = fans[name]
+            if args.select == "serre":
+                failures = len(suite.serre_duality_failures(f, bound=args.bound))
+                log_failures = len(suite.log_serre_duality_failures(f, rng, args.sample))
+                rows[name] = {"serre_failures": failures, "log_serre_failures": log_failures,
+                              "ok": not failures and not log_failures}
+                lines.append(f"{name}: serre duality failures = {failures}, "
+                             f"log serre duality failures = {log_failures}")
+            elif args.select == "hodge":
+                rows[name] = {"ok": all(danilov.hodge_count_check(f, dprime).passed
+                                        for dprime in suite.hodge_chart_subsets(f))}
+                lines.append(f"{name}: hodge counts ok={rows[name]['ok']}")
+            else:
+                samples = suite.sample_euler_instances({name: f}, rng, args.sample)
+                rows[name] = {"ok": all(danilov.euler_additivity_check(*sample[1:]).passed
+                                        for sample in samples)}
+                lines.append(f"{name}: euler additivity ok={rows[name]['ok']}")
+    overall_ok = all(row["ok"] for row in rows.values())
+    _emit({"select": args.select, "fans": rows, "ok": overall_ok}, args.format, lines)
     return EXIT_OK if overall_ok else EXIT_FAIL
 
 

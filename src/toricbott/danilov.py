@@ -60,7 +60,7 @@ from math import comb, gcd, prod
 from operator import mul
 from typing import Dict, Optional, Sequence
 
-from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, polyhedron_bounded
+from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints, polyhedron_bounded
 from .divisors import (
     InvariantDivisor,
     _zero_on,
@@ -73,7 +73,7 @@ from .divisors import (
     zero_divisor,
 )
 from .fan import (Fan, NotACone, _dual_basis, _dual_pairings, _scaled_dual_basis, automorphisms,
-                  is_cone, json_ints, require_smooth_complete, stratum_fan)
+                  is_cone, require_smooth_complete, stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -121,12 +121,9 @@ class LogFormSheafSpec:
     twist: tuple
 
     def __post_init__(self):
-        try:
-            json_ints([self.p])
-            object.__setattr__(self, "logset", frozenset(json_ints(self.logset)))
-            object.__setattr__(self, "twist", json_ints(self.twist))
-        except TypeError as exc:
-            raise ValueError(f"sheaf spec needs integers: {exc}") from exc
+        json_ints([self.p], "form degree")
+        object.__setattr__(self, "logset", frozenset(json_ints(self.logset, "log ray")))
+        object.__setattr__(self, "twist", json_ints(self.twist, "twist entry"))
         if self.p < 0:
             raise ValueError("form degree must be nonnegative")
 
@@ -489,10 +486,7 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     if not is_cone(f, tau):
         raise NotACone(f"{tau} does not span a cone of the fan")
     comp = eng.completion[tau]
-    try:
-        m = json_ints(m)
-    except TypeError as exc:
-        raise ValueError(f"weight needs integers: {exc}") from exc
+    m = json_ints(m, "weight entry")
     if len(m) != f.dim:
         raise ValueError("weight length does not match the fan")
     margins = eng.margins(s.twist, m)
@@ -520,22 +514,22 @@ def cech_cohomology(
 
     mode="chamber" enumerates realizable margin patterns from the level
     arrangement; mode="box" brute-forces all weights in the explicit
-    per-coordinate integer box (required argument in that mode).  A box with
-    a non-integer bound or a pair with lo > hi is a ValueError, raised before
-    any weight is enumerated; so is a box of more than 5,000,000 weights,
-    explicit or a chamber's, as WeightBoxTooLarge.
+    per-coordinate integer box (required argument in that mode, and a
+    ValueError in chamber mode).  A box with a non-integer bound or a pair
+    with lo > hi is a ValueError, raised before any weight is enumerated; so
+    is a box of more than 5,000,000 weights, explicit or a chamber's, as
+    WeightBoxTooLarge.
     """
     _check_spec(f, s)
     eng = _engine(f)
     if mode == "chamber":
+        if box is not None:
+            raise ValueError("a box is read in box mode only, not in chamber mode")
         support, _ = eng.chamber_run(s)
     elif mode == "box":
         if box is None:
             raise ValueError("box mode requires explicit bounds")
-        try:
-            bounds = tuple(json_ints(pair) for pair in box)
-        except TypeError as exc:
-            raise ValueError(f"box needs integers: {exc}") from exc
+        bounds = tuple(json_ints(pair, "box bound") for pair in box)
         if len(bounds) != f.dim or any(len(pair) != 2 for pair in bounds):
             raise ValueError("box must have one (lo, hi) pair per dimension")
         if any(lo > hi for lo, hi in bounds):
@@ -605,7 +599,12 @@ class VanishingReport:
     violations: tuple          # (p, k, dim) with k >= 1 and dim != 0
     per_p: tuple               # per_p[p] = dims tuple h^0..h^r
     witness: Optional[tuple]
-    hypothesis_checked: bool
+
+    @property
+    def hypothesis_checked(self) -> bool:
+        """Whether a hypothesis witness was found or checked: every path
+        that has a witness checks it."""
+        return self.witness is not None
 
 
 def verify_vanishing(
@@ -622,17 +621,14 @@ def verify_vanishing(
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
-    checked = False
     if witness is None and not unchecked:
         witness = hypothesis_feasible(f, l, dprime)
         if witness is None:
             raise HypothesisNotVerified(
                 "hypothesis LP is infeasible; pass unchecked=True for a negative control"
             )
-        checked = True
     elif witness is not None:
         require_witness(f, l, dprime, witness)
-        checked = True
     twist = l - rayset_divisor(f, dprime)
     per_p = _log_dims(f, range(f.dim + 1), frozenset(dprime), twist.coeffs)
     violations = tuple((p, k, dims[k]) for p, dims in enumerate(per_p)
@@ -642,7 +638,6 @@ def verify_vanishing(
         violations,
         per_p,
         tuple(witness) if witness is not None else None,
-        checked,
     )
 
 

@@ -20,18 +20,8 @@ from math import lcm
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .exactmath import lp_feasible_strict
-from .fan import (
-    Fan,
-    NotACone,
-    Wall,
-    _dual_pairings,
-    is_cone,
-    json_ints,
-    require_smooth_complete,
-    stratum_fan,
-    walls,
-)
+from .exactmath import json_ints, lp_feasible_strict
+from .fan import Fan, Wall, _dual_pairings, require_smooth_complete, stratum_fan, walls
 
 
 @dataclass(frozen=True)
@@ -44,10 +34,7 @@ class InvariantDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "coeffs", json_ints(self.coeffs))
-        except TypeError as exc:
-            raise ValueError(f"divisor coefficients must be integers: {exc}") from exc
+        object.__setattr__(self, "coeffs", json_ints(self.coeffs, "coefficient"))
 
     def __add__(self, other: "InvariantDivisor") -> "InvariantDivisor":
         return InvariantDivisor(tuple(map(add, self.coeffs, self._same_length(other))))
@@ -73,6 +60,8 @@ def zero_divisor(f: Fan) -> InvariantDivisor:
 
 
 def ray_divisor(f: Fan, i: int) -> InvariantDivisor:
+    """D_i; ValueError unless the index i is an int naming a ray."""
+    (i,) = json_ints([i], "ray index")
     if not 0 <= i < f.n_rays:
         raise ValueError(f"ray index {i} out of range")
     return InvariantDivisor(tuple(int(j == i) for j in range(f.n_rays)))
@@ -306,8 +295,6 @@ def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> Inva
     would change the result only up to linear equivalence.
     """
     tau = tuple(sorted(tau))
-    if not is_cone(f, tau):
-        raise NotACone(f"{tau} does not span a cone of the fan")
     sp = stratum_fan(f, tau)
     zero = _zero_on(f, d.coeffs, sp.base_cone, tau)
     return InvariantDivisor(tuple(zero[i] for i in sp.adjacent))
@@ -319,10 +306,6 @@ def divisor_to_dict(d: InvariantDivisor) -> dict:
 
 def divisor_from_dict(data: dict) -> InvariantDivisor:
     try:
-        coeffs = tuple(data["coeffs"])
-        bad = [x for x in coeffs if type(x) is not int]
-        if bad:
-            raise ValueError(f"coefficient {bad[0]!r} is not an integer")
-        return InvariantDivisor(coeffs)
+        return InvariantDivisor(data["coeffs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad divisor data: {exc}") from exc

@@ -9,6 +9,11 @@ the LP by a simplex tableau of integer rows over one common denominator
 floating point appears anywhere; ranks and LP verdicts are exact yes/no
 facts, so there is no tolerance to tune.
 
+``json_ints`` is the package's one integer test: every reader of numbers
+(fans, divisors, sheaf specs, weights, boxes, certificates, and the matrices
+and LPs here) passes them through it, so a float, bool or Fraction is a
+ValueError naming the entry instead of a silently truncated number.
+
 The LP solver is a dense two-phase tableau simplex with Bland's rule.  With
 exact pivots, cycling is the only possible failure mode and Bland's rule
 rules it out.  Problem sizes in this package are tiny (tens of rows), so a
@@ -42,11 +47,18 @@ def as_rational(x):
     return int(f) if f.denominator == 1 else f
 
 
-def _require_ints(values, what: str) -> None:
-    """ValueError unless every value is an ``int`` (not a bool, float or
-    Fraction)."""
-    if any(type(x) is not int for x in values):
-        raise ValueError(f"{what} must be integers")
+def json_ints(values, what: str) -> tuple:
+    """``values`` as a tuple; ValueError naming the first entry that is not
+    an ``int`` (a bool, float, Fraction or string), described as ``what``,
+    and ValueError if ``values`` is not a sequence at all."""
+    try:
+        values = tuple(values)
+    except TypeError as exc:
+        raise ValueError(f"{what} values must come as a list: {exc}") from exc
+    if not {int}.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer; all must be integers")
+    return values
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,8 @@ class QMatrix:
             len(row) != self.cols for row in self.entries
         ):
             raise ValueError("entry count must equal rows x cols")
-        _require_ints((x for row in self.entries for x in row), "matrix entries")
+        for row in self.entries:
+            json_ints(row, "matrix entry")
 
 
 def _eliminate(row: list, prow: list, pivot: int, factor: int, prev: int, start: int):
@@ -245,9 +258,10 @@ def lp_max(a_rows, b, c, nonneg: bool = False):
     which halves the tableau.  Every coefficient must be an ``int``, and
     every row must have one per variable.
     """
-    _require_ints((x for row in a_rows for x in row), "LP coefficients")
-    _require_ints(b, "LP right-hand sides")
-    _require_ints(c, "LP objective coefficients")
+    for row in a_rows:
+        json_ints(row, "LP coefficient")
+    json_ints(b, "LP right-hand side")
+    json_ints(c, "LP objective coefficient")
     m = len(a_rows)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a_rows):

@@ -19,7 +19,7 @@ from math import gcd
 from operator import mul
 from typing import Dict, Sequence
 
-from .exactmath import det, lp_feasible_strict
+from .exactmath import det, json_ints, lp_max
 
 
 class FanError(ValueError):
@@ -30,25 +30,12 @@ class MalformedInput(FanError):
     """Structurally invalid fan data (non-primitive rays, bad cone sizes...)."""
 
 
-class NotComplete(FanError):
-    """Operation requires a complete fan."""
-
-
 class NotACone(FanError):
     """The given ray set does not span a cone of the fan."""
 
 
 class UnknownFamily(FanError):
     """Unknown builtin fan family."""
-
-
-def json_ints(values) -> tuple:
-    """A JSON list of integers as a tuple; TypeError for any other entry
-    (float, bool, string), so that no reader truncates a number."""
-    values = tuple(values)
-    if not {int}.issuperset(map(type, values)):
-        raise TypeError(f"expected integers, got {list(values)!r}")
-    return values
 
 
 @dataclass(frozen=True)
@@ -66,12 +53,12 @@ class Fan:
 
     def __post_init__(self):
         try:
-            json_ints([self.dim])
-            object.__setattr__(self, "rays", tuple(json_ints(r) for r in self.rays))
-            object.__setattr__(self, "max_cones",
-                               tuple(tuple(sorted(json_ints(c))) for c in self.max_cones))
-        except TypeError as exc:
-            raise MalformedInput(f"fan data must be integers: {exc}") from exc
+            json_ints([self.dim], "fan dimension")
+            object.__setattr__(self, "rays", tuple(json_ints(r, "ray entry") for r in self.rays))
+            object.__setattr__(self, "max_cones", tuple(tuple(sorted(json_ints(c, "cone index")))
+                                                        for c in self.max_cones))
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad fan data: {exc}") from exc
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
 
     def __hash__(self) -> int:
@@ -229,32 +216,19 @@ def _pairwise_face_check(f: Fan) -> bool:
 
     For simplicial cones sigma = {x : M_sigma x >= 0}, with M_sigma the
     scaled dual basis; the intersection equals cone(sigma(1) & sigma'(1)) iff
-    no point of the intersection has a strictly positive coordinate at a
-    non-shared ray.
+    no point of it has a positive coordinate at a non-shared ray of sigma.
+    Those coordinates are >= 0 on sigma, so one LP per ordered pair
+    maximizes their sum, bounded by the sum of all of sigma's coordinates
+    <= 1, and the faces meet properly iff the maximum is 0.
     """
     duals = [_scaled_dual_basis(f, c)[1] for c in f.max_cones]
-    for a, b in itertools.combinations(range(len(f.max_cones)), 2):
-        shared = set(f.max_cones[a]) & set(f.max_cones[b])
-        for src, other in ((a, b), (b, a)):
-            cone = f.max_cones[src]
-            rows = []
-            for m in duals[src]:
-                rows.append([-x for x in m])
-            for m in duals[other]:
-                rows.append([-x for x in m])
-            norm = [sum(col) for col in zip(*duals[src])]
-            rows.append(norm)
-            rhs = [0] * (2 * f.dim) + [1]
-            strict = [False] * (2 * f.dim) + [False]
-            for pos, ray in enumerate(cone):
-                if ray in shared:
-                    continue
-                probe = rows + [[-x for x in duals[src][pos]]]
-                probe_rhs = rhs + [0]
-                probe_strict = strict + [True]
-                witness = lp_feasible_strict(probe, probe_rhs, probe_strict)
-                if witness is not None:
-                    return False
+    for a, b in itertools.permutations(range(len(f.max_cones)), 2):
+        rows = [[-x for x in m] for m in duals[a] + duals[b]]
+        rows.append([sum(col) for col in zip(*duals[a])])
+        outside = [m for m, ray in zip(duals[a], f.max_cones[a]) if ray not in f.max_cones[b]]
+        _, _, value = lp_max(rows, [0] * (2 * f.dim) + [1], [sum(col) for col in zip(*outside)])
+        if value:
+            return False
     return True
 
 
@@ -332,10 +306,7 @@ def walls(f: Fan) -> tuple:
     facets = _facet_incidence(f)
     out = []
     for facet in sorted(facets):
-        cones = facets[facet]
-        if len(cones) != 2:
-            raise NotComplete(f"facet {facet} lies in {len(cones)} maximal cones")
-        a, b = sorted(cones)
+        a, b = sorted(facets[facet])
         extra_a = next(i for i in f.max_cones[a] if i not in facet)
         extra_b = next(i for i in f.max_cones[b] if i not in facet)
         out.append(Wall(facet, a, b, extra_a, extra_b))
@@ -456,14 +427,17 @@ def product(f1: Fan, f2: Fan) -> Fan:
 def builtin(name: str, **params) -> Fan:
     """Standard fan families by name (CLI entry point): projective_space
     takes ``dim`` and hirzebruch ``param``, an int; MalformedInput if it is
-    missing or not an int."""
+    missing or not an int, or if another parameter is given."""
     families = {"projective_space": (projective_space, "dim"), "hirzebruch": (hirzebruch, "param")}
     if name not in families:
         raise UnknownFamily(f"unknown builtin family {name!r}")
     make, key = families[name]
+    if set(params) - {key}:
+        raise MalformedInput(f"builtin family {name!r} takes only {key!r}, "
+                             f"not {sorted(set(params) - {key})}")
     try:
-        (value,) = json_ints([params[key]])
-    except (KeyError, TypeError) as exc:
+        (value,) = json_ints([params[key]], key)
+    except (KeyError, ValueError) as exc:
         raise MalformedInput(f"builtin family {name!r} needs an integer {key!r}") from exc
     return make(value)
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .certifier import build_certificate, check_certificate
+from .certifier import cross_validate
 from .danilov import verify_vanishing
 from .divisors import InvariantDivisor, canonical_divisor, hypothesis_feasible
 from .fan import Fan, hirzebruch, product, projective_space, star_subdivision
@@ -67,8 +67,8 @@ class SweepOutcome:
 
 def thm11_sweep(fan: Fan, certify: bool = True,
                 coeffs: Tuple[int, ...] = (0, 1, 2)) -> SweepOutcome:
-    """Run the vanishing check (and optionally the certificate round trip)
-    on every hypothesis-feasible instance of the sweep."""
+    """Run the vanishing check on every hypothesis-feasible instance of the
+    sweep; with ``certify``, both routes through ``cross_validate``."""
     out = SweepOutcome()
     for dprime, l in iter_thm11_instances(fan, coeffs):
         out.instances += 1
@@ -76,21 +76,18 @@ def thm11_sweep(fan: Fan, certify: bool = True,
         if witness is None:
             continue
         out.feasible += 1
-        report = verify_vanishing(fan, dprime, l, witness=witness)
+        both = cross_validate(fan, dprime, l, witness) if certify else None
+        report = both.direct if certify else verify_vanishing(fan, dprime, l, witness=witness)
         if report.passed:
             out.verified += 1
         else:
             out.failures.append(("verify", dprime, l.coeffs, report.violations))
         if certify:
-            cert = build_certificate(fan, dprime, l, witness=witness)
-            ok = check_certificate(fan, cert)
-            if ok:
-                out.certified += 1
-            else:
+            out.certified += both.certificate_ok
+            out.agreed += both.agree
+            if not both.certificate_ok:
                 out.failures.append(("certificate", dprime, l.coeffs, None))
-            if ok and report.passed:
-                out.agreed += 1
-            elif ok != report.passed:
+            if both.certificate_ok != report.passed:
                 out.failures.append(("disagree", dprime, l.coeffs, None))
     return out
 

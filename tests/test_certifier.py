@@ -156,6 +156,31 @@ def test_cross_validate_examples():
     assert cross_validate(f1, (), ample).agree
 
 
+def test_cross_validate_uses_the_witness_it_is_given(monkeypatch):
+    import toricbott.certifier as certifier
+    import toricbott.danilov as danilov
+    import toricbott.suite as suite
+
+    l = 2 * ray_divisor(P2, 0)
+    witness = hypothesis_feasible(P2, l, (0,))
+
+    def no_lp(*args):
+        raise AssertionError("the hypothesis LP ran although a witness was given")
+
+    for module in (certifier, danilov):
+        monkeypatch.setattr(module, "hypothesis_feasible", no_lp)
+    assert cross_validate(P2, (0,), l, witness=witness).agree
+    # the sweep hands its witness on, so each feasible instance gets one
+    # direct check and no second hypothesis solve
+    calls = []
+    original = danilov.verify_vanishing
+    for module in (danilov, certifier, suite):
+        monkeypatch.setattr(module, "verify_vanishing",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+    outcome = suite.thm11_sweep(P2, certify=True)
+    assert outcome.agreed == outcome.feasible == len(calls) == 208
+
+
 def test_supplied_witness_skips_the_lp(monkeypatch):
     import toricbott.certifier as certifier
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -70,6 +71,17 @@ def test_fan_file_with_float_ray_is_malformed(tmp_path):
 def test_builtin_without_its_parameter_is_malformed(capsys, name, option):
     assert main(["fan", "builtin", "--name", name]) == EXIT_MALFORMED
     assert f"needs an integer '{option}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, given, unexpected", [
+    ("projective_space", ["--dim", "1", "--param", "5"], "param"),
+    ("hirzebruch", ["--param", "1", "--dim", "2"], "dim"),
+])
+def test_builtin_with_a_parameter_its_family_does_not_take_is_malformed(capsys, name, given,
+                                                                       unexpected):
+    # a dropped option would answer for another fan than the one asked for
+    assert main(["fan", "builtin", "--name", name] + given) == EXIT_MALFORMED
+    assert f"'{unexpected}'" in capsys.readouterr().err
 
 
 def test_blowup_adds_ray(p2_file, tmp_path):
@@ -186,6 +198,15 @@ def test_cohomology_box_mode_needs_bound(p2_file, tmp_path):
                  "--mode", "box"]) == EXIT_MALFORMED
 
 
+def test_cohomology_box_bound_needs_box_mode(p2_file, tmp_path, capsys):
+    # a bound that chamber mode would not read must not pass unnoticed
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [1, 0, 0]}))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
+                 "--box-bound", "6"]) == EXIT_MALFORMED
+    assert "box" in capsys.readouterr().err
+
+
 def test_cohomology_box_with_negative_bound_is_malformed(p2_file, tmp_path):
     # --box-bound -1 gives the box (1, -1) per coordinate, which holds no weight
     spec = tmp_path / "spec.json"
@@ -287,6 +308,37 @@ def test_suite_negative_bound_or_sample_is_malformed(capsys, select, option, val
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_suite_jobs_must_be_positive(capsys, jobs):
+    assert main(["suite", "--select", "thm11", "--fans", "p1", "--jobs", jobs]) == EXIT_MALFORMED
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("select, options, pattern, keys", [
+    ("thm11", ["--fans", "p1,p2", "--no-certify"],
+     r"(\w+): (\d+)/(\d+) feasible, verified=(\d+), certified=(\d+), ok=(\w+)",
+     ("feasible", "instances", "verified", "certified", "ok")),
+    ("serre", ["--fans", "p1,p2", "--bound", "1", "--sample", "3"],
+     r"(\w+): serre duality failures = (\d+), log serre duality failures = (\d+)",
+     ("serre_failures", "log_serre_failures")),
+    ("hodge", ["--fans", "p1,p2"], r"(\w+): hodge counts ok=(\w+)", ("ok",)),
+    ("euler", ["--fans", "p1,p2", "--sample", "3", "--seed", "7"],
+     r"(\w+): euler additivity ok=(\w+)", ("ok",)),
+], ids=["thm11", "serre", "hodge", "euler"])
+def test_machine_suite_output_carries_the_table_numbers(capsys, select, options, pattern, keys):
+    # the machine output is one JSON object with every number the table prints
+    code = main(["suite", "--select", select] + options)
+    table = [re.fullmatch(pattern, line).groups()
+             for line in capsys.readouterr().out.splitlines()]
+    assert main(["--format", "machine", "suite", "--select", select] + options) == code
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["select"] == select
+    assert machine["ok"] is (code == EXIT_OK)
+    assert [name for name, *_ in table] == list(machine["fans"]) == ["p1", "p2"]
+    for name, *values in table:
+        assert [str(machine["fans"][name][key]) for key in keys] == values
+
+
 def test_suite_smoke(capsys):
     assert main(["suite", "--select", "thm11", "--fans", "p1"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -308,6 +360,19 @@ def test_suite_thm11_prints_each_failure(capsys, monkeypatch):
         instances=1, feasible=1, failures=[failure]))
     assert main(["suite", "--select", "thm11", "--fans", "p1"]) == EXIT_FAIL
     assert capsys.readouterr().out.splitlines()[1:] == [f"    {failure}"]
+
+
+def test_machine_suite_output_lists_each_failure(capsys, monkeypatch):
+    import toricbott.suite as suite
+
+    failure = ("verify", (0,), (1, 0), ((0, 1, 1),))
+    monkeypatch.setattr(suite, "thm11_sweep", lambda fan, certify: suite.SweepOutcome(
+        instances=1, feasible=1, failures=[failure]))
+    assert main(["--format", "machine", "suite", "--select", "thm11",
+                 "--fans", "p1"]) == EXIT_FAIL
+    row = json.loads(capsys.readouterr().out)["fans"]["p1"]
+    assert row["failures"] == [["verify", [0], [1, 0], [[0, 1, 1]]]]
+    assert (row["instances"], row["feasible"], row["verified"], row["ok"]) == (1, 1, 0, False)
 
 
 def test_suite_euler_smoke(capsys):

@@ -374,6 +374,14 @@ def test_box_mode_rejects_an_inverted_pair():
         cech_cohomology(P2, s, mode="box", box=((3, -3), (0, 0)))
 
 
+def test_chamber_mode_rejects_a_box():
+    # chamber mode would ignore the box and answer (3, 0, 0) for O(1)
+    s = sheaf_spec(0, [], (1, 0, 0))
+    assert cech_cohomology(P2, s, mode="box", box=((0, 0), (0, 0))).dims == (1, 0, 0)
+    with pytest.raises(ValueError, match="box"):
+        cech_cohomology(P2, s, mode="chamber", box=((0, 0), (0, 0)))
+
+
 def test_box_mode_rejects_non_integer_bounds():
     # int() truncation used to turn this box into ((0, 0), (0, 0))
     s = sheaf_spec(0, [], zero_divisor(P2))

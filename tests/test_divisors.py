@@ -189,6 +189,13 @@ def test_wrong_length_divisors_are_rejected():
     assert InvariantDivisor((1, 2)) - InvariantDivisor((3, -1)) == InvariantDivisor((-2, 3))
 
 
+@pytest.mark.parametrize("index", [0.5, True, "0"])
+def test_ray_divisor_index_must_be_an_int(index):
+    # a float or bool index must not read as a ray (0.5 matched none, True D_1)
+    with pytest.raises(ValueError, match="ray index"):
+        ray_divisor(P2, index)
+
+
 def test_sorted_logset_sorts_and_checks_the_range():
     assert sorted_logset(P2, (2, 0, 2)) == (0, 2)
     for bad in ((3,), (-1,), (0, 7)):

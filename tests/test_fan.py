@@ -95,6 +95,18 @@ def test_overlapping_cones_fail_fan_axioms():
     assert not validate(OVERLAPPING).fan_axioms
 
 
+def test_fan_axioms_take_one_lp_per_ordered_pair_of_maximal_cones(monkeypatch):
+    import toricbott.fan as fanmod
+
+    calls = []
+    original = fanmod.lp_max
+    monkeypatch.setattr(fanmod, "lp_max", lambda *a, **k: calls.append(a) or original(*a, **k))
+    bl3 = suite_fans()["bl3"]
+    assert fanmod._pairwise_face_check(bl3)
+    assert len(calls) == 6 * 5
+    assert not fanmod._pairwise_face_check(OVERLAPPING)
+
+
 def test_wall_counts():
     assert len(walls(P2)) == 3
     assert len(walls(product(projective_space(1), projective_space(1)))) == 4
@@ -205,6 +217,14 @@ def test_builtin_needs_its_integer_parameter():
     for bad in (2.7, True, "2"):
         with pytest.raises(MalformedInput, match="'dim'"):
             builtin("projective_space", dim=bad)
+
+
+def test_builtin_rejects_a_parameter_its_family_does_not_take():
+    # a dropped parameter would answer for another fan than the one asked for
+    with pytest.raises(MalformedInput, match="'param'"):
+        builtin("projective_space", dim=1, param=5)
+    with pytest.raises(MalformedInput, match="'dim'"):
+        builtin("hirzebruch", param=1, dim=2)
 
 
 @pytest.mark.parametrize("dim, rays, cones", [
