@@ -87,16 +87,26 @@ def _report_payload(report: danilov.VanishingReport) -> dict:
     }
 
 
+def _read_only_by(given: bool, option: str, readers: str) -> None:
+    """ValueError (exit 2) naming an option that was given where it is not read."""
+    if given:
+        raise ValueError(f"{option} is read by {readers} only")
+
+
 def cmd_vanishing(args) -> int:
+    certify = args.vanishing_action == "certify"
+    _read_only_by(args.output is not None and not certify, "-o/--output", "vanishing certify")
     f = fanmod.fan_from_dict(_load_json(args.fan))
     l = divisors.divisor_from_dict(_load_json(args.divisor))
     dprime = _parse_indices(args.logset)
     witness = divisors.hypothesis_feasible(f, l, dprime)
-    if witness is None and (args.vanishing_action == "certify" or not args.unchecked):
+    if witness is None and (certify or not args.unchecked):
         print("hypothesis infeasible: no d in [0,1]^{D'} makes L - dD' ample",
               file=sys.stderr)
         return EXIT_INFEASIBLE
-    if args.vanishing_action in ("check", "cross-validate"):
+    # after the hypothesis: a certificate needs it, --unchecked or not
+    _read_only_by(args.unchecked and certify, "--unchecked", "vanishing check and cross-validate")
+    if not certify:
         both = None
         if args.vanishing_action == "cross-validate" and witness is not None:
             both = certifier.cross_validate(f, dprime, l, witness)
@@ -196,19 +206,23 @@ def cmd_suite(args) -> int:
     if any(name not in fans for name in names):
         print(f"unknown suite fan in {names}", file=sys.stderr)
         return EXIT_MALFORMED
-    if args.bound < 0 or args.sample < 0 or args.jobs < 1:
+    jobs = 1 if args.jobs is None else args.jobs
+    if args.bound < 0 or args.sample < 0 or jobs < 1:
         print("--bound and --sample must be nonnegative and --jobs positive", file=sys.stderr)
         return EXIT_MALFORMED
+    thm11 = args.select == "thm11"
+    _read_only_by(args.jobs is not None and not thm11, "--jobs", "suite --select thm11")
+    _read_only_by(args.no_certify and not thm11, "--no-certify", "suite --select thm11")
     rows = {}
     lines = []
-    if args.select == "thm11":
+    if thm11:
         tasks = [(name, not args.no_certify) for name in names]
-        if args.jobs > 1:
+        if jobs > 1:
             # per-instance determinism makes fan-level dispatch safe; results
             # are reported in name order regardless of completion order
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_thm11_worker, tasks))
         else:
             results = map(_thm11_worker, tasks)
@@ -294,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--sample", type=int, default=25)
     st.add_argument("--bound", type=int, default=3)
     st.add_argument("--no-certify", action="store_true")
-    st.add_argument("--jobs", type=int, default=1,
-                    help="dispatch whole-fan sweeps to this many processes")
+    st.add_argument("--jobs", type=int,
+                    help="dispatch whole-fan thm11 sweeps to this many processes (default 1)")
     return parser
 
 

@@ -31,24 +31,30 @@ against line-bundle cohomology, trivial-bundle reduction, Serre duality and
 the A^1 model (t^m dlog t regular iff m >= 1).
 
 The complex at weight m depends only on the clipped margin pattern
-(c < 0, c = 0, c >= 1) per ray, so weights are enumerated by chambers of the
-margin-level hyperplane arrangement and each pattern's cohomology is
-computed once.  ``_Engine.pattern`` is the one rule turning margins into
-ray states, for arrangement vertices (rational margins) and lattice weights
-alike.  A vertex puts the rays of a nonsingular r-subset S on chosen levels;
-it is solved from the adjugate and |det| of S's ray matrix, which the engine
-tabulates once per fan, so a pass enumerates only the level choices per ray.
-A brute-force bounding-box mode exists for cross-validation.
+(c < 0, c = 0, c >= 1) per ray, so each pattern's cohomology is computed
+once.  The vertices of the margin-level hyperplane arrangement find every
+realizable pattern; those with cohomology are bounded, and the bounding box
+of their vertices, the support box (``_Engine.support_box``), holds every
+weight with cohomology.  ``_Engine.box_run`` is the one loop over lattice
+weights: it lists the support box, or in the brute-force box mode kept for
+cross-validation an explicit box, and reads each weight's pattern.  The
+weight cap applies to the one box listed.  ``_Engine.pattern`` is the one
+rule turning margins into ray states, for arrangement vertices (rational
+margins) and lattice weights alike.  A vertex puts the rays of a
+nonsingular r-subset S on chosen levels; it is solved from the adjugate and
+|det| of S's ray matrix, which the engine tabulates once per fan, so a pass
+enumerates only the level choices per ray.
 
 The arrangement depends on p only through the per-ray flags of
 ``_Engine.merged``, which are the same for every p >= 1.  The one cached
 dimension lookup ``_log_dims`` (read through ``_Engine.dims`` by every entry
-point and check below) therefore runs one chamber pass per (p = 0 or p >= 1,
-flags, twist class) that yields the dims of every p in the group; the twist
-is taken modulo principal divisors, so linearly equivalent twists share the
-pass too.  An automorphism of the fan induces one of X carrying D_rho to
-D_pi(rho) (``fan.automorphisms``), so the pass also answers every image of
-(flags, twist class) under the fan's automorphism group: one pass per orbit.
+point and check below) therefore runs one pass (a support box and its
+weights) per (p = 0 or p >= 1, flags, twist class) that yields the dims of
+every p in the group; the twist is taken modulo principal divisors, so
+linearly equivalent twists share the pass too.  An automorphism of the fan
+induces one of X carrying D_rho to D_pi(rho) (``fan.automorphisms``), so the
+pass also answers every image of (flags, twist class) under the fan's
+automorphism group: one pass per orbit.
 """
 
 from __future__ import annotations
@@ -90,14 +96,14 @@ class ChartConditionFails(ValueError):
 
 
 class WeightBoxTooLarge(ValueError):
-    """A lattice box, of a chamber or given explicitly, holds more weights
-    than one call enumerates."""
+    """A lattice box, a support box or one given explicitly, holds more
+    weights than one call enumerates."""
 
 
 # Per-ray states of a weight, derived from the clipped margin pattern.
 DEAD, RESTRICTED, FREE = 0, 1, 2
 
-# Most lattice weights one box may hold, for a chamber or an explicit box.
+# Most lattice weights one box may hold, a support box or an explicit one.
 _MAX_BOX_WEIGHTS = 5_000_000
 
 
@@ -156,6 +162,12 @@ def _euler(dims: Sequence[int]) -> int:
     return sum((-1) ** k * v for k, v in enumerate(dims))
 
 
+def _total(r: int, dims_list) -> tuple:
+    """Entrywise sum of h^0..h^r tuples ((0,) * (r + 1) for none); ValueError
+    if one has another length."""
+    return tuple(map(sum, zip((0,) * (r + 1), *dims_list, strict=True)))
+
+
 @dataclass(frozen=True)
 class CohomologyResult:
     """Dimensions h^0..h^r with per-weight support."""
@@ -165,22 +177,10 @@ class CohomologyResult:
     euler: int
 
     def __post_init__(self):
-        sums = [0] * len(self.dims)
-        for wdims in self.weight_support.values():
-            for k, v in enumerate(wdims):
-                sums[k] += v
-        if tuple(sums) != tuple(self.dims):
+        if _total(len(self.dims) - 1, self.weight_support.values()) != tuple(self.dims):
             raise ValueError("dims do not match weight support")
         if self.euler != _euler(self.dims):
             raise ValueError("euler characteristic mismatch")
-
-
-def _result_from_support(r: int, support: Dict[tuple, tuple]) -> CohomologyResult:
-    dims = [0] * (r + 1)
-    for wdims in support.values():
-        for k, v in enumerate(wdims):
-            dims[k] += v
-    return CohomologyResult(tuple(dims), support, _euler(dims))
 
 
 class _Engine:
@@ -386,79 +386,69 @@ class _Engine:
                 patterns.setdefault(states, []).append((nums, den))
         return patterns
 
-    def chamber_pass(self, degrees: tuple, merged: tuple, twist: tuple):
-        """Contributing weights of every form degree in ``degrees``, which
-        must all have the ray flags ``merged``, from one enumeration.
+    def support_box(self, degrees: tuple, merged: tuple, twist: tuple) -> Optional[tuple]:
+        """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
+        pattern with cohomology in some form degree of ``degrees``, which
+        must all have the ray flags ``merged``; None when there are none.
 
-        Returns (found, box): ``found`` lists (dims per degree, lattice
-        weights) for each pattern with cohomology in some degree, and ``box``
-        bounds those weights per coordinate (None when there are none).
+        Such a pattern's region is bounded (checked here), so it is the hull
+        of its vertices and every lattice weight with cohomology lies in the
+        box.  WeightBoxTooLarge if the box is over the weight cap.
         """
-        r = self.r
-        found = []
-        box = None
-        for states, verts in self.chamber_patterns(merged, twist).items():
-            dims = tuple(self.state_cohomology(p, states) for p in degrees)
-            if not any(map(any, dims)):
-                continue
-            if not self.pattern_bounded(states):
-                raise UnboundedCohomologyChamber(
-                    "nonzero cohomology pattern on an unbounded chamber; "
-                    "the fan is not complete or the engine is inconsistent"
-                )
-            bounds = [(min(-(-nums[k] // den) for nums, den in verts),
-                       max(nums[k] // den for nums, den in verts)) for k in range(r)]
-            box = bounds if box is None else [(min(lo, blo), max(hi, bhi))
-                                              for (lo, hi), (blo, bhi) in zip(bounds, box)]
-            _require_box_size(bounds)
-            weights = [m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
-                       if self.pattern(merged, self.margins(twist, m)) == states]
-            found.append((dims, weights))
-        return found, (tuple(box) if box is not None else None)
+        verts = []
+        for states, pverts in self.chamber_patterns(merged, twist).items():
+            if any(any(self.state_cohomology(p, states)) for p in degrees):
+                if not self.pattern_bounded(states):
+                    raise UnboundedCohomologyChamber(
+                        "nonzero cohomology pattern on an unbounded chamber; "
+                        "the fan is not complete or the engine is inconsistent"
+                    )
+                verts += pverts
+        if not verts:
+            return None
+        box = tuple((min(-(-nums[k] // den) for nums, den in verts),
+                     max(nums[k] // den for nums, den in verts)) for k in range(self.r))
+        _require_box_size(box)
+        return box
 
-    def chamber_run(self, spec: LogFormSheafSpec):
-        """{weight: dims} of one sheaf and the box bounding its weights."""
-        found, box = self.chamber_pass((spec.p,), self.merged(spec.p, spec.logset), spec.twist)
-        return {m: dims[0] for dims, weights in found for m in weights}, box
+    def box_run(self, degrees: tuple, merged: tuple, twist: tuple, bounds) -> Dict[tuple, tuple]:
+        """{m: h^0..h^r per form degree in ``degrees``} for the weights m of
+        the box ``bounds`` with cohomology in some degree; the degrees must
+        all have the ray flags ``merged``.  The one loop over lattice weights.
+        """
+        support: Dict[tuple, tuple] = {}
+        for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+            states = self.pattern(merged, self.margins(twist, m))
+            dims = tuple(self.state_cohomology(p, states) for p in degrees)
+            if any(map(any, dims)):
+                support[m] = dims
+        return support
 
     def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
         """h^0..h^r for each form degree in ``degrees``, all with the ray
         flags ``merged``, at a class representative twist (see
         _class_representative).
 
-        One chamber pass serves the whole group (p = 0 alone, or every
-        p >= 1) and every image of (merged, twist class) under the fan's
-        automorphisms: the automorphism of X carrying D_rho to D_pi(rho)
-        carries the sheaf to the one with flags and twist moved by pi.
+        One pass over the support box serves the whole group (p = 0 alone,
+        or every p >= 1) and every image of (merged, twist class) under the
+        fan's automorphisms: the automorphism of X carrying D_rho to
+        D_pi(rho) carries the sheaf to the one with flags and twist moved by
+        pi.
         """
         key = (degrees, merged, twist)
         cached = self._dims.get(key)
         if cached is not None:
             return cached
-        totals = [[0] * (self.r + 1) for _ in degrees]
-        found, _ = self.chamber_pass(degrees, merged, twist)
-        for dims, weights in found:
-            for total, wdims in zip(totals, dims):
-                for k, v in enumerate(wdims):
-                    total[k] += len(weights) * v
-        result = tuple(map(tuple, totals))
+        box = self.support_box(degrees, merged, twist)
+        support = {} if box is None else self.box_run(degrees, merged, twist, box)
+        result = tuple(_total(self.r, (dims[i] for dims in support.values()))
+                       for i in range(len(degrees)))
         # v -> v o pi is the action of pi^-1; over the group it gives the orbit
         for perm in automorphisms(self.fan):
             moved = tuple(twist[i] for i in perm)
             self._dims[(degrees, tuple(merged[i] for i in perm),
                         _class_representative(self.fan, moved))] = result
         return result
-
-    def box_run(self, spec: LogFormSheafSpec, bounds) -> Dict[tuple, tuple]:
-        p, twist = spec.p, spec.twist
-        merged = self.merged(p, spec.logset)
-        support: Dict[tuple, tuple] = {}
-        for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-            states = self.pattern(merged, self.margins(twist, m))
-            dims = self.state_cohomology(p, states)
-            if any(dims):
-                support[m] = dims
-        return support
 
 
 @lru_cache(maxsize=None)
@@ -512,33 +502,40 @@ def cech_cohomology(
 ) -> CohomologyResult:
     """Total cohomology of the sheaf, weight by weight.
 
-    mode="chamber" enumerates realizable margin patterns from the level
-    arrangement; mode="box" brute-forces all weights in the explicit
-    per-coordinate integer box (required argument in that mode, and a
-    ValueError in chamber mode).  A box with a non-integer bound or a pair
-    with lo > hi is a ValueError, raised before any weight is enumerated; so
-    is a box of more than 5,000,000 weights, explicit or a chamber's, as
-    WeightBoxTooLarge.
+    mode="chamber" lists the weights of the support box that the level
+    arrangement finds (``chamber_support_box``); mode="box" lists all weights
+    in the explicit per-coordinate integer box (required argument in that
+    mode, and a ValueError in chamber mode).  Both modes read each weight's
+    cohomology in the same loop.  A box that is not a sequence of integer
+    (lo, hi) pairs, or has a pair with lo > hi, is a ValueError, raised before
+    any weight is enumerated; so is a box of more than 5,000,000 weights,
+    explicit or the support box, as WeightBoxTooLarge.
     """
     _check_spec(f, s)
     eng = _engine(f)
+    merged = eng.merged(s.p, s.logset)
     if mode == "chamber":
         if box is not None:
             raise ValueError("a box is read in box mode only, not in chamber mode")
-        support, _ = eng.chamber_run(s)
+        bounds = eng.support_box((s.p,), merged, s.twist)
     elif mode == "box":
         if box is None:
             raise ValueError("box mode requires explicit bounds")
-        bounds = tuple(json_ints(pair, "box bound") for pair in box)
+        try:
+            bounds = tuple(json_ints(pair, "box bound") for pair in box)
+        except TypeError as exc:
+            raise ValueError(f"box must be a sequence of (lo, hi) pairs: {exc}") from exc
         if len(bounds) != f.dim or any(len(pair) != 2 for pair in bounds):
             raise ValueError("box must have one (lo, hi) pair per dimension")
         if any(lo > hi for lo, hi in bounds):
             raise ValueError(f"box has a pair with lo > hi: {bounds}")
         _require_box_size(bounds)
-        support = eng.box_run(s, bounds)
     else:
         raise ValueError(f"unknown weight enumeration mode {mode!r}")
-    return _result_from_support(f.dim, support)
+    weights = {} if bounds is None else eng.box_run((s.p,), merged, s.twist, bounds)
+    support = {m: dims[0] for m, dims in weights.items()}
+    dims = _total(f.dim, support.values())
+    return CohomologyResult(dims, support, _euler(dims))
 
 
 def chamber_support_box(f: Fan, s: LogFormSheafSpec) -> Optional[tuple]:
@@ -546,8 +543,8 @@ def chamber_support_box(f: Fan, s: LogFormSheafSpec) -> Optional[tuple]:
 
     Any brute-force box containing this one is provably sufficient."""
     _check_spec(f, s)
-    _, box = _engine(f).chamber_run(s)
-    return box
+    eng = _engine(f)
+    return eng.support_box((s.p,), eng.merged(s.p, s.logset), s.twist)
 
 
 def _class_representative(f: Fan, twist: tuple) -> tuple:

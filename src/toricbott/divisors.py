@@ -78,8 +78,11 @@ def canonical_divisor(f: Fan) -> InvariantDivisor:
 
 def sorted_logset(f: Fan, dprime: Sequence[int]) -> tuple:
     """D' as the sorted tuple of its distinct ray indices; ValueError if one
-    is not a ray of the fan."""
-    dprime = tuple(sorted(set(dprime)))
+    is not an int (``json_ints``) or not a ray of the fan."""
+    rays = set(dprime)
+    if not {int}.issuperset(map(type, rays)):
+        json_ints(rays, "log ray")
+    dprime = tuple(sorted(rays))
     if dprime and not 0 <= dprime[0] <= dprime[-1] < len(f.rays):
         raise ValueError(f"logset ray index out of range in {dprime}")
     return dprime

@@ -145,6 +145,26 @@ def test_vanishing_wrong_length_divisor_is_malformed(p2_file, divisor_file, caps
     assert f"{len(coeffs)} coefficients for 3 rays" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["check", "cross-validate"])
+def test_vanishing_output_is_read_by_certify_only(p2_file, divisor_file, tmp_path, capsys,
+                                                  action):
+    d = divisor_file([1, 0, 0])
+    out = tmp_path / "out.json"
+    assert main(["vanishing", action, "--fan", p2_file, "--divisor", d,
+                 "-o", str(out)]) == EXIT_MALFORMED
+    assert "-o/--output" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vanishing_certify_refuses_unchecked(p2_file, divisor_file, capsys):
+    # with a feasible hypothesis, certify used to run and ignore --unchecked
+    d = divisor_file([1, 0, 0])
+    assert main(["vanishing", "certify", "--fan", p2_file, "--divisor", d,
+                 "--unchecked"]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert "--unchecked" in captured.err and captured.out == ""
+
+
 def test_vanishing_certify_writes_certificate(p2_file, divisor_file, tmp_path, capsys):
     d = divisor_file([1, 0, 0])
     cert_path = tmp_path / "cert.json"
@@ -306,6 +326,16 @@ def test_counterexample_inverted_scan_is_malformed(capsys):
 def test_suite_negative_bound_or_sample_is_malformed(capsys, select, option, value):
     assert main(["suite", "--select", select, "--fans", "p1", option, value]) == EXIT_MALFORMED
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("select, option", [("serre", ["--jobs", "2"]),
+                                            ("hodge", ["--jobs", "1"]),
+                                            ("euler", ["--no-certify"]),
+                                            ("serre", ["--no-certify"])])
+def test_suite_thm11_options_are_refused_by_other_selections(capsys, select, option):
+    assert main(["suite", "--select", select, "--fans", "p1"] + option) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert option[0] in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -400,6 +400,38 @@ def test_weight_sections_rejects_non_integer_weights():
         weight_sections(P2, s, (0, 1), (0,))
 
 
+@pytest.mark.parametrize("box", [5, 2.5])
+def test_box_mode_rejects_a_box_that_is_not_a_list_of_pairs(box):
+    s = sheaf_spec(0, [], zero_divisor(P2))
+    with pytest.raises(ValueError, match="sequence of \\(lo, hi\\) pairs"):
+        cech_cohomology(P2, s, mode="box", box=box)
+
+
+@pytest.mark.parametrize("name", ["p2", "bl1", "p3"])
+def test_chamber_mode_lists_the_support_box_with_the_box_loop(monkeypatch, name):
+    # one loop over lattice weights: chamber mode hands box_run the support box
+    from toricbott.danilov import _Engine
+
+    f = suite_fans()[name]
+    rng = random.Random(f"one-loop-{name}")
+    calls = []
+    original = _Engine.box_run
+    monkeypatch.setattr(_Engine, "box_run",
+                        lambda self, *args: calls.append(args[-1]) or original(self, *args))
+    listed = 0
+    for _ in range(8):
+        s = sheaf_spec(rng.randint(0, f.dim), rng.sample(range(f.n_rays), rng.randint(0, 2)),
+                       tuple(rng.randint(-1, 2) for _ in range(f.n_rays)))
+        calls.clear()
+        result = cech_cohomology(f, s)
+        box = chamber_support_box(f, s)
+        assert calls == ([] if box is None else [box])
+        listed += box is not None
+        if box is not None:
+            assert result == cech_cohomology(f, s, mode="box", box=box)
+    assert listed
+
+
 def test_box_mode_refuses_an_oversize_box_before_enumerating(monkeypatch):
     from toricbott.danilov import _Engine
 
@@ -665,8 +697,8 @@ def test_verify_sweep_runs_one_pass_per_flags_and_class(monkeypatch, name, passe
     from toricbott.suite import thm11_sweep
 
     calls = []
-    original = _Engine.chamber_pass
-    monkeypatch.setattr(_Engine, "chamber_pass",
+    original = _Engine.support_box
+    monkeypatch.setattr(_Engine, "support_box",
                         lambda self, *args: calls.append(args) or original(self, *args))
     _engine.cache_clear()
     out = thm11_sweep(suite_fans()[name], certify=False)

@@ -207,6 +207,25 @@ def test_sorted_logset_sorts_and_checks_the_range():
             require_witness(P2, ray_divisor(P2, 0), bad, (0,) * len(bad))
 
 
+@pytest.mark.parametrize("bad", [(0.5,), (True,), (0, 1.0), (0, "1")])
+def test_log_rays_must_be_ints_at_every_entry_point(bad):
+    # a float or bool index passed the range test: (0.5,) gave the D' = empty
+    # answer, and (True,) built a certificate whose JSON was then rejected
+    from toricbott.certifier import build_certificate
+    from toricbott.danilov import hodge_count_check, log_spec_dims, verify_vanishing
+
+    l = 2 * ray_divisor(P2, 0)
+    calls = (lambda: sorted_logset(P2, bad),
+             lambda: verify_vanishing(P2, bad, l, unchecked=True),
+             lambda: log_spec_dims(P2, 1, bad, l),
+             lambda: hodge_count_check(P2, bad + (1, 2)),
+             lambda: hypothesis_feasible(P2, l, bad),
+             lambda: build_certificate(P2, bad, l))
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
+
+
 def test_hypothesis_with_empty_logset_is_ampleness():
     # with D' empty the witness is the empty vector exactly when L is ample
     fans = suite_fans()
