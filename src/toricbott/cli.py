@@ -230,7 +230,8 @@ def cmd_suite(args) -> int:
             ok = out.all_verified and (args.no_certify or out.all_certified)
             rows[name] = dict(vars(out), ok=ok)
             lines.append(f"{name}: {out.feasible}/{out.instances} feasible, "
-                         f"verified={out.verified}, certified={out.certified}, ok={ok}")
+                         f"verified={out.verified}, certified={out.certified}, "
+                         f"decided={out.decided}, ok={ok}")
             lines += [f"    {failure}" for failure in out.failures]
     else:
         for name in names:

@@ -69,7 +69,7 @@ from typing import Dict, Optional, Sequence
 from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints, polyhedron_bounded
 from .divisors import (
     InvariantDivisor,
-    _zero_on,
+    class_representative,
     hypothesis_feasible,
     ray_divisor,
     rayset_divisor,
@@ -427,7 +427,7 @@ class _Engine:
     def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
         """h^0..h^r for each form degree in ``degrees``, all with the ray
         flags ``merged``, at a class representative twist (see
-        _class_representative).
+        ``divisors.class_representative``).
 
         One pass over the support box serves the whole group (p = 0 alone,
         or every p >= 1) and every image of (merged, twist class) under the
@@ -447,7 +447,7 @@ class _Engine:
         for perm in automorphisms(self.fan):
             moved = tuple(twist[i] for i in perm)
             self._dims[(degrees, tuple(merged[i] for i in perm),
-                        _class_representative(self.fan, moved))] = result
+                        class_representative(self.fan, moved))] = result
         return result
 
 
@@ -547,16 +547,6 @@ def chamber_support_box(f: Fan, s: LogFormSheafSpec) -> Optional[tuple]:
     return eng.support_box((s.p,), eng.merged(s.p, s.logset), s.twist)
 
 
-def _class_representative(f: Fan, twist: tuple) -> tuple:
-    """T - div(chi^m0), the twist's representative that vanishes on the rays
-    of ``max_cones[0]``; m0 = sum of t_rho dual_rho over those rays.
-
-    The margin of weight m under T is the margin of m + m0 under the
-    representative, so both have the same dims at shifted weights.
-    """
-    return _zero_on(f, twist, 0, f.max_cones[0])
-
-
 def _log_dims(f: Fan, ps: Sequence[int], dprime: frozenset, twist: tuple) -> tuple:
     """h^0..h^r of Omega^p(log D') (x) O(T) for each p >= 0 in ``ps``
     (zero for p > r), looked up by the twist's class.
@@ -566,7 +556,7 @@ def _log_dims(f: Fan, ps: Sequence[int], dprime: frozenset, twist: tuple) -> tup
     which share their ray flags) is read with one ``_Engine.dims`` lookup.
     """
     eng = _engine(f)
-    representative = _class_representative(f, twist)
+    representative = class_representative(f, twist)
     dims = {}
     for degrees in ((0,), tuple(range(1, f.dim + 1))):
         if any(p in degrees for p in ps):

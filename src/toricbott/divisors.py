@@ -4,11 +4,11 @@ An invariant divisor is an integer coefficient per ray.  On a smooth cone
 sigma with dual basis m_i, the character m = -sum a_rho m_rho over chosen
 rays rho of sigma makes D + div(chi^m) vanish on those rays; ``_zero_on``
 is that one rule, read off the fan's dual pairing table.  Wall intersection
-numbers, restriction to strata and the engine's class representatives all
-use it.  Positivity on a complete fan is decided through intersection
-numbers with the invariant wall curves, all in exact arithmetic.  The sign
-convention of the wall formula is pinned once by a startup self-test:
-O(1) . line = 1 on P^2.
+numbers, restriction to strata and ``class_representative`` (the one class
+rule of the engine and the sweep) all use it.  Positivity on a complete fan
+is decided through intersection numbers with the invariant wall curves, all
+in exact arithmetic.  The sign convention of the wall formula is pinned once
+by a startup self-test: O(1) . line = 1 on P^2.
 """
 
 from __future__ import annotations
@@ -120,6 +120,18 @@ def _zero_on(f: Fan, coeffs: tuple, cone: int, rays) -> tuple:
         if a and ray in rays:
             out = tuple(c - a * x for c, x in zip(out, row))
     return out
+
+
+def class_representative(f: Fan, coeffs: tuple) -> tuple:
+    """D - div(chi^m0), the representative of the class of D that vanishes
+    on the rays of ``max_cones[0]``; m0 = sum of a_rho dual_rho over them.
+
+    Two divisors are linearly equivalent iff their representatives are
+    equal, so it keys everything that reads only O(D).  The margin of weight
+    m under D is the margin of m + m0 under the representative, so both have
+    the same cohomology at shifted weights.
+    """
+    return _zero_on(f, coeffs, 0, f.max_cones[0])
 
 
 def intersect_wall(f: Fan, d: InvariantDivisor, w: Wall) -> int:

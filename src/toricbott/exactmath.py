@@ -39,14 +39,6 @@ class UnboundedAuxiliary(RuntimeError):
     """The slack-maximization LP reported unbounded; eps <= 1 forbids this."""
 
 
-def as_rational(x):
-    """Normalize a number to ``int`` when integral, ``Fraction`` otherwise."""
-    if isinstance(x, int):
-        return x
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
-
-
 def json_ints(values, what: str) -> tuple:
     """``values`` as a tuple; ValueError naming the first entry that is not
     an ``int`` (a bool, float, Fraction or string), described as ``what``,
@@ -311,8 +303,10 @@ def lp_max(a_rows, b, c, nonneg: bool = False):
         nums = [values.get(j, 0) for j in range(n)]
     else:
         nums = [values.get(j, 0) - values.get(n + j, 0) for j in range(n)]
-    x = [as_rational(Fraction(v, den)) for v in nums]
-    return "optimal", x, as_rational(Fraction(tableau[-1][-1], den))
+    # integral entries of x and the value come back as plain ints
+    x = [Fraction(v, den) for v in nums + [tableau[-1][-1]]]
+    x = [q.numerator if q.denominator == 1 else q for q in x]
+    return "optimal", x[:-1], x[-1]
 
 
 def lp_feasible_strict(a: Sequence[Sequence], b: Sequence,

@@ -3,6 +3,15 @@
 The suite fans are the surfaces and threefolds every property in the test
 battery runs over: P^1, P^2, P^3, P^1 x P^1, the Hirzebruch surfaces F_1 and
 F_2, and P^2 blown up in one to three torus-fixed points.
+
+The Theorem 1.1 sweep (``thm11_sweep``) runs over every ray subset D' and
+every L with coefficients from a small range, and decides each (D', class
+of L) once.  One decision per class is exact: the hypothesis "L - dD' is
+ample for some d in [0,1]^{D'}" reads L only through its wall numbers, and
+the sheaf Omega^p(log D')(-D') (x) O(L) only through O(L); linearly
+equivalent L share both.  So ``verified`` and ``certified`` count the
+instances whose class passed, and a failing class lists each of its
+members among the failures.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from typing import Dict, Tuple
 
 from .certifier import cross_validate
 from .danilov import verify_vanishing
-from .divisors import InvariantDivisor, canonical_divisor, hypothesis_feasible
+from .divisors import (InvariantDivisor, canonical_divisor, class_representative,
+                       hypothesis_feasible)
 from .fan import Fan, hirzebruch, product, projective_space, star_subdivision
 
 
@@ -37,23 +47,25 @@ def suite_fans() -> Dict[str, Fan]:
     }
 
 
-def iter_thm11_instances(fan: Fan, coeffs: Tuple[int, ...] = (0, 1, 2)):
-    """All (D', L) pairs of the sweep: every ray subset, every coefficient
-    vector from the given range."""
-    ray_indices = range(fan.n_rays)
-    for size in range(fan.n_rays + 1):
-        for dprime in itertools.combinations(ray_indices, size):
-            for lc in itertools.product(coeffs, repeat=fan.n_rays):
-                yield dprime, InvariantDivisor(lc)
-
-
 @dataclass
 class SweepOutcome:
+    """Counts of a ``thm11_sweep``.
+
+    ``instances``, ``feasible``, ``verified``, ``certified`` and ``agreed``
+    count (D', L) pairs; an instance is verified (certified, agreed) when
+    the check of its (D', class of L) passed.  ``decided`` counts the
+    distinct (D', class) pairs whose hypothesis was decided, ``checked``
+    those of them that were feasible and checked.  ``failures`` holds one
+    entry per failing instance, with its own coefficients, in sweep order.
+    """
+
     instances: int = 0
     feasible: int = 0
     verified: int = 0
     certified: int = 0
     agreed: int = 0
+    decided: int = 0
+    checked: int = 0
     failures: list = field(default_factory=list)
 
     @property
@@ -65,30 +77,58 @@ class SweepOutcome:
         return self.certified == self.feasible and self.agreed == self.feasible
 
 
+def _decide(fan: Fan, dprime: tuple, l: InvariantDivisor, certify: bool):
+    """None if the hypothesis fails for (D', L), else the direct report and,
+    with ``certify``, the cross-validation that produced it."""
+    witness = hypothesis_feasible(fan, l, dprime)
+    if witness is None:
+        return None
+    if certify:
+        both = cross_validate(fan, dprime, l, witness)
+        return both.direct, both
+    return verify_vanishing(fan, dprime, l, witness=witness), None
+
+
 def thm11_sweep(fan: Fan, certify: bool = True,
                 coeffs: Tuple[int, ...] = (0, 1, 2)) -> SweepOutcome:
-    """Run the vanishing check on every hypothesis-feasible instance of the
-    sweep; with ``certify``, both routes through ``cross_validate``."""
+    """Run the vanishing check on every hypothesis-feasible (D', L) of the
+    sweep: every ray subset D', every L with coefficients from ``coeffs``;
+    with ``certify``, both routes through ``cross_validate``.
+
+    Each (D', class of L) is decided once, on the first L of the class, and
+    its verdict counts for every member.  That is exact: the hypothesis
+    reads L only through its wall numbers, and the sheaf
+    Omega^p(log D')(-D') (x) O(L) only through O(L), both fixed by the class.
+    The memo of verdicts is cleared for each D', so it holds at most one
+    entry per class of the coefficient box.
+    """
     out = SweepOutcome()
-    for dprime, l in iter_thm11_instances(fan, coeffs):
-        out.instances += 1
-        witness = hypothesis_feasible(fan, l, dprime)
-        if witness is None:
-            continue
-        out.feasible += 1
-        both = cross_validate(fan, dprime, l, witness) if certify else None
-        report = both.direct if certify else verify_vanishing(fan, dprime, l, witness=witness)
-        if report.passed:
-            out.verified += 1
-        else:
-            out.failures.append(("verify", dprime, l.coeffs, report.violations))
-        if certify:
-            out.certified += both.certificate_ok
-            out.agreed += both.agree
-            if not both.certificate_ok:
-                out.failures.append(("certificate", dprime, l.coeffs, None))
-            if both.certificate_ok != report.passed:
-                out.failures.append(("disagree", dprime, l.coeffs, None))
+    vectors = [(InvariantDivisor(lc), class_representative(fan, lc))
+               for lc in itertools.product(coeffs, repeat=fan.n_rays)]
+    for size in range(fan.n_rays + 1):
+        for dprime in itertools.combinations(range(fan.n_rays), size):
+            verdicts = {}
+            for l, key in vectors:
+                out.instances += 1
+                if key not in verdicts:
+                    verdicts[key] = _decide(fan, dprime, l, certify)
+                    out.decided += 1
+                    out.checked += verdicts[key] is not None
+                if verdicts[key] is None:
+                    continue
+                report, both = verdicts[key]
+                out.feasible += 1
+                if report.passed:
+                    out.verified += 1
+                else:
+                    out.failures.append(("verify", dprime, l.coeffs, report.violations))
+                if certify:
+                    out.certified += both.certificate_ok
+                    out.agreed += both.agree
+                    if not both.certificate_ok:
+                        out.failures.append(("certificate", dprime, l.coeffs, None))
+                    if both.certificate_ok != report.passed:
+                        out.failures.append(("disagree", dprime, l.coeffs, None))
     return out
 
 

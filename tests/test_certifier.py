@@ -170,15 +170,16 @@ def test_cross_validate_uses_the_witness_it_is_given(monkeypatch):
     for module in (certifier, danilov):
         monkeypatch.setattr(module, "hypothesis_feasible", no_lp)
     assert cross_validate(P2, (0,), l, witness=witness).agree
-    # the sweep hands its witness on, so each feasible instance gets one
-    # direct check and no second hypothesis solve
+    # the sweep hands its witness on, so each feasible (D', class of L) gets
+    # one direct check and no second hypothesis solve
     calls = []
     original = danilov.verify_vanishing
     for module in (danilov, certifier, suite):
         monkeypatch.setattr(module, "verify_vanishing",
                             lambda *a, **k: calls.append(a) or original(*a, **k))
     outcome = suite.thm11_sweep(P2, certify=True)
-    assert outcome.agreed == outcome.feasible == len(calls) == 208
+    assert outcome.agreed == outcome.feasible == 208
+    assert len(calls) == outcome.checked == 48
 
 
 def test_supplied_witness_skips_the_lp(monkeypatch):

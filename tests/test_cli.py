@@ -346,8 +346,9 @@ def test_suite_jobs_must_be_positive(capsys, jobs):
 
 @pytest.mark.parametrize("select, options, pattern, keys", [
     ("thm11", ["--fans", "p1,p2", "--no-certify"],
-     r"(\w+): (\d+)/(\d+) feasible, verified=(\d+), certified=(\d+), ok=(\w+)",
-     ("feasible", "instances", "verified", "certified", "ok")),
+     r"(\w+): (\d+)/(\d+) feasible, verified=(\d+), certified=(\d+), decided=(\d+), "
+     r"ok=(\w+)",
+     ("feasible", "instances", "verified", "certified", "decided", "ok")),
     ("serre", ["--fans", "p1,p2", "--bound", "1", "--sample", "3"],
      r"(\w+): serre duality failures = (\d+), log serre duality failures = (\d+)",
      ("serre_failures", "log_serre_failures")),
