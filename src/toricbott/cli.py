@@ -210,6 +210,9 @@ def cmd_suite(args) -> int:
     if args.bound < 0 or args.sample < 0 or jobs < 1:
         print("--bound and --sample must be nonnegative and --jobs positive", file=sys.stderr)
         return EXIT_MALFORMED
+    if args.select == "euler" and args.sample == 0:
+        print("--sample 0 draws no euler instance, so it would check nothing", file=sys.stderr)
+        return EXIT_MALFORMED
     thm11 = args.select == "thm11"
     _read_only_by(args.jobs is not None and not thm11, "--jobs", "suite --select thm11")
     _read_only_by(args.no_certify and not thm11, "--no-certify", "suite --select thm11")
@@ -231,7 +234,7 @@ def cmd_suite(args) -> int:
             rows[name] = dict(vars(out), ok=ok)
             lines.append(f"{name}: {out.feasible}/{out.instances} feasible, "
                          f"verified={out.verified}, certified={out.certified}, "
-                         f"decided={out.decided}, ok={ok}")
+                         f"decided={out.decided}, solved={out.solved}, ok={ok}")
             lines += [f"    {failure}" for failure in out.failures]
     else:
         for name in names:

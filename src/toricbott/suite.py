@@ -11,7 +11,10 @@ ample for some d in [0,1]^{D'}" reads L only through its wall numbers, and
 the sheaf Omega^p(log D')(-D') (x) O(L) only through O(L); linearly
 equivalent L share both.  So ``verified`` and ``certified`` count the
 instances whose class passed, and a failing class lists each of its
-members among the failures.
+members among the failures.  The sweep walks the D' lattice: the
+hypothesis is monotone in D', so a class infeasible at D' = all rays is
+never visited again, and a witness at D' minus one ray, extended by a
+zero, is the witness at D'.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Tuple
 
 from .certifier import cross_validate
@@ -55,8 +59,10 @@ class SweepOutcome:
     count (D', L) pairs; an instance is verified (certified, agreed) when
     the check of its (D', class of L) passed.  ``decided`` counts the
     distinct (D', class) pairs whose hypothesis was decided, ``checked``
-    those of them that were feasible and checked.  ``failures`` holds one
-    entry per failing instance, with its own coefficients, in sweep order.
+    those of them that were feasible and checked, and ``solved`` those
+    decided through ``hypothesis_feasible``; the others were inferred along
+    the D' lattice.  ``failures`` holds one entry per failing instance,
+    with its own coefficients, in sweep order.
     """
 
     instances: int = 0
@@ -66,6 +72,7 @@ class SweepOutcome:
     agreed: int = 0
     decided: int = 0
     checked: int = 0
+    solved: int = 0
     failures: list = field(default_factory=list)
 
     @property
@@ -77,16 +84,39 @@ class SweepOutcome:
         return self.certified == self.feasible and self.agreed == self.feasible
 
 
-def _decide(fan: Fan, dprime: tuple, l: InvariantDivisor, certify: bool):
-    """None if the hypothesis fails for (D', L), else the direct report and,
-    with ``certify``, the cross-validation that produced it."""
-    witness = hypothesis_feasible(fan, l, dprime)
-    if witness is None:
-        return None
+def _inherited(below: dict, dprime: tuple, cls: int):
+    """A witness at ``dprime`` for class ``cls`` from one at a one-smaller
+    subset in ``below``, with 0 inserted at the dropped ray; None if the
+    class is feasible at none of them."""
+    for i in range(len(dprime)):
+        witness = below[dprime[:i] + dprime[i + 1:]].get(cls)
+        if witness is not None:
+            return witness[:i] + (0,) + witness[i:]
+    return None
+
+
+def _check(out: SweepOutcome, fan: Fan, dprime: tuple, members: list,
+           witness: tuple, certify: bool) -> list:
+    """Check one feasible (D', class), tally it once per member and return
+    its failures as (member index, failure) pairs."""
+    l = members[0][1]
     if certify:
         both = cross_validate(fan, dprime, l, witness)
-        return both.direct, both
-    return verify_vanishing(fan, dprime, l, witness=witness), None
+        report = both.direct
+    else:
+        report = verify_vanishing(fan, dprime, l, witness=witness)
+    n = len(members)
+    out.checked += 1
+    out.feasible += n
+    out.verified += n * report.passed
+    kinds = [] if report.passed else [("verify", report.violations)]
+    if certify:
+        out.certified += n * both.certificate_ok
+        out.agreed += n * both.agree
+        kinds += [] if both.certificate_ok else [("certificate", None)]
+        kinds += [] if both.certificate_ok == report.passed else [("disagree", None)]
+    return [(index, (kind, dprime, m.coeffs, detail))
+            for index, m in members for kind, detail in kinds]
 
 
 def thm11_sweep(fan: Fan, certify: bool = True,
@@ -95,40 +125,52 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     sweep: every ray subset D', every L with coefficients from ``coeffs``;
     with ``certify``, both routes through ``cross_validate``.
 
-    Each (D', class of L) is decided once, on the first L of the class, and
-    its verdict counts for every member.  That is exact: the hypothesis
-    reads L only through its wall numbers, and the sheaf
-    Omega^p(log D')(-D') (x) O(L) only through O(L), both fixed by the class.
-    The memo of verdicts is cleared for each D', so it holds at most one
-    entry per class of the coefficient box.
+    The coefficient vectors are grouped once by class of L, and each
+    (D', class) is decided once, on the first member, with its verdict
+    counted for every member.  That is exact: the hypothesis reads L only
+    through its wall numbers, and the sheaf Omega^p(log D')(-D') (x) O(L)
+    only through O(L), both fixed by the class.
+
+    The hypothesis is monotone in D': a witness at D', extended by zeros,
+    is one at every superset.  So each class is decided first at D' = all
+    rays, and a class infeasible there is never visited again.  The others
+    are walked by size of D', then lexicographically; a class feasible at
+    some D' minus one ray inherits that witness with 0 at the dropped ray,
+    and only a class feasible at no such subset calls
+    ``hypothesis_feasible``.  The checks re-check every witness.  Only the
+    feasible witnesses of the previous size are kept.
     """
     out = SweepOutcome()
-    vectors = [(InvariantDivisor(lc), class_representative(fan, lc))
-               for lc in itertools.product(coeffs, repeat=fan.n_rays)]
+    classes = {}
+    for index, lc in enumerate(itertools.product(coeffs, repeat=fan.n_rays)):
+        classes.setdefault(class_representative(fan, lc), []).append(
+            (index, InvariantDivisor(lc)))
+    rays = tuple(range(fan.n_rays))
+    top = [(members, hypothesis_feasible(fan, members[0][1], rays))
+           for members in classes.values()]
+    out.solved = len(top)
+    top = [(members, witness) for members, witness in top if witness is not None]
+    below = {}
     for size in range(fan.n_rays + 1):
-        for dprime in itertools.combinations(range(fan.n_rays), size):
-            verdicts = {}
-            for l, key in vectors:
-                out.instances += 1
-                if key not in verdicts:
-                    verdicts[key] = _decide(fan, dprime, l, certify)
-                    out.decided += 1
-                    out.checked += verdicts[key] is not None
-                if verdicts[key] is None:
-                    continue
-                report, both = verdicts[key]
-                out.feasible += 1
-                if report.passed:
-                    out.verified += 1
-                else:
-                    out.failures.append(("verify", dprime, l.coeffs, report.violations))
-                if certify:
-                    out.certified += both.certificate_ok
-                    out.agreed += both.agree
-                    if not both.certificate_ok:
-                        out.failures.append(("certificate", dprime, l.coeffs, None))
-                    if both.certificate_ok != report.passed:
-                        out.failures.append(("disagree", dprime, l.coeffs, None))
+        level = {}
+        for dprime in itertools.combinations(rays, size):
+            out.instances += len(coeffs) ** fan.n_rays
+            out.decided += len(classes)
+            found = level[dprime] = {}
+            failures = []
+            for cls, (members, witness) in enumerate(top):
+                if dprime != rays:
+                    witness = _inherited(below, dprime, cls)
+                if witness is None:
+                    witness = hypothesis_feasible(fan, members[0][1], dprime)
+                    out.solved += 1
+                    if witness is None:
+                        continue
+                found[cls] = witness
+                failures += _check(out, fan, dprime, members, witness, certify)
+            failures.sort(key=itemgetter(0))
+            out.failures += [failure for _, failure in failures]
+        below = level
     return out
 
 

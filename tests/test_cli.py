@@ -328,6 +328,13 @@ def test_suite_negative_bound_or_sample_is_malformed(capsys, select, option, val
     assert capsys.readouterr().out == ""
 
 
+def test_suite_empty_euler_sample_is_malformed(capsys):
+    # an empty sample checks nothing; it must not print ok=True and exit 0
+    assert main(["suite", "--select", "euler", "--fans", "p1", "--sample", "0"]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert "--sample 0" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("select, option", [("serre", ["--jobs", "2"]),
                                             ("hodge", ["--jobs", "1"]),
                                             ("euler", ["--no-certify"]),
@@ -347,8 +354,8 @@ def test_suite_jobs_must_be_positive(capsys, jobs):
 @pytest.mark.parametrize("select, options, pattern, keys", [
     ("thm11", ["--fans", "p1,p2", "--no-certify"],
      r"(\w+): (\d+)/(\d+) feasible, verified=(\d+), certified=(\d+), decided=(\d+), "
-     r"ok=(\w+)",
-     ("feasible", "instances", "verified", "certified", "decided", "ok")),
+     r"solved=(\d+), ok=(\w+)",
+     ("feasible", "instances", "verified", "certified", "decided", "solved", "ok")),
     ("serre", ["--fans", "p1,p2", "--bound", "1", "--sample", "3"],
      r"(\w+): serre duality failures = (\d+), log serre duality failures = (\d+)",
      ("serre_failures", "log_serre_failures")),

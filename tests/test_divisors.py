@@ -252,6 +252,29 @@ def test_hypothesis_witness_is_valid(name, rnd):
     assert is_ample(f, residual_divisor(f, l, dprime, w))
 
 
+@pytest.mark.parametrize("name", sorted(suite_fans()))
+def test_hypothesis_is_monotone_in_the_logset(name):
+    # the lemma the thm11 sweep walks the D' lattice by: a witness at
+    # D' ⊂ E, extended by zeros, is one at E; so infeasible at E is
+    # infeasible at D'
+    f = suite_fans()[name]
+    rng = random.Random(17)
+    seen = {"infeasible at E": 0, "extended": 0}
+    for _ in range(300):
+        l = InvariantDivisor(tuple(rng.randint(-1, 2) for _ in range(f.n_rays)))
+        e = tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays))))
+        dprime = tuple(sorted(rng.sample(e, rng.randint(0, len(e)))))
+        if hypothesis_feasible(f, l, e) is None:
+            seen["infeasible at E"] += 1
+            assert hypothesis_feasible(f, l, dprime) is None
+        w = hypothesis_feasible(f, l, dprime)
+        if w is not None:
+            seen["extended"] += 1
+            at = dict(zip(dprime, w))
+            require_witness(f, l, e, tuple(at.get(j, 0) for j in e))
+    assert min(seen.values()) >= 5, seen
+
+
 def test_linearly_equivalent_bundles_share_one_exact_lp(monkeypatch):
     import toricbott.divisors as divisors
 

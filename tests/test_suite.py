@@ -39,17 +39,28 @@ def per_instance_sweep(fan, certify, coeffs):
     return out
 
 
+def assert_matches_the_per_instance_sweep(name, coeffs, certify):
+    fan = suite_fans()[name]
+    out = thm11_sweep(fan, certify=certify, coeffs=coeffs)
+    assert 0 < out.solved <= out.decided and 0 < out.checked <= out.decided <= out.instances
+    assert dataclasses.replace(out, decided=0, checked=0, solved=0) == per_instance_sweep(
+        fan, certify=certify, coeffs=coeffs)
+
+
 @pytest.mark.parametrize("name, coeffs", [
     (name, coeffs) for name in ("p1", "p2", "p1xp1", "f1", "f2", "bl1")
     for coeffs in ((0, 1, 2), (-1, 0, 1, 2))
 ] + [("p3", (0, 1, 2))])
 @pytest.mark.parametrize("certify", [True, False])
 def test_class_sweep_matches_the_per_instance_sweep(name, coeffs, certify):
-    fan = suite_fans()[name]
-    out = thm11_sweep(fan, certify=certify, coeffs=coeffs)
-    assert 0 < out.checked <= out.decided <= out.instances
-    assert dataclasses.replace(out, decided=0, checked=0) == per_instance_sweep(
-        fan, certify=certify, coeffs=coeffs)
+    assert_matches_the_per_instance_sweep(name, coeffs, certify)
+
+
+@pytest.mark.parametrize("coeffs", [(0, 1, 2), (-1, 0, 1, 2)])
+def test_class_sweep_matches_the_per_instance_sweep_on_bl2(coeffs):
+    # the fans above make at most 22 exact LPs; the per-instance sweep on
+    # bl2 makes hundreds, so here inherited witnesses stand in for LP ones
+    assert_matches_the_per_instance_sweep("bl2", coeffs, certify=False)
 
 
 def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
@@ -78,7 +89,18 @@ def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
 
 @pytest.mark.parametrize("name, decided, checked", [
     ("p2", 56, 48), ("p3", 144, 128), ("bl3", 27_200, 2_800)])
-def test_sweep_decides_each_class_once(name, decided, checked):
+def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
+    # ``solved`` counts the decisions that called the hypothesis; the rest
+    # were inferred along the D' lattice
+    calls = []
+
+    def counting(fan, l, dprime):
+        calls.append(dprime)
+        return hypothesis_feasible(fan, l, dprime)
+
+    monkeypatch.setattr(suite, "hypothesis_feasible", counting)
     out = thm11_sweep(suite_fans()[name], certify=False)
     assert out.all_verified
-    assert (out.decided, out.checked) == (decided, checked)
+    solved = {"p2": 13, "p3": 17, "bl3": 3_930}[name]
+    assert (out.decided, out.checked, out.solved) == (decided, checked, solved)
+    assert len(calls) == solved
