@@ -14,7 +14,7 @@ instances whose class passed, and a failing class lists each of its
 members among the failures.  The sweep walks the D' lattice: the
 hypothesis is monotone in D', so a class infeasible at D' = all rays is
 never visited again, and a witness at D' minus one ray, extended by a
-zero, is the witness at D'.
+zero, is a witness at D'.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     The hypothesis is monotone in D': a witness at D', extended by zeros,
     is one at every superset.  So each class is decided first at D' = all
     rays, and a class infeasible there is never visited again.  The others
-    are walked by size of D', then lexicographically; a class feasible at
-    some D' minus one ray inherits that witness with 0 at the dropped ray,
-    and only a class feasible at no such subset calls
+    are walked by size of D', then lexicographically; below all rays, a
+    class feasible at some D' minus one ray inherits that witness with 0 at
+    the dropped ray, and only a class feasible at no such subset calls
     ``hypothesis_feasible``.  The checks re-check every witness.  Only the
     feasible witnesses of the previous size are kept.
     """
