@@ -202,20 +202,29 @@ def _thm11_worker(task):
 def cmd_suite(args) -> int:
     fans = suite.suite_fans()
     names = sorted(fans) if args.fans == "all" else args.fans.split(",")
-    rng = random.Random(args.seed)
     if any(name not in fans for name in names):
         print(f"unknown suite fan in {names}", file=sys.stderr)
         return EXIT_MALFORMED
-    jobs = 1 if args.jobs is None else args.jobs
-    if args.bound < 0 or args.sample < 0 or jobs < 1:
-        print("--bound and --sample must be nonnegative and --jobs positive", file=sys.stderr)
-        return EXIT_MALFORMED
-    if args.select == "euler" and args.sample == 0:
-        print("--sample 0 draws no euler instance, so it would check nothing", file=sys.stderr)
-        return EXIT_MALFORMED
     thm11 = args.select == "thm11"
+    sampled = args.select in ("serre", "euler")
     _read_only_by(args.jobs is not None and not thm11, "--jobs", "suite --select thm11")
     _read_only_by(args.no_certify and not thm11, "--no-certify", "suite --select thm11")
+    _read_only_by(args.bound is not None and args.select != "serre", "--bound",
+                  "suite --select serre")
+    _read_only_by(args.sample is not None and not sampled, "--sample",
+                  "suite --select serre and euler")
+    _read_only_by(args.seed is not None and not sampled, "--seed",
+                  "suite --select serre and euler")
+    jobs = 1 if args.jobs is None else args.jobs
+    bound = 3 if args.bound is None else args.bound
+    sample = 25 if args.sample is None else args.sample
+    rng = random.Random(0 if args.seed is None else args.seed)
+    if bound < 0 or sample < 0 or jobs < 1:
+        print("--bound and --sample must be nonnegative and --jobs positive", file=sys.stderr)
+        return EXIT_MALFORMED
+    if args.select == "euler" and sample == 0:
+        print("--sample 0 draws no euler instance, so it would check nothing", file=sys.stderr)
+        return EXIT_MALFORMED
     rows = {}
     lines = []
     if thm11:
@@ -240,8 +249,8 @@ def cmd_suite(args) -> int:
         for name in names:
             f = fans[name]
             if args.select == "serre":
-                failures = len(suite.serre_duality_failures(f, bound=args.bound))
-                log_failures = len(suite.log_serre_duality_failures(f, rng, args.sample))
+                failures = len(suite.serre_duality_failures(f, bound=bound))
+                log_failures = len(suite.log_serre_duality_failures(f, rng, sample))
                 rows[name] = {"serre_failures": failures, "log_serre_failures": log_failures,
                               "ok": not failures and not log_failures}
                 lines.append(f"{name}: serre duality failures = {failures}, "
@@ -251,7 +260,7 @@ def cmd_suite(args) -> int:
                                         for dprime in suite.hodge_chart_subsets(f))}
                 lines.append(f"{name}: hodge counts ok={rows[name]['ok']}")
             else:
-                samples = suite.sample_euler_instances({name: f}, rng, args.sample)
+                samples = suite.sample_euler_instances({name: f}, rng, sample)
                 rows[name] = {"ok": all(danilov.euler_additivity_check(*sample[1:]).passed
                                         for sample in samples)}
                 lines.append(f"{name}: euler additivity ok={rows[name]['ok']}")
@@ -308,9 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--select", choices=("thm11", "serre", "hodge", "euler"),
                     default="thm11")
     st.add_argument("--fans", default="all")
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--sample", type=int, default=25)
-    st.add_argument("--bound", type=int, default=3)
+    st.add_argument("--seed", type=int,
+                    help="seed of the serre and euler samples (default 0)")
+    st.add_argument("--sample", type=int,
+                    help="instances drawn per fan by serre and euler (default 25)")
+    st.add_argument("--bound", type=int,
+                    help="serre checks twists with entries in [-bound, bound] (default 3)")
     st.add_argument("--no-certify", action="store_true")
     st.add_argument("--jobs", type=int,
                     help="dispatch whole-fan thm11 sweeps to this many processes (default 1)")

@@ -30,6 +30,20 @@ per-ray conditions are not taken on faith: the suite cross-checks them
 against line-bundle cohomology, trivial-bundle reduction, Serre duality and
 the A^1 model (t^m dlog t regular iff m >= 1).
 
+So every weight's complex is a subcomplex of one ambient complex per form
+degree p (``_Engine.ambient``, built on first use): one term per wedge, a
+cone tau and a dual-basis index set I of tau's completion.  Each wedge
+carries a bitmask of tau's rays, a bitmask of its blockable rays (the rays
+of I that lie in tau), and its nonzero images under the facet restrictions,
+signed minors of the change of dual basis.  A weight's margin pattern is a
+DEAD mask (c <= -1) and a RESTRICTED mask (c = 0 on a ray whose condition
+reads c >= 1 there); a wedge spans sections iff its tau mask misses DEAD and
+its blockable mask misses RESTRICTED.  ``_Engine.sections`` is that one
+section rule, which ``weight_sections`` reads too, and a pattern's complex
+is the sparse slice of the ambient one on the kept wedges.  An image of a
+kept wedge on a dropped one is an error, and d o d = 0 is checked on every
+slice.
+
 The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so each pattern's cohomology is computed
 once.  The vertices of the margin-level hyperplane arrangement find every
@@ -185,8 +199,8 @@ class CohomologyResult:
 
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
-    solvers of the level arrangement, wedge minors, pattern
-    cohomology, total dims per orbit of (flags, twist class).
+    solvers of the level arrangement, the ambient complex per form degree,
+    pattern cohomology, total dims per orbit of (flags, twist class).
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -223,81 +237,91 @@ class _Engine:
             scale, rows = _scaled_dual_basis(fan, subset)
             if scale:
                 self.solvers.append((subset, scale, tuple(zip(*rows))))
-        self._minors: dict = {}
+        self._ambient: dict = {}
         self._state_coh: dict = {}
         self._bounded: dict = {}
         self._dims: dict = {}
 
-    def _minor(self, a: int, b: int, i_pos: tuple, j_pos: tuple) -> int:
-        """Minor of the change from cone a's dual basis to cone b's: rows
-        i_pos of a's dual pairing table at the rays j_pos of cone b."""
-        key = (a, b, i_pos, j_pos)
-        if key not in self._minors:
-            table = _dual_pairings(self.fan, a)
-            cone_b = self.fan.max_cones[b]
-            self._minors[key] = det([[table[i][cone_b[j]] for j in j_pos] for i in i_pos])
-        return self._minors[key]
+    def ambient(self, p: int) -> list:
+        """The ambient complex of form degree p, built on first use: per
+        level, per wedge (tau, I), the triple (tau mask, blockable mask,
+        images).
 
-    def _allowed(self, p: int, tau: tuple, comp: int, states: tuple):
-        if any(states[ray] == DEAD for ray in tau):
-            return ()
-        cone = self.fan.max_cones[comp]
-        blocked = [pos for pos, ray in enumerate(cone) if ray in tau and states[ray] == RESTRICTED]
-        if not blocked:
-            return tuple(itertools.combinations(range(self.r), p))
-        blocked_set = set(blocked)
-        return tuple(
-            I for I in itertools.combinations(range(self.r), p) if not blocked_set & set(I)
-        )
+        The wedges of a level run over its cones tau in order and, within
+        each, over the position sets I in ``itertools.combinations(range(r),
+        p)`` of tau's completion sigma: wedge I is the dual-basis section
+        wedge_{i in I} u*_{sigma[i]}.  The tau mask has a bit per ray of tau;
+        the blockable mask one per ray sigma[i], i in I, that lies in tau;
+        the images list (wedge index in the next level, nonzero value) of
+        the restriction to each facet of tau, signed minors of the change
+        from sigma's dual basis to the facet's completion's.
+        """
+        table = self._ambient.get(p)
+        if table is not None:
+            return table
+        full = tuple(itertools.combinations(range(self.r), p))
+        minors: dict = {}   # (a, b) -> the p-th compound of the change of basis
+        table = []
+        for i, level in enumerate(self.levels):
+            wedges = []
+            for tau, comp_a, facets in level:
+                cone = self.fan.max_cones[comp_a]
+                tau_mask = sum(1 << ray for ray in tau)
+                pairings = _dual_pairings(self.fan, comp_a)
+                for ii, I in enumerate(full):
+                    images = []
+                    for d_idx, sign in facets:
+                        comp_b = self.levels[i + 1][d_idx][1]
+                        if (comp_a, comp_b) not in minors:
+                            cone_b = self.fan.max_cones[comp_b]
+                            minors[comp_a, comp_b] = [
+                                [det([[pairings[a][cone_b[b]] for b in J] for a in K])
+                                 for J in full]
+                                for K in full]
+                        images += [(d_idx * len(full) + jj, sign * val)
+                                   for jj, val in enumerate(minors[comp_a, comp_b][ii]) if val]
+                    blockable = sum(1 << cone[pos] for pos in I if cone[pos] in tau)
+                    wedges.append((tau_mask, blockable, tuple(images)))
+            table.append(wedges)
+        self._ambient[p] = table
+        return table
+
+    def sections(self, p: int, states: tuple) -> list:
+        """The one section rule: per level of ``ambient(p)``, {wedge index:
+        basis index} of the wedges spanning the sections at the margin
+        pattern ``states``.  A wedge is kept iff its cone has no DEAD ray
+        and no blockable ray of it is RESTRICTED."""
+        dead = sum(1 << ray for ray, st in enumerate(states) if st == DEAD)
+        restricted = sum(1 << ray for ray, st in enumerate(states) if st == RESTRICTED)
+        out = []
+        for wedges in self.ambient(p):
+            kept = [w for w, (tau_mask, blockable, _) in enumerate(wedges)
+                    if not (tau_mask & dead or blockable & restricted)]
+            out.append(dict(zip(kept, range(len(kept)))))
+        return out
 
     def state_cohomology(self, p: int, states: tuple) -> tuple:
-        """h^0..h^r at one margin pattern, from the cone-poset complex."""
+        """h^0..h^r at one margin pattern, from the cone-poset complex
+        sliced out of ``ambient(p)``."""
         key = (p, states)
         cached = self._state_coh.get(key)
         if cached is not None:
             return cached
-        r = self.r
-        allowed = [[self._allowed(p, tau, comp, states) for tau, comp, _ in level]
-                   for level in self.levels]
-        offsets = [list(itertools.accumulate((len(a) for a in lev), initial=0))
-                   for lev in allowed]
-        level_dims = [offs[-1] for offs in offsets]
+        table = self.ambient(p)
+        kept = self.sections(p, states)
         diffs = []
-        full = tuple(itertools.combinations(range(r), p))
-        for i in range(r):
-            rows_ = [[0] * level_dims[i] for _ in range(level_dims[i + 1])]
-            dst_index = [{J: jj for jj, J in enumerate(b)} for b in allowed[i + 1]]
-            for s_idx, (_tau, comp_a, facets) in enumerate(self.levels[i]):
-                allowed_a = allowed[i][s_idx]
-                if not allowed_a:
-                    continue
-                base_col = offsets[i][s_idx]
-                for d_idx, sign in facets:
-                    allowed_b_index = dst_index[d_idx]
-                    if not allowed_b_index:
-                        raise AssertionError("section space shrank along an inclusion")
-                    comp_b = self.levels[i + 1][d_idx][1]
-                    row_off = offsets[i + 1][d_idx]
-                    for ii, I in enumerate(allowed_a):
-                        for J in full:
-                            val = self._minor(comp_a, comp_b, I, J)
-                            if val == 0:
-                                continue
-                            jj = allowed_b_index.get(J)
-                            if jj is None:
-                                raise AssertionError(
-                                    "inclusion image leaves the allowed section space"
-                                )
-                            rows_[row_off + jj][base_col + ii] += sign * val
-            diffs.append(
-                QMatrix(level_dims[i + 1], level_dims[i], tuple(tuple(row) for row in rows_))
-            )
-        complex_ = ChainComplex(tuple(level_dims), tuple(diffs))
-        h = cohomology_dims(complex_)
-        for k in range(r + 1, len(h)):
-            if h[k] != 0:
-                raise AssertionError(f"nonzero cohomology in degree {k} > dim")
-        result = tuple(h)
+        for i in range(self.r):
+            rows_ = [[] for _ in kept[i + 1]]
+            wedges, targets = table[i], kept[i + 1]
+            for w, col in kept[i].items():
+                for t, val in wedges[w][2]:
+                    jj = targets.get(t)
+                    if jj is None:
+                        raise AssertionError("inclusion image leaves the allowed section space")
+                    rows_[jj].append((col, val))
+            diffs.append(QMatrix(len(targets), len(kept[i]), tuple(map(tuple, rows_))))
+        complex_ = ChainComplex(tuple(map(len, kept)), tuple(diffs))
+        result = tuple(cohomology_dims(complex_))
         self._state_coh[key] = result
         return result
 
@@ -479,12 +503,14 @@ def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence
     m = json_ints(m, "weight entry")
     if len(m) != f.dim:
         raise ValueError("weight length does not match the fan")
-    margins = eng.margins(s.twist, m)
-    states = eng.pattern(eng.merged(s.p, s.logset), margins)
-    allowed_pos = eng._allowed(s.p, tau, comp, states)
+    states = eng.pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
+    level = f.dim - len(tau)
+    first = [t for t, _, _ in eng.levels[level]].index(tau) * comb(f.dim, s.p)
+    full = tuple(itertools.combinations(range(f.dim), s.p))
+    kept = eng.sections(s.p, states)[level]
+    allowed_pos = [I for k, I in enumerate(full) if first + k in kept]
     cone = f.max_cones[comp]
     duals = _dual_basis(f, cone)
-    full = tuple(itertools.combinations(range(f.dim), s.p))
     vectors = []
     for I in allowed_pos:
         rows = [duals[i] for i in I]

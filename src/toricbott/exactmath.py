@@ -1,9 +1,15 @@
 """Exact integer linear algebra and strict-inequality LP feasibility.
 
-Every kernel works on integer rows with one fraction-free update, whose
-every division is exact: ranks and determinants by Bareiss elimination, and
-the LP by a simplex tableau of integer rows over one common denominator
-(integer pivoting as in Edmonds and in Avis's lrs).  A stdlib
+Every kernel works on integer rows, and no number is ever rounded.  The
+differentials of a complex are sparse: ``QMatrix`` keeps each row's nonzero
+entries only, and ``rank`` is a sparse fraction-free elimination that pivots
+on the shortest row, on a +-1 entry when it has one, and divides a row that a
+larger pivot updated by its content (the unit-pivot-first strategy of Dumas,
+Saunders and Villard, On efficient sparse integer matrix Smith normal form
+computations, J. Symbolic Comput. 2001).  Determinants and the LP share one dense
+fraction-free update, whose every division is exact: determinants by Bareiss
+elimination, and the LP by a simplex tableau of integer rows over one common
+denominator (integer pivoting as in Edmonds and in Avis's lrs).  A stdlib
 ``fractions.Fraction`` appears only in an LP's returned witness and value
 (a value that happens to be integral is kept as a plain ``int``).  No
 floating point appears anywhere; ranks and LP verdicts are exact yes/no
@@ -22,8 +28,11 @@ dense tableau is the right tool.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 
@@ -55,10 +64,13 @@ def json_ints(values, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense row-major integer matrix: one differential of a ChainComplex.
+    """Sparse integer matrix: one differential of a ChainComplex.
 
-    The shape is carried explicitly so that a map to or from a zero term
-    keeps its column or row count.  Every entry must be an ``int``.
+    ``entries`` holds one tuple per row of (column, value) pairs, the row's
+    nonzero entries; a column missing from a row is a zero.  The shape is
+    carried explicitly so that a map to or from a zero term keeps its column
+    or row count.  Every column and value must be an ``int``, every column
+    in range(cols) and at most once in its row, and no value zero.
     """
 
     rows: int
@@ -68,12 +80,20 @@ class QMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows or any(
-            len(row) != self.cols for row in self.entries
-        ):
-            raise ValueError("entry count must equal rows x cols")
-        for row in self.entries:
-            json_ints(row, "matrix entry")
+        if len(self.entries) != self.rows:
+            raise ValueError("need one sparse row per matrix row")
+        try:
+            pairs = list(itertools.chain.from_iterable(self.entries))
+            columns, values = zip(*pairs, strict=True) if pairs else ((), ())
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix rows must hold (column, value) pairs: {exc}") from exc
+        json_ints(columns + values, "matrix entry")
+        if columns and (min(columns) < 0 or max(columns) >= self.cols):
+            raise ValueError(f"matrix column out of range(0, {self.cols})")
+        if 0 in values:
+            raise ValueError("a sparse matrix row stores a zero")
+        if sum(map(len, map(dict, self.entries))) != len(pairs):
+            raise ValueError("a sparse matrix row stores a column twice")
 
 
 def _eliminate(row: list, prow: list, pivot: int, factor: int, prev: int, start: int):
@@ -120,8 +140,71 @@ def _bareiss(mat: list, ncols: int) -> tuple:
 
 
 def rank(m: QMatrix) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    return _bareiss([list(row) for row in m.entries], m.cols)[0]
+    """Rank of a sparse integer matrix by sparse fraction-free elimination.
+
+    Each step takes a shortest remaining row as the pivot row and pivots on
+    one of its +-1 entries if it has one (the one whose column the fewest
+    other rows hold), else on its smallest entry p.  Every other row holding
+    the pivot column, with value v there, becomes p * row - v * pivot row
+    and, unless p = +-1, is divided by the gcd of its entries; the pivot row
+    then leaves.  A +-1 pivot updates by row - p * v * pivot row instead,
+    the same row up to sign, so its entries grow by addition only.
+    """
+    rows = [dict(row) for row in m.entries]
+    holders: dict = {}      # column -> indices of the remaining rows holding it
+    for i, row in enumerate(rows):
+        for col in row:
+            if col in holders:
+                holders[col].add(i)
+            else:
+                holders[col] = {i}
+    queue = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(queue)
+    found = 0
+    while queue:
+        size, i = heapq.heappop(queue)
+        prow = rows[i]
+        if size != len(prow):
+            continue        # a stale entry: the row has changed or left
+        rows[i] = {}
+        found += 1
+        col, fewest = None, None
+        for c, v in prow.items():
+            if (v == 1 or v == -1) and (fewest is None or len(holders[c]) < fewest):
+                col, fewest = c, len(holders[c])
+        if col is None:
+            col = min(prow, key=lambda c: abs(prow[c]))
+        pivot = prow.pop(col)
+        unit = pivot == 1 or pivot == -1
+        for c in prow:
+            holders[c].discard(i)
+        targets = holders.pop(col)
+        targets.discard(i)
+        for j in targets:
+            row = rows[j]
+            factor = row.pop(col)
+            if unit:
+                factor *= pivot
+            else:
+                for c in row:
+                    row[c] *= pivot
+            for c, v in prow.items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    if c not in row:
+                        holders[c].add(j)
+                    row[c] = value
+                else:
+                    del row[c]
+                    holders[c].discard(j)
+            if row:
+                if not unit:
+                    g = gcd(*row.values())
+                    if g != 1:
+                        for c in row:
+                            row[c] //= g
+                heapq.heappush(queue, (len(row), j))
+    return found
 
 
 def det(rows) -> int:
@@ -155,19 +238,19 @@ class ChainComplex:
 def cohomology_dims(c: ChainComplex) -> list:
     """Exact cohomology dimensions h^i = dim ker d_i - rank d_{i-1}.
 
-    d_{i+1} d_i = 0 is checked first, row by row: each row of d_{i+1}
-    combines the rows of d_i, and a nonzero combination raises
+    d_{i+1} d_i = 0 is checked first, row by row on the sparse rows: each
+    row of d_{i+1} combines the rows of d_i, and a nonzero combination raises
     ComplexNotExactlyComposable.
     """
     for i in range(len(c.differentials) - 1):
-        # each row of d_{i+1} d_i is a combination of the rows of d_i
+        # each row of d_{i+1} d_i is a combination of the sparse rows of d_i
         inner = c.differentials[i].entries
         for coeffs in c.differentials[i + 1].entries:
-            acc = [0] * c.dims[i]
-            for a, row in zip(coeffs, inner):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, row)]
-            if any(acc):
+            acc: dict = {}
+            for k, a in coeffs:
+                for col, v in inner[k]:
+                    acc[col] = acc.get(col, 0) + a * v
+            if any(acc.values()):
                 raise ComplexNotExactlyComposable(f"d_{i + 1} . d_{i} != 0")
     ranks = [rank(d) for d in c.differentials]
     out = []

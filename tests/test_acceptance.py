@@ -20,7 +20,7 @@ from toricbott.danilov import (
     sheaf_spec,
 )
 from toricbott.divisors import InvariantDivisor, zero_divisor
-from toricbott.exactmath import QMatrix, rank
+from toricbott.exactmath import rank
 from toricbott.fan import projective_space
 from toricbott.suite import (
     hodge_chart_subsets,
@@ -68,13 +68,13 @@ def test_criterion_2_certificate_round_trip(sweep):
     assert ok, f"certificate failures on {bad}"
 
 
-def test_criterion_3_negative_control():
+def test_criterion_3_negative_control(dense):
     p2 = projective_space(2)
     engine = cech_cohomology(p2, sheaf_spec(1, [], zero_divisor(p2)))
     # independent hand computation: the only contributing weight is 0, where
     # the three wall charts span (1,0), (0,1), (-1,1) and the full space
     # sits on the torus chart; d1 = [[1,0,-1],[0,-1,1]] has rank 2.
-    hand_rank = rank(QMatrix(2, 3, ((1, 0, -1), (0, -1, 1))))
+    hand_rank = rank(dense(((1, 0, -1), (0, -1, 1))))
     hand_h1 = (3 - hand_rank) - 0
     ok = engine.dims == (0, 1, 0) and hand_h1 == 1 and engine.dims[1] == hand_h1
     _announce(3, ok, "h^1(P^2, Omega^1) = 1 exactly, matching the hand Cech value")

@@ -345,6 +345,40 @@ def test_suite_thm11_options_are_refused_by_other_selections(capsys, select, opt
     assert option[0] in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("select, option", [("hodge", ["--bound", "9"]),
+                                            ("hodge", ["--sample", "7"]),
+                                            ("hodge", ["--seed", "3"]),
+                                            ("euler", ["--bound", "9"]),
+                                            ("thm11", ["--bound", "9"]),
+                                            ("thm11", ["--sample", "7"]),
+                                            ("thm11", ["--seed", "3"])])
+def test_suite_sample_options_are_refused_where_unread(capsys, select, option):
+    assert main(["suite", "--select", select, "--fans", "p1"] + option) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert option[0] in captured.err and captured.out == ""
+
+
+def test_suite_hodge_refuses_every_sample_option(capsys):
+    # hodge reads none of them; this call printed ok=True and exited 0
+    assert main(["suite", "--select", "hodge", "--fans", "p1", "--bound", "9",
+                 "--sample", "7", "--seed", "3"]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("select, defaults", [
+    ("serre", ["--bound", "3", "--sample", "25", "--seed", "0"]),
+    ("euler", ["--sample", "25", "--seed", "0"]),
+])
+def test_suite_sample_option_defaults(capsys, select, defaults):
+    # an option left out reads as its documented default
+    assert main(["--format", "machine", "suite", "--select", select, "--fans", "p1"]) == EXIT_OK
+    implicit = capsys.readouterr().out
+    assert main(["--format", "machine", "suite", "--select", select, "--fans", "p1"]
+                + defaults) == EXIT_OK
+    assert capsys.readouterr().out == implicit
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_suite_jobs_must_be_positive(capsys, jobs):
     assert main(["suite", "--select", "thm11", "--fans", "p1", "--jobs", jobs]) == EXIT_MALFORMED

@@ -33,7 +33,7 @@ from toricbott.divisors import (
     rayset_divisor,
     zero_divisor,
 )
-from toricbott.exactmath import det, rank, QMatrix
+from toricbott.exactmath import ComplexNotExactlyComposable, det, rank
 from toricbott.fan import (
     Fan,
     NotACone,
@@ -74,7 +74,7 @@ def test_weight_sections_needs_a_cone():
         weight_sections(P2, s, (0, 1, 2), (0, 0))
 
 
-def test_weight_sections_independent_of_completion():
+def test_weight_sections_independent_of_completion(dense):
     # The chart of a single ray lies in two maximal cones; the computed
     # subspace of wedge^p M must not depend on which one completes it.
     s = sheaf_spec(1, (0,), (1, 0, -1))
@@ -91,7 +91,7 @@ def test_weight_sections_independent_of_completion():
             rows = tuple(vecs) + other.vectors
             if not rows:
                 continue
-            a = QMatrix(len(rows), len(rows[0]), rows)
+            a = dense(rows)
             # equal subspaces: stacking both bases must not raise the rank
             assert len(vecs) == other.dim
             if vecs:
@@ -131,7 +131,7 @@ def test_canonical_on_p2():
     assert cech_cohomology(P2, s).dims == (0, 0, 1)
 
 
-def test_hand_cech_oracle_weight_zero_omega1():
+def test_hand_cech_oracle_weight_zero_omega1(dense):
     """Independent hand computation frozen before the engine was built.
 
     At weight 0 on P^2 the three charts have no sections, the three wall
@@ -142,7 +142,7 @@ def test_hand_cech_oracle_weight_zero_omega1():
 
     with rank 2, so h^1 = (3 - 2) - 0 = 1 and h^2 = 2 - 2 = 0.
     """
-    d1 = QMatrix(2, 3, ((1, 0, -1), (0, -1, 1)))
+    d1 = dense(((1, 0, -1), (0, -1, 1)))
     assert rank(d1) == 2
     hand_h1 = (3 - rank(d1)) - 0
     assert hand_h1 == 1
@@ -572,6 +572,65 @@ def test_p1_to_the_fourth_hodge_numbers():
     for p in range(5):
         dims = log_spec_dims(p1_4, p, (), zero)
         assert dims == tuple(comb(4, p) if q == p else 0 for q in range(5))
+
+
+def test_p1_to_the_fourth_vanishing_instance_is_pinned():
+    # a 4-fold instance with every p nonzero in degree 0 only
+    p1_4 = product(product(P1, P1), product(P1, P1))
+    report = verify_vanishing(p1_4, (0, 3, 5), InvariantDivisor((2, 1, 0, 2, 1, 1, 2, 0)))
+    assert report.passed
+    assert report.per_p == ((36, 0, 0, 0, 0), (72, 0, 0, 0, 0), (53, 0, 0, 0, 0),
+                            (17, 0, 0, 0, 0), (2, 0, 0, 0, 0))
+
+
+def _with_image(fan, p, level, w, k, image):
+    """A fresh engine whose ambient complex of degree p has the k-th image
+    of wedge w on ``level`` replaced by ``image``."""
+    from toricbott.danilov import _Engine
+
+    eng = _Engine(fan)
+    table = [list(wedges) for wedges in eng.ambient(p)]
+    tau_mask, blockable, images = table[level][w]
+    table[level][w] = (tau_mask, blockable, images[:k] + (image,) + images[k + 1:])
+    eng._ambient[p] = table
+    return eng
+
+
+def test_every_altered_ambient_value_breaks_d_squared():
+    # the complexes are sliced from one table, so d . d = 0 is checked on
+    # each slice: doubling any one image value must be caught
+    from toricbott.danilov import FREE, _Engine
+
+    altered = 0
+    for p in range(P2.dim + 1):
+        table = _Engine(P2).ambient(p)
+        for level, wedges in enumerate(table):
+            for w, (_, _, images) in enumerate(wedges):
+                for k, (target, value) in enumerate(images):
+                    eng = _with_image(P2, p, level, w, k, (target, 2 * value))
+                    with pytest.raises(ComplexNotExactlyComposable):
+                        eng.state_cohomology(p, (FREE,) * P2.n_rays)
+                    altered += 1
+    # six facet signs into the rays and three into the torus for p = 0 and
+    # p = 2, and 22 nonzero minors for p = 1
+    assert altered == 9 + 22 + 9
+
+
+def test_an_image_onto_a_dropped_wedge_is_caught():
+    # with ray 0 DEAD every wedge of a cone through ray 0 is dropped; an image
+    # of the kept cone (1, 2) moved onto one of them leaves the sections
+    from toricbott.danilov import DEAD, FREE, _Engine
+
+    states = (DEAD, FREE, FREE)
+    reference = _Engine(P2)
+    kept = [tau for tau, _, _ in reference.levels[0]].index((1, 2))
+    dead = [tau for tau, _, _ in reference.levels[1]].index((0,))
+    for p in range(P2.dim):
+        per_cone = comb(P2.dim, p)
+        reference.state_cohomology(p, states)
+        eng = _with_image(P2, p, 0, kept * per_cone, 0, (dead * per_cone, 1))
+        with pytest.raises(AssertionError, match="leaves the allowed section space"):
+            eng.state_cohomology(p, states)
 
 
 def test_cached_dims_depend_only_on_the_twist_class():

@@ -11,6 +11,7 @@ from toricbott.exactmath import (
     ComplexNotExactlyComposable,
     EmptyInput,
     QMatrix,
+    _bareiss,
     cohomology_dims,
     det,
     lp_feasible_strict,
@@ -20,26 +21,22 @@ from toricbott.exactmath import (
 )
 
 
-def _matrix(rows) -> QMatrix:
-    return QMatrix(len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))
+def test_rank_identity(dense):
+    assert rank(dense(((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
 
 
-def test_rank_identity():
-    assert rank(QMatrix(3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
+def test_rank_zero(dense):
+    assert rank(dense(((0, 0), (0, 0)))) == 0
 
 
-def test_rank_zero():
-    assert rank(QMatrix(2, 2, ((0, 0), (0, 0)))) == 0
-
-
-def test_rank_proportional_rows():
-    assert rank(_matrix([[1, 2], [2, 4]])) == 1
+def test_rank_proportional_rows(dense):
+    assert rank(dense([[1, 2], [2, 4]])) == 1
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, True])
-def test_matrix_rejects_non_integer_entries(entry):
+def test_matrix_rejects_non_integer_entries(dense, entry):
     with pytest.raises(ValueError, match="integers"):
-        QMatrix(1, 2, ((1, entry),))
+        dense(((1, entry),))
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -55,15 +52,15 @@ small_matrices = st.integers(1, 4).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
-def test_rank_equals_rank_of_transpose(rows):
-    assert rank(_matrix(rows)) == rank(_matrix(list(zip(*rows))))
+def test_rank_equals_rank_of_transpose(dense, rows):
+    assert rank(dense(rows)) == rank(dense(list(zip(*rows))))
 
 
 def _naive_rank(rows) -> int:
     """Rank by plain Gaussian elimination over Fraction."""
     mat = [[Fraction(x) for x in row] for row in rows]
     r = 0
-    for col in range(len(mat[0])):
+    for col in range(len(mat[0]) if mat else 0):
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
@@ -88,11 +85,11 @@ bareiss_matrices = st.integers(1, 5).flatmap(
 
 @settings(max_examples=500, deadline=None)
 @given(bareiss_matrices)
-def test_rank_matches_naive_fraction_elimination(rows):
-    assert rank(_matrix(rows)) == _naive_rank(rows)
+def test_rank_matches_naive_fraction_elimination(dense, rows):
+    assert rank(dense(rows)) == _naive_rank(rows)
 
 
-def test_rank_matches_naive_on_seeded_samples():
+def test_rank_matches_naive_on_seeded_samples(dense):
     # the shapes and entries of the property test, drawn uniformly: about one
     # matrix in a hundred needs every Bareiss row update to be done
     rng = random.Random(0)
@@ -100,13 +97,83 @@ def test_rank_matches_naive_on_seeded_samples():
         rows = [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in range(rng.randint(1, 5))]]
         rows += [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in rows[0]]
                  for _ in range(rng.randint(0, 4))]
-        assert rank(_matrix(rows)) == _naive_rank(rows), rows
+        assert rank(dense(rows)) == _naive_rank(rows), rows
 
 
-def test_rank_row_with_zero_factor_is_still_scaled():
+def test_rank_row_with_zero_factor_is_still_scaled(dense):
     # the row below the first pivot has a zero in the pivot column; skipping
     # its Bareiss update made a later division truncate and gave rank 2
-    assert rank(_matrix([[0, -1, 0, -1], [0, 0, -1, -2], [3, -1, 0, -1]])) == 3
+    assert rank(dense([[0, -1, 0, -1], [0, 0, -1, -2], [3, -1, 0, -1]])) == 3
+
+
+def _bareiss_rank(rows, ncols) -> int:
+    """The dense fraction-free (Bareiss) rank, the oracle for the sparse one."""
+    return _bareiss([list(row) for row in rows], ncols)[0]
+
+
+def _random_rows(rng) -> tuple:
+    """(rows, ncols): a seeded integer matrix of up to 9 x 9, often mostly
+    zero, with entries up to +-7 and at times no +-1 entry at all (so every
+    pivot is a non-unit and the gcd step has work), zero rows, and rows that
+    combine two others (so the rank falls short of the shape)."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+    density = rng.choice((0.1, 0.25, 0.5, 1.0))
+    values = rng.choice(((1, -1), range(-2, 3), range(-7, 8), (2, -3, 4, -5, 6, 7, -7)))
+    rows = [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    for k in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows[k] = [0] * ncols
+        elif roll < 0.3 and nrows > 2:
+            i, j = rng.sample(range(nrows), 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows, ncols
+
+
+def test_sparse_rank_matches_the_dense_and_naive_oracles(dense):
+    rng = random.Random(1729)
+    shapes = {"0 x n": 0, "n x 0": 0, "deficient": 0, "no unit": 0}
+    for _ in range(4000):
+        rows, ncols = _random_rows(rng)
+        expected = _naive_rank(rows)
+        assert rank(dense(rows, ncols)) == _bareiss_rank(rows, ncols) == expected, rows
+        shapes["0 x n"] += not rows and ncols > 0
+        shapes["n x 0"] += bool(rows) and ncols == 0
+        shapes["deficient"] += 0 < expected < min(len(rows), ncols)
+        shapes["no unit"] += expected > 0 and not any(x in (1, -1) for row in rows for x in row)
+    assert min(shapes.values()) > 20, shapes
+
+
+def test_sparse_rank_of_a_transpose_and_a_shuffle(dense):
+    # neither the order of the rows nor that of the columns can move the rank
+    rng = random.Random(31)
+    for _ in range(1000):
+        rows, ncols = _random_rows(rng)
+        expected = rank(dense(rows, ncols))
+        assert rank(dense([list(col) for col in zip(*rows)], len(rows))) == expected
+        perm = rng.sample(range(ncols), ncols)
+        shuffled = [[row[j] for j in perm] for row in rng.sample(rows, len(rows))]
+        assert rank(dense(shuffled, ncols)) == expected
+
+
+@pytest.mark.parametrize("rows, cols, cause", [
+    ((((0, 0.5),),), 2, "integer"),
+    ((((0, True),),), 2, "integer"),
+    ((((1.0, 3),),), 2, "integer"),
+    ((((2, 1),),), 2, "out of range"),
+    ((((-1, 1),),), 2, "out of range"),
+    ((((0, 0),),), 2, "zero"),
+    ((((0, 1), (0, 2)),), 2, "twice"),
+    ((((0, 1, 2),),), 2, "pairs"),
+    (((0, 1),), 2, "pairs"),
+    (((), ()), 2, "one sparse row"),
+], ids=["float", "bool", "float column", "column past the end", "negative column",
+        "stored zero", "column twice", "triple", "bare pair", "row count"])
+def test_matrix_validation(rows, cols, cause):
+    with pytest.raises(ValueError, match=cause):
+        QMatrix(1, cols, rows)
 
 
 def _naive_det(rows):
@@ -170,48 +237,48 @@ def test_det_small_cases():
     assert det([[2 * int(i == j) for j in range(5)] for i in range(5)]) == 32
 
 
-def test_negative_cohomology_dimension_is_an_error(monkeypatch):
+def test_negative_cohomology_dimension_is_an_error(monkeypatch, dense):
     import toricbott.exactmath as exactmath
 
     monkeypatch.setattr(exactmath, "rank", lambda m: 2)
     with pytest.raises(AssertionError, match="negative cohomology"):
-        cohomology_dims(ChainComplex((1, 1), (QMatrix(1, 1, ((1,),)),)))
+        cohomology_dims(ChainComplex((1, 1), (dense(((1,),)),)))
 
 
-def test_cohomology_exact_complex():
-    c = ChainComplex((1, 1), (QMatrix(1, 1, ((1,),)),))
+def test_cohomology_exact_complex(dense):
+    c = ChainComplex((1, 1), (dense(((1,),)),))
     assert cohomology_dims(c) == [0, 0]
 
 
-def test_cohomology_zero_differential():
-    c = ChainComplex((1, 1), (QMatrix(1, 1, ((0,),)),))
+def test_cohomology_zero_differential(dense):
+    c = ChainComplex((1, 1), (dense(((0,),)),))
     assert cohomology_dims(c) == [1, 1]
 
 
-def test_cohomology_surjection():
+def test_cohomology_surjection(dense):
     # Q^2 --[1 1]--> Q has a 1-dimensional kernel and no cokernel.
-    c = ChainComplex((2, 1), (QMatrix(1, 2, ((1, 1),)),))
+    c = ChainComplex((2, 1), (dense(((1, 1),)),))
     assert cohomology_dims(c) == [1, 0]
 
 
-def test_cohomology_rejects_bad_composition():
-    d0 = QMatrix(2, 2, ((1, 0), (0, 1)))
-    d1 = QMatrix(2, 2, ((1, 0), (0, 1)))
+def test_cohomology_rejects_bad_composition(dense):
+    d0 = dense(((1, 0), (0, 1)))
+    d1 = dense(((1, 0), (0, 1)))
     with pytest.raises(ComplexNotExactlyComposable):
         cohomology_dims(ChainComplex((2, 2, 2), (d0, d1)))
 
 
-def test_cohomology_rejects_a_product_nonzero_only_in_its_last_entry():
-    d0 = QMatrix(2, 2, ((1, 0), (0, 1)))
-    d1 = QMatrix(2, 2, ((0, 0), (0, 1)))
+def test_cohomology_rejects_a_product_nonzero_only_in_its_last_entry(dense):
+    d0 = dense(((1, 0), (0, 1)))
+    d1 = dense(((0, 0), (0, 1)))
     with pytest.raises(ComplexNotExactlyComposable):
         cohomology_dims(ChainComplex((2, 2, 2), (d0, d1)))
 
 
-def test_cohomology_accepts_cancelling_nonzero_entries():
+def test_cohomology_accepts_cancelling_nonzero_entries(dense):
     # d1 . d0 = [[1 - 1]]: every term is nonzero, the sum is not
-    d0 = QMatrix(2, 1, ((1,), (1,)))
-    d1 = QMatrix(1, 2, ((1, -1),))
+    d0 = dense(((1,), (1,)))
+    d1 = dense(((1, -1),))
     assert cohomology_dims(ChainComplex((1, 2, 1), (d0, d1))) == [0, 0, 0]
 
 
@@ -222,9 +289,9 @@ def test_single_term_complex():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=4))
-def test_zero_complex_returns_term_dims(dims):
+def test_zero_complex_returns_term_dims(dense, dims):
     diffs = tuple(
-        QMatrix(dims[i + 1], dims[i], ((0,) * dims[i],) * dims[i + 1])
+        dense(((0,) * dims[i],) * dims[i + 1], dims[i])
         for i in range(len(dims) - 1)
     )
     c = ChainComplex(tuple(dims), diffs)
@@ -256,9 +323,9 @@ def _left_kernel_basis(rows):
 
 @settings(max_examples=40, deadline=None)
 @given(small_matrices, st.integers(0, 3), st.randoms(use_true_random=False))
-def test_euler_characteristic_invariance(rows, extra, rnd):
+def test_euler_characteristic_invariance(dense, rows, extra, rnd):
     # Random two-step complex: d1 rows live in the left kernel of d0.
-    d0 = _matrix(rows)
+    d0 = dense(rows)
     kernel = _left_kernel_basis(rows)
     combos = []
     for _ in range(extra + 1):
@@ -269,7 +336,7 @@ def test_euler_characteristic_invariance(rows, extra, rnd):
         # clearing denominators scales the row and keeps the row space
         mult = lcm(*(x.denominator for x in combo))
         combos.append([int(x * mult) for x in combo])
-    d1 = _matrix(combos)
+    d1 = dense(combos)
     c = ChainComplex((d0.cols, d0.rows, d1.rows), (d0, d1))
     h = cohomology_dims(c)
     assert sum((-1) ** i * d for i, d in enumerate(c.dims)) == sum(
