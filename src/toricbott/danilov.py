@@ -66,9 +66,12 @@ point and check below) therefore runs one pass (a support box and its
 weights) per (p = 0 or p >= 1, flags, twist class) that yields the dims of
 every p in the group; the twist is taken modulo principal divisors, so
 linearly equivalent twists share the pass too.  An automorphism of the fan
-induces one of X carrying D_rho to D_pi(rho) (``fan.automorphisms``), so the
-pass also answers every image of (flags, twist class) under the fan's
-automorphism group: one pass per orbit.
+induces one of X carrying D_rho to D_pi(rho) (``fan.automorphisms``), and
+with it the complex and the region of weights of a margin pattern onto
+those of the moved pattern.  So the pass answers every image of (flags,
+twist class), and a pattern's cohomology and boundedness every image of
+the pattern, under the fan's automorphism group: one pass, one complex and
+one boundedness LP per orbit, all stored by the one rule ``_Engine.orbit``.
 """
 
 from __future__ import annotations
@@ -200,7 +203,9 @@ class CohomologyResult:
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
     solvers of the level arrangement, the ambient complex per form degree,
-    pattern cohomology, total dims per orbit of (flags, twist class).
+    and three caches that each result fills for its whole orbit under the
+    fan's automorphisms (``orbit``): pattern cohomology per (p, pattern),
+    boundedness per pattern, total dims per (degrees, flags, twist class).
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -300,11 +305,23 @@ class _Engine:
             out.append(dict(zip(kept, range(len(kept)))))
         return out
 
+    def orbit(self, *per_ray: tuple):
+        """The one orbit rule of the caches: per automorphism pi of the fan
+        (``fan.automorphisms``), the per-ray tuples moved by pi.
+
+        Moving v to v o pi is the action of pi^-1, which carries D_rho to
+        D_pi^-1(rho); over the group this lists every image, the given
+        tuples themselves included.  A sheaf, a weight's complex and its
+        region of weights are carried onto those of the image, so a result
+        computed for the tuples holds for each of them.
+        """
+        for perm in automorphisms(self.fan):
+            yield tuple(tuple(v[i] for i in perm) for v in per_ray)
+
     def state_cohomology(self, p: int, states: tuple) -> tuple:
         """h^0..h^r at one margin pattern, from the cone-poset complex
-        sliced out of ``ambient(p)``."""
-        key = (p, states)
-        cached = self._state_coh.get(key)
+        sliced out of ``ambient(p)``; one complex per orbit of patterns."""
+        cached = self._state_coh.get((p, states))
         if cached is not None:
             return cached
         table = self.ambient(p)
@@ -322,7 +339,8 @@ class _Engine:
             diffs.append(QMatrix(len(targets), len(kept[i]), tuple(map(tuple, rows_))))
         complex_ = ChainComplex(tuple(map(len, kept)), tuple(diffs))
         result = tuple(cohomology_dims(complex_))
-        self._state_coh[key] = result
+        for (moved,) in self.orbit(states):
+            self._state_coh[(p, moved)] = result
         return result
 
     def margins(self, twist: tuple, m: tuple) -> tuple:
@@ -357,8 +375,9 @@ class _Engine:
         return tuple(states)
 
     def pattern_bounded(self, states: tuple) -> bool:
-        key = states
-        cached = self._bounded.get(key)
+        """Whether the weights with margin pattern ``states`` form a bounded
+        region; one LP per orbit of patterns."""
+        cached = self._bounded.get(states)
         if cached is not None:
             return cached
         rows = []
@@ -372,7 +391,8 @@ class _Engine:
             else:
                 rows.append([-x for x in ray])
         result = polyhedron_bounded(rows, [0] * len(rows))
-        self._bounded[key] = result
+        for (moved,) in self.orbit(states):
+            self._bounded[moved] = result
         return result
 
     def vertices(self, merged: tuple, twist: tuple) -> set:
@@ -467,11 +487,8 @@ class _Engine:
         support = {} if box is None else self.box_run(degrees, merged, twist, box)
         result = tuple(_total(self.r, (dims[i] for dims in support.values()))
                        for i in range(len(degrees)))
-        # v -> v o pi is the action of pi^-1; over the group it gives the orbit
-        for perm in automorphisms(self.fan):
-            moved = tuple(twist[i] for i in perm)
-            self._dims[(degrees, tuple(merged[i] for i in perm),
-                        class_representative(self.fan, moved))] = result
+        for moved, moved_twist in self.orbit(merged, twist):
+            self._dims[(degrees, moved, class_representative(self.fan, moved_twist))] = result
         return result
 
 

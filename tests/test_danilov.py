@@ -574,13 +574,36 @@ def test_p1_to_the_fourth_hodge_numbers():
         assert dims == tuple(comb(4, p) if q == p else 0 for q in range(5))
 
 
-def test_p1_to_the_fourth_vanishing_instance_is_pinned():
-    # a 4-fold instance with every p nonzero in degree 0 only
+def _count_pattern_work(monkeypatch) -> dict:
+    """Empty the engines and count the complexes and boundedness LPs that
+    the pattern caches run from now on."""
+    from toricbott import danilov
+
+    counts = {"complexes": 0, "lps": 0}
+
+    def counting(name, original):
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(danilov, "cohomology_dims", counting("complexes", danilov.cohomology_dims))
+    monkeypatch.setattr(danilov, "polyhedron_bounded", counting("lps", danilov.polyhedron_bounded))
+    danilov._engine.cache_clear()
+    return counts
+
+
+def test_p1_to_the_fourth_vanishing_instance_is_pinned(monkeypatch):
+    # a 4-fold instance with every p nonzero in degree 0 only; one complex
+    # and one boundedness LP per orbit of margin patterns (1,361 complexes
+    # and 22 LPs with one per pattern)
     p1_4 = product(product(P1, P1), product(P1, P1))
+    counts = _count_pattern_work(monkeypatch)
     report = verify_vanishing(p1_4, (0, 3, 5), InvariantDivisor((2, 1, 0, 2, 1, 1, 2, 0)))
     assert report.passed
     assert report.per_p == ((36, 0, 0, 0, 0), (72, 0, 0, 0, 0), (53, 0, 0, 0, 0),
                             (17, 0, 0, 0, 0), (2, 0, 0, 0, 0))
+    assert counts == {"complexes": 65, "lps": 4}
 
 
 def _with_image(fan, p, level, w, k, image):
@@ -660,9 +683,9 @@ def _moved(perm, dprime, twist):
 
 def test_fan_automorphisms_preserve_cohomology():
     # the cached lookups share one chamber pass across each orbit of the
-    # fan's automorphisms; the uncached cech_cohomology must see the same
-    # symmetry, and a lookup answered from another orbit member's pass must
-    # agree with it
+    # fan's automorphisms; cech_cohomology on an emptied engine must see the
+    # same symmetry, and a lookup answered from another orbit member's pass
+    # must agree with it
     from toricbott.danilov import _engine
     from toricbott.fan import automorphisms
 
@@ -676,6 +699,9 @@ def test_fan_automorphisms_preserve_cohomology():
                 twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
                 image = _moved(perm, dprime, twist)
                 expected = cech_cohomology(f, sheaf_spec(p, dprime, twist)).dims
+                # the pattern caches hold every image of what they computed,
+                # so the image is computed on an emptied engine
+                _engine.cache_clear()
                 got = cech_cohomology(f, sheaf_spec(p, *image)).dims
                 assert got == expected, (name, perm, p, dprime, twist)
                 cases.append((f, p, dprime, twist, image, expected))
@@ -683,6 +709,48 @@ def test_fan_automorphisms_preserve_cohomology():
     for f, p, dprime, twist, (moved_dprime, moved_twist), expected in cases:
         assert log_spec_dims(f, p, dprime, InvariantDivisor(twist)) == expected
         assert log_spec_dims(f, p, moved_dprime, InvariantDivisor(moved_twist)) == expected
+
+
+def test_pattern_caches_hold_what_each_image_computes():
+    # state_cohomology and pattern_bounded store each result under every
+    # image of the pattern; a fresh engine per image builds its complex
+    # (d . d check and ranks included) and solves its LP, and must agree
+    from toricbott.danilov import _Engine
+    from toricbott.fan import automorphisms
+
+    rng = random.Random(4241)
+    fans = _golden_fans()
+    fans["p1^3"] = product(product(P1, P1), P1)
+    checked = 0
+    for name, f in fans.items():
+        shared = _Engine(f)
+        perms = automorphisms(f)
+        for _ in range(2):
+            logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
+            twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
+            for p in range(f.dim + 1):
+                patterns = sorted(shared.chamber_patterns(shared.merged(p, logset), twist))
+                for states in rng.sample(patterns, min(3, len(patterns))):
+                    shared.state_cohomology(p, states)
+                    shared.pattern_bounded(states)
+                    for perm in perms:
+                        image = _moved(perm, (), states)[1]
+                        fresh = _Engine(f)
+                        assert shared._state_coh[p, image] == fresh.state_cohomology(p, image), \
+                            (name, p, states, perm)
+                        assert shared._bounded[image] == fresh.pattern_bounded(image), \
+                            (name, states, perm)
+                        checked += 1
+    assert checked == 2794
+
+
+def test_p1_cubed_twist_zero_runs_once_per_orbit(monkeypatch):
+    # twelve orbits of the 81 patterns these calls used to build complexes for
+    p1_3 = product(product(P1, P1), P1)
+    counts = _count_pattern_work(monkeypatch)
+    dims = [cech_cohomology(p1_3, sheaf_spec(p, (), (0,) * 6)).dims for p in (0, 1, 3)]
+    assert dims == [(1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 0, 1)]
+    assert counts == {"complexes": 12, "lps": 2}
 
 
 # --- arrangement vertices and the shared chamber pass ----------------------
