@@ -205,6 +205,11 @@ def cmd_suite(args) -> int:
     if any(name not in fans for name in names):
         print(f"unknown suite fan in {names}", file=sys.stderr)
         return EXIT_MALFORMED
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # one row per fan: a second run would replace the first one's row
+        print(f"suite fan given twice: {', '.join(repeated)}", file=sys.stderr)
+        return EXIT_MALFORMED
     thm11 = args.select == "thm11"
     sampled = args.select in ("serre", "euler")
     _read_only_by(args.jobs is not None and not thm11, "--jobs", "suite --select thm11")

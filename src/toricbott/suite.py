@@ -15,6 +15,15 @@ members among the failures.  The sweep walks the D' lattice: the
 hypothesis is monotone in D', so a class infeasible at D' = all rays is
 never visited again, and a witness at D' minus one ray, extended by a
 zero, is a witness at D'.
+
+The sweep checks one D' per orbit of the fan's automorphisms
+(``fan.automorphisms``).  An automorphism pi carries D_rho to D_pi(rho),
+so it carries (D', L) to (pi D', pi_* L): it keeps L - dD' ample, with d
+permuted, and the cohomology of Omega^p(log D')(-D') (x) O(L).  The
+coefficient box must be the same on every ray; pi then maps it onto
+itself and each class onto a class of the same size.  So an image of a
+D' whose checks all passed passes on as many instances, and is counted
+without a check.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .certifier import cross_validate
 from .danilov import verify_vanishing
 from .divisors import (InvariantDivisor, canonical_divisor, class_representative,
                        hypothesis_feasible)
-from .fan import Fan, hirzebruch, product, projective_space, star_subdivision
+from .fan import Fan, automorphisms, hirzebruch, product, projective_space, star_subdivision
 
 
 def suite_fans() -> Dict[str, Fan]:
@@ -57,12 +66,14 @@ class SweepOutcome:
 
     ``instances``, ``feasible``, ``verified``, ``certified`` and ``agreed``
     count (D', L) pairs; an instance is verified (certified, agreed) when
-    the check of its (D', class of L) passed.  ``decided`` counts the
-    distinct (D', class) pairs whose hypothesis was decided, ``checked``
-    those of them that were feasible and checked, and ``solved`` those
-    decided through ``hypothesis_feasible``; the others were inferred along
-    the D' lattice.  ``failures`` holds one entry per failing instance,
-    with its own coefficients, in sweep order.
+    the check of its (D', class of L), or of its image at the
+    representative of D', passed.  ``decided`` counts the distinct
+    (D', class) pairs whose hypothesis was decided, ``checked`` the checks
+    that ran (one per feasible (D', class) at a D' not counted by
+    symmetry), and ``solved`` the decisions made through
+    ``hypothesis_feasible``; the others were inferred along the D' lattice.
+    ``failures`` holds one entry per failing instance, with its own
+    coefficients, in sweep order.
     """
 
     instances: int = 0
@@ -137,8 +148,23 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     are walked by size of D', then lexicographically; below all rays, a
     class feasible at some D' minus one ray inherits that witness with 0 at
     the dropped ray, and only a class feasible at no such subset calls
-    ``hypothesis_feasible``.  The checks re-check every witness.  Only the
-    feasible witnesses of the previous size are kept.
+    ``hypothesis_feasible``.  Only the feasible witnesses of the previous
+    size are kept.
+
+    Each D' is checked or counted through its representative, the
+    lexicographically least sorted image of D' under ``fan.automorphisms``;
+    ``combinations`` lists each size in lexicographic order, so the
+    representative comes first.  At a representative every feasible class
+    is checked, which re-checks its witness.  An image of a representative
+    with no failures runs no check: an automorphism pi carries (D', L) to
+    (pi D', pi_* L), the ampleness of L - dD' with d permuted, and the
+    cohomology of Omega^p(log D')(-D') (x) O(L).  The box ``coeffs`` is
+    the same on every ray, so pi maps it onto itself and each class onto a
+    class of the same size.  The image's feasible count must then equal the
+    representative's (AssertionError if not), and it is counted as
+    verified, and with ``certify`` as certified and agreed.  An image of a
+    failing representative is checked itself, so ``failures`` still lists
+    every failing instance.
     """
     out = SweepOutcome()
     classes = {}
@@ -150,14 +176,19 @@ def thm11_sweep(fan: Fan, certify: bool = True,
            for members in classes.values()]
     out.solved = len(top)
     top = [(members, witness) for members, witness in top if witness is not None]
+    perms = automorphisms(fan)
     below = {}
     for size in range(fan.n_rays + 1):
         level = {}
+        clean = {}
         for dprime in itertools.combinations(rays, size):
             out.instances += len(coeffs) ** fan.n_rays
             out.decided += len(classes)
+            rep = min(tuple(sorted(perm[i] for i in dprime)) for perm in perms)
+            by_symmetry = rep in clean
             found = level[dprime] = {}
             failures = []
+            feasible = 0
             for cls, (members, witness) in enumerate(top):
                 if dprime != rays:
                     witness = _inherited(below, dprime, cls)
@@ -167,7 +198,20 @@ def thm11_sweep(fan: Fan, certify: bool = True,
                     if witness is None:
                         continue
                 found[cls] = witness
-                failures += _check(out, fan, dprime, members, witness, certify)
+                feasible += len(members)
+                if not by_symmetry:
+                    failures += _check(out, fan, dprime, members, witness, certify)
+            if by_symmetry:
+                if feasible != clean[rep]:
+                    raise AssertionError(
+                        f"{fan}: D' {dprime} has {feasible} feasible instances, "
+                        f"its representative {rep} has {clean[rep]}")
+                out.feasible += feasible
+                out.verified += feasible
+                out.certified += certify * feasible
+                out.agreed += certify * feasible
+            elif rep == dprime and not failures:
+                clean[dprime] = feasible
             failures.sort(key=itemgetter(0))
             out.failures += [failure for _, failure in failures]
         below = level

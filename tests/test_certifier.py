@@ -179,7 +179,7 @@ def test_cross_validate_uses_the_witness_it_is_given(monkeypatch):
                             lambda *a, **k: calls.append(a) or original(*a, **k))
     outcome = suite.thm11_sweep(P2, certify=True)
     assert outcome.agreed == outcome.feasible == 208
-    assert len(calls) == outcome.checked == 48
+    assert len(calls) == outcome.checked == 24
 
 
 def test_supplied_witness_skips_the_lp(monkeypatch):

@@ -464,6 +464,15 @@ def test_suite_unknown_fan(capsys):
     assert main(["suite", "--select", "thm11", "--fans", "nope"]) == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("select", ["thm11", "serre", "hodge", "euler"])
+def test_suite_repeated_fan_is_malformed(capsys, select):
+    # the rows are keyed by fan, so a second run would hide the first one's
+    # result (with a different seeded sample for serre and euler)
+    assert main(["suite", "--select", select, "--fans", "p2,p1,p2"]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert "p2" in captured.err and "p1" not in captured.err and captured.out == ""
+
+
 def test_cohomology_oversize_box_is_malformed(tmp_path, capsys):
     # 2001^3 weights on P3 would take hours to enumerate; refused at once
     fan = tmp_path / "p3.json"

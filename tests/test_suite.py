@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
 
 
 @pytest.mark.parametrize("name, decided, checked", [
-    ("p2", 56, 48), ("p3", 144, 128), ("bl3", 27_200, 2_800)])
+    ("p2", 56, 24), ("p3", 144, 40), ("bl3", 27_200, 599)])
 def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     # ``solved`` counts the decisions that called the hypothesis; the rest
     # were inferred along the D' lattice
@@ -104,3 +105,74 @@ def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     solved = {"p2": 13, "p3": 17, "bl3": 3_930}[name]
     assert (out.decided, out.checked, out.solved) == (decided, checked, solved)
     assert len(calls) == solved
+
+
+def _image(perm, dprime, coeffs, witness=None):
+    """(pi D', pi_* L) for the ray permutation pi, which carries D_rho to
+    D_pi(rho), and with ``witness`` also d moved along with D'."""
+    moved = [0] * len(coeffs)
+    for rho, c in enumerate(coeffs):
+        moved[perm[rho]] = c
+    image = tuple(sorted(perm[rho] for rho in dprime))
+    if witness is None:
+        return image, InvariantDivisor(tuple(moved))
+    at = {perm[rho]: d for rho, d in zip(dprime, witness)}
+    return image, InvariantDivisor(tuple(moved)), tuple(at[rho] for rho in image)
+
+
+def test_fan_automorphisms_carry_the_sweep_check_to_its_image():
+    # the sweep counts an image D' by the check at its representative; for
+    # every automorphism pi, the hypothesis and both routes of the check at
+    # (pi D', pi_* L) must be those at (D', L)
+    from toricbott.danilov import _engine
+    from toricbott.divisors import require_witness
+    from toricbott.fan import automorphisms
+
+    rng = random.Random(4021)
+    fans = suite_fans()
+    feasible = infeasible = 0
+    for name in ("p2", "p3", "p1xp1", "bl3"):
+        f = fans[name]
+        for perm in automorphisms(f):
+            for _ in range(2):
+                dprime = tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays))))
+                coeffs = tuple(rng.randint(0, 2) for _ in range(f.n_rays))
+                l = InvariantDivisor(coeffs)
+                witness = hypothesis_feasible(f, l, dprime)
+                image, moved = _image(perm, dprime, coeffs)
+                found = hypothesis_feasible(f, moved, image)
+                assert (witness is None) == (found is None), (name, perm, dprime, coeffs)
+                if witness is None:
+                    infeasible += 1
+                    continue
+                feasible += 1
+                require_witness(f, moved, image, found)
+                _, _, carried = _image(perm, dprime, coeffs, witness)
+                require_witness(f, moved, image, carried)
+                expected = cross_validate(f, dprime, l, witness)
+                # the engine stores each pass under every image of its key,
+                # so the image is computed on an emptied engine
+                _engine.cache_clear()
+                got = cross_validate(f, image, moved, found)
+                assert (got.certificate_ok, got.agree) == (expected.certificate_ok,
+                                                           expected.agree)
+                assert (got.direct.passed, got.direct.violations, got.direct.per_p) == (
+                    expected.direct.passed, expected.direct.violations,
+                    expected.direct.per_p), (name, perm, dprime, coeffs)
+    assert feasible > 20 and infeasible > 20
+
+
+def test_the_sweep_refuses_a_count_that_breaks_the_symmetry(monkeypatch):
+    # swapping rays 0 and 1 of F_1 is no automorphism: D_0 has
+    # self-intersection 0 and D_1 has -1.  Read as one, it makes (0,) the
+    # representative of (1,), whose feasible count differs
+    from toricbott.fan import automorphisms
+
+    fan = suite_fans()["f1"]
+    monkeypatch.setattr(suite, "automorphisms", lambda f: automorphisms(f) + ((1, 0, 2, 3),))
+    with pytest.raises(AssertionError) as raised:
+        thm11_sweep(fan, certify=False)
+    message = str(raised.value)
+    assert str(fan) in message
+    assert "D' (1,) has 60 feasible instances" in message
+    assert "representative (0,) has 43" in message
