@@ -151,17 +151,21 @@ def cmd_cohomology(args) -> int:
     box = None
     if args.box_bound is not None:
         box = tuple((-args.box_bound, args.box_bound) for _ in range(f.dim))
-    result = danilov.cech_cohomology(f, spec, mode=args.mode, box=box)
-    data = {
-        "dims": list(result.dims),
-        "euler": result.euler,
-    }
-    lines = [f"h = {list(result.dims)}", f"euler = {result.euler}"]
+    if args.mode == "chamber" and box is None and not args.weights:
+        # the counted totals: no weight is listed, so no weight cap applies
+        dims = danilov.log_spec_dims(f, spec.p, spec.logset, divisors.InvariantDivisor(spec.twist))
+        support = None
+    else:
+        result = danilov.cech_cohomology(f, spec, mode=args.mode, box=box)
+        dims, support = result.dims, result.weight_support
+    euler = danilov.euler_characteristic(dims)
+    data = {"dims": list(dims), "euler": euler}
+    lines = [f"h = {list(dims)}", f"euler = {euler}"]
     if args.weights:
         data["weight_support"] = [
-            {"weight": list(m), "dims": list(d)} for m, d in sorted(result.weight_support.items())
+            {"weight": list(m), "dims": list(d)} for m, d in sorted(support.items())
         ]
-        for m, d in sorted(result.weight_support.items()):
+        for m, d in sorted(support.items()):
             lines.append(f"weight {list(m)}: {list(d)}")
     _emit(data, args.format, lines)
     return EXIT_OK

@@ -47,24 +47,34 @@ slice.
 The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so each pattern's cohomology is computed
 once.  The vertices of the margin-level hyperplane arrangement find every
-realizable pattern; those with cohomology are bounded, and the bounding box
-of their vertices, the support box (``_Engine.support_box``), holds every
-weight with cohomology.  ``_Engine.box_run`` is the one loop over lattice
-weights: it lists the support box, or in the brute-force box mode kept for
-cross-validation an explicit box, and reads each weight's pattern.  The
-weight cap applies to the one box listed.  ``_Engine.pattern`` is the one
-rule turning margins into ray states, for arrangement vertices (rational
-margins) and lattice weights alike.  A vertex puts the rays of a
-nonsingular r-subset S on chosen levels; it is solved from the adjugate and
-|det| of S's ray matrix, which the engine tabulates once per fan, so a pass
-enumerates only the level choices per ray.
+realizable pattern; those with cohomology are bounded, hence the hulls of
+their vertices.  The patterns partition the lattice weights, so the totals
+are h^k = sum over patterns of count * h^k(pattern), where ``_Engine.count``
+counts the lattice points of a pattern's closed polytope: the first r - 1
+coordinates run over the bounding box of its vertices, and the last one's
+interval is solved from the margin rows.  No weight is listed for a total.
+``_Engine.box_run`` is the one loop that lists lattice weights, for
+``cech_cohomology``, which reports each weight with cohomology: it lists the
+support box, the bounding box of the vertices of every pattern with
+cohomology (``_Engine.support_box``), or in the brute-force box mode kept
+for cross-validation an explicit box.  The weight cap applies to the one
+box listed, and for a total to the box of first r - 1 coordinates that a
+count runs over.  ``_Engine.pattern`` is the one rule turning margins into
+ray states, for arrangement vertices (rational margins) and lattice weights
+alike.  A vertex puts the rays of a nonsingular r-subset S on chosen
+levels.  Once per fan and per such S the engine tabulates the twist-free
+margins of every level choice, so a pass adds one twist offset per S and
+reads each vertex's pattern; only the vertices of patterns with cohomology
+are solved for their coordinates, from the adjugate and |det| of S's ray
+matrix.
 
 The arrangement depends on p only through the per-ray flags of
 ``_Engine.merged``, which are the same for every p >= 1.  The one cached
 dimension lookup ``_log_dims`` (read through ``_Engine.dims`` by every entry
-point and check below) therefore runs one pass (a support box and its
-weights) per (p = 0 or p >= 1, flags, twist class) that yields the dims of
-every p in the group; the twist is taken modulo principal divisors, so
+point and check below) therefore runs one pass (the arrangement's patterns
+and their lattice counts) per (p = 0 or p >= 1, flags, twist class) that
+yields the dims of every p in the group; the twist is taken modulo
+principal divisors, so
 linearly equivalent twists share the pass too.  An automorphism of the fan
 induces one of X carrying D_rho to D_pi(rho) (``fan.automorphisms``), and
 with it the complex and the region of weights of a margin pattern onto
@@ -79,8 +89,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, prod
-from operator import mul
+from math import comb, prod
+from operator import add, mul
 from typing import Dict, Optional, Sequence
 
 from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints, polyhedron_bounded
@@ -113,14 +123,16 @@ class ChartConditionFails(ValueError):
 
 
 class WeightBoxTooLarge(ValueError):
-    """A lattice box, a support box or one given explicitly, holds more
-    weights than one call enumerates."""
+    """A lattice box that a caller asks to list, the support box or one
+    given explicitly, holds more weights than one call enumerates.  The
+    total dims count weights instead, and meet this cap only on the box of
+    first r - 1 coordinates that a pattern's count runs over."""
 
 
 # Per-ray states of a weight, derived from the clipped margin pattern.
 DEAD, RESTRICTED, FREE = 0, 1, 2
 
-# Most lattice weights one box may hold, a support box or an explicit one.
+# Most lattice weights one listed box may hold, a support box or an explicit one.
 _MAX_BOX_WEIGHTS = 5_000_000
 
 
@@ -175,7 +187,7 @@ class SectionBasis:
         return len(self.allowed)
 
 
-def _euler(dims: Sequence[int]) -> int:
+def euler_characteristic(dims: Sequence[int]) -> int:
     return sum((-1) ** k * v for k, v in enumerate(dims))
 
 
@@ -196,7 +208,7 @@ class CohomologyResult:
     def __post_init__(self):
         if _total(len(self.dims) - 1, self.weight_support.values()) != tuple(self.dims):
             raise ValueError("dims do not match weight support")
-        if self.euler != _euler(self.dims):
+        if self.euler != euler_characteristic(self.dims):
             raise ValueError("euler characteristic mismatch")
 
 
@@ -234,14 +246,24 @@ class _Engine:
              for tau in level]
             for level in reversed(by_dim)
         ]
-        # Per nonsingular r-subset S of rays: S, |det S| and the rows of
-        # fan._scaled_dual_basis(S) (|det S| times the inverse ray matrix),
-        # stored as columns so that each vertex coordinate is one dot product.
+        # Per nonsingular r-subset S of rays, a solver (S, |det S|, columns,
+        # pairings, choices): the rows of fan._scaled_dual_basis(S) (|det S|
+        # times the inverse ray matrix) stored as columns, so that each vertex
+        # coordinate is one dot product; per ray j the column of the margins
+        # <row_k, u_j>; and per level choice in {-1, 0, 1}^S, its bitmask of
+        # rays on level 1, the levels, and |det S| times the margins of its
+        # vertex at twist 0, sum_k level_k <row_k, u_j>.
         self.solvers = []
         for subset in itertools.combinations(range(self.n), self.r):
             scale, rows = _scaled_dual_basis(fan, subset)
             if scale:
-                self.solvers.append((subset, scale, tuple(zip(*rows))))
+                pairings = tuple(zip(*(tuple(sum(map(mul, row, ray)) for ray in fan.rays)
+                                       for row in rows)))
+                choices = tuple(
+                    (sum(1 << i for i, lv in zip(subset, levels) if lv == 1), levels,
+                     tuple(sum(map(mul, levels, col)) for col in pairings))
+                    for levels in itertools.product((-1, 0, 1), repeat=self.r))
+                self.solvers.append((subset, scale, tuple(zip(*rows)), pairings, choices))
         self._ambient: dict = {}
         self._state_coh: dict = {}
         self._bounded: dict = {}
@@ -395,70 +417,88 @@ class _Engine:
             self._bounded[moved] = result
         return result
 
-    def vertices(self, merged: tuple, twist: tuple) -> set:
-        """Vertices (nums, den) of the margin-level arrangement, m = nums/den
-        with den > 0 and gcd(nums, den) = 1.
-
-        A vertex puts the rays of a subset S in ``solvers`` on chosen levels:
-        <m, u_j> = b_j = level_j - t_j for j in S, so m = sum_j b_j row_j /
-        |det S|.  Only the level choices per ray are enumerated; subsets that
-        repeat a ray never arise.
-        """
-        levels = [(-1, 0) if mg else (-1, 0, 1) for mg in merged]
-        out = set()
-        for subset, den, cols in self.solvers:
-            for rhs in itertools.product(*[[lv - twist[i] for lv in levels[i]] for i in subset]):
-                nums = tuple(sum(map(mul, rhs, col)) for col in cols)
-                g = gcd(den, *nums)
-                out.add((tuple(x // g for x in nums), den // g) if g != 1 else (nums, den))
-        return out
-
     def chamber_patterns(self, merged: tuple, twist: tuple) -> Dict[tuple, list]:
         """Realizable margin patterns, each with the arrangement vertices
-        whose pattern it is.
+        whose pattern it is, as (solver, levels) (see ``point``).
 
         Every nonempty margin-pattern region of a complete fan is line-free
         (the rays span), hence has a vertex of the level arrangement; so
         collecting arrangement vertices discovers every realizable pattern.
+        A vertex puts the rays of a solver's S on chosen levels:
+        <m, u_j> = level_j - t_j for j in S.  Its margins times |det S| are
+        the choice's tabulated row plus the twist's offset
+        |det S| t_j - sum_{k in S} t_k <row_k, u_j>, one per solver.  Choices
+        that put a merged ray on level 1 are skipped.  A vertex on more than
+        r level hyperplanes is listed once per solver through it.
         """
+        merged_mask = sum(1 << i for i, mg in enumerate(merged) if mg)
         patterns: Dict[tuple, list] = {}
-        for nums, den in self.vertices(merged, twist):
-            margins = [sum(map(mul, nums, ray)) + den * t
-                       for ray, t in zip(self.fan.rays, twist)]
-            states = self.pattern(merged, margins, den)
-            if states is not None:
-                patterns.setdefault(states, []).append((nums, den))
+        for solver in self.solvers:
+            subset, den, _, pairings, choices = solver
+            on_s = [twist[i] for i in subset]
+            offset = [den * t - sum(map(mul, on_s, col)) for t, col in zip(twist, pairings)]
+            for mask, levels, row in choices:
+                if not mask & merged_mask:
+                    states = self.pattern(merged, map(add, row, offset), den)
+                    if states is not None:
+                        patterns.setdefault(states, []).append((solver, levels))
         return patterns
 
-    def support_box(self, degrees: tuple, merged: tuple, twist: tuple) -> Optional[tuple]:
-        """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
-        pattern with cohomology in some form degree of ``degrees``, which
-        must all have the ray flags ``merged``; None when there are none.
+    @staticmethod
+    def point(vertex: tuple, twist: tuple) -> tuple:
+        """(nums, den) with m = nums/den, den = |det S| > 0, of a vertex
+        (solver, levels) of ``chamber_patterns``: m = sum_k (level_k - t_k)
+        row_k / |det S| over the rays k of S; not reduced by the gcd."""
+        (subset, den, cols, _, _), levels = vertex
+        rhs = [lv - twist[i] for lv, i in zip(levels, subset)]
+        return tuple(sum(map(mul, rhs, col)) for col in cols), den
 
-        Such a pattern's region is bounded (checked here), so it is the hull
-        of its vertices and every lattice weight with cohomology lies in the
-        box.  WeightBoxTooLarge if the box is over the weight cap.
+    def cohomology_patterns(self, degrees: tuple, merged: tuple, twist: tuple):
+        """(states, vertices (nums, den)) of every realizable pattern with
+        cohomology in some form degree of ``degrees``, which must all have
+        the ray flags ``merged``: one pass over the arrangement.
+
+        Such a pattern's region is bounded (checked here; otherwise
+        UnboundedCohomologyChamber), so it is the hull of its vertices.
+        Only these vertices are solved for their coordinates.
         """
-        verts = []
-        for states, pverts in self.chamber_patterns(merged, twist).items():
+        for states, verts in self.chamber_patterns(merged, twist).items():
             if any(any(self.state_cohomology(p, states)) for p in degrees):
                 if not self.pattern_bounded(states):
                     raise UnboundedCohomologyChamber(
                         "nonzero cohomology pattern on an unbounded chamber; "
                         "the fan is not complete or the engine is inconsistent"
                     )
-                verts += pverts
-        if not verts:
+                yield states, [self.point(v, twist) for v in verts]
+
+    def _integer_box(self, points) -> tuple:
+        """Per coordinate, (lo, hi) of the lattice weights in the bounding box
+        of the points (nums, den)."""
+        return tuple((min(-(-nums[k] // den) for nums, den in points),
+                      max(nums[k] // den for nums, den in points)) for k in range(self.r))
+
+    def support_box(self, degrees: tuple, merged: tuple, twist: tuple) -> Optional[tuple]:
+        """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
+        pattern with cohomology in some form degree of ``degrees`` (see
+        ``cohomology_patterns``); None when there are none.
+
+        Every lattice weight with cohomology lies in this box, which
+        ``box_run`` lists for ``cech_cohomology``.  WeightBoxTooLarge if the
+        box is over the weight cap.
+        """
+        points = [pt for _, pts in self.cohomology_patterns(degrees, merged, twist) for pt in pts]
+        if not points:
             return None
-        box = tuple((min(-(-nums[k] // den) for nums, den in verts),
-                     max(nums[k] // den for nums, den in verts)) for k in range(self.r))
+        box = self._integer_box(points)
         _require_box_size(box)
         return box
 
     def box_run(self, degrees: tuple, merged: tuple, twist: tuple, bounds) -> Dict[tuple, tuple]:
         """{m: h^0..h^r per form degree in ``degrees``} for the weights m of
         the box ``bounds`` with cohomology in some degree; the degrees must
-        all have the ray flags ``merged``.  The one loop over lattice weights.
+        all have the ray flags ``merged``.  The one loop that lists lattice
+        weights, for the callers that ask for them: ``cech_cohomology``'s
+        support in chamber and box mode.
         """
         support: Dict[tuple, tuple] = {}
         for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
@@ -468,13 +508,53 @@ class _Engine:
                 support[m] = dims
         return support
 
+    def count(self, merged: tuple, twist: tuple, states: tuple, points: list) -> int:
+        """Lattice weights with the margin pattern ``states``: the integer
+        points of its closed polytope, c_j <= -1 on DEAD rays, c_j = 0 on
+        RESTRICTED ones and c_j >= 1 on FREE ones (c_j >= 0 on merged rays),
+        which is bounded and the hull of its vertices ``points``.
+
+        The first r - 1 coordinates run over the bounding box of the points;
+        the last one's interval is solved from the margin rows with exact
+        floor and ceiling.  The box of those prefixes is held to the weight
+        cap, so a twist too large to count is WeightBoxTooLarge, not a loop
+        that runs for hours.
+        """
+        box = self._integer_box(points)
+        _require_box_size(box[:-1])
+        # Each condition reads <head, m[:-1]> + last * m[-1] >= bound.
+        lowers, uppers, fixed = [], [], []
+        for ray, t, st, mg in zip(self.fan.rays, twist, states, merged):
+            conditions = []
+            if st != DEAD:
+                conditions.append((ray, (0 if mg or st == RESTRICTED else 1) - t))
+            if st != FREE:
+                conditions.append((tuple(-x for x in ray), t + (st == DEAD)))
+            for (*head, last), bound in conditions:
+                (lowers if last > 0 else uppers if last < 0 else fixed).append((head, last, bound))
+        total = 0
+        for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
+            if any(sum(map(mul, prefix, head)) < bound for head, _, bound in fixed):
+                continue
+            width = 1
+            for lo, hi in box[-1:]:     # the last coordinate; none when r = 0
+                lo = max([lo, *(-((sum(map(mul, prefix, head)) - bound) // last)
+                                for head, last, bound in lowers)])
+                hi = min([hi, *((bound - sum(map(mul, prefix, head))) // last
+                                for head, last, bound in uppers)])
+                width = max(0, hi - lo + 1)
+            total += width
+        return total
+
     def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
         """h^0..h^r for each form degree in ``degrees``, all with the ray
         flags ``merged``, at a class representative twist (see
         ``divisors.class_representative``).
 
-        One pass over the support box serves the whole group (p = 0 alone,
-        or every p >= 1) and every image of (merged, twist class) under the
+        One pass serves the whole group (p = 0 alone, or every p >= 1): each
+        pattern with cohomology (``cohomology_patterns``) adds its lattice
+        count (``count``) times its cohomology, and no weight is listed.  The
+        pass also serves every image of (merged, twist class) under the
         fan's automorphisms: the automorphism of X carrying D_rho to
         D_pi(rho) carries the sheaf to the one with flags and twist moved by
         pi.
@@ -483,9 +563,10 @@ class _Engine:
         cached = self._dims.get(key)
         if cached is not None:
             return cached
-        box = self.support_box(degrees, merged, twist)
-        support = {} if box is None else self.box_run(degrees, merged, twist, box)
-        result = tuple(_total(self.r, (dims[i] for dims in support.values()))
+        counted = [(weights, tuple(self.state_cohomology(p, states) for p in degrees))
+                   for states, points in self.cohomology_patterns(degrees, merged, twist)
+                   if (weights := self.count(merged, twist, states, points))]
+        result = tuple(_total(self.r, ([weights * h for h in dims[i]] for weights, dims in counted))
                        for i in range(len(degrees)))
         for moved, moved_twist in self.orbit(merged, twist):
             self._dims[(degrees, moved, class_representative(self.fan, moved_twist))] = result
@@ -578,7 +659,7 @@ def cech_cohomology(
     weights = {} if bounds is None else eng.box_run((s.p,), merged, s.twist, bounds)
     support = {m: dims[0] for m, dims in weights.items()}
     dims = _total(f.dim, support.values())
-    return CohomologyResult(dims, support, _euler(dims))
+    return CohomologyResult(dims, support, euler_characteristic(dims))
 
 
 def chamber_support_box(f: Fan, s: LogFormSheafSpec) -> Optional[tuple]:
@@ -743,7 +824,7 @@ def euler_additivity_check(
     rows = []
     ok = True
     for p, mid, sub, quot in zip(ps, mids, subs, quots):
-        chi_mid, chi_sub, chi_quot = _euler(mid), _euler(sub), _euler(quot)
+        chi_mid, chi_sub, chi_quot = map(euler_characteristic, (mid, sub, quot))
         rows.append((p, chi_mid, chi_sub, chi_quot))
         if chi_mid != chi_sub + chi_quot:
             ok = False

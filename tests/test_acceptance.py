@@ -17,6 +17,7 @@ from toricbott.danilov import (
     chamber_support_box,
     euler_additivity_check,
     hodge_count_check,
+    log_spec_dims,
     sheaf_spec,
 )
 from toricbott.divisors import InvariantDivisor, zero_divisor
@@ -161,10 +162,12 @@ def test_criterion_8_method_agreement(fans):
             else:
                 bounds = tuple((lo - 1, hi + 1) for lo, hi in support)
             box = cech_cohomology(f, s, mode="box", box=bounds)
+            counted = log_spec_dims(f, p, logset, twist)
             compared += 1
-            if chamber != box:
+            if chamber != box or counted != box.dims:
                 bad.append((name, p, logset, twist.coeffs))
     ok = compared > 0 and not bad
     _announce(8, ok, f"chamber and provably-sufficient brute-box enumeration "
-                     f"produce identical results on {compared} instances")
+                     f"produce identical results, and the counted totals their dims, "
+                     f"on {compared} instances")
     assert ok, bad[:3]

@@ -267,9 +267,10 @@ def test_machine_and_table_contain_same_numbers(p2_file, tmp_path, capsys):
 
 
 def test_engine_fault_exits_internal_not_violation(p2_file, tmp_path, capsys, monkeypatch):
-    from toricbott.danilov import _Engine
+    from toricbott.danilov import _Engine, _engine
 
     monkeypatch.setattr(_Engine, "pattern_bounded", lambda self, states: False)
+    _engine.cache_clear()   # counted dims of an earlier call would answer without the pass
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [2, 0, 0]}))
     assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_INTERNAL
@@ -486,8 +487,21 @@ def test_cohomology_oversize_box_is_malformed(tmp_path, capsys):
 
 
 def test_cohomology_oversize_chamber_is_malformed(p2_file, tmp_path, capsys):
-    # the chamber of O(3000) on P2 spans 3001^2 weights: a size error, not a fault
+    # listing the chamber of O(3000) on P2 spans 3001^2 weights: a size
+    # error, not a fault
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [3000, 0, 0]}))
-    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_MALFORMED
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
+                 "--weights"]) == EXIT_MALFORMED
+    assert "weights" in capsys.readouterr().err
+
+
+def test_cohomology_counts_an_oversize_chamber(p2_file, tmp_path, capsys):
+    # without --weights the dims are counted per margin pattern, not listed
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [3000, 0, 0]}))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["h = [4504501, 0, 0]", "euler = 4504501"]
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec), "--mode", "box",
+                 "--box-bound", "3000"]) == EXIT_MALFORMED
     assert "weights" in capsys.readouterr().err

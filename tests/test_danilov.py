@@ -2,7 +2,8 @@ import itertools
 import json
 import os
 import random
-from math import comb, gcd
+import time
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +360,7 @@ def test_chamber_agrees_with_brute_box(name, rnd):
         bounds = tuple((lo - 1, hi + 1) for lo, hi in support)
     box = cech_cohomology(f, s, mode="box", box=bounds)
     assert chamber == box
+    assert log_spec_dims(f, p, logset, twist) == box.dims
 
 
 def test_box_mode_requires_bounds():
@@ -467,6 +469,45 @@ def test_large_chamber_box_is_a_named_size_error():
         cech_cohomology(P2, s)
 
 
+def test_large_twists_are_counted_not_listed():
+    # the totals count each pattern's lattice points, so only cech_cohomology,
+    # which lists the weights, meets the weight cap
+    assert line_bundle_cohomology(P2, InvariantDivisor((3000, 0, 0))) == (4504501, 0, 0)
+    with pytest.raises(WeightBoxTooLarge, match="more than 5000000 weights"):
+        cech_cohomology(P2, sheaf_spec(0, [], (3000, 0, 0)))
+    # C(63, 3) sections of O(60) on P3
+    p3 = projective_space(3)
+    assert line_bundle_cohomology(p3, InvariantDivisor((60, 0, 0, 0))) == (39711, 0, 0, 0)
+    # a count runs over 100001^2 prefixes here: refused, not run for hours
+    with pytest.raises(WeightBoxTooLarge, match="more than 5000000 weights"):
+        line_bundle_cohomology(p3, InvariantDivisor((100000, 0, 0, 0)))
+
+
+def test_p1_to_the_fourth_at_twist_20_lists_no_weight(monkeypatch):
+    # Kuenneth: Omega^p(log D') (x) O(T) is the sum over p_1 + .. + p_4 = p of
+    # the products of Omega^{p_i}(log D'_i) (x) O(40) on the factors.  Factors
+    # 1 and 2 carry one log pole (rays 0 and 3): h^0 = 41 for p_i = 0 and 40
+    # (O(39)) for p_i = 1; factors 3 and 4 carry none: 41 and 39 (O(38)).
+    # Listing the 41^4 weights of the support box took 34 s.
+    from toricbott.danilov import _Engine, _engine, _log_dims
+
+    factors = ((41, 40), (41, 40), (41, 39), (41, 39))
+    expected = [sum(prod(f[i in chosen] for i, f in enumerate(factors))
+                    for chosen in itertools.combinations(range(4), p)) for p in range(5)]
+    assert expected == [2825761, 10889518, 15735841, 10105680, 2433600]
+
+    def no_listing(self, *args):
+        raise AssertionError("weights were listed")
+
+    monkeypatch.setattr(_Engine, "box_run", no_listing)
+    _engine.cache_clear()
+    p1_4 = product(product(P1, P1), product(P1, P1))
+    start = time.process_time()
+    per_p = _log_dims(p1_4, range(5), frozenset({0, 3}), (20,) * 8)
+    assert time.process_time() - start < 30
+    assert per_p == tuple((h0, 0, 0, 0, 0) for h0 in expected)
+
+
 @pytest.mark.parametrize("p, logset, twist", [
     (1.7, [0.9], [0, 0, 1]),   # would truncate to p = 1, logset [0]
     (1, [0], [True, 0, 0]),    # a bool is not the integer 1
@@ -483,13 +524,18 @@ def test_sheaf_spec_rejects_non_integers(p, logset, twist):
 def test_unbounded_nonzero_chamber_is_an_error(monkeypatch):
     # never reachable for complete fans; exercised by faking the
     # boundedness verdict of a pattern that carries cohomology
-    from toricbott.danilov import UnboundedCohomologyChamber, _Engine
+    from toricbott.danilov import UnboundedCohomologyChamber, _Engine, _engine
 
     monkeypatch.setattr(_Engine, "pattern_bounded", lambda self, states: False)
     fresh = Fan(P2.dim, P2.rays, P2.max_cones)
     s = sheaf_spec(0, [], 2 * ray_divisor(fresh, 0))
     with pytest.raises(UnboundedCohomologyChamber):
         cech_cohomology(fresh, s)
+    # the counted totals check boundedness too; an emptied engine holds no dims
+    _engine.cache_clear()
+    fresh = Fan(P2.dim, P2.rays, P2.max_cones)
+    with pytest.raises(UnboundedCohomologyChamber):
+        line_bundle_cohomology(fresh, 2 * ray_divisor(fresh, 0))
 
 
 def test_point_fan_cohomology():
@@ -770,9 +816,14 @@ def _cramer_vertices(f, merged, twist):
                 for col in range(f.dim)]
         if d < 0:
             d, nums = -d, [-x for x in nums]
-        g = gcd(d, *nums)
-        vertices.add((tuple(x // g for x in nums), d // g))
+        vertices.add(_reduced((nums, d)))
     return vertices
+
+
+def _reduced(point):
+    nums, den = point
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 def test_vertex_table_matches_cramer_oracle():
@@ -788,7 +839,11 @@ def test_vertex_table_matches_cramer_oracle():
             logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
             for merged in (eng.merged(0, logset), eng.merged(1, logset)):
                 expected = _cramer_vertices(f, merged, twist)
-                assert eng.vertices(merged, twist) == expected, (name, merged, twist)
+                # every level choice of every solver, a merged ray never on level 1
+                table = {_reduced(eng.point((solver, levels), twist))
+                         for solver in eng.solvers for _, levels, _ in solver[4]
+                         if not any(lv == 1 and merged[i] for i, lv in zip(solver[0], levels))}
+                assert table == expected, (name, merged, twist)
                 by_pattern = {}
                 for nums, den in expected:
                     margins = [sum(a * b for a, b in zip(nums, ray)) + den * t
@@ -796,7 +851,8 @@ def test_vertex_table_matches_cramer_oracle():
                     states = eng.pattern(merged, margins, den)
                     if states is not None:
                         by_pattern.setdefault(states, set()).add((nums, den))
-                got = {states: set(verts)
+                # the pass lists a vertex once per solver through it, unreduced
+                got = {states: set(map(_reduced, (eng.point(v, twist) for v in verts)))
                        for states, verts in eng.chamber_patterns(merged, twist).items()}
                 assert got == by_pattern, (name, merged, twist)
 
@@ -824,8 +880,8 @@ def test_verify_sweep_runs_one_pass_per_flags_and_class(monkeypatch, name, passe
     from toricbott.suite import thm11_sweep
 
     calls = []
-    original = _Engine.support_box
-    monkeypatch.setattr(_Engine, "support_box",
+    original = _Engine.chamber_patterns
+    monkeypatch.setattr(_Engine, "chamber_patterns",
                         lambda self, *args: calls.append(args) or original(self, *args))
     _engine.cache_clear()
     out = thm11_sweep(suite_fans()[name], certify=False)
