@@ -50,7 +50,6 @@ from .danilov import (
     line_bundle_cohomology,
     sheaf_spec,
     verify_vanishing,
-    weight_sections,
 )
 from .certifier import (
     Certificate,
@@ -81,7 +80,7 @@ __all__ = [
     "restrict_to_stratum",
     "CohomologyResult", "LogFormSheafSpec", "cech_cohomology",
     "euler_additivity_check", "hodge_count_check", "line_bundle_cohomology",
-    "sheaf_spec", "verify_vanishing", "weight_sections",
+    "sheaf_spec", "verify_vanishing",
     "Certificate", "CertificateNode", "VanishingClaim", "build_certificate",
     "certificate_from_dict", "certificate_to_dict", "check_certificate",
     "cross_validate",

@@ -148,16 +148,12 @@ def cmd_cohomology(args) -> int:
         spec = danilov.sheaf_spec(raw["p"], raw.get("logset", []), raw["twist"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad sheaf spec: {exc}") from exc
-    box = None
-    if args.box_bound is not None:
-        box = tuple((-args.box_bound, args.box_bound) for _ in range(f.dim))
-    if args.mode == "chamber" and box is None and not args.weights:
-        # the counted totals: no weight is listed, so no weight cap applies
-        dims = danilov.log_spec_dims(f, spec.p, spec.logset, divisors.InvariantDivisor(spec.twist))
-        support = None
-    else:
-        result = danilov.cech_cohomology(f, spec, mode=args.mode, box=box)
+    if args.weights:
+        result = danilov.cech_cohomology(f, spec)
         dims, support = result.dims, result.weight_support
+    else:
+        # the counted totals, which list no weight
+        dims = danilov.log_spec_dims(f, spec.p, spec.logset, divisors.InvariantDivisor(spec.twist))
     euler = danilov.euler_characteristic(dims)
     data = {"dims": list(dims), "euler": euler}
     lines = [f"h = {list(dims)}", f"euler = {euler}"]
@@ -313,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     coh = sub.add_parser("cohomology", help="cohomology of one sheaf spec")
     coh.add_argument("--fan", required=True)
     coh.add_argument("--spec", required=True)
-    coh.add_argument("--mode", choices=("chamber", "box"), default="chamber")
-    coh.add_argument("--box-bound", type=int)
     coh.add_argument("--weights", action="store_true")
 
     ce = sub.add_parser("counterexample", help="relative-vanishing failure arithmetic")

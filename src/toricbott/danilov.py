@@ -39,10 +39,9 @@ signed minors of the change of dual basis.  A weight's margin pattern is a
 DEAD mask (c <= -1) and a RESTRICTED mask (c = 0 on a ray whose condition
 reads c >= 1 there); a wedge spans sections iff its tau mask misses DEAD and
 its blockable mask misses RESTRICTED.  ``_Engine.sections`` is that one
-section rule, which ``weight_sections`` reads too, and a pattern's complex
-is the sparse slice of the ambient one on the kept wedges.  An image of a
-kept wedge on a dropped one is an error, and d o d = 0 is checked on every
-slice.
+section rule, and a pattern's complex is the sparse slice of the ambient one
+on the kept wedges.  An image of a kept wedge on a dropped one is an error,
+and d o d = 0 is checked on every slice.
 
 The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so each pattern's cohomology is computed
@@ -56,17 +55,15 @@ interval is solved from the margin rows.  No weight is listed for a total.
 ``_Engine.box_run`` is the one loop that lists lattice weights, for
 ``cech_cohomology``, which reports each weight with cohomology: it lists the
 support box, the bounding box of the vertices of every pattern with
-cohomology (``_Engine.support_box``), or in the brute-force box mode kept
-for cross-validation an explicit box.  The weight cap applies to the one
-box listed, and for a total to the box of first r - 1 coordinates that a
-count runs over.  ``_Engine.pattern`` is the one rule turning margins into
-ray states, for arrangement vertices (rational margins) and lattice weights
-alike.  A vertex puts the rays of a nonsingular r-subset S on chosen
-levels.  Once per fan and per such S the engine tabulates the twist-free
-margins of every level choice, so a pass adds one twist offset per S and
-reads each vertex's pattern; only the vertices of patterns with cohomology
-are solved for their coordinates, from the adjugate and |det| of S's ray
-matrix.
+cohomology (``_Engine.support_box``).  The weight cap applies to that box,
+and for a total to the box of first r - 1 coordinates that a count runs
+over.  ``_Engine.pattern`` is the one rule turning margins into ray states,
+for arrangement vertices (rational margins) and lattice weights alike.  A
+vertex puts the rays of a nonsingular r-subset S on chosen levels.  Once per
+fan and per such S the engine tabulates the twist-free margins of every
+level choice, so a pass adds one twist offset per S and reads each vertex's
+pattern; only the vertices of patterns with cohomology are solved for their
+coordinates, from the adjugate and |det| of S's ray matrix.
 
 The arrangement depends on p only through the per-ray flags of
 ``_Engine.merged``, which are the same for every p >= 1.  The one cached
@@ -105,8 +102,8 @@ from .divisors import (
     sorted_logset,
     zero_divisor,
 )
-from .fan import (Fan, NotACone, _dual_basis, _dual_pairings, _scaled_dual_basis, automorphisms,
-                  is_cone, require_smooth_complete, stratum_fan)
+from .fan import (Fan, _dual_pairings, _scaled_dual_basis, automorphisms, require_smooth_complete,
+                  stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -123,16 +120,16 @@ class ChartConditionFails(ValueError):
 
 
 class WeightBoxTooLarge(ValueError):
-    """A lattice box that a caller asks to list, the support box or one
-    given explicitly, holds more weights than one call enumerates.  The
-    total dims count weights instead, and meet this cap only on the box of
-    first r - 1 coordinates that a pattern's count runs over."""
+    """The support box that ``cech_cohomology`` lists holds more weights
+    than one call enumerates.  The total dims count weights instead, and
+    meet this cap only on the box of first r - 1 coordinates that a
+    pattern's count runs over."""
 
 
 # Per-ray states of a weight, derived from the clipped margin pattern.
 DEAD, RESTRICTED, FREE = 0, 1, 2
 
-# Most lattice weights one listed box may hold, a support box or an explicit one.
+# Most lattice weights one listed support box, or one count's box of prefixes, may hold.
 _MAX_BOX_WEIGHTS = 5_000_000
 
 
@@ -166,25 +163,6 @@ class LogFormSheafSpec:
 def sheaf_spec(p: int, logset: Sequence[int], twist) -> LogFormSheafSpec:
     coeffs = twist.coeffs if isinstance(twist, InvariantDivisor) else twist
     return LogFormSheafSpec(p, logset, coeffs)
-
-
-@dataclass(frozen=True)
-class SectionBasis:
-    """Weight-m section space as a subspace of wedge^p M_Q.
-
-    ``allowed`` lists the admissible dual-basis index sets (by ray index of
-    the completing cone); ``vectors`` are their coordinates in the standard
-    basis of wedge^p M_Q, whose index sets are ordered lexicographically
-    (``itertools.combinations(range(r), p)``).
-    """
-
-    completion: tuple
-    allowed: tuple
-    vectors: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.allowed)
 
 
 def euler_characteristic(dims: Sequence[int]) -> int:
@@ -477,34 +455,32 @@ class _Engine:
         return tuple((min(-(-nums[k] // den) for nums, den in points),
                       max(nums[k] // den for nums, den in points)) for k in range(self.r))
 
-    def support_box(self, degrees: tuple, merged: tuple, twist: tuple) -> Optional[tuple]:
+    def support_box(self, p: int, merged: tuple, twist: tuple) -> Optional[tuple]:
         """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
-        pattern with cohomology in some form degree of ``degrees`` (see
-        ``cohomology_patterns``); None when there are none.
+        pattern with cohomology in form degree p, whose ray flags are
+        ``merged`` (see ``cohomology_patterns``); None when there are none.
 
         Every lattice weight with cohomology lies in this box, which
         ``box_run`` lists for ``cech_cohomology``.  WeightBoxTooLarge if the
         box is over the weight cap.
         """
-        points = [pt for _, pts in self.cohomology_patterns(degrees, merged, twist) for pt in pts]
+        points = [pt for _, pts in self.cohomology_patterns((p,), merged, twist) for pt in pts]
         if not points:
             return None
         box = self._integer_box(points)
         _require_box_size(box)
         return box
 
-    def box_run(self, degrees: tuple, merged: tuple, twist: tuple, bounds) -> Dict[tuple, tuple]:
-        """{m: h^0..h^r per form degree in ``degrees``} for the weights m of
-        the box ``bounds`` with cohomology in some degree; the degrees must
-        all have the ray flags ``merged``.  The one loop that lists lattice
-        weights, for the callers that ask for them: ``cech_cohomology``'s
-        support in chamber and box mode.
+    def box_run(self, p: int, merged: tuple, twist: tuple, bounds) -> Dict[tuple, tuple]:
+        """{m: h^0..h^r in form degree p, whose ray flags are ``merged``} for
+        the weights m of the box ``bounds`` with cohomology.  The one loop
+        that lists lattice weights: ``cech_cohomology`` runs it over the
+        support box.
         """
         support: Dict[tuple, tuple] = {}
         for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-            states = self.pattern(merged, self.margins(twist, m))
-            dims = tuple(self.state_cohomology(p, states) for p in degrees)
-            if any(map(any, dims)):
+            dims = self.state_cohomology(p, self.pattern(merged, self.margins(twist, m)))
+            if any(dims):
                 support[m] = dims
         return support
 
@@ -578,97 +554,25 @@ def _engine(f: Fan) -> _Engine:
     return _Engine(f)
 
 
-def _check_spec(f: Fan, s: LogFormSheafSpec) -> None:
+def cech_cohomology(f: Fan, s: LogFormSheafSpec) -> CohomologyResult:
+    """Total cohomology of the sheaf, weight by weight.
+
+    The one weight loop ``_Engine.box_run`` lists the support box that the
+    level arrangement finds (``_Engine.support_box``) and reports each
+    weight with cohomology.  A support box of more than 5,000,000 weights is
+    WeightBoxTooLarge, raised before any weight is listed; the counted
+    totals of ``log_spec_dims`` list no weight.
+    """
     if len(s.twist) != f.n_rays:
         raise ValueError("twist length does not match the fan")
     if not s.logset <= set(range(f.n_rays)):
         raise ValueError("logset contains invalid ray indices")
-
-
-def weight_sections(f: Fan, s: LogFormSheafSpec, tau: Sequence[int], m: Sequence[int]) -> SectionBasis:
-    """Section space of the sheaf at weight m over the chart of tau.
-
-    The chart cone is completed to the lowest-index maximal cone sigma; the
-    returned vectors express the admissible dual-basis wedges in the
-    standard basis of wedge^p M_Q.  The weight entries must be ints.
-    """
-    _check_spec(f, s)
-    eng = _engine(f)
-    tau = tuple(sorted(tau))
-    if not is_cone(f, tau):
-        raise NotACone(f"{tau} does not span a cone of the fan")
-    comp = eng.completion[tau]
-    m = json_ints(m, "weight entry")
-    if len(m) != f.dim:
-        raise ValueError("weight length does not match the fan")
-    states = eng.pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
-    level = f.dim - len(tau)
-    first = [t for t, _, _ in eng.levels[level]].index(tau) * comb(f.dim, s.p)
-    full = tuple(itertools.combinations(range(f.dim), s.p))
-    kept = eng.sections(s.p, states)[level]
-    allowed_pos = [I for k, I in enumerate(full) if first + k in kept]
-    cone = f.max_cones[comp]
-    duals = _dual_basis(f, cone)
-    vectors = []
-    for I in allowed_pos:
-        rows = [duals[i] for i in I]
-        vectors.append(tuple(det([[rows[a][j] for j in J] for a in range(len(I))])
-                             for J in full))
-    allowed_rays = tuple(tuple(cone[i] for i in I) for I in allowed_pos)
-    return SectionBasis(cone, allowed_rays, tuple(vectors))
-
-
-def cech_cohomology(
-    f: Fan,
-    s: LogFormSheafSpec,
-    mode: str = "chamber",
-    box: Optional[Sequence] = None,
-) -> CohomologyResult:
-    """Total cohomology of the sheaf, weight by weight.
-
-    mode="chamber" lists the weights of the support box that the level
-    arrangement finds (``chamber_support_box``); mode="box" lists all weights
-    in the explicit per-coordinate integer box (required argument in that
-    mode, and a ValueError in chamber mode).  Both modes read each weight's
-    cohomology in the same loop.  A box that is not a sequence of integer
-    (lo, hi) pairs, or has a pair with lo > hi, is a ValueError, raised before
-    any weight is enumerated; so is a box of more than 5,000,000 weights,
-    explicit or the support box, as WeightBoxTooLarge.
-    """
-    _check_spec(f, s)
     eng = _engine(f)
     merged = eng.merged(s.p, s.logset)
-    if mode == "chamber":
-        if box is not None:
-            raise ValueError("a box is read in box mode only, not in chamber mode")
-        bounds = eng.support_box((s.p,), merged, s.twist)
-    elif mode == "box":
-        if box is None:
-            raise ValueError("box mode requires explicit bounds")
-        try:
-            bounds = tuple(json_ints(pair, "box bound") for pair in box)
-        except TypeError as exc:
-            raise ValueError(f"box must be a sequence of (lo, hi) pairs: {exc}") from exc
-        if len(bounds) != f.dim or any(len(pair) != 2 for pair in bounds):
-            raise ValueError("box must have one (lo, hi) pair per dimension")
-        if any(lo > hi for lo, hi in bounds):
-            raise ValueError(f"box has a pair with lo > hi: {bounds}")
-        _require_box_size(bounds)
-    else:
-        raise ValueError(f"unknown weight enumeration mode {mode!r}")
-    weights = {} if bounds is None else eng.box_run((s.p,), merged, s.twist, bounds)
-    support = {m: dims[0] for m, dims in weights.items()}
+    bounds = eng.support_box(s.p, merged, s.twist)
+    support = {} if bounds is None else eng.box_run(s.p, merged, s.twist, bounds)
     dims = _total(f.dim, support.values())
     return CohomologyResult(dims, support, euler_characteristic(dims))
-
-
-def chamber_support_box(f: Fan, s: LogFormSheafSpec) -> Optional[tuple]:
-    """Bounding box of all nonzero-cohomology chambers (None if there are none).
-
-    Any brute-force box containing this one is provably sufficient."""
-    _check_spec(f, s)
-    eng = _engine(f)
-    return eng.support_box((s.p,), eng.merged(s.p, s.logset), s.twist)
 
 
 def _log_dims(f: Fan, ps: Sequence[int], dprime: frozenset, twist: tuple) -> tuple:

@@ -1,5 +1,6 @@
 import pytest
 
+from toricbott.danilov import _engine
 from toricbott.exactmath import QMatrix
 
 
@@ -16,3 +17,25 @@ def _sparse(rows, cols=None) -> QMatrix:
 def dense():
     """Builds a QMatrix from dense rows: ``dense(rows)`` or ``dense(rows, cols)``."""
     return _sparse
+
+
+def _brute_box(f, s) -> dict:
+    """The weight support of the sheaf spec ``s`` listed by the one weight
+    loop ``_Engine.box_run`` over a box strictly larger than the support box:
+    the support box widened by 1 on each side, or (-1, 1) per coordinate when
+    no pattern has cohomology."""
+    eng = _engine(f)
+    merged = eng.merged(s.p, s.logset)
+    support = eng.support_box(s.p, merged, s.twist)
+    if support is None:
+        bounds = tuple((-1, 1) for _ in range(f.dim))
+    else:
+        bounds = tuple((lo - 1, hi + 1) for lo, hi in support)
+    return eng.box_run(s.p, merged, s.twist, bounds)
+
+
+@pytest.fixture(scope="session")
+def brute_box():
+    """Lists a sheaf spec's weights over a box beyond its support box:
+    ``brute_box(f, s)`` is {m: h^0..h^r}."""
+    return _brute_box

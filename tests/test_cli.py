@@ -12,6 +12,7 @@ from toricbott.cli import (
     main,
 )
 from toricbott.certifier import certificate_from_dict, leaf_count
+from toricbott.danilov import cech_cohomology, sheaf_spec
 from toricbott.fan import fan_from_dict, fan_to_dict, product, projective_space
 
 
@@ -211,46 +212,33 @@ def test_cohomology_command(p2_file, tmp_path, capsys):
     assert data["dims"] == [6, 0, 0]
 
 
-def test_cohomology_box_mode_needs_bound(p2_file, tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [2, 0, 0]}))
-    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
-                 "--mode", "box"]) == EXIT_MALFORMED
-
-
-def test_cohomology_box_bound_needs_box_mode(p2_file, tmp_path, capsys):
-    # a bound that chamber mode would not read must not pass unnoticed
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [1, 0, 0]}))
-    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
-                 "--box-bound", "6"]) == EXIT_MALFORMED
-    assert "box" in capsys.readouterr().err
-
-
-def test_cohomology_box_with_negative_bound_is_malformed(p2_file, tmp_path):
-    # --box-bound -1 gives the box (1, -1) per coordinate, which holds no weight
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [0, 0, 0]}))
-    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
-                 "--mode", "box", "--box-bound", "-1"]) == EXIT_MALFORMED
-
-
 def test_cohomology_spec_with_float_is_malformed(p2_file, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p": 1.7, "logset": [0.9], "twist": [0, 0, 1]}))
     assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_MALFORMED
 
 
-def test_cohomology_box_matches_chamber(p2_file, tmp_path, capsys):
+def test_cohomology_weights_list_the_cech_support(p2_file, tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p": 1, "logset": [0], "twist": [0, 0, 1]}))
-    main(["--format", "machine", "cohomology", "--fan", p2_file, "--spec", str(spec),
-          "--weights"])
-    chamber = json.loads(capsys.readouterr().out)
-    main(["--format", "machine", "cohomology", "--fan", p2_file, "--spec", str(spec),
-          "--mode", "box", "--box-bound", "6", "--weights"])
-    box = json.loads(capsys.readouterr().out)
-    assert chamber == box
+    assert main(["--format", "machine", "cohomology", "--fan", p2_file, "--spec", str(spec),
+                 "--weights"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    result = cech_cohomology(projective_space(2), sheaf_spec(1, [0], (0, 0, 1)))
+    assert result.weight_support
+    assert data["weight_support"] == [{"weight": list(m), "dims": list(d)}
+                                      for m, d in sorted(result.weight_support.items())]
+    assert data["dims"] == list(result.dims)
+
+
+@pytest.mark.parametrize("options", [["--mode", "box"], ["--box-bound", "6"]])
+def test_cohomology_refuses_the_box_options(p2_file, tmp_path, options):
+    # the weights are listed from the support box alone
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [1, 0, 0]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--fan", p2_file, "--spec", str(spec), *options])
+    assert exc.value.code == EXIT_MALFORMED
 
 
 def test_machine_and_table_contain_same_numbers(p2_file, tmp_path, capsys):
@@ -474,18 +462,6 @@ def test_suite_repeated_fan_is_malformed(capsys, select):
     assert "p2" in captured.err and "p1" not in captured.err and captured.out == ""
 
 
-def test_cohomology_oversize_box_is_malformed(tmp_path, capsys):
-    # 2001^3 weights on P3 would take hours to enumerate; refused at once
-    fan = tmp_path / "p3.json"
-    assert main(["fan", "builtin", "--name", "projective_space", "--dim", "3",
-                 "-o", str(fan)]) == EXIT_OK
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [0, 0, 0, 0]}))
-    assert main(["cohomology", "--fan", str(fan), "--spec", str(spec),
-                 "--mode", "box", "--box-bound", "1000"]) == EXIT_MALFORMED
-    assert "weights" in capsys.readouterr().err
-
-
 def test_cohomology_oversize_chamber_is_malformed(p2_file, tmp_path, capsys):
     # listing the chamber of O(3000) on P2 spans 3001^2 weights: a size
     # error, not a fault
@@ -502,6 +478,3 @@ def test_cohomology_counts_an_oversize_chamber(p2_file, tmp_path, capsys):
     spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [3000, 0, 0]}))
     assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["h = [4504501, 0, 0]", "euler = 4504501"]
-    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec), "--mode", "box",
-                 "--box-bound", "3000"]) == EXIT_MALFORMED
-    assert "weights" in capsys.readouterr().err

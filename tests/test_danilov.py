@@ -15,15 +15,14 @@ from toricbott.danilov import (
     HypothesisNotVerified,
     LogFormSheafSpec,
     WeightBoxTooLarge,
+    _engine,
     cech_cohomology,
-    chamber_support_box,
     euler_additivity_check,
     hodge_count_check,
     line_bundle_cohomology,
     log_spec_dims,
     sheaf_spec,
     verify_vanishing,
-    weight_sections,
 )
 from toricbott.divisors import (
     InvariantDivisor,
@@ -34,10 +33,10 @@ from toricbott.divisors import (
     rayset_divisor,
     zero_divisor,
 )
-from toricbott.exactmath import ComplexNotExactlyComposable, det, rank
+from toricbott.exactmath import ComplexNotExactlyComposable, QMatrix, det, rank
 from toricbott.fan import (
     Fan,
-    NotACone,
+    _dual_basis,
     projective_space,
     product,
     star_subdivision,
@@ -51,57 +50,68 @@ P2 = projective_space(2)
 
 # --- weight-level section spaces ------------------------------------------
 
+def _chart_wedges(f, s, tau, m):
+    """(sigma, wedges): the maximal cone sigma completing the cone tau, and
+    the dual-basis wedges of sigma that ``_Engine.sections`` keeps over the
+    chart of tau at the weight m, each as its tuple of rays of sigma."""
+    eng = _engine(f)
+    states = eng.pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
+    level = f.dim - len(tau)
+    first = [t for t, _, _ in eng.levels[level]].index(tau) * comb(f.dim, s.p)
+    kept = eng.sections(s.p, states)[level]
+    sigma = f.max_cones[eng.completion[tau]]
+    return sigma, tuple(tuple(sigma[i] for i in I)
+                        for k, I in enumerate(itertools.combinations(range(f.dim), s.p))
+                        if first + k in kept)
+
+
+def _wedge_vectors(f, sigma, wedges):
+    """The wedges of sigma's dual basis in the standard basis of
+    wedge^p M_Q, whose index sets are ordered lexicographically."""
+    duals = dict(zip(sigma, _dual_basis(f, sigma)))
+    vectors = []
+    for wedge in wedges:
+        rows = [duals[ray] for ray in wedge]
+        vectors.append(tuple(det([[row[j] for j in J] for row in rows])
+                             for J in itertools.combinations(range(f.dim), len(wedge))))
+    return vectors
+
+
 def test_weight_sections_regular_one_forms_weight_zero():
     s = sheaf_spec(1, [], zero_divisor(P2))
-    assert weight_sections(P2, s, (0, 1), (0, 0)).dim == 0
+    assert _chart_wedges(P2, s, (0, 1), (0, 0))[1] == ()
 
 
 def test_weight_sections_dx():
     s = sheaf_spec(1, [], zero_divisor(P2))
-    basis = weight_sections(P2, s, (0, 1), (1, 0))
-    assert basis.dim == 1
-    assert basis.allowed == ((0,),)
+    assert _chart_wedges(P2, s, (0, 1), (1, 0))[1] == ((0,),)
 
 
 def test_weight_sections_trivial_log_bundle():
     s = sheaf_spec(1, [0, 1, 2], zero_divisor(P2))
     for tau in [(0, 1), (1, 2), (0, 2)]:
-        assert weight_sections(P2, s, tau, (0, 0)).dim == 2
-
-
-def test_weight_sections_needs_a_cone():
-    s = sheaf_spec(1, [], zero_divisor(P2))
-    with pytest.raises(NotACone):
-        weight_sections(P2, s, (0, 1, 2), (0, 0))
+        assert len(_chart_wedges(P2, s, tau, (0, 0))[1]) == 2
 
 
 def test_weight_sections_independent_of_completion(dense):
     # The chart of a single ray lies in two maximal cones; the computed
     # subspace of wedge^p M must not depend on which one completes it.
     s = sheaf_spec(1, (0,), (1, 0, -1))
+    # a fan with the maximal cones listed in the other order, forcing the
+    # other completion choice
+    reordered = Fan(2, P2.rays, tuple(reversed(P2.max_cones)))
     for tau in [(0,), (1,), (2,)]:
-        spans = []
         for m in itertools.product(range(-2, 3), repeat=2):
-            basis = weight_sections(P2, s, tau, m)
-            spans.append((m, sorted(basis.vectors)))
-        # recompute against a fan with the maximal cones listed in a
-        # different order, forcing the other completion choice
-        reordered = Fan(2, P2.rays, tuple(reversed(P2.max_cones)))
-        for m, vecs in spans:
-            other = weight_sections(reordered, s, tau, m)
-            rows = tuple(vecs) + other.vectors
-            if not rows:
-                continue
-            a = dense(rows)
-            # equal subspaces: stacking both bases must not raise the rank
-            assert len(vecs) == other.dim
+            completions = [(f, *_chart_wedges(f, s, tau, m)) for f in (P2, reordered)]
+            assert completions[0][1] != completions[1][1]
+            vecs, other = (sorted(_wedge_vectors(*c)) for c in completions)
+            assert len(vecs) == len(other)
             if vecs:
-                assert rank(a) == len(vecs)
+                # equal subspaces: stacking both bases must not raise the rank
+                assert rank(dense(vecs + other)) == len(vecs)
 
 
 def test_engine_margins():
-    from toricbott.danilov import _engine
-
     assert _engine(P2).margins((2, 0, 0), (1, 0)) == (3, 0, -1)
 
 
@@ -111,8 +121,8 @@ def test_affine_line_model():
     plain = sheaf_spec(1, [], zero_divisor(P1))
     logged = sheaf_spec(1, [plus], zero_divisor(P1))
     for m in range(-2, 3):
-        assert weight_sections(P1, plain, (plus,), (m,)).dim == (1 if m >= 1 else 0)
-        assert weight_sections(P1, logged, (plus,), (m,)).dim == (1 if m >= 0 else 0)
+        assert len(_chart_wedges(P1, plain, (plus,), (m,))[1]) == (1 if m >= 1 else 0)
+        assert len(_chart_wedges(P1, logged, (plus,), (m,))[1]) == (1 if m >= 0 else 0)
 
 
 # --- cech cohomology against classical values -----------------------------
@@ -346,75 +356,24 @@ def test_weight_pattern_constancy():
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(("p1", "p2", "p1xp1", "bl1")), st.randoms(use_true_random=False))
-def test_chamber_agrees_with_brute_box(name, rnd):
+def test_chamber_agrees_with_brute_box(brute_box, name, rnd):
     f = suite_fans()[name]
     p = rnd.randint(0, f.dim)
     logset = tuple(sorted(rnd.sample(range(f.n_rays), rnd.randint(0, f.n_rays))))
     twist = InvariantDivisor(tuple(rnd.randint(-2, 2) for _ in range(f.n_rays)))
     s = sheaf_spec(p, logset, twist)
     chamber = cech_cohomology(f, s)
-    support = chamber_support_box(f, s)
-    if support is None:
-        bounds = tuple((-1, 1) for _ in range(f.dim))
-    else:
-        bounds = tuple((lo - 1, hi + 1) for lo, hi in support)
-    box = cech_cohomology(f, s, mode="box", box=bounds)
-    assert chamber == box
-    assert log_spec_dims(f, p, logset, twist) == box.dims
-
-
-def test_box_mode_requires_bounds():
-    s = sheaf_spec(0, [], zero_divisor(P2))
-    with pytest.raises(ValueError):
-        cech_cohomology(P2, s, mode="box")
-
-
-def test_box_mode_rejects_an_inverted_pair():
-    s = sheaf_spec(0, [], zero_divisor(P2))
-    assert cech_cohomology(P2, s, mode="box", box=((0, 0), (0, 0))).dims == (1, 0, 0)
-    with pytest.raises(ValueError, match="lo > hi"):
-        cech_cohomology(P2, s, mode="box", box=((3, -3), (0, 0)))
-
-
-def test_chamber_mode_rejects_a_box():
-    # chamber mode would ignore the box and answer (3, 0, 0) for O(1)
-    s = sheaf_spec(0, [], (1, 0, 0))
-    assert cech_cohomology(P2, s, mode="box", box=((0, 0), (0, 0))).dims == (1, 0, 0)
-    with pytest.raises(ValueError, match="box"):
-        cech_cohomology(P2, s, mode="chamber", box=((0, 0), (0, 0)))
-
-
-def test_box_mode_rejects_non_integer_bounds():
-    # int() truncation used to turn this box into ((0, 0), (0, 0))
-    s = sheaf_spec(0, [], zero_divisor(P2))
-    with pytest.raises(ValueError, match="integers"):
-        cech_cohomology(P2, s, mode="box", box=((-0.5, 0.9), (0, 0.99)))
-    with pytest.raises(ValueError, match="integers"):
-        cech_cohomology(P2, s, mode="box", box=((True, 1), (0, 0)))
-
-
-def test_weight_sections_rejects_non_integer_weights():
-    # int() truncation used to answer for the weight (0, 0)
-    s = sheaf_spec(1, [], (0, 0, 0))
-    with pytest.raises(ValueError, match="integers"):
-        weight_sections(P2, s, (0, 1), (0.7, 0.2))
-    with pytest.raises(ValueError, match="length"):
-        weight_sections(P2, s, (0, 1), (0,))
-
-
-@pytest.mark.parametrize("box", [5, 2.5])
-def test_box_mode_rejects_a_box_that_is_not_a_list_of_pairs(box):
-    s = sheaf_spec(0, [], zero_divisor(P2))
-    with pytest.raises(ValueError, match="sequence of \\(lo, hi\\) pairs"):
-        cech_cohomology(P2, s, mode="box", box=box)
+    assert chamber.weight_support == brute_box(f, s)
+    assert log_spec_dims(f, p, logset, twist) == chamber.dims
 
 
 @pytest.mark.parametrize("name", ["p2", "bl1", "p3"])
 def test_chamber_mode_lists_the_support_box_with_the_box_loop(monkeypatch, name):
-    # one loop over lattice weights: chamber mode hands box_run the support box
+    # one loop over lattice weights: cech_cohomology hands box_run the support box
     from toricbott.danilov import _Engine
 
     f = suite_fans()[name]
+    eng = _engine(f)
     rng = random.Random(f"one-loop-{name}")
     calls = []
     original = _Engine.box_run
@@ -426,26 +385,13 @@ def test_chamber_mode_lists_the_support_box_with_the_box_loop(monkeypatch, name)
                        tuple(rng.randint(-1, 2) for _ in range(f.n_rays)))
         calls.clear()
         result = cech_cohomology(f, s)
-        box = chamber_support_box(f, s)
+        merged = eng.merged(s.p, s.logset)
+        box = eng.support_box(s.p, merged, s.twist)
         assert calls == ([] if box is None else [box])
         listed += box is not None
         if box is not None:
-            assert result == cech_cohomology(f, s, mode="box", box=box)
+            assert result.weight_support == eng.box_run(s.p, merged, s.twist, box)
     assert listed
-
-
-def test_box_mode_refuses_an_oversize_box_before_enumerating(monkeypatch):
-    from toricbott.danilov import _Engine
-
-    def no_enumeration(self, spec, bounds):
-        raise AssertionError("weights were enumerated")
-
-    monkeypatch.setattr(_Engine, "box_run", no_enumeration)
-    p3 = projective_space(3)
-    s = sheaf_spec(0, [], zero_divisor(p3))
-    # 2001^3, about 8e9 weights
-    with pytest.raises(ValueError, match="5000000 weights"):
-        cech_cohomology(p3, s, mode="box", box=((-1000, 1000),) * 3)
 
 
 def test_one_weight_cap_for_explicit_boxes_and_chambers(monkeypatch):
@@ -453,11 +399,8 @@ def test_one_weight_cap_for_explicit_boxes_and_chambers(monkeypatch):
 
     monkeypatch.setattr(danilov, "_MAX_BOX_WEIGHTS", 8)
     s = sheaf_spec(0, [], 2 * ray_divisor(P2, 0))
-    # sections of O(2) are the weights of the triangle (0, 0), (-2, 0), (-2, 2)
-    assert cech_cohomology(P2, s, mode="box", box=((-2, -1), (0, 3))).dims == (5, 0, 0)
-    with pytest.raises(ValueError, match="more than 8 weights"):
-        cech_cohomology(P2, s, mode="box", box=((-2, 0), (0, 2)))
-    # the chamber of those sections spans the same 3 x 3 box
+    # sections of O(2) are the weights of the triangle (0, 0), (-2, 0), (-2, 2),
+    # whose support box is 3 x 3
     with pytest.raises(WeightBoxTooLarge, match="more than 8 weights"):
         cech_cohomology(P2, s)
 
@@ -549,15 +492,20 @@ def test_point_fan_cohomology():
 def test_point_fan_cech_cohomology(p, dims, support, box):
     point = stratum_fan(P2, (0, 1)).fan
     s = sheaf_spec(p, [], ())
-    for result in (cech_cohomology(point, s), cech_cohomology(point, s, mode="box", box=())):
-        assert (result.dims, result.weight_support) == (dims, support)
-    assert chamber_support_box(point, s) == box
+    result = cech_cohomology(point, s)
+    assert (result.dims, result.weight_support) == (dims, support)
+    eng = _engine(point)
+    merged = eng.merged(p, s.logset)
+    assert eng.support_box(p, merged, ()) == box
+    assert eng.box_run(p, merged, (), ()) == support
 
 
 def test_form_degree_above_the_dimension_has_no_cohomology():
     s = sheaf_spec(3, [0], (1, 0, 0))
-    for result in (cech_cohomology(P2, s), cech_cohomology(P2, s, mode="box", box=((-2, 2),) * 2)):
-        assert (result.dims, result.weight_support) == ((0, 0, 0), {})
+    result = cech_cohomology(P2, s)
+    assert (result.dims, result.weight_support) == ((0, 0, 0), {})
+    eng = _engine(P2)
+    assert eng.box_run(3, eng.merged(3, s.logset), s.twist, ((-2, 2),) * 2) == {}
 
 
 # --- cone-poset complex ------------------------------------------------------
@@ -582,6 +530,42 @@ def test_cone_complex_reproduces_nerve_golden_data():
         res = cech_cohomology(fans[row["fan"]], sheaf_spec(row["p"], row["logset"], row["twist"]))
         support = [[list(m), list(d)] for m, d in sorted(res.weight_support.items())]
         assert (list(res.dims), support) == (row["dims"], row["weight_support"]), row
+
+
+def _demazure_dims(f, dead):
+    """h^0..h^r of a line bundle at a weight whose DEAD rays (margin <= -1)
+    are ``dead`` and whose other rays are FREE, by Demazure's theorem
+    (Cox-Little-Schenck, Toric Varieties, Thm 9.1.3): h^k is the reduced
+    H^(k-1) of the full subcomplex of the fan on the DEAD rays, whose empty
+    cone sits in degree -1."""
+    faces = [sorted({tau for c in f.max_cones for tau in itertools.combinations(sorted(c), k)
+                     if dead.issuperset(tau)}) for k in range(f.dim + 1)]
+    # ranks[k] is the rank of the boundary from the k-ray faces to the (k-1)-ray ones
+    ranks = [0]
+    for k in range(1, f.dim + 1):
+        index = {tau: i for i, tau in enumerate(faces[k - 1])}
+        rows = tuple(tuple((index[tau[:t] + tau[t + 1:]], (-1) ** t) for t in range(k))
+                     for tau in faces[k])
+        ranks.append(rank(QMatrix(len(faces[k]), len(faces[k - 1]), rows)))
+    ranks.append(0)
+    return tuple(len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(f.dim + 1))
+
+
+def test_line_bundle_patterns_match_the_demazure_oracle():
+    # every DEAD/FREE tuple, realizable or not, of the nine suite fans and
+    # P1^4: 188 + 256 patterns, against a complex built from the fan alone
+    from toricbott.danilov import DEAD, FREE, _Engine
+
+    fans = dict(suite_fans())
+    fans["p1^4"] = product(product(P1, P1), product(P1, P1))
+    checked = 0
+    for name, f in fans.items():
+        eng = _Engine(f)
+        for states in itertools.product((DEAD, FREE), repeat=f.n_rays):
+            dead = {i for i, st in enumerate(states) if st == DEAD}
+            assert eng.state_cohomology(0, states) == _demazure_dims(f, dead), (name, states)
+            checked += 1
+    assert checked == 444
 
 
 @pytest.mark.parametrize("fan, terms", [
