@@ -47,11 +47,14 @@ The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so each pattern's cohomology is computed
 once.  The vertices of the margin-level hyperplane arrangement find every
 realizable pattern; those with cohomology are bounded, hence the hulls of
-their vertices.  The patterns partition the lattice weights, so the totals
-are h^k = sum over patterns of count * h^k(pattern), where ``_Engine.count``
-counts the lattice points of a pattern's closed polytope: the first r - 1
-coordinates run over the bounding box of its vertices, and the last one's
-interval is solved from the margin rows.  No weight is listed for a total.
+their vertices.  Boundedness is read from the per-fan table
+``fan.edge_signs`` (``_Engine.pattern_bounded``), with no LP.  The patterns
+partition the lattice weights, so the totals are h^k = sum over patterns
+of count * h^k(pattern), where ``_Engine.count`` counts the lattice points
+of a pattern's closed polytope: it walks the coordinates within the
+bounding box of its vertices, tests each margin row at the last coordinate
+the row reads, and counts the last coordinate's interval.  No weight is
+listed for a total.
 ``_Engine.box_run`` is the one loop that lists lattice weights, for
 ``cech_cohomology``, which reports each weight with cohomology: it lists the
 support box, the bounding box of the vertices of every pattern with
@@ -78,7 +81,9 @@ with it the complex and the region of weights of a margin pattern onto
 those of the moved pattern.  So the pass answers every image of (flags,
 twist class), and a pattern's cohomology and boundedness every image of
 the pattern, under the fan's automorphism group: one pass, one complex and
-one boundedness LP per orbit, all stored by the one rule ``_Engine.orbit``.
+one boundedness verdict per orbit.  The one rule ``_Engine.orbit`` lists
+the distinct images, each moved once by the per-fan table ``fan.movers``,
+and the caches store each result once per image.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from math import comb, prod
 from operator import add, mul
 from typing import Dict, Optional, Sequence
 
-from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints, polyhedron_bounded
+from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints
 from .divisors import (
     InvariantDivisor,
     class_representative,
@@ -102,8 +107,8 @@ from .divisors import (
     sorted_logset,
     zero_divisor,
 )
-from .fan import (Fan, _dual_pairings, _scaled_dual_basis, automorphisms, require_smooth_complete,
-                  stratum_fan)
+from .fan import (Fan, _dual_pairings, _scaled_dual_basis, edge_signs, movers,
+                  require_smooth_complete, stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -193,9 +198,11 @@ class CohomologyResult:
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
     solvers of the level arrangement, the ambient complex per form degree,
-    and three caches that each result fills for its whole orbit under the
-    fan's automorphisms (``orbit``): pattern cohomology per (p, pattern),
-    boundedness per pattern, total dims per (degrees, flags, twist class).
+    and three caches that each result fills once per distinct image under
+    the fan's automorphisms (``orbit``): pattern cohomology per (p,
+    pattern), boundedness per pattern, total dims per (degrees, flags,
+    twist class).  Boundedness reads the fan's edge sign table
+    (``fan.edge_signs``) and solves no LP.
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -305,18 +312,17 @@ class _Engine:
             out.append(dict(zip(kept, range(len(kept)))))
         return out
 
-    def orbit(self, *per_ray: tuple):
-        """The one orbit rule of the caches: per automorphism pi of the fan
-        (``fan.automorphisms``), the per-ray tuples moved by pi.
+    def orbit(self, *per_ray: tuple) -> set:
+        """The one orbit rule of the caches: the distinct images of the
+        per-ray tuples under the fan's automorphisms, read from the table
+        ``fan.movers``, the given tuples themselves included.
 
         Moving v to v o pi is the action of pi^-1, which carries D_rho to
-        D_pi^-1(rho); over the group this lists every image, the given
-        tuples themselves included.  A sheaf, a weight's complex and its
-        region of weights are carried onto those of the image, so a result
-        computed for the tuples holds for each of them.
+        D_pi^-1(rho).  A sheaf, a weight's complex and its region of weights
+        are carried onto those of the image, so a result computed for the
+        tuples holds for each of them.
         """
-        for perm in automorphisms(self.fan):
-            yield tuple(tuple(v[i] for i in perm) for v in per_ray)
+        return {tuple(move(v) for v in per_ray) for move in movers(self.fan)}
 
     def state_cohomology(self, p: int, states: tuple) -> tuple:
         """h^0..h^r at one margin pattern, from the cone-poset complex
@@ -376,21 +382,20 @@ class _Engine:
 
     def pattern_bounded(self, states: tuple) -> bool:
         """Whether the weights with margin pattern ``states`` form a bounded
-        region; one LP per orbit of patterns."""
+        region, read from the fan's table ``fan.edge_signs``; stored for the
+        pattern's orbit.
+
+        The region's recession cone is {v : <v, u> <= 0 on DEAD rays, = 0 on
+        RESTRICTED ones, >= 0 on FREE ones}.  It is nonzero iff some table
+        entry (pos, neg) lies in it: pos misses DEAD and neg misses FREE,
+        and neither meets RESTRICTED.  No LP runs.
+        """
         cached = self._bounded.get(states)
         if cached is not None:
             return cached
-        rows = []
-        for i, st in enumerate(states):
-            ray = list(self.fan.rays[i])
-            if st == DEAD:
-                rows.append(ray)
-            elif st == RESTRICTED:
-                rows.append(ray)
-                rows.append([-x for x in ray])
-            else:
-                rows.append([-x for x in ray])
-        result = polyhedron_bounded(rows, [0] * len(rows))
+        free = sum(1 << i for i, st in enumerate(states) if st == FREE)
+        dead = sum(1 << i for i, st in enumerate(states) if st == DEAD)
+        result = all(pos & ~free or neg & ~dead for pos, neg in edge_signs(self.fan))
         for (moved,) in self.orbit(states):
             self._bounded[moved] = result
         return result
@@ -490,37 +495,53 @@ class _Engine:
         RESTRICTED ones and c_j >= 1 on FREE ones (c_j >= 0 on merged rays),
         which is bounded and the hull of its vertices ``points``.
 
-        The first r - 1 coordinates run over the bounding box of the points;
-        the last one's interval is solved from the margin rows with exact
-        floor and ceiling.  The box of those prefixes is held to the weight
-        cap, so a twist too large to count is WeightBoxTooLarge, not a loop
-        that runs for hours.
+        The coordinates are walked in order within the bounding box of the
+        points.  Each condition <row, m> >= bound is tested at the coordinate
+        of its row's last nonzero entry, as an exact floor or ceiling on that
+        coordinate given the partial sums of the ones before it, so a failed
+        condition prunes the whole slice behind it.  The last coordinate's
+        interval is counted, not listed.  The box of the first r - 1
+        coordinates is held to the weight cap, so a twist too large to count
+        is WeightBoxTooLarge, not a loop that runs for hours.
         """
         box = self._integer_box(points)
         _require_box_size(box[:-1])
-        # Each condition reads <head, m[:-1]> + last * m[-1] >= bound.
-        lowers, uppers, fixed = [], [], []
+        # Condition c reads <rows[c], m> >= rests[c]; ``tested[k]`` lists
+        # (c, rows[c][k]) for the rows whose last nonzero entry is at k.
+        rows, rests = [], []
+        tested = [[] for _ in range(self.r)]
         for ray, t, st, mg in zip(self.fan.rays, twist, states, merged):
-            conditions = []
+            last = self.r - 1
+            while not ray[last]:
+                last -= 1
             if st != DEAD:
-                conditions.append((ray, (0 if mg or st == RESTRICTED else 1) - t))
+                tested[last].append((len(rows), ray[last]))
+                rows.append(ray)
+                rests.append((0 if mg or st == RESTRICTED else 1) - t)
             if st != FREE:
-                conditions.append((tuple(-x for x in ray), t + (st == DEAD)))
-            for (*head, last), bound in conditions:
-                (lowers if last > 0 else uppers if last < 0 else fixed).append((head, last, bound))
-        total = 0
-        for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
-            if any(sum(map(mul, prefix, head)) < bound for head, _, bound in fixed):
-                continue
-            width = 1
-            for lo, hi in box[-1:]:     # the last coordinate; none when r = 0
-                lo = max([lo, *(-((sum(map(mul, prefix, head)) - bound) // last)
-                                for head, last, bound in lowers)])
-                hi = min([hi, *((bound - sum(map(mul, prefix, head))) // last
-                                for head, last, bound in uppers)])
-                width = max(0, hi - lo + 1)
-            total += width
-        return total
+                tested[last].append((len(rows), -ray[last]))
+                rows.append(tuple(-x for x in ray))
+                rests.append(t + (st == DEAD))
+
+        def walk(k: int, rest: list) -> int:
+            # lattice points with m[:k] fixed; rest[c] is rests[c] minus the
+            # partial sum of row c over m[:k]
+            if k == self.r:
+                return 1
+            lo, hi = box[k]
+            for c, a in tested[k]:
+                if a > 0:
+                    lo = max(lo, -(-rest[c] // a))
+                else:
+                    hi = min(hi, rest[c] // a)
+            if k == self.r - 1:
+                return max(0, hi - lo + 1)
+            total = 0
+            for x in range(lo, hi + 1):
+                total += walk(k + 1, [b - row[k] * x for b, row in zip(rest, rows)])
+            return total
+
+        return walk(0, rests)
 
     def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
         """h^0..h^r for each form degree in ``degrees``, all with the ray
@@ -544,8 +565,10 @@ class _Engine:
                    if (weights := self.count(merged, twist, states, points))]
         result = tuple(_total(self.r, ([weights * h for h in dims[i]] for weights, dims in counted))
                        for i in range(len(degrees)))
-        for moved, moved_twist in self.orbit(merged, twist):
-            self._dims[(degrees, moved, class_representative(self.fan, moved_twist))] = result
+        images = self.orbit(merged, twist)
+        classes = {t: class_representative(self.fan, t) for _, t in images}
+        for moved, moved_twist in images:
+            self._dims[(degrees, moved, classes[moved_twist])] = result
         return result
 
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, Sequence
 
 from .exactmath import det, json_ints, lp_max
@@ -199,6 +199,41 @@ def automorphisms(f: Fan) -> tuple:
             if None not in perm and all(tuple(sorted(perm[i] for i in c)) in cones
                                         for c in f.max_cones):
                 out.add(perm)
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def movers(f: Fan) -> tuple:
+    """Per automorphism pi (``automorphisms``), the map v -> v o pi on
+    per-ray tuples: an ``operator.itemgetter``, and ``tuple`` for the
+    identity.  Over the group these maps list every image of a tuple."""
+    identity = tuple(range(f.n_rays))
+    return tuple(tuple if perm == identity else itemgetter(*perm) for perm in automorphisms(f))
+
+
+@lru_cache(maxsize=None)
+def edge_signs(f: Fan) -> tuple:
+    """Per set J of r - 1 rays of rank r - 1, with w_J its cofactor vector
+    (orthogonal to J's rays), the ray bitmasks (pos, neg) where <w_J, u> is
+    > 0 and where it is < 0; both orientations, each pair once.
+
+    A cone of directions v cut out by one condition <v, u> <= 0, = 0 or
+    >= 0 per ray is pointed, because the rays span.  So it is nonzero iff
+    it has an extreme ray, which lies on r - 1 independent hyperplanes u^perp
+    and is then +-w_J for one of these J (Schrijver, Theory of Linear and
+    Integer Programming, ch. 8).  Whether +-w_J lies in such a cone reads
+    only its signs on the rays, which the entry holds.  The point fan has
+    no entry.
+    """
+    require_smooth_complete(f)
+    out = set()
+    for subset in itertools.combinations(f.rays, max(f.dim - 1, 0)):
+        w = tuple((-1) ** k * det([ray[:k] + ray[k + 1:] for ray in subset]) for k in range(f.dim))
+        if any(w):
+            values = [sum(map(mul, w, ray)) for ray in f.rays]
+            pos = sum(1 << i for i, x in enumerate(values) if x > 0)
+            neg = sum(1 << i for i, x in enumerate(values) if x < 0)
+            out.update(((pos, neg), (neg, pos)))
     return tuple(sorted(out))
 
 

@@ -38,7 +38,7 @@ from .certifier import cross_validate
 from .danilov import verify_vanishing
 from .divisors import (InvariantDivisor, canonical_divisor, class_representative,
                        hypothesis_feasible)
-from .fan import Fan, automorphisms, hirzebruch, product, projective_space, star_subdivision
+from .fan import Fan, hirzebruch, movers, product, projective_space, star_subdivision
 
 
 def suite_fans() -> Dict[str, Fan]:
@@ -152,7 +152,9 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     size are kept.
 
     Each D' is checked or counted through its representative, the
-    lexicographically least sorted image of D' under ``fan.automorphisms``;
+    lexicographically least sorted image of D' under the fan's
+    automorphisms: the ray indices set in each image of D''s flag tuple
+    under ``fan.movers``, the table that ``danilov._Engine.orbit`` reads;
     ``combinations`` lists each size in lexicographic order, so the
     representative comes first.  At a representative every feasible class
     is checked, which re-checks its witness.  An image of a representative
@@ -176,7 +178,7 @@ def thm11_sweep(fan: Fan, certify: bool = True,
            for members in classes.values()]
     out.solved = len(top)
     top = [(members, witness) for members, witness in top if witness is not None]
-    perms = automorphisms(fan)
+    moves = movers(fan)
     below = {}
     for size in range(fan.n_rays + 1):
         level = {}
@@ -184,7 +186,8 @@ def thm11_sweep(fan: Fan, certify: bool = True,
         for dprime in itertools.combinations(rays, size):
             out.instances += len(coeffs) ** fan.n_rays
             out.decided += len(classes)
-            rep = min(tuple(sorted(perm[i] for i in dprime)) for perm in perms)
+            flags = tuple(i in dprime for i in rays)
+            rep = min(tuple(i for i, x in enumerate(move(flags)) if x) for move in moves)
             by_symmetry = rep in clean
             found = level[dprime] = {}
             failures = []

@@ -51,8 +51,8 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
     # attributes; a rewrite that bypasses one of them must fail here
     spans = _load_spans(monkeypatch)
     p2 = toricbott.projective_space(2)
-    # start cold, so that complexes, ranks and boundedness LPs are computed
-    # inside the sweep even when earlier tests have filled the caches
+    # start cold, so that complexes and ranks are computed inside the sweep
+    # even when earlier tests have filled the caches
     toricbott.danilov._engine.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
@@ -70,8 +70,10 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
     for name in ("divisors.restrict_calls", "divisors.restrict_distinct",
                  "fan.stratum_calls", "certifier.leaves", "danilov.spec_calls",
                  "exactmath.complex_calls", "exactmath.complex_entries",
-                 "exactmath.rank_calls", "exactmath.bounded_calls"):
+                 "exactmath.rank_calls"):
         assert layers[name][0] > 0, name
+    # boundedness is read from the fan's edge sign table: no LP runs
+    assert layers["exactmath.bounded_calls"][0] == 0
     assert balanced
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import sys
 import time
 from math import comb, gcd, prod
 
@@ -605,9 +606,10 @@ def test_p1_to_the_fourth_hodge_numbers():
 
 
 def _count_pattern_work(monkeypatch) -> dict:
-    """Empty the engines and count the complexes and boundedness LPs that
-    the pattern caches run from now on."""
-    from toricbott import danilov
+    """Empty the engines and count the complexes and the boundedness LPs
+    (``exactmath.polyhedron_bounded``, under every module attribute of the
+    package that names it) that the pattern caches run from now on."""
+    from toricbott import danilov, exactmath
 
     counts = {"complexes": 0, "lps": 0}
 
@@ -618,22 +620,26 @@ def _count_pattern_work(monkeypatch) -> dict:
         return call
 
     monkeypatch.setattr(danilov, "cohomology_dims", counting("complexes", danilov.cohomology_dims))
-    monkeypatch.setattr(danilov, "polyhedron_bounded", counting("lps", danilov.polyhedron_bounded))
+    lps = counting("lps", exactmath.polyhedron_bounded)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("toricbott") and hasattr(module, "polyhedron_bounded"):
+            monkeypatch.setattr(module, "polyhedron_bounded", lps)
     danilov._engine.cache_clear()
     return counts
 
 
 def test_p1_to_the_fourth_vanishing_instance_is_pinned(monkeypatch):
     # a 4-fold instance with every p nonzero in degree 0 only; one complex
-    # and one boundedness LP per orbit of margin patterns (1,361 complexes
-    # and 22 LPs with one per pattern)
+    # per orbit of margin patterns (1,361 with one per pattern), and no
+    # boundedness LP: the fan's edge sign table decides (4 LPs with one per
+    # orbit, 22 with one per pattern)
     p1_4 = product(product(P1, P1), product(P1, P1))
     counts = _count_pattern_work(monkeypatch)
     report = verify_vanishing(p1_4, (0, 3, 5), InvariantDivisor((2, 1, 0, 2, 1, 1, 2, 0)))
     assert report.passed
     assert report.per_p == ((36, 0, 0, 0, 0), (72, 0, 0, 0, 0), (53, 0, 0, 0, 0),
                             (17, 0, 0, 0, 0), (2, 0, 0, 0, 0))
-    assert counts == {"complexes": 65, "lps": 4}
+    assert counts == {"complexes": 65, "lps": 0}
 
 
 def _with_image(fan, p, level, w, k, image):
@@ -744,7 +750,8 @@ def test_fan_automorphisms_preserve_cohomology():
 def test_pattern_caches_hold_what_each_image_computes():
     # state_cohomology and pattern_bounded store each result under every
     # image of the pattern; a fresh engine per image builds its complex
-    # (d . d check and ranks included) and solves its LP, and must agree
+    # (d . d check and ranks included) and reads its boundedness from the
+    # edge sign table, and must agree
     from toricbott.danilov import _Engine
     from toricbott.fan import automorphisms
 
@@ -775,12 +782,105 @@ def test_pattern_caches_hold_what_each_image_computes():
 
 
 def test_p1_cubed_twist_zero_runs_once_per_orbit(monkeypatch):
-    # twelve orbits of the 81 patterns these calls used to build complexes for
+    # twelve orbits of the 81 patterns these calls used to build complexes
+    # for; boundedness runs no LP (2 with one per orbit)
     p1_3 = product(product(P1, P1), P1)
     counts = _count_pattern_work(monkeypatch)
     dims = [cech_cohomology(p1_3, sheaf_spec(p, (), (0,) * 6)).dims for p in (0, 1, 3)]
     assert dims == [(1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 0, 1)]
-    assert counts == {"complexes": 12, "lps": 2}
+    assert counts == {"complexes": 12, "lps": 0}
+
+
+def _boundedness_fans():
+    """The nine suite fans, P2 x P1, Bl_pt P3 and P1^3."""
+    fans = _golden_fans()
+    fans["p1^3"] = product(product(P1, P1), P1)
+    return fans
+
+
+def _recession_rows(f, states):
+    """Rows a of the recession cone {v : a.v <= 0} of the weights with the
+    margin pattern ``states``: <v, u> <= 0 on DEAD rays, = 0 on RESTRICTED
+    ones and >= 0 on FREE ones."""
+    from toricbott.danilov import DEAD, FREE
+
+    rows = []
+    for ray, st in zip(f.rays, states):
+        if st != FREE:
+            rows.append(list(ray))
+        if st != DEAD:
+            rows.append([-x for x in ray])
+    return rows
+
+
+def test_pattern_boundedness_matches_the_lp_oracle():
+    # the edge sign table decides boundedness with no LP; the oracle is the
+    # exact LP on the pattern's recession cone, over every 3^n pattern
+    from toricbott.danilov import DEAD, FREE, RESTRICTED, _Engine
+    from toricbott.exactmath import polyhedron_bounded
+
+    patterns = unbounded = 0
+    for name, f in _boundedness_fans().items():
+        eng = _Engine(f)
+        for states in itertools.product((DEAD, RESTRICTED, FREE), repeat=f.n_rays):
+            rows = _recession_rows(f, states)
+            expected = polyhedron_bounded(rows, [0] * len(rows))
+            assert eng.pattern_bounded(states) == expected, (name, states)
+            patterns += 1
+            unbounded += not expected
+    assert (patterns, unbounded) == (2628, 898)
+
+
+def test_every_edge_sign_entry_is_needed(monkeypatch):
+    # the pattern FREE on an entry's pos rays, DEAD on its neg rays and
+    # RESTRICTED elsewhere recedes along that entry's direction alone: the
+    # LP calls it unbounded, and the table without the entry bounded
+    from toricbott import danilov
+    from toricbott.danilov import DEAD, FREE, RESTRICTED, _Engine
+    from toricbott.exactmath import polyhedron_bounded
+    from toricbott.fan import edge_signs
+
+    entries = 0
+    for name, f in _boundedness_fans().items():
+        table = edge_signs(f)
+        for pos, neg in table:
+            states = tuple(FREE if pos >> i & 1 else DEAD if neg >> i & 1 else RESTRICTED
+                           for i in range(f.n_rays))
+            rows = _recession_rows(f, states)
+            assert not polyhedron_bounded(rows, [0] * len(rows)), (name, pos, neg)
+            rest = tuple(entry for entry in table if entry != (pos, neg))
+            monkeypatch.setattr(danilov, "edge_signs", lambda _, rest=rest: rest)
+            assert _Engine(f).pattern_bounded(states), (name, pos, neg)
+            monkeypatch.undo()
+            entries += 1
+    # both orientations of 1, 3, 6, 2, 3, 3, 3, 3, 3, 4, 6 and 3 lines
+    assert entries == 80
+
+
+def test_orbit_lists_each_image_once():
+    # the movers table gives exactly the images of one generator per
+    # automorphism, without its repeats
+    from toricbott.danilov import _Engine
+    from toricbott.fan import automorphisms
+
+    rng = random.Random(5113)
+    fans = dict(suite_fans())
+    fans["p1^4"] = product(product(P1, P1), product(P1, P1))
+    fans["point"] = Fan(0, (), ((),))
+    repeats = 0
+    for name, f in fans.items():
+        eng = _Engine(f)
+        perms = automorphisms(f)
+        constant = (0,) * f.n_rays
+        assert eng.orbit(constant) == {(constant,)}, name
+        for _ in range(4):
+            per_ray = (tuple(rng.randint(0, 2) for _ in range(f.n_rays)),
+                       tuple(rng.randint(-2, 2) for _ in range(f.n_rays)))
+            old = [tuple(tuple(v[i] for i in perm) for v in per_ray) for perm in perms]
+            images = list(eng.orbit(*per_ray))
+            assert sorted(images) == sorted(set(old)), (name, per_ray)
+            repeats += len(old) - len(images)
+    assert repeats > 0
 
 
 # --- arrangement vertices and the shared chamber pass ----------------------
