@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .danilov import line_bundle_cohomology, verify_vanishing, VanishingReport
 from .divisors import (
@@ -130,19 +130,16 @@ def build_certificate(
     f: Fan,
     dprime: Sequence[int],
     l: InvariantDivisor,
-    component_order: Optional[Callable[[frozenset], int]] = None,
     witness: Optional[Sequence] = None,
 ) -> Certificate:
     """Build the induction tree, which serves every p, re-verifying the
     hypothesis on each visited stratum.
 
     Components missing from the log set are added in ascending ray-index
-    order unless ``component_order`` picks differently; the check result is
-    order-independent, the tree shape is not.  A supplied hypothesis
-    ``witness`` is checked (one entry per log ray, in [0,1], with L - dD'
-    ample) instead of re-solving the LP for one.  Each stratum re-checks the
-    integer residual class N (L - dD'), restricted: it is ample exactly when
-    the restriction of L - dD' is.
+    order.  A supplied hypothesis ``witness`` is checked (one entry per log
+    ray, in [0,1], with L - dD' ample) instead of re-solving the LP for one.
+    Each stratum re-checks the integer residual class N (L - dD'),
+    restricted: it is ample exactly when the restriction of L - dD' is.
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
@@ -151,7 +148,6 @@ def build_certificate(
         if witness is None:
             raise HypothesisInfeasible("the ampleness hypothesis LP has no witness")
     residual = require_witness(f, l, dprime, witness)
-    pick = component_order if component_order is not None else min
 
     def build_node(fan_s: Fan, claim: VanishingClaim,
                    ample_class: InvariantDivisor) -> CertificateNode:
@@ -160,7 +156,7 @@ def build_certificate(
         missing = frozenset(range(fan_s.n_rays)) - set(claim.logset)
         if not missing:
             return CertificateNode(claim, LEAF_RULE)
-        h = pick(missing)
+        h = min(missing)
         sp, sub, quotient = _residue_step(fan_s, claim, h)
         restricted_ample = restrict_to_stratum(fan_s, ample_class, (h,))
         if not is_ample(sp.fan, restricted_ample):

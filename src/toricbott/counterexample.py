@@ -66,9 +66,9 @@ def scenario(d: int) -> ScenarioReport:
     )
 
 
-def minimal_failing_degree(limit: int = 1000) -> int:
-    """Smallest degree where the lower bound turns positive (scan)."""
-    for d in range(1, limit + 1):
+def minimal_failing_degree() -> int:
+    """Smallest degree where the lower bound turns positive (scan up to 1000)."""
+    for d in range(1, 1001):
         if scenario(d).bott_fails:
             return d
     raise RuntimeError("no failing degree found below the scan limit")

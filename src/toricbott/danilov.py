@@ -736,8 +736,6 @@ def euler_additivity_check(
     chis of the two outer terms, all three computed independently."""
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
-    if not 0 <= h < f.n_rays:
-        raise ValueError(f"ray index {h} out of range")
     if h in dprime:
         raise ValueError("h must not already carry a log pole")
     mid_twist = l - rayset_divisor(f, dprime)

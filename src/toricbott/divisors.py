@@ -7,8 +7,10 @@ is that one rule, read off the fan's dual pairing table.  Wall intersection
 numbers, restriction to strata and ``class_representative`` (the one class
 rule of the engine and the sweep) all use it.  Positivity on a complete fan
 is decided through intersection numbers with the invariant wall curves, all
-in exact arithmetic.  The sign convention of the wall formula is pinned once
-by a startup self-test: O(1) . line = 1 on P^2.
+in exact arithmetic; tests/test_divisors.py pins the sign of the wall
+formula (O(1) . line = 1 on P^2).  ``hypothesis_feasible`` decides the paper's
+hypothesis, L - dD' ample for some d in [0,1]^{D'}: an interval bound, three
+candidate points and the exact LP, with no cache of its own.
 """
 
 from __future__ import annotations
@@ -155,21 +157,7 @@ def wall_matrix(f: Fan) -> tuple:
     for w in ws:
         row = tuple(intersect_wall(f, ray_divisor(f, i), w) for i in range(f.n_rays))
         rows.append(row)
-    _convention_selftest()
     return tuple(rows)
-
-
-@lru_cache(maxsize=1)
-def _convention_selftest() -> bool:
-    """Pin the wall-formula sign: O(1) . line = 1 on P^2."""
-    from .fan import projective_space
-
-    p2 = projective_space(2)
-    d = ray_divisor(p2, 0)
-    values = [intersect_wall(p2, d, w) for w in walls(p2)]
-    if values != [1, 1, 1]:
-        raise AssertionError(f"sign convention self-test failed: {values}")
-    return True
 
 
 @lru_cache(maxsize=262_144)
@@ -204,15 +192,13 @@ def is_projective(f: Fan) -> bool:
 
 @lru_cache(maxsize=65_536)
 def _dprime_rows(f: Fan, dprime: tuple) -> tuple:
-    """Per-wall coefficient rows of the hypothesis LP plus precomputed
-    interval bounds and candidate sums (depends on D' only)."""
+    """Per-wall coefficient rows of the hypothesis LP, with each row's box
+    minimum and full sum (depends on D' only)."""
     w = wall_matrix(f)
     cols = tuple(tuple(row[j] for j in dprime) for row in w)
     minsums = tuple(sum(c for c in col if c < 0) for col in cols)
     fullsums = tuple(sum(col) for col in cols)
-    greedy = tuple(int(all(c <= 0 for c in col)) for col in zip(*cols)) if cols else ()
-    greedy_sums = tuple(sum(g * c for g, c in zip(greedy, col)) for col in cols)
-    return cols, minsums, fullsums, greedy, greedy_sums
+    return cols, minsums, fullsums
 
 
 def hypothesis_feasible(
@@ -220,42 +206,25 @@ def hypothesis_feasible(
 ) -> Optional[tuple]:
     """Rational witness d in [0,1]^{D'} with l - sum d_j D_j ample, or None.
 
-    Wall rows are strict, the box rows are not.  Cheap interval bounds and a
-    few candidate vectors short-circuit most instances before the exact LP.
+    An interval bound per wall rules out the instances that no d in the box
+    can make ample on that wall; then the points d = 0, 1 and 1/2 on every
+    ray are tried as witnesses, and the exact LP (wall rows strict, box rows
+    not) decides the rest.
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
     targets = wall_numbers(f, l)
     k = len(dprime)
-    _, minsums, fullsums, greedy, greedy_sums = _dprime_rows(f, dprime)
+    cols, minsums, fullsums = _dprime_rows(f, dprime)
 
     # Necessary condition per wall: the box minimum of the row must beat it.
     if any(ms >= b for ms, b in zip(minsums, targets)):
         return None
 
-    # Cheap sufficient candidates before the LP (all integer arithmetic).
-    if all(b > 0 for b in targets):
-        return (0,) * k
-    if all(s < b for s, b in zip(fullsums, targets)):
-        return (1,) * k
-    if all(s < 2 * b for s, b in zip(fullsums, targets)):
-        return (Fraction(1, 2),) * k
-    if any(greedy) and all(s < b for s, b in zip(greedy_sums, targets)):
-        return greedy
+    for d in (0, 1, Fraction(1, 2)):
+        if all(d * s < b for s, b in zip(fullsums, targets)):
+            return (d,) * k
 
-    return _hypothesis_lp(f, dprime, targets)
-
-
-@lru_cache(maxsize=65_536)
-def _hypothesis_lp(f: Fan, dprime: tuple, targets: tuple) -> Optional[tuple]:
-    """The exact strict LP of the hypothesis, keyed on the wall numbers of L.
-
-    Linearly equivalent L have the same wall numbers and share one solve;
-    the witness serves each of them, since L - dD' is ample iff
-    targets - cols.d > 0 on every wall.
-    """
-    cols = _dprime_rows(f, dprime)[0]
-    k = len(dprime)
     rows = [list(col) for col in cols] + [[int(i == j) for i in range(k)] for j in range(k)]
     rhs = list(targets) + [1] * k
     strict = [True] * len(cols) + [False] * k

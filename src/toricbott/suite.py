@@ -241,9 +241,9 @@ def serre_duality_failures(fan: Fan, bound: int = 3) -> list:
     return failures
 
 
-def log_serre_duality_failures(fan: Fan, rng: random.Random, count: int,
-                               bound: int = 2) -> list:
-    """Sampled check of h^q(spec(p,D',L-D')) = h^{r-q}(spec(r-p,D',-L))."""
+def log_serre_duality_failures(fan: Fan, rng: random.Random, count: int) -> list:
+    """Sampled check of h^q(spec(p,D',L-D')) = h^{r-q}(spec(r-p,D',-L)),
+    L with coefficients in [-2, 2]."""
     from .danilov import log_spec_dims
     from .divisors import rayset_divisor
 
@@ -252,7 +252,7 @@ def log_serre_duality_failures(fan: Fan, rng: random.Random, count: int,
     for _ in range(count):
         dprime = tuple(sorted(rng.sample(range(fan.n_rays),
                                          rng.randint(0, fan.n_rays))))
-        l = InvariantDivisor(tuple(rng.randint(-bound, bound)
+        l = InvariantDivisor(tuple(rng.randint(-2, 2)
                                    for _ in range(fan.n_rays)))
         p = rng.randint(0, r)
         left = log_spec_dims(fan, p, dprime, l - rayset_divisor(fan, dprime))
@@ -262,9 +262,9 @@ def log_serre_duality_failures(fan: Fan, rng: random.Random, count: int,
     return failures
 
 
-def sample_euler_instances(fans: Dict[str, Fan], rng: random.Random, count: int,
-                           bound: int = 2) -> list:
-    """Seeded (fan, D', h, L) tuples for the additivity check."""
+def sample_euler_instances(fans: Dict[str, Fan], rng: random.Random, count: int) -> list:
+    """Seeded (fan, D', h, L) tuples for the additivity check, L with
+    coefficients in [-2, 2]."""
     names = sorted(fans)
     out = []
     while len(out) < count:
@@ -273,7 +273,7 @@ def sample_euler_instances(fans: Dict[str, Fan], rng: random.Random, count: int,
         h = rng.randrange(fan.n_rays)
         others = [i for i in range(fan.n_rays) if i != h]
         dprime = tuple(sorted(rng.sample(others, rng.randint(0, len(others)))))
-        l = InvariantDivisor(tuple(rng.randint(-bound, bound)
+        l = InvariantDivisor(tuple(rng.randint(-2, 2)
                                    for _ in range(fan.n_rays)))
         out.append((name, fan, dprime, h, l))
     return out

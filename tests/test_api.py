@@ -82,7 +82,6 @@ def test_traced_sweep_sees_the_exact_lp(monkeypatch):
     # the exact hypothesis LP, which the traced benchmark must still see
     spans = _load_spans(monkeypatch)
     f2 = toricbott.hirzebruch(2)
-    toricbott.divisors._hypothesis_lp.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -323,14 +323,6 @@ def test_witness_in_unit_box_and_matching_length():
         check_certificate(P2, bad, raise_on_failure=True)
 
 
-def test_component_order_permutation_same_verdict():
-    l = ray_divisor(P2, 0)
-    asc = build_certificate(P2, (), l)
-    desc = build_certificate(P2, (), l, component_order=max)
-    assert asc.roots != desc.roots
-    assert check_certificate(P2, asc) and check_certificate(P2, desc)
-
-
 def test_leaf_count_bound():
     for name in ("p1", "p2", "p1xp1", "f1"):
         f = suite_fans()[name]

@@ -290,6 +290,12 @@ def test_euler_additivity_rejects_log_ray():
         euler_additivity_check(P2, (0,), 0, zero_divisor(P2))
 
 
+@pytest.mark.parametrize("h", [3, -1])
+def test_euler_additivity_rejects_a_ray_index_out_of_range(h):
+    with pytest.raises(ValueError, match=f"ray index {h} out of range"):
+        euler_additivity_check(P2, (), h, zero_divisor(P2))
+
+
 # --- engine-level invariants ----------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -749,9 +755,10 @@ def test_fan_automorphisms_preserve_cohomology():
 
 def test_pattern_caches_hold_what_each_image_computes():
     # state_cohomology and pattern_bounded store each result under every
-    # image of the pattern; a fresh engine per image builds its complex
-    # (d . d check and ranks included) and reads its boundedness from the
-    # edge sign table, and must agree
+    # image of the pattern; a second engine, its two caches emptied before
+    # each image, builds that image's complex (d . d check and ranks
+    # included) and reads its boundedness from the edge sign table, and
+    # must agree
     from toricbott.danilov import _Engine
     from toricbott.fan import automorphisms
 
@@ -761,6 +768,7 @@ def test_pattern_caches_hold_what_each_image_computes():
     checked = 0
     for name, f in fans.items():
         shared = _Engine(f)
+        fresh = _Engine(f)
         perms = automorphisms(f)
         for _ in range(2):
             logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
@@ -772,7 +780,8 @@ def test_pattern_caches_hold_what_each_image_computes():
                     shared.pattern_bounded(states)
                     for perm in perms:
                         image = _moved(perm, (), states)[1]
-                        fresh = _Engine(f)
+                        fresh._state_coh.clear()
+                        fresh._bounded.clear()
                         assert shared._state_coh[p, image] == fresh.state_cohomology(p, image), \
                             (name, p, states, perm)
                         assert shared._bounded[image] == fresh.pattern_bounded(image), \

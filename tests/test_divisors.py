@@ -25,6 +25,7 @@ from toricbott.divisors import (
     residual_divisor,
     restrict_to_stratum,
     sorted_logset,
+    wall_matrix,
     wall_numbers,
     zero_divisor,
 )
@@ -275,7 +276,7 @@ def test_hypothesis_is_monotone_in_the_logset(name):
     assert min(seen.values()) >= 5, seen
 
 
-def test_linearly_equivalent_bundles_share_one_exact_lp(monkeypatch):
+def test_linearly_equivalent_bundles_run_one_exact_lp_each(monkeypatch):
     import toricbott.divisors as divisors
 
     bl3 = suite_fans()["bl3"]
@@ -289,12 +290,12 @@ def test_linearly_equivalent_bundles_share_one_exact_lp(monkeypatch):
         calls.append(args)
         return lp_feasible_strict(*args, **kwargs)
 
-    divisors._hypothesis_lp.cache_clear()
     monkeypatch.setattr(divisors, "lp_feasible_strict", counting)
     w1 = hypothesis_feasible(bl3, l1, dprime)
-    assert len(calls) == 1  # no short-circuit decided l1
     w2 = hypothesis_feasible(bl3, l2, dprime)
-    assert len(calls) == 1
+    # no candidate point decides either bundle; the LP reads only their
+    # (equal) wall numbers, so both get one witness
+    assert len(calls) == 2
     assert w1 is not None and w2 == w1
     for l in (l1, l2):
         assert is_ample(bl3, residual_divisor(bl3, l, dprime, w1))
@@ -317,7 +318,6 @@ def test_exact_lp_witnesses_are_pinned(monkeypatch, name, dprime, coeffs, expect
         calls.append(args)
         return lp_feasible_strict(*args, **kwargs)
 
-    divisors._hypothesis_lp.cache_clear()
     monkeypatch.setattr(divisors, "lp_feasible_strict", counting)
     w = hypothesis_feasible(suite_fans()[name], InvariantDivisor(coeffs), dprime)
     assert len(calls) == 1
@@ -329,6 +329,20 @@ def test_exact_lp_witnesses_are_pinned(monkeypatch, name, dprime, coeffs, expect
 def test_every_suite_fan_is_projective():
     for f in suite_fans().values():
         assert is_projective(f)
+
+
+def test_every_ray_divisor_meets_some_wall_curve_positively():
+    # on a projective X each D_j is nonzero and effective and the wall
+    # curves span the Mori cone, so D_j meets some wall curve positively:
+    # subtracting any one D_j lowers some wall number of L
+    fans = dict(suite_fans())
+    p1xp1 = product(P1, P1)
+    fans.update(p2xp1=product(P2, P1),
+                blpt_p3=star_subdivision(projective_space(3), (0, 1, 2)),
+                p1_3=product(p1xp1, P1), p1_4=product(p1xp1, p1xp1))
+    for name, f in fans.items():
+        for j, column in enumerate(zip(*wall_matrix(f))):
+            assert max(column) > 0, (name, j)
 
 
 def test_restriction_examples():
