@@ -47,8 +47,8 @@ The complex at weight m depends only on the clipped margin pattern
 (c < 0, c = 0, c >= 1) per ray, so each pattern's cohomology is computed
 once.  The vertices of the margin-level hyperplane arrangement find every
 realizable pattern; those with cohomology are bounded, hence the hulls of
-their vertices.  Boundedness is read from the per-fan table
-``fan.edge_signs`` (``_Engine.pattern_bounded``), with no LP.  The patterns
+their vertices.  Boundedness is read from the sign masks of the vertex
+solvers' rows (``_Engine.pattern_bounded``), with no LP.  The patterns
 partition the lattice weights, so the totals are h^k = sum over patterns
 of count * h^k(pattern), where ``_Engine.count`` counts the lattice points
 of a pattern's closed polytope: it walks the coordinates within the
@@ -79,11 +79,11 @@ linearly equivalent twists share the pass too.  An automorphism of the fan
 induces one of X carrying D_rho to D_pi(rho) (``fan.automorphisms``), and
 with it the complex and the region of weights of a margin pattern onto
 those of the moved pattern.  So the pass answers every image of (flags,
-twist class), and a pattern's cohomology and boundedness every image of
-the pattern, under the fan's automorphism group: one pass, one complex and
-one boundedness verdict per orbit.  The one rule ``_Engine.orbit`` lists
-the distinct images, each moved once by the per-fan table ``fan.movers``,
-and the caches store each result once per image.
+twist class), and a pattern's cohomology every image of the pattern,
+under the fan's automorphism group: one pass and one complex per orbit.
+The one rule ``_Engine.orbit`` lists the distinct images, each moved once
+by the per-fan table ``fan.movers``, and the caches store each result once
+per image.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ from .divisors import (
     sorted_logset,
     zero_divisor,
 )
-from .fan import (Fan, _dual_pairings, _scaled_dual_basis, edge_signs, movers,
-                  require_smooth_complete, stratum_fan)
+from .fan import (Fan, _dual_pairings, _scaled_dual_basis, movers, require_smooth_complete,
+                  stratum_fan)
 
 
 class UnboundedCohomologyChamber(RuntimeError):
@@ -197,12 +197,12 @@ class CohomologyResult:
 
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
-    solvers of the level arrangement, the ambient complex per form degree,
-    and three caches that each result fills once per distinct image under
-    the fan's automorphisms (``orbit``): pattern cohomology per (p,
-    pattern), boundedness per pattern, total dims per (degrees, flags,
-    twist class).  Boundedness reads the fan's edge sign table
-    (``fan.edge_signs``) and solves no LP.
+    solvers of the level arrangement with the sign masks of their rows
+    (``edges``), the ambient complex per form degree, and two caches that
+    each result fills once per distinct image under the fan's automorphisms
+    (``orbit``): pattern cohomology per (p, pattern) and total dims per
+    (degrees, flags, twist class).  Boundedness reads ``edges`` and solves
+    no LP.
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -237,21 +237,29 @@ class _Engine:
         # coordinate is one dot product; per ray j the column of the margins
         # <row_k, u_j>; and per level choice in {-1, 0, 1}^S, its bitmask of
         # rays on level 1, the levels, and |det S| times the margins of its
-        # vertex at twist 0, sum_k level_k <row_k, u_j>.
+        # vertex at twist 0, sum_k level_k <row_k, u_j>.  Row k is orthogonal
+        # to the r - 1 rays of S other than k; ``edges`` holds, per row and in
+        # both orientations, the ray masks (pos, neg) where its pairing is > 0
+        # and where it is < 0.
         self.solvers = []
+        edges = set()
         for subset in itertools.combinations(range(self.n), self.r):
             scale, rows = _scaled_dual_basis(fan, subset)
             if scale:
-                pairings = tuple(zip(*(tuple(sum(map(mul, row, ray)) for ray in fan.rays)
-                                       for row in rows)))
+                values = [tuple(sum(map(mul, row, ray)) for ray in fan.rays) for row in rows]
+                for vals in values:
+                    pos = sum(1 << j for j, x in enumerate(vals) if x > 0)
+                    neg = sum(1 << j for j, x in enumerate(vals) if x < 0)
+                    edges.update(((pos, neg), (neg, pos)))
+                pairings = tuple(zip(*values))
                 choices = tuple(
                     (sum(1 << i for i, lv in zip(subset, levels) if lv == 1), levels,
                      tuple(sum(map(mul, levels, col)) for col in pairings))
                     for levels in itertools.product((-1, 0, 1), repeat=self.r))
                 self.solvers.append((subset, scale, tuple(zip(*rows)), pairings, choices))
+        self.edges = tuple(sorted(edges))
         self._ambient: dict = {}
         self._state_coh: dict = {}
-        self._bounded: dict = {}
         self._dims: dict = {}
 
     def ambient(self, p: int) -> list:
@@ -382,23 +390,22 @@ class _Engine:
 
     def pattern_bounded(self, states: tuple) -> bool:
         """Whether the weights with margin pattern ``states`` form a bounded
-        region, read from the fan's table ``fan.edge_signs``; stored for the
-        pattern's orbit.
+        region, read from the engine's table ``edges``; no LP runs.
 
         The region's recession cone is {v : <v, u> <= 0 on DEAD rays, = 0 on
-        RESTRICTED ones, >= 0 on FREE ones}.  It is nonzero iff some table
-        entry (pos, neg) lies in it: pos misses DEAD and neg misses FREE,
-        and neither meets RESTRICTED.  No LP runs.
+        RESTRICTED ones, >= 0 on FREE ones}.  It is pointed, because the rays
+        span, so it is nonzero iff it has an extreme ray, which lies on r - 1
+        independent hyperplanes u^perp (Schrijver, Theory of Linear and
+        Integer Programming, ch. 8).  Those r - 1 rays lie in a nonsingular
+        r-subset S, so the extreme ray is +-row_k of S's solver for the ray k
+        of S outside them, and whether it lies in the cone reads only its
+        signs on the rays, which ``edges`` holds: some entry (pos, neg) has
+        pos missing DEAD and neg missing FREE, and neither meeting
+        RESTRICTED.
         """
-        cached = self._bounded.get(states)
-        if cached is not None:
-            return cached
         free = sum(1 << i for i, st in enumerate(states) if st == FREE)
         dead = sum(1 << i for i, st in enumerate(states) if st == DEAD)
-        result = all(pos & ~free or neg & ~dead for pos, neg in edge_signs(self.fan))
-        for (moved,) in self.orbit(states):
-            self._bounded[moved] = result
-        return result
+        return all(pos & ~free or neg & ~dead for pos, neg in self.edges)
 
     def chamber_patterns(self, merged: tuple, twist: tuple) -> Dict[tuple, list]:
         """Realizable margin patterns, each with the arrangement vertices
@@ -623,10 +630,11 @@ def line_bundle_cohomology(f: Fan, d: InvariantDivisor) -> tuple:
 
 
 def log_spec_dims(f: Fan, p: int, dprime: Sequence[int], twist: InvariantDivisor) -> tuple:
-    """h^0..h^r of Omega^p(log D') (x) O(T), looked up by the twist's class."""
-    if p < 0:
-        raise ValueError("form degree must be nonnegative")
-    return _log_dims(f, (p,), frozenset(sorted_logset(f, dprime)), twist.coeffs)[0]
+    """h^0..h^r of Omega^p(log D') (x) O(T), looked up by the twist's class;
+    p is checked as ``LogFormSheafSpec`` checks it (an int, not a bool or
+    float, and nonnegative), else ValueError."""
+    spec = sheaf_spec(p, dprime, twist)
+    return _log_dims(f, (spec.p,), frozenset(sorted_logset(f, dprime)), spec.twist)[0]
 
 
 @dataclass(frozen=True)

@@ -211,32 +211,6 @@ def movers(f: Fan) -> tuple:
     return tuple(tuple if perm == identity else itemgetter(*perm) for perm in automorphisms(f))
 
 
-@lru_cache(maxsize=None)
-def edge_signs(f: Fan) -> tuple:
-    """Per set J of r - 1 rays of rank r - 1, with w_J its cofactor vector
-    (orthogonal to J's rays), the ray bitmasks (pos, neg) where <w_J, u> is
-    > 0 and where it is < 0; both orientations, each pair once.
-
-    A cone of directions v cut out by one condition <v, u> <= 0, = 0 or
-    >= 0 per ray is pointed, because the rays span.  So it is nonzero iff
-    it has an extreme ray, which lies on r - 1 independent hyperplanes u^perp
-    and is then +-w_J for one of these J (Schrijver, Theory of Linear and
-    Integer Programming, ch. 8).  Whether +-w_J lies in such a cone reads
-    only its signs on the rays, which the entry holds.  The point fan has
-    no entry.
-    """
-    require_smooth_complete(f)
-    out = set()
-    for subset in itertools.combinations(f.rays, max(f.dim - 1, 0)):
-        w = tuple((-1) ** k * det([ray[:k] + ray[k + 1:] for ray in subset]) for k in range(f.dim))
-        if any(w):
-            values = [sum(map(mul, w, ray)) for ray in f.rays]
-            pos = sum(1 << i for i, x in enumerate(values) if x > 0)
-            neg = sum(1 << i for i, x in enumerate(values) if x < 0)
-            out.update(((pos, neg), (neg, pos)))
-    return tuple(sorted(out))
-
-
 def _facet_incidence(f: Fan) -> Dict[tuple, list]:
     facets: Dict[tuple, list] = {}
     for ci, cone in enumerate(f.max_cones):
@@ -354,10 +328,14 @@ def star_subdivision(f: Fan, tau: Sequence[int]) -> Fan:
     Adds the primitivized ray sum of tau and subdivides every maximal cone
     containing tau.  Smoothness and completeness are preserved for smooth
     input with |tau| >= 2; subdividing a single ray would only duplicate it.
+    A cone index that is not an int (a bool or float) is MalformedInput.
     """
     if not validate(f).smooth:
         raise FanError("star subdivision requires a smooth fan")
-    tau = tuple(sorted(tau))
+    try:
+        tau = tuple(sorted(json_ints(tau, "cone index")))
+    except ValueError as exc:
+        raise MalformedInput(f"bad cone: {exc}") from exc
     if not is_cone(f, tau):
         raise NotACone(f"{tau} does not span a cone of the fan")
     if len(tau) < 2:

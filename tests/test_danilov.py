@@ -471,6 +471,13 @@ def test_sheaf_spec_rejects_non_integers(p, logset, twist):
         LogFormSheafSpec(p, logset, twist)
 
 
+@pytest.mark.parametrize("p, match", [(1.5, "integers"), (True, "integers"), (-1, "nonnegative")])
+def test_log_spec_dims_rejects_a_bad_form_degree(p, match):
+    # 1.5 once answered (0, 0, 0), and True answered for p = 1
+    with pytest.raises(ValueError, match=match):
+        log_spec_dims(P2, p, (), zero_divisor(P2))
+
+
 def test_unbounded_nonzero_chamber_is_an_error(monkeypatch):
     # never reachable for complete fans; exercised by faking the
     # boundedness verdict of a pattern that carries cohomology
@@ -637,7 +644,7 @@ def _count_pattern_work(monkeypatch) -> dict:
 def test_p1_to_the_fourth_vanishing_instance_is_pinned(monkeypatch):
     # a 4-fold instance with every p nonzero in degree 0 only; one complex
     # per orbit of margin patterns (1,361 with one per pattern), and no
-    # boundedness LP: the fan's edge sign table decides (4 LPs with one per
+    # boundedness LP: the engine's edge table decides (4 LPs with one per
     # orbit, 22 with one per pattern)
     p1_4 = product(product(P1, P1), product(P1, P1))
     counts = _count_pattern_work(monkeypatch)
@@ -754,11 +761,9 @@ def test_fan_automorphisms_preserve_cohomology():
 
 
 def test_pattern_caches_hold_what_each_image_computes():
-    # state_cohomology and pattern_bounded store each result under every
-    # image of the pattern; a second engine, its two caches emptied before
-    # each image, builds that image's complex (d . d check and ranks
-    # included) and reads its boundedness from the edge sign table, and
-    # must agree
+    # state_cohomology stores each result under every image of the pattern;
+    # a second engine, its cache emptied before each image, builds that
+    # image's complex (d . d check and ranks included), and must agree
     from toricbott.danilov import _Engine
     from toricbott.fan import automorphisms
 
@@ -777,15 +782,11 @@ def test_pattern_caches_hold_what_each_image_computes():
                 patterns = sorted(shared.chamber_patterns(shared.merged(p, logset), twist))
                 for states in rng.sample(patterns, min(3, len(patterns))):
                     shared.state_cohomology(p, states)
-                    shared.pattern_bounded(states)
                     for perm in perms:
                         image = _moved(perm, (), states)[1]
                         fresh._state_coh.clear()
-                        fresh._bounded.clear()
                         assert shared._state_coh[p, image] == fresh.state_cohomology(p, image), \
                             (name, p, states, perm)
-                        assert shared._bounded[image] == fresh.pattern_bounded(image), \
-                            (name, states, perm)
                         checked += 1
     assert checked == 2794
 
@@ -823,7 +824,7 @@ def _recession_rows(f, states):
 
 
 def test_pattern_boundedness_matches_the_lp_oracle():
-    # the edge sign table decides boundedness with no LP; the oracle is the
+    # the engine's edge table decides boundedness with no LP; the oracle is the
     # exact LP on the pattern's recession cone, over every 3^n pattern
     from toricbott.danilov import DEAD, FREE, RESTRICTED, _Engine
     from toricbott.exactmath import polyhedron_bounded
@@ -843,27 +844,57 @@ def test_pattern_boundedness_matches_the_lp_oracle():
 def test_every_edge_sign_entry_is_needed(monkeypatch):
     # the pattern FREE on an entry's pos rays, DEAD on its neg rays and
     # RESTRICTED elsewhere recedes along that entry's direction alone: the
-    # LP calls it unbounded, and the table without the entry bounded
-    from toricbott import danilov
+    # LP calls it unbounded, and the engine's table without the entry bounded
     from toricbott.danilov import DEAD, FREE, RESTRICTED, _Engine
     from toricbott.exactmath import polyhedron_bounded
-    from toricbott.fan import edge_signs
 
     entries = 0
     for name, f in _boundedness_fans().items():
-        table = edge_signs(f)
+        eng = _Engine(f)
+        table = eng.edges
         for pos, neg in table:
             states = tuple(FREE if pos >> i & 1 else DEAD if neg >> i & 1 else RESTRICTED
                            for i in range(f.n_rays))
             rows = _recession_rows(f, states)
             assert not polyhedron_bounded(rows, [0] * len(rows)), (name, pos, neg)
-            rest = tuple(entry for entry in table if entry != (pos, neg))
-            monkeypatch.setattr(danilov, "edge_signs", lambda _, rest=rest: rest)
-            assert _Engine(f).pattern_bounded(states), (name, pos, neg)
-            monkeypatch.undo()
+            monkeypatch.setattr(eng, "edges", tuple(entry for entry in table if entry != (pos, neg)))
+            assert eng.pattern_bounded(states), (name, pos, neg)
             entries += 1
     # both orientations of 1, 3, 6, 2, 3, 3, 3, 3, 3, 4, 6 and 3 lines
     assert entries == 80
+
+
+def _cofactor_edges(f):
+    """The oracle for ``_Engine.edges``: per set J of r - 1 rays of rank
+    r - 1, with w_J its cofactor vector (orthogonal to J's rays), the ray
+    masks (pos, neg) where <w_J, u> is > 0 and < 0, in both orientations."""
+    out = set()
+    for subset in itertools.combinations(f.rays, max(f.dim - 1, 0)):
+        w = [(-1) ** k * det([ray[:k] + ray[k + 1:] for ray in subset]) for k in range(f.dim)]
+        if any(w):
+            values = [sum(a * b for a, b in zip(w, ray)) for ray in f.rays]
+            pos = sum(1 << i for i, x in enumerate(values) if x > 0)
+            neg = sum(1 << i for i, x in enumerate(values) if x < 0)
+            out.update(((pos, neg), (neg, pos)))
+    return tuple(sorted(out))
+
+
+def test_engine_edges_are_the_cofactor_vectors_of_every_rank_deficient_ray_set():
+    # the engine reads its edges from the rows of its vertex solvers, one
+    # per nonsingular r-subset S; every r - 1 rays of rank r - 1 lie in some
+    # such S, so no line is missed.  P1^4 is out of the LP oracle's reach,
+    # and the point fan has no entry
+    from toricbott.danilov import _Engine
+
+    fans = _boundedness_fans()
+    fans["p1^4"] = product(product(P1, P1), product(P1, P1))
+    fans["point"] = Fan(0, (), ((),))
+    sizes = {}
+    for name, f in fans.items():
+        edges = _Engine(f).edges
+        assert edges == _cofactor_edges(f), name
+        sizes[name] = len(edges)
+    assert (sum(sizes.values()), sizes["p1^4"], sizes["point"]) == (88, 8, 0)
 
 
 def test_orbit_lists_each_image_once():

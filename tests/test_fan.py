@@ -138,6 +138,14 @@ def test_star_subdivision_single_ray_rejected():
         star_subdivision(P2, (0,))
 
 
+@pytest.mark.parametrize("tau", [(0.0, 1.0), (True, 2)], ids=["float-index", "bool-index"])
+def test_star_subdivision_rejects_non_integer_cone_indices(tau):
+    # (0.0, 1.0) once escaped as a bare TypeError, and (True, 2) quietly
+    # subdivided the cone (1, 2)
+    with pytest.raises(MalformedInput, match="integer"):
+        star_subdivision(P2, tau)
+
+
 def test_star_subdivision_requires_a_cone():
     p1xp1 = product(projective_space(1), projective_space(1))
     # rays 0 and 1 are the two opposite rays of the first factor
