@@ -60,13 +60,18 @@ listed for a total.
 support box, the bounding box of the vertices of every pattern with
 cohomology (``_Engine.support_box``).  The weight cap applies to that box,
 and for a total to the box of first r - 1 coordinates that a count runs
-over.  ``_Engine.pattern`` is the one rule turning margins into ray states,
-for arrangement vertices (rational margins) and lattice weights alike.  A
-vertex puts the rays of a nonsingular r-subset S on chosen levels.  Once per
-fan and per such S the engine tabulates the twist-free margins of every
-level choice, so a pass adds one twist offset per S and reads each vertex's
-pattern; only the vertices of patterns with cohomology are solved for their
-coordinates, from the adjugate and |det| of S's ray matrix.
+over.  ``_Engine.column`` is the one rule turning margins into ray states,
+one ray's margins at a time, for arrangement vertices (rational margins)
+and lattice weights alike.  A vertex puts the rays of a nonsingular
+r-subset S on chosen levels.  Once per fan and per such S the engine
+tabulates each ray's twist-free margins over every level choice; a twist
+moves all of them by one offset per ray, so each solver keeps, per ray and
+merged flag, a table from that offset to the ray's states over every
+choice, filled by ``column`` on first use.  A pass reads one column per ray
+and zips the columns into each vertex's pattern, and ``box_run`` reads one
+column per ray over its listed weights.  Only the vertices of patterns with
+cohomology are solved for their coordinates, from the adjugate and |det| of
+S's ray matrix.
 
 The arrangement depends on p only through the per-ray flags of
 ``_Engine.merged``, which are the same for every p >= 1.  The one cached
@@ -92,7 +97,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
-from operator import add, mul
+from operator import mul
 from typing import Dict, Optional, Sequence
 
 from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints
@@ -198,11 +203,14 @@ class CohomologyResult:
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
     solvers of the level arrangement with the sign masks of their rows
-    (``edges``), the ambient complex per form degree, and two caches that
-    each result fills once per distinct image under the fan's automorphisms
-    (``orbit``): pattern cohomology per (p, pattern) and total dims per
-    (degrees, flags, twist class).  Boundedness reads ``edges`` and solves
-    no LP.
+    (``edges``) and, per solver, the tables of ray state columns per twist
+    offset and of vertex columns per merged mask that ``chamber_patterns``
+    fills on first use, the ambient complex per form degree, and two caches
+    that each result fills once per distinct image under the fan's
+    automorphisms (``orbit``): pattern cohomology per (p, pattern) and total
+    dims per (degrees, flags, twist class).  Boundedness reads ``edges`` and
+    solves no LP.  ``_engine.cache_clear()`` drops the engine, tables and
+    all.
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -231,16 +239,21 @@ class _Engine:
              for tau in level]
             for level in reversed(by_dim)
         ]
-        # Per nonsingular r-subset S of rays, a solver (S, |det S|, columns,
-        # pairings, choices): the rows of fan._scaled_dual_basis(S) (|det S|
-        # times the inverse ray matrix) stored as columns, so that each vertex
-        # coordinate is one dot product; per ray j the column of the margins
-        # <row_k, u_j>; and per level choice in {-1, 0, 1}^S, its bitmask of
-        # rays on level 1, the levels, and |det S| times the margins of its
-        # vertex at twist 0, sum_k level_k <row_k, u_j>.  Row k is orthogonal
-        # to the r - 1 rays of S other than k; ``edges`` holds, per row and in
-        # both orientations, the ray masks (pos, neg) where its pairing is > 0
-        # and where it is < 0.
+        # Per nonsingular r-subset S of rays, a solver (S, |det S|, S mask,
+        # rays, choices, vertex columns).  Per ray j, the triple (pairing,
+        # zero, tables): the margins <row_k, u_j> over k in S, where row_k is a
+        # row of fan._scaled_dual_basis(S) (|det S| times the inverse ray
+        # matrix); |det S| times the ray's margins at twist 0 over every level
+        # choice, sum_k level_k <row_k, u_j>; and per value of the ray's merged
+        # flag the table that ``chamber_patterns`` fills, {twist offset: the
+        # ray's states over every level choice}.  Per level choice in
+        # {-1, 0, 1}^S, its bitmask of rays on level 1 and its vertex
+        # ((S, |det S|, rows as columns), levels), solved by ``point``; per
+        # bitmask of merged rays of S, the table ``chamber_patterns`` fills
+        # with each choice's vertex, or None where a merged ray is on level 1.
+        # Row k is orthogonal to the r - 1 rays of S other than k; ``edges``
+        # holds, per row and in both orientations, the ray masks (pos, neg)
+        # where its pairing is > 0 and where it is < 0.
         self.solvers = []
         edges = set()
         for subset in itertools.combinations(range(self.n), self.r):
@@ -251,12 +264,17 @@ class _Engine:
                     pos = sum(1 << j for j, x in enumerate(vals) if x > 0)
                     neg = sum(1 << j for j, x in enumerate(vals) if x < 0)
                     edges.update(((pos, neg), (neg, pos)))
-                pairings = tuple(zip(*values))
-                choices = tuple(
-                    (sum(1 << i for i, lv in zip(subset, levels) if lv == 1), levels,
-                     tuple(sum(map(mul, levels, col)) for col in pairings))
-                    for levels in itertools.product((-1, 0, 1), repeat=self.r))
-                self.solvers.append((subset, scale, tuple(zip(*rows)), pairings, choices))
+                all_levels = tuple(itertools.product((-1, 0, 1), repeat=self.r))
+                rays = tuple(
+                    (pairing, tuple(sum(map(mul, levels, pairing)) for levels in all_levels),
+                     ({}, {}))
+                    for pairing in zip(*values))
+                solver = (subset, scale, tuple(zip(*rows)))
+                choices = tuple((sum(1 << i for i, lv in zip(subset, levels) if lv == 1),
+                                 (solver, levels))
+                                for levels in all_levels)
+                self.solvers.append((subset, scale, sum(1 << i for i in subset), rays, choices,
+                                     {}))
         self.edges = tuple(sorted(edges))
         self._ambient: dict = {}
         self._state_coh: dict = {}
@@ -369,24 +387,17 @@ class _Engine:
         return tuple(p == 0 or i in logset for i in range(self.n))
 
     @staticmethod
-    def pattern(merged: tuple, margins, den: int = 1) -> Optional[tuple]:
-        """Ray states of the margins num/den (den > 0), or None when some
-        margin lies strictly between two levels that give different states.
+    def column(merged: bool, nums, den: int = 1) -> tuple:
+        """The one state rule: per margin num/den (den > 0) of one ray, its
+        state, or None when the margin lies strictly between two levels that
+        give different states.
 
-        Integral margins (den = 1) always have a pattern: c <= -1 is DEAD,
-        c >= 1 is FREE, and c = 0 is FREE on merged rays, else RESTRICTED.
+        Integral margins (den = 1) always have a state: c <= -1 is DEAD,
+        c >= 1 is FREE, and c = 0 is FREE on a merged ray, else RESTRICTED.
         """
-        states = []
-        for mg, num in zip(merged, margins):
-            if num <= -den:
-                states.append(DEAD)
-            elif num >= (0 if mg else den):
-                states.append(FREE)
-            elif num == 0:
-                states.append(RESTRICTED)
-            else:
-                return None
-        return tuple(states)
+        free = 0 if merged else den
+        return tuple(DEAD if num <= -den else FREE if num >= free else
+                     RESTRICTED if num == 0 else None for num in nums)
 
     def pattern_bounded(self, states: tuple) -> bool:
         """Whether the weights with margin pattern ``states`` form a bounded
@@ -415,23 +426,37 @@ class _Engine:
         (the rays span), hence has a vertex of the level arrangement; so
         collecting arrangement vertices discovers every realizable pattern.
         A vertex puts the rays of a solver's S on chosen levels:
-        <m, u_j> = level_j - t_j for j in S.  Its margins times |det S| are
-        the choice's tabulated row plus the twist's offset
-        |det S| t_j - sum_{k in S} t_k <row_k, u_j>, one per solver.  Choices
-        that put a merged ray on level 1 are skipped.  A vertex on more than
+        <m, u_j> = level_j - t_j for j in S.  Ray j's margin times |det S| is
+        the choice's twist-free margin plus the twist's offset
+        |det S| t_j - sum_{k in S} t_k <row_k, u_j>, one per solver and ray
+        (0 on the rays of S), so the ray's states over every level choice are
+        one column of the solver's table, read by ``column`` on first use of
+        the offset.  Zipping the solver's vertex column with the rays'
+        columns gives one tuple per choice, its vertex and then its pattern;
+        a tuple holding a None (a ray between levels, or a merged ray on
+        level 1) is skipped.  With no rays the tuple is the vertex alone, so
+        the point fan's one choice has the pattern ().  A vertex on more than
         r level hyperplanes is listed once per solver through it.
         """
         merged_mask = sum(1 << i for i, mg in enumerate(merged) if mg)
         patterns: Dict[tuple, list] = {}
-        for solver in self.solvers:
-            subset, den, _, pairings, choices = solver
+        for subset, den, s_mask, rays, choices, vertex_columns in self.solvers:
             on_s = [twist[i] for i in subset]
-            offset = [den * t - sum(map(mul, on_s, col)) for t, col in zip(twist, pairings)]
-            for mask, levels, row in choices:
-                if not mask & merged_mask:
-                    states = self.pattern(merged, map(add, row, offset), den)
-                    if states is not None:
-                        patterns.setdefault(states, []).append((solver, levels))
+            columns = []
+            for t, mg, (pairing, zero, tables) in zip(twist, merged, rays):
+                offset = den * t - sum(map(mul, on_s, pairing))
+                column = tables[mg].get(offset)
+                if column is None:
+                    column = tables[mg][offset] = self.column(mg, [x + offset for x in zero], den)
+                columns.append(column)
+            on_level_1 = merged_mask & s_mask
+            vertices = vertex_columns.get(on_level_1)
+            if vertices is None:
+                vertices = vertex_columns[on_level_1] = tuple(
+                    None if mask & on_level_1 else vertex for mask, vertex in choices)
+            for item in zip(vertices, *columns):
+                if None not in item:
+                    patterns.setdefault(item[1:], []).append(item[0])
         return patterns
 
     @staticmethod
@@ -439,7 +464,7 @@ class _Engine:
         """(nums, den) with m = nums/den, den = |det S| > 0, of a vertex
         (solver, levels) of ``chamber_patterns``: m = sum_k (level_k - t_k)
         row_k / |det S| over the rays k of S; not reduced by the gcd."""
-        (subset, den, cols, _, _), levels = vertex
+        (subset, den, cols), levels = vertex
         rhs = [lv - twist[i] for lv, i in zip(levels, subset)]
         return tuple(sum(map(mul, rhs, col)) for col in cols), den
 
@@ -487,11 +512,16 @@ class _Engine:
         """{m: h^0..h^r in form degree p, whose ray flags are ``merged``} for
         the weights m of the box ``bounds`` with cohomology.  The one loop
         that lists lattice weights: ``cech_cohomology`` runs it over the
-        support box.
+        support box.  The state rule ``column`` reads each ray's margins over
+        all the listed weights at once, so the box and one column per ray are
+        held together.
         """
+        weights = list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)))
+        margins = zip(*(self.margins(twist, m) for m in weights))
+        columns = [self.column(mg, nums) for mg, nums in zip(merged, margins)]
         support: Dict[tuple, tuple] = {}
-        for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-            dims = self.state_cohomology(p, self.pattern(merged, self.margins(twist, m)))
+        for m, *states in zip(weights, *columns):
+            dims = self.state_cohomology(p, tuple(states))
             if any(dims):
                 support[m] = dims
         return support

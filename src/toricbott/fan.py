@@ -299,14 +299,20 @@ def require_smooth_complete(f: Fan) -> None:
         raise FanError(f"fan is not smooth/complete/valid: {diag.reasons}")
 
 
+def _cone_indices(tau: Sequence[int]) -> tuple:
+    """tau as a sorted tuple; MalformedInput if an index is not an int (a
+    bool or float), which a set or cache would take for another index."""
+    try:
+        return tuple(sorted(json_ints(tau, "cone index")))
+    except ValueError as exc:
+        raise MalformedInput(f"bad cone: {exc}") from exc
+
+
 def is_cone(f: Fan, tau: Sequence[int]) -> bool:
-    """Faces of simplicial cones are the ray subsets of maximal cones."""
-    tau_set = set(tau)
-    if len(tau_set) != len(tuple(tau)):
-        return False
-    if not all(0 <= i < f.n_rays for i in tau_set):
-        return False
-    return any(tau_set <= set(c) for c in f.max_cones)
+    """Faces of simplicial cones are the ray subsets of maximal cones.  A
+    ray index that is not an int (a bool or float) is MalformedInput."""
+    tau = _cone_indices(tau)
+    return len(set(tau)) == len(tau) and any(set(c).issuperset(tau) for c in f.max_cones)
 
 
 def walls(f: Fan) -> tuple:
@@ -332,12 +338,9 @@ def star_subdivision(f: Fan, tau: Sequence[int]) -> Fan:
     """
     if not validate(f).smooth:
         raise FanError("star subdivision requires a smooth fan")
-    try:
-        tau = tuple(sorted(json_ints(tau, "cone index")))
-    except ValueError as exc:
-        raise MalformedInput(f"bad cone: {exc}") from exc
     if not is_cone(f, tau):
-        raise NotACone(f"{tau} does not span a cone of the fan")
+        raise NotACone(f"{tuple(tau)} does not span a cone of the fan")
+    tau = tuple(sorted(tau))
     if len(tau) < 2:
         raise MalformedInput("star subdivision at a single ray duplicates the ray")
     new_ray = tuple(sum(f.rays[i][k] for i in tau) for k in range(f.dim))
@@ -378,15 +381,24 @@ class StratumProjection:
         return tuple(k for k, i in enumerate(self.adjacent) if i in logset)
 
 
-@lru_cache(maxsize=None)
-def stratum_fan(f: Fan, tau: tuple) -> StratumProjection:
+def stratum_fan(f: Fan, tau: Sequence[int]) -> StratumProjection:
     """Fan of the closed stratum V(tau) in the quotient lattice N/<tau>.
+
+    A ray index that is not an int (a bool or float) is MalformedInput: the
+    cache behind this check would take 0.0 or False for ray 0 and True for
+    ray 1.
+    """
+    return _stratum_fan(f, _cone_indices(tau))
+
+
+@lru_cache(maxsize=None)
+def _stratum_fan(f: Fan, tau: tuple) -> StratumProjection:
+    """``stratum_fan`` at a sorted tuple of int ray indices.
 
     The rows of the base cone's dual pairing table at the rays outside tau
     give coordinates on N/<tau>; the adjacent rays project onto them.
     """
     require_smooth_complete(f)
-    tau = tuple(sorted(tau))
     if tau == ():
         return StratumProjection(f, tuple(range(f.n_rays)), 0)
     if not is_cone(f, tau):

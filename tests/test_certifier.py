@@ -12,7 +12,9 @@ from toricbott.certifier import (
     LeafNonzero,
     MalformedNode,
     RESIDUE_RULE,
+    CertificateNode,
     VanishingClaim,
+    _check_node,
     build_certificate,
     certificate_from_dict,
     certificate_hash,
@@ -138,6 +140,40 @@ def test_tampered_added_ray_is_malformed():
     assert not check_certificate(P2, bad)
     with pytest.raises(MalformedNode):
         check_certificate(P2, bad, raise_on_failure=True)
+
+
+def _retwist_first_leaf(node):
+    """The node with its first leaf (down the sub children) given the
+    twist plus one on its first ray."""
+    if node.rule == LEAF_RULE:
+        twist = (node.claim.twist[0] + 1,) + node.claim.twist[1:]
+        return dataclasses.replace(node, claim=dataclasses.replace(node.claim, twist=twist))
+    return dataclasses.replace(node, sub_child=_retwist_first_leaf(node.sub_child))
+
+
+def test_tampered_leaf_below_the_root_quotient_is_rejected():
+    # the checker must recurse into quotient children: this leaf sits below
+    # the root's quotient child, whose own claim is left as built
+    p3 = projective_space(3)
+    cert = build_certificate(p3, (), ray_divisor(p3, 0))
+    root = cert.roots[0]
+    quotient = root.quotient_child
+    assert quotient.rule == RESIDUE_RULE
+    bad_quotient = dataclasses.replace(quotient, sub_child=_retwist_first_leaf(quotient.sub_child))
+    bad = dataclasses.replace(cert, roots=(dataclasses.replace(root, quotient_child=bad_quotient),))
+    assert check_certificate(p3, cert)
+    assert not check_certificate(p3, bad)
+
+
+def test_leaf_with_only_h1_is_leaf_nonzero():
+    # on F2 the full-log leaf with twist (-2, -2, 0, 2) carries the bundle
+    # (-3, -3, -1, 1), whose only nonzero group is h^1 = 1; no certificate
+    # that build_certificate writes has such a leaf, so the node check is
+    # called directly
+    f2 = hirzebruch(2)
+    leaf = CertificateNode(VanishingClaim((), (0, 1, 2, 3), (-2, -2, 0, 2)), LEAF_RULE)
+    with pytest.raises(LeafNonzero, match=r"h=\(0, 1, 0\)"):
+        _check_node(f2, leaf, ())
 
 
 def test_certificate_for_wrong_fan_rejected():

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 from math import comb, gcd, prod
 
 import pytest
@@ -13,9 +14,13 @@ from hypothesis import strategies as st
 from toricbott.danilov import (
     ChartConditionFails,
     CohomologyResult,
+    DEAD,
+    FREE,
     HypothesisNotVerified,
     LogFormSheafSpec,
+    RESTRICTED,
     WeightBoxTooLarge,
+    _Engine,
     _engine,
     cech_cohomology,
     euler_additivity_check,
@@ -51,12 +56,19 @@ P2 = projective_space(2)
 
 # --- weight-level section spaces ------------------------------------------
 
+def _pattern(merged, margins, den=1):
+    """Ray states of the margins num/den, each read by the engine's one state
+    rule ``_Engine.column``; None when some margin lies between levels."""
+    states = tuple(_Engine.column(mg, (num,), den)[0] for mg, num in zip(merged, margins))
+    return None if None in states else states
+
+
 def _chart_wedges(f, s, tau, m):
     """(sigma, wedges): the maximal cone sigma completing the cone tau, and
     the dual-basis wedges of sigma that ``_Engine.sections`` keeps over the
     chart of tau at the weight m, each as its tuple of rays of sigma."""
     eng = _engine(f)
-    states = eng.pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
+    states = _pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
     level = f.dim - len(tau)
     first = [t for t, _, _ in eng.levels[level]].index(tau) * comb(f.dim, s.p)
     kept = eng.sections(s.p, states)[level]
@@ -355,7 +367,7 @@ def test_weight_pattern_constancy():
     eng = _engine(P2)
     patterns = {}
     for m, dims in res.weight_support.items():
-        states = eng.pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
+        states = _pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
         patterns.setdefault(states, set()).add(dims)
     for dims_set in patterns.values():
         assert len(dims_set) == 1
@@ -512,6 +524,67 @@ def test_point_fan_cech_cohomology(p, dims, support, box):
     merged = eng.merged(p, s.logset)
     assert eng.support_box(p, merged, ()) == box
     assert eng.box_run(p, merged, (), ()) == support
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_point_fan_has_one_empty_pattern(p):
+    # no rays: each level choice's tuple holds only its vertex, and the one
+    # choice of the one solver must still give the pattern ()
+    eng = _engine(stratum_fan(P2, (0, 1)).fan)
+    patterns = eng.chamber_patterns(eng.merged(p, frozenset()), ())
+    assert list(patterns) == [()]
+    assert [eng.point(v, ()) for v in patterns[()]] == [((), 1)]
+
+
+def _oracle_state(merged, num, den):
+    """The state of the margin c = num/den, written out apart from the
+    engine: DEAD for c <= -1, FREE for c >= 1 (c >= 0 on a merged ray),
+    RESTRICTED for c = 0, and None strictly between those levels."""
+    c = Fraction(num, den)
+    if c <= -1:
+        return DEAD
+    if c >= 1 or (merged and c >= 0):
+        return FREE
+    if c == 0:
+        return RESTRICTED
+    return None
+
+
+def test_state_rule_matches_a_hand_written_oracle():
+    rng = random.Random(4242)
+    for den in (1, 2, 3, 5, 7):
+        # the levels -1, 0 and 1 hit exactly, their neighbours, and random draws
+        nums = [-den, 0, den, -den - 1, -den + 1, -1, 1, den - 1, den + 1]
+        nums += [rng.randint(-3 * den, 3 * den) for _ in range(40)]
+        for merged in (False, True):
+            assert _Engine.column(merged, nums, den) == tuple(
+                _oracle_state(merged, num, den) for num in nums), (den, merged)
+    assert _Engine.column(True, [], 4) == ()
+
+
+def _column_entries(eng):
+    """Columns stored in the engine's per-solver tables."""
+    return sum(len(table) for solver in eng.solvers for _, _, tables in solver[3]
+               for table in tables)
+
+
+def test_column_tables_fill_once_and_clear_with_the_engine():
+    from toricbott.suite import thm11_sweep
+
+    p2 = suite_fans()["p2"]
+    _engine.cache_clear()
+    eng = _engine(p2)
+    assert _column_entries(eng) == 0
+    first = thm11_sweep(p2, certify=False)
+    filled = _column_entries(eng)
+    assert filled > 0
+    assert thm11_sweep(p2, certify=False) == first
+    # with the cached dims dropped the passes run again, on the same columns
+    eng._dims.clear()
+    assert thm11_sweep(p2, certify=False) == first
+    assert _column_entries(eng) == filled
+    _engine.cache_clear()
+    assert _column_entries(_engine(p2)) == 0
 
 
 def test_form_degree_above_the_dimension_has_no_cohomology():
@@ -964,15 +1037,15 @@ def test_vertex_table_matches_cramer_oracle():
             for merged in (eng.merged(0, logset), eng.merged(1, logset)):
                 expected = _cramer_vertices(f, merged, twist)
                 # every level choice of every solver, a merged ray never on level 1
-                table = {_reduced(eng.point((solver, levels), twist))
-                         for solver in eng.solvers for _, levels, _ in solver[4]
-                         if not any(lv == 1 and merged[i] for i, lv in zip(solver[0], levels))}
+                table = {_reduced(eng.point(vertex, twist))
+                         for solver in eng.solvers for _, vertex in solver[4]
+                         if not any(lv == 1 and merged[i] for i, lv in zip(solver[0], vertex[1]))}
                 assert table == expected, (name, merged, twist)
                 by_pattern = {}
                 for nums, den in expected:
                     margins = [sum(a * b for a, b in zip(nums, ray)) + den * t
                                for ray, t in zip(f.rays, twist)]
-                    states = eng.pattern(merged, margins, den)
+                    states = _pattern(merged, margins, den)
                     if states is not None:
                         by_pattern.setdefault(states, set()).add((nums, den))
                 # the pass lists a vertex once per solver through it, unreduced

@@ -18,6 +18,7 @@ from toricbott.fan import (
     fan_hash,
     fan_to_dict,
     hirzebruch,
+    is_cone,
     product,
     projective_space,
     star_subdivision,
@@ -184,6 +185,23 @@ def test_stratum_of_p1xp1_ray_is_p1():
 def test_stratum_of_empty_cone_is_the_fan():
     sp = stratum_fan(P2, ())
     assert sp.fan == P2
+
+
+@pytest.mark.parametrize("tau", [(True,), (0.0,), (0.0, True), (0, 1.0)],
+                         ids=["true", "float-zero", "float-and-bool", "float-one"])
+def test_stratum_and_cone_reject_non_integer_ray_indices(tau):
+    # the stratum cache once took True for ray 1 and 0.0 for ray 0, and
+    # is_cone accepted (0.0, True) as the cone (0, 1)
+    stratum_fan(P2, (0,)), stratum_fan(P2, (1,)), stratum_fan(P2, (0, 1))
+    with pytest.raises(MalformedInput, match="integer"):
+        stratum_fan(P2, tau)
+    with pytest.raises(MalformedInput, match="integer"):
+        is_cone(P2, tau)
+
+
+def test_stratum_of_unsorted_cone_is_the_sorted_one():
+    assert stratum_fan(P2, (1, 0)) == stratum_fan(P2, (0, 1))
+    assert is_cone(P2, [1, 0]) and not is_cone(P2, (0, 0))
 
 
 def test_stratum_fans_stay_smooth_complete():
