@@ -73,22 +73,23 @@ column per ray over its listed weights.  Only the vertices of patterns with
 cohomology are solved for their coordinates, from the adjugate and |det| of
 S's ray matrix.
 
-The arrangement depends on p only through the per-ray flags of
-``_Engine.merged``, which are the same for every p >= 1.  The one cached
-dimension lookup ``_log_dims`` (read through ``_Engine.dims`` by every entry
-point and check below) therefore runs one pass (the arrangement's patterns
-and their lattice counts) per (p = 0 or p >= 1, flags, twist class) that
-yields the dims of every p in the group; the twist is taken modulo
-principal divisors, so
-linearly equivalent twists share the pass too.  An automorphism of the fan
-induces one of X carrying D_rho to D_pi(rho) (``fan.automorphisms``), and
-with it the complex and the region of weights of a margin pattern onto
-those of the moved pattern.  So the pass answers every image of (flags,
-twist class), and a pattern's cohomology every image of the pattern,
-under the fan's automorphism group: one pass and one complex per orbit.
-The one rule ``_Engine.orbit`` lists the distinct images, each moved once
-by the per-fan table ``fan.movers``, and the caches store each result once
-per image.
+The counted totals read one pass per twist class with no ray merged
+(``_Engine.cells``): a weight's pattern in form degree p with log set D' is
+its fine pattern (c = 0 RESTRICTED, FREE for c >= 1) with RESTRICTED turned
+FREE on the rays of ``_Engine.merged`` (all for p = 0, D' for p >= 1).  The
+pass counts each fine cell that some such coarsening gives cohomology, and
+the one cached lookup ``_log_dims`` (read through ``_Engine.dims`` by every
+entry point and check below) sums count * h^k(coarsened cell) for any p and
+D'.  The twist is taken modulo principal divisors, so linearly equivalent
+twists share the pass; ``cech_cohomology`` keeps a pass with its flags
+merged.  An automorphism of the fan induces one of X carrying D_rho to
+D_pi(rho) (``fan.automorphisms``), and with it the complex and the region
+of weights of a margin pattern onto those of the moved pattern.  So a twist
+class's cells answer every image of it, and a pattern's cohomology every
+image of the pattern: one pass and one complex per orbit under the fan's
+automorphism group.  The one rule ``_Engine.orbit`` lists the distinct
+images, each moved once by the per-fan table ``fan.movers``, and the caches
+store each result once per image.
 """
 
 from __future__ import annotations
@@ -205,12 +206,12 @@ class _Engine:
     solvers of the level arrangement with the sign masks of their rows
     (``edges``) and, per solver, the tables of ray state columns per twist
     offset and of vertex columns per merged mask that ``chamber_patterns``
-    fills on first use, the ambient complex per form degree, and two caches
-    that each result fills once per distinct image under the fan's
-    automorphisms (``orbit``): pattern cohomology per (p, pattern) and total
-    dims per (degrees, flags, twist class).  Boundedness reads ``edges`` and
-    solves no LP.  ``_engine.cache_clear()`` drops the engine, tables and
-    all.
+    fills on first use, the ambient complex per form degree, the cohomology
+    per (p, pattern) and the counted fine cells per twist class (``cells``),
+    each stored once per distinct image under the fan's automorphisms
+    (``orbit``), and the total dims per (degrees, flags, twist class).
+    Boundedness reads ``edges`` and solves no LP.  ``_engine.cache_clear()``
+    drops the engine, tables and all.
 
     ``levels[i]`` lists the cones of dimension r - i as (tau, completion,
     facets): ``completion`` is the lowest-index maximal cone containing tau,
@@ -278,6 +279,7 @@ class _Engine:
         self.edges = tuple(sorted(edges))
         self._ambient: dict = {}
         self._state_coh: dict = {}
+        self._cells: dict = {}
         self._dims: dict = {}
 
     def ambient(self, p: int) -> list:
@@ -468,23 +470,16 @@ class _Engine:
         rhs = [lv - twist[i] for lv, i in zip(levels, subset)]
         return tuple(sum(map(mul, rhs, col)) for col in cols), den
 
-    def cohomology_patterns(self, degrees: tuple, merged: tuple, twist: tuple):
-        """(states, vertices (nums, den)) of every realizable pattern with
-        cohomology in some form degree of ``degrees``, which must all have
-        the ray flags ``merged``: one pass over the arrangement.
-
-        Such a pattern's region is bounded (checked here; otherwise
-        UnboundedCohomologyChamber), so it is the hull of its vertices.
-        Only these vertices are solved for their coordinates.
-        """
-        for states, verts in self.chamber_patterns(merged, twist).items():
-            if any(any(self.state_cohomology(p, states)) for p in degrees):
-                if not self.pattern_bounded(states):
-                    raise UnboundedCohomologyChamber(
-                        "nonzero cohomology pattern on an unbounded chamber; "
-                        "the fan is not complete or the engine is inconsistent"
-                    )
-                yield states, [self.point(v, twist) for v in verts]
+    def hull(self, states: tuple, verts: list, twist: tuple) -> list:
+        """The vertices ``verts`` of a pattern with cohomology, solved as
+        (nums, den).  Its region is bounded (else UnboundedCohomologyChamber),
+        so it is their hull; no other vertex is solved."""
+        if not self.pattern_bounded(states):
+            raise UnboundedCohomologyChamber(
+                "nonzero cohomology pattern on an unbounded chamber; "
+                "the fan is not complete or the engine is inconsistent"
+            )
+        return [self.point(v, twist) for v in verts]
 
     def _integer_box(self, points) -> tuple:
         """Per coordinate, (lo, hi) of the lattice weights in the bounding box
@@ -494,14 +489,16 @@ class _Engine:
 
     def support_box(self, p: int, merged: tuple, twist: tuple) -> Optional[tuple]:
         """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
-        pattern with cohomology in form degree p, whose ray flags are
-        ``merged`` (see ``cohomology_patterns``); None when there are none.
+        pattern of one pass with the ray flags ``merged`` that has cohomology
+        in form degree p (see ``hull``); None when there are none.
 
         Every lattice weight with cohomology lies in this box, which
         ``box_run`` lists for ``cech_cohomology``.  WeightBoxTooLarge if the
         box is over the weight cap.
         """
-        points = [pt for _, pts in self.cohomology_patterns((p,), merged, twist) for pt in pts]
+        points = [pt for states, verts in self.chamber_patterns(merged, twist).items()
+                  if any(self.state_cohomology(p, states))
+                  for pt in self.hull(states, verts, twist)]
         if not points:
             return None
         box = self._integer_box(points)
@@ -526,11 +523,11 @@ class _Engine:
                 support[m] = dims
         return support
 
-    def count(self, merged: tuple, twist: tuple, states: tuple, points: list) -> int:
+    def count(self, twist: tuple, states: tuple, points: list) -> int:
         """Lattice weights with the margin pattern ``states``: the integer
         points of its closed polytope, c_j <= -1 on DEAD rays, c_j = 0 on
-        RESTRICTED ones and c_j >= 1 on FREE ones (c_j >= 0 on merged rays),
-        which is bounded and the hull of its vertices ``points``.
+        RESTRICTED ones and c_j >= 1 on FREE ones, which is bounded and the
+        hull of its vertices ``points``.
 
         The coordinates are walked in order within the bounding box of the
         points.  Each condition <row, m> >= bound is tested at the coordinate
@@ -547,14 +544,14 @@ class _Engine:
         # (c, rows[c][k]) for the rows whose last nonzero entry is at k.
         rows, rests = [], []
         tested = [[] for _ in range(self.r)]
-        for ray, t, st, mg in zip(self.fan.rays, twist, states, merged):
+        for ray, t, st in zip(self.fan.rays, twist, states):
             last = self.r - 1
             while not ray[last]:
                 last -= 1
             if st != DEAD:
                 tested[last].append((len(rows), ray[last]))
                 rows.append(ray)
-                rests.append((0 if mg or st == RESTRICTED else 1) - t)
+                rests.append((st == FREE) - t)
             if st != FREE:
                 tested[last].append((len(rows), -ray[last]))
                 rows.append(tuple(-x for x in ray))
@@ -580,33 +577,47 @@ class _Engine:
 
         return walk(0, rests)
 
+    def cells(self, twist: tuple) -> tuple:
+        """(fine pattern, lattice count) of each cell of one pass with no ray
+        merged, at a class representative twist, that some coarsening gives
+        cohomology: RESTRICTED turned FREE on every ray for p = 0, on any
+        subset of them for p >= 1.  Such a cell lies in the coarsened
+        pattern's bounded region (``hull``); cells with no weight are
+        dropped.  Stored once per image of the twist class (``orbit``)."""
+        cached = self._cells.get(twist)
+        if cached is not None:
+            return cached
+        patterns, counts = [], []
+        for states, verts in self.chamber_patterns((False,) * self.n, twist).items():
+            # the last coarsening turns every RESTRICTED ray FREE, as p = 0 reads it
+            coarse = list(itertools.product(*((st, FREE) if st == RESTRICTED else (st,)
+                                              for st in states)))
+            if any(self.state_cohomology(0, coarse[-1])) or any(
+                    any(self.state_cohomology(p, c)) for c in coarse for p in range(1, self.r + 1)):
+                if weights := self.count(twist, states, self.hull(states, verts, twist)):
+                    patterns.append(states)
+                    counts.append(weights)
+        for moved_twist, *moved in self.orbit(twist, *patterns):
+            self._cells[class_representative(self.fan, moved_twist)] = tuple(zip(moved, counts))
+        return self._cells[twist]
+
     def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
         """h^0..h^r for each form degree in ``degrees``, all with the ray
-        flags ``merged``, at a class representative twist (see
-        ``divisors.class_representative``).
-
-        One pass serves the whole group (p = 0 alone, or every p >= 1): each
-        pattern with cohomology (``cohomology_patterns``) adds its lattice
-        count (``count``) times its cohomology, and no weight is listed.  The
-        pass also serves every image of (merged, twist class) under the
-        fan's automorphisms: the automorphism of X carrying D_rho to
-        D_pi(rho) carries the sheaf to the one with flags and twist moved by
-        pi.
+        flags ``merged``, at a class representative twist: each of the
+        twist's ``cells`` adds its count times the cohomology of its pattern
+        coarsened on the merged rays, and no weight is listed.
         """
         key = (degrees, merged, twist)
         cached = self._dims.get(key)
-        if cached is not None:
-            return cached
-        counted = [(weights, tuple(self.state_cohomology(p, states) for p in degrees))
-                   for states, points in self.cohomology_patterns(degrees, merged, twist)
-                   if (weights := self.count(merged, twist, states, points))]
-        result = tuple(_total(self.r, ([weights * h for h in dims[i]] for weights, dims in counted))
-                       for i in range(len(degrees)))
-        images = self.orbit(merged, twist)
-        classes = {t: class_representative(self.fan, t) for _, t in images}
-        for moved, moved_twist in images:
-            self._dims[(degrees, moved, classes[moved_twist])] = result
-        return result
+        if cached is None:
+            coarse = [(weights, tuple(FREE if mg and st == RESTRICTED else st
+                                      for st, mg in zip(states, merged)))
+                      for states, weights in self.cells(twist)]
+            cached = self._dims[key] = tuple(
+                _total(self.r, ([weights * h for h in self.state_cohomology(p, states)]
+                                for weights, states in coarse))
+                for p in degrees)
+        return cached
 
 
 @lru_cache(maxsize=None)
@@ -694,19 +705,22 @@ def verify_vanishing(
 
     Requires a hypothesis witness (found via the LP if not supplied) unless
     ``unchecked`` is set, which runs the engine as a negative control.
+    Each path checks D' once: the witness check, the LP or ``sorted_logset``.
     """
     require_smooth_complete(f)
-    dprime = sorted_logset(f, dprime)
-    if witness is None and not unchecked:
+    if witness is not None:
+        require_witness(f, l, dprime, witness)
+    elif unchecked:
+        sorted_logset(f, dprime)
+    else:
         witness = hypothesis_feasible(f, l, dprime)
         if witness is None:
             raise HypothesisNotVerified(
                 "hypothesis LP is infeasible; pass unchecked=True for a negative control"
             )
-    elif witness is not None:
-        require_witness(f, l, dprime, witness)
+    dprime = frozenset(dprime)
     twist = l - rayset_divisor(f, dprime)
-    per_p = _log_dims(f, range(f.dim + 1), frozenset(dprime), twist.coeffs)
+    per_p = _log_dims(f, range(f.dim + 1), dprime, twist.coeffs)
     violations = tuple((p, k, dims[k]) for p, dims in enumerate(per_p)
                        for k in range(1, len(dims)) if dims[k] != 0)
     return VanishingReport(

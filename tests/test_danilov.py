@@ -248,6 +248,27 @@ def test_log_rays_must_be_rays_of_the_fan(dprime, witness, unchecked):
                          unchecked=unchecked)
 
 
+@pytest.mark.parametrize("witness, unchecked", [((0,), False), (None, True), (None, False)])
+def test_verify_checks_the_log_set_once_on_each_path(monkeypatch, witness, unchecked):
+    # the witness check, the unchecked path and the LP each read D' through
+    # sorted_logset once, and a bad D' is a named ValueError on each
+    import toricbott.danilov as danilov
+    import toricbott.divisors as divisors
+
+    calls = []
+    original = divisors.sorted_logset
+    for module in (danilov, divisors):
+        monkeypatch.setattr(module, "sorted_logset",
+                            lambda f, dprime: calls.append(dprime) or original(f, dprime))
+    l = InvariantDivisor((1, 0, 0))
+    assert verify_vanishing(P2, (0,), l, witness=witness, unchecked=unchecked).passed
+    assert calls == [(0,)]
+    for dprime, message in [((5,), "out of range"), ((0.5,), "integers"),
+                            ((True,), "integers")]:
+        with pytest.raises(ValueError, match=message):
+            verify_vanishing(P2, dprime, l, witness=witness, unchecked=unchecked)
+
+
 def test_log_spec_dims_rejects_a_log_ray_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         log_spec_dims(P2, 1, (7,), zero_divisor(P2))
@@ -579,7 +600,9 @@ def test_column_tables_fill_once_and_clear_with_the_engine():
     filled = _column_entries(eng)
     assert filled > 0
     assert thm11_sweep(p2, certify=False) == first
-    # with the cached dims dropped the passes run again, on the same columns
+    # with the cached cells and dims dropped the passes run again, on the
+    # same columns
+    eng._cells.clear()
     eng._dims.clear()
     assert thm11_sweep(p2, certify=False) == first
     assert _column_entries(eng) == filled
@@ -1068,11 +1091,49 @@ def test_shared_pass_matches_one_degree_at_a_time():
                 assert log_spec_dims(f, p, dprime, twist) == expected, (name, p, dprime, twist)
 
 
-@pytest.mark.parametrize("name, passes", [("p2", 33), ("bl1", 216), ("p3", 52),
-                                          ("bl3", 397)])
-def test_verify_sweep_runs_one_pass_per_flags_and_class(monkeypatch, name, passes):
-    # one pass per orbit of (p = 0 or p >= 1, ray flags, twist class) under
-    # the fan's automorphisms
+def test_coarsened_cells_match_the_listing_route():
+    # the totals read every p and D' at a twist off one pass with no ray
+    # merged, by coarsening its cells; the reference lists the weights of
+    # cech_cohomology's pass with the flags of that p and D' merged
+    rng = random.Random(6151)
+    _engine.cache_clear()
+    checked = 0
+    for name, f in suite_fans().items():
+        for _ in range(2):
+            twist = InvariantDivisor(tuple(rng.randint(-2, 2) for _ in range(f.n_rays)))
+            for size in range(f.n_rays + 1):
+                for dprime in itertools.combinations(range(f.n_rays), size):
+                    for p in range(f.dim + 1):
+                        expected = cech_cohomology(f, sheaf_spec(p, dprime, twist)).dims
+                        assert log_spec_dims(f, p, dprime, twist) == expected, \
+                            (name, p, dprime, twist)
+                        checked += 1
+        # a RESTRICTED ray blocks no section of p = 0, so p = 0 reads every
+        # cell coarsened on all rays: read unmerged, its dims would agree but
+        # complexes would be built for patterns with a RESTRICTED ray
+        assert not any(p == 0 and RESTRICTED in states for p, states in _engine(f)._state_coh)
+    assert checked == 1152
+
+
+def test_every_pattern_with_cohomology_is_bounded():
+    # a fine cell that some coarsening gives cohomology lies in that
+    # coarsening's region, so the cells are bounded and counted if this holds
+    found = {}
+    for name, f in _boundedness_fans().items():
+        eng = _Engine(f)
+        found[name] = 0
+        for states in itertools.product((DEAD, RESTRICTED, FREE), repeat=f.n_rays):
+            for p in range(f.dim + 1):
+                if any(eng.state_cohomology(p, states)):
+                    assert eng.pattern_bounded(states), (name, p, states)
+                    found[name] += 1
+    assert found["bl3"] == 1323
+
+
+@pytest.mark.parametrize("name, passes", [("p2", 9), ("bl1", 36), ("p3", 12), ("bl3", 61)])
+def test_verify_sweep_runs_one_pass_per_twist_class(monkeypatch, name, passes):
+    # one pass per orbit of twist classes under the fan's automorphisms; the
+    # form degree and the log-pole flags are applied by coarsening its cells
     from toricbott.danilov import _engine, _Engine
     from toricbott.suite import thm11_sweep
 
