@@ -250,21 +250,6 @@ def leaf_count(cert: Certificate) -> int:
     return sum(count(root) for root in cert.roots)
 
 
-def visited_strata(cert: Certificate) -> set:
-    """All stratum chains appearing in the certificate."""
-    chains = set()
-
-    def walk(node: CertificateNode):
-        chains.add(node.claim.stratum)
-        if node.rule == RESIDUE_RULE:
-            walk(node.sub_child)
-            walk(node.quotient_child)
-
-    for root in cert.roots:
-        walk(root)
-    return chains
-
-
 @dataclass(frozen=True)
 class CrossValidationReport:
     certificate_ok: bool

@@ -77,19 +77,24 @@ The counted totals read one pass per twist class with no ray merged
 (``_Engine.cells``): a weight's pattern in form degree p with log set D' is
 its fine pattern (c = 0 RESTRICTED, FREE for c >= 1) with RESTRICTED turned
 FREE on the rays of ``_Engine.merged`` (all for p = 0, D' for p >= 1).  The
-pass counts each fine cell that some such coarsening gives cohomology, and
-the one cached lookup ``_log_dims`` (read through ``_Engine.dims`` by every
-entry point and check below) sums count * h^k(coarsened cell) for any p and
-D'.  The twist is taken modulo principal divisors, so linearly equivalent
-twists share the pass; ``cech_cohomology`` keeps a pass with its flags
-merged.  An automorphism of the fan induces one of X carrying D_rho to
-D_pi(rho) (``fan.automorphisms``), and with it the complex and the region
-of weights of a margin pattern onto those of the moved pattern.  So a twist
-class's cells answer every image of it, and a pattern's cohomology every
-image of the pattern: one pass and one complex per orbit under the fan's
-automorphism group.  The one rule ``_Engine.orbit`` lists the distinct
-images, each moved once by the per-fan table ``fan.movers``, and the caches
-store each result once per image.
+pass counts each fine cell that some such coarsening gives cohomology
+(``_Engine.useful``), and the one cached lookup ``_log_dims`` (read through
+``_Engine.dims`` by every entry point and check below) sums
+count * h^k(coarsened cell) for any p and D'.  The twist is taken modulo
+principal divisors, so linearly equivalent twists share the pass;
+``cech_cohomology`` keeps a pass with its flags merged.  An automorphism of
+the fan induces one of X carrying D_rho to D_pi(rho)
+(``fan.automorphisms``), and with it the complex and the region of weights
+of a margin pattern onto those of the moved pattern.  So a twist class's
+cells answer every image of it, and a pattern's cohomology and usefulness
+every image of the pattern: one pass, one complex and one usefulness test
+per orbit under the fan's automorphism group.  The one rule
+``_Engine.orbit`` lists the distinct images, each moved once by the per-fan
+table ``fan.movers``, and the pattern caches store each result once per
+image.  Within a pass, an automorphism that fixes the twist class (its
+stabilizer) carries each cell onto a cell of the same pass whose region is
+the moved one shifted by a lattice weight, so one cell per stabilizer orbit
+is hulled and counted, and the pass's table is stored once per image class.
 """
 
 from __future__ import annotations
@@ -207,9 +212,11 @@ class _Engine:
     (``edges``) and, per solver, the tables of ray state columns per twist
     offset and of vertex columns per merged mask that ``chamber_patterns``
     fills on first use, the ambient complex per form degree, the cohomology
-    per (p, pattern) and the counted fine cells per twist class (``cells``),
-    each stored once per distinct image under the fan's automorphisms
-    (``orbit``), and the total dims per (degrees, flags, twist class).
+    per (p, pattern) and the usefulness per fine pattern (``useful``), each
+    stored once per distinct image under the fan's automorphisms
+    (``orbit``), the counted fine cells per twist class (``cells``), counted
+    once per orbit of the class's stabilizer and stored once per image
+    class, and the total dims per (degrees, flags, twist class).
     Boundedness reads ``edges`` and solves no LP.  ``_engine.cache_clear()``
     drops the engine, tables and all.
 
@@ -279,6 +286,7 @@ class _Engine:
         self.edges = tuple(sorted(edges))
         self._ambient: dict = {}
         self._state_coh: dict = {}
+        self._useful: dict = {}
         self._cells: dict = {}
         self._dims: dict = {}
 
@@ -523,23 +531,20 @@ class _Engine:
                 support[m] = dims
         return support
 
-    def count(self, twist: tuple, states: tuple, points: list) -> int:
+    def count(self, twist: tuple, states: tuple, box: tuple) -> int:
         """Lattice weights with the margin pattern ``states``: the integer
         points of its closed polytope, c_j <= -1 on DEAD rays, c_j = 0 on
-        RESTRICTED ones and c_j >= 1 on FREE ones, which is bounded and the
-        hull of its vertices ``points``.
+        RESTRICTED ones and c_j >= 1 on FREE ones, which is bounded and lies
+        in ``box``, the integer box of its vertices (``_integer_box``).
 
-        The coordinates are walked in order within the bounding box of the
-        points.  Each condition <row, m> >= bound is tested at the coordinate
-        of its row's last nonzero entry, as an exact floor or ceiling on that
-        coordinate given the partial sums of the ones before it, so a failed
-        condition prunes the whole slice behind it.  The last coordinate's
-        interval is counted, not listed.  The box of the first r - 1
-        coordinates is held to the weight cap, so a twist too large to count
-        is WeightBoxTooLarge, not a loop that runs for hours.
+        The coordinates are walked in order within the box.  Each condition
+        <row, m> >= bound is tested at the coordinate of its row's last
+        nonzero entry, as an exact floor or ceiling on that coordinate given
+        the partial sums of the ones before it, so a failed condition prunes
+        the whole slice behind it.  The last coordinate's interval is
+        counted, not listed, so the walk runs over the box of the first
+        r - 1 coordinates, which ``cells`` holds to the weight cap.
         """
-        box = self._integer_box(points)
-        _require_box_size(box[:-1])
         # Condition c reads <rows[c], m> >= rests[c]; ``tested[k]`` lists
         # (c, rows[c][k]) for the rows whose last nonzero entry is at k.
         rows, rests = [], []
@@ -577,29 +582,66 @@ class _Engine:
 
         return walk(0, rests)
 
-    def cells(self, twist: tuple) -> tuple:
-        """(fine pattern, lattice count) of each cell of one pass with no ray
-        merged, at a class representative twist, that some coarsening gives
+    def useful(self, states: tuple) -> bool:
+        """Whether some coarsening of the fine pattern ``states`` has
         cohomology: RESTRICTED turned FREE on every ray for p = 0, on any
-        subset of them for p >= 1.  Such a cell lies in the coarsened
-        pattern's bounded region (``hull``); cells with no weight are
-        dropped.  Stored once per image of the twist class (``orbit``)."""
-        cached = self._cells.get(twist)
-        if cached is not None:
-            return cached
-        patterns, counts = [], []
-        for states, verts in self.chamber_patterns((False,) * self.n, twist).items():
+        subset of those rays for p >= 1.  Stored once per image (``orbit``),
+        so it is tested once per orbit of patterns."""
+        cached = self._useful.get(states)
+        if cached is None:
             # the last coarsening turns every RESTRICTED ray FREE, as p = 0 reads it
             coarse = list(itertools.product(*((st, FREE) if st == RESTRICTED else (st,)
                                               for st in states)))
-            if any(self.state_cohomology(0, coarse[-1])) or any(
-                    any(self.state_cohomology(p, c)) for c in coarse for p in range(1, self.r + 1)):
-                if weights := self.count(twist, states, self.hull(states, verts, twist)):
-                    patterns.append(states)
-                    counts.append(weights)
-        for moved_twist, *moved in self.orbit(twist, *patterns):
-            self._cells[class_representative(self.fan, moved_twist)] = tuple(zip(moved, counts))
-        return self._cells[twist]
+            cached = any(self.state_cohomology(0, coarse[-1])) or any(
+                any(self.state_cohomology(p, c)) for c in coarse for p in range(1, self.r + 1))
+            for (moved,) in self.orbit(states):
+                self._useful[moved] = cached
+        return cached
+
+    def cells(self, twist: tuple) -> tuple:
+        """(fine pattern, lattice count) of each ``useful`` cell of one pass
+        with no ray merged, at a class representative twist.  Such a cell
+        lies in a coarsened pattern's bounded region (``hull``); cells with
+        no weight are dropped.
+
+        One loop over ``fan.movers`` finds the stabilizer of the twist
+        class (the movers whose image class is the twist itself) and one
+        mover per other image class.  A stabilizer element carries the
+        region of a cell onto that of the moved cell, shifted by a lattice
+        weight, so only one cell per stabilizer orbit is hulled and counted,
+        and its images share the count.  Every counted cell's box of first
+        r - 1 coordinates is held to the weight cap before the first count,
+        so a twist too large to count is WeightBoxTooLarge at once.  The
+        table is stored once per image class, moved by that class's mover.
+        """
+        cached = self._cells.get(twist)
+        if cached is not None:
+            return cached
+        stabilizer, image_movers = [], {}
+        for move in movers(self.fan):
+            image = class_representative(self.fan, move(twist))
+            if image == twist:
+                stabilizer.append(move)
+            else:
+                image_movers.setdefault(image, move)
+        if not stabilizer:
+            raise ValueError(f"twist {twist} is not a class representative")
+        kept, seen = [], set()
+        for states, verts in self.chamber_patterns((False,) * self.n, twist).items():
+            if states in seen:
+                continue
+            images = {move(states) for move in stabilizer}
+            seen |= images
+            if self.useful(states):
+                box = self._integer_box(self.hull(states, verts, twist))
+                _require_box_size(box[:-1])
+                kept.append((states, box, images))
+        table = tuple((image, weights) for states, box, images in kept
+                      if (weights := self.count(twist, states, box)) for image in images)
+        self._cells[twist] = table
+        for image, move in image_movers.items():
+            self._cells[image] = tuple((move(states), weights) for states, weights in table)
+        return table
 
     def dims(self, degrees: tuple, merged: tuple, twist: tuple) -> tuple:
         """h^0..h^r for each form degree in ``degrees``, all with the ray

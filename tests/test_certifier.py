@@ -22,7 +22,6 @@ from toricbott.certifier import (
     check_certificate,
     cross_validate,
     leaf_count,
-    visited_strata,
 )
 from toricbott.danilov import verify_vanishing
 from toricbott.divisors import InvariantDivisor, hypothesis_feasible, ray_divisor, zero_divisor
@@ -357,6 +356,21 @@ def test_witness_in_unit_box_and_matching_length():
     bad = dataclasses.replace(cert, hypothesis_witness=(0,))
     with pytest.raises(MalformedNode):
         check_certificate(P2, bad, raise_on_failure=True)
+
+
+def visited_strata(cert: Certificate) -> set:
+    """All stratum chains appearing in the certificate."""
+    chains = set()
+
+    def walk(node: CertificateNode):
+        chains.add(node.claim.stratum)
+        if node.rule == RESIDUE_RULE:
+            walk(node.sub_child)
+            walk(node.quotient_child)
+
+    for root in cert.roots:
+        walk(root)
+    return chains
 
 
 def test_leaf_count_bound():

@@ -452,7 +452,7 @@ def test_large_chamber_box_is_a_named_size_error():
         cech_cohomology(P2, s)
 
 
-def test_large_twists_are_counted_not_listed():
+def test_large_twists_are_counted_not_listed(monkeypatch):
     # the totals count each pattern's lattice points, so only cech_cohomology,
     # which lists the weights, meets the weight cap
     assert line_bundle_cohomology(P2, InvariantDivisor((3000, 0, 0))) == (4504501, 0, 0)
@@ -461,7 +461,12 @@ def test_large_twists_are_counted_not_listed():
     # C(63, 3) sections of O(60) on P3
     p3 = projective_space(3)
     assert line_bundle_cohomology(p3, InvariantDivisor((60, 0, 0, 0))) == (39711, 0, 0, 0)
-    # a count runs over 100001^2 prefixes here: refused, not run for hours
+    # a count would run over 100001^2 prefixes here: every counted cell's
+    # box is held to the cap first, so the twist is refused before any count
+    def no_count(self, *args):
+        raise AssertionError("a cell was counted before the weight cap was checked")
+
+    monkeypatch.setattr(_Engine, "count", no_count)
     with pytest.raises(WeightBoxTooLarge, match="more than 5000000 weights"):
         line_bundle_cohomology(p3, InvariantDivisor((100000, 0, 0, 0)))
 
@@ -1113,6 +1118,91 @@ def test_coarsened_cells_match_the_listing_route():
         # complexes would be built for patterns with a RESTRICTED ray
         assert not any(p == 0 and RESTRICTED in states for p, states in _engine(f)._state_coh)
     assert checked == 1152
+
+
+def _direct_cells(f, twist):
+    """{fine pattern: lattice count} of a class representative twist with no
+    symmetry used: every fine pattern of one pass with no ray merged that
+    some coarsening gives cohomology (every RESTRICTED ray turned FREE for
+    p = 0, any subset of them for p >= 1), hulled and counted on its own,
+    zero counts dropped."""
+    eng = _Engine(f)
+    cells = {}
+    for states, verts in eng.chamber_patterns((False,) * f.n_rays, twist).items():
+        coarse = list(itertools.product(*((st, FREE) if st == RESTRICTED else (st,)
+                                          for st in states)))
+        if any(eng.state_cohomology(0, coarse[-1])) or any(
+                any(eng.state_cohomology(p, c)) for c in coarse for p in range(1, f.dim + 1)):
+            box = eng._integer_box(eng.hull(states, verts, twist))
+            if weights := eng.count(twist, states, box):
+                cells[states] = weights
+    return cells
+
+
+def test_cells_counted_once_per_stabilizer_orbit_match_the_direct_rule():
+    # cells counts one cell per orbit of the twist class's stabilizer and
+    # stores a moved table per image class; each stored table must equal the
+    # direct rule at its own twist
+    from toricbott.divisors import class_representative
+    from toricbott.fan import movers
+
+    rng = random.Random(7283)
+    tables = proper = 0
+    for name, f in _boundedness_fans().items():
+        eng = _Engine(f)
+        for _ in range(3):
+            twist = class_representative(f, tuple(rng.randint(-2, 2) for _ in range(f.n_rays)))
+            images = {class_representative(f, move(twist)) for move in movers(f)}
+            proper += len(images) > 1
+            assert dict(eng.cells(twist)) == _direct_cells(f, twist), (name, twist)
+            for image in images:
+                assert dict(eng._cells[image]) == _direct_cells(f, image), (name, twist, image)
+                tables += 1
+    assert proper > 0
+    assert tables == 78
+    # a twist that is not its class's representative has no stabilizer
+    assert class_representative(P2, (1, 0, 0)) != (1, 0, 0)
+    with pytest.raises(ValueError, match="not a class representative"):
+        _Engine(P2).cells((1, 0, 0))
+
+
+@pytest.mark.parametrize("name, certify, counts", [("p3", True, 63), ("bl3", False, 229)])
+def test_sweep_counts_one_cell_per_stabilizer_orbit(monkeypatch, name, certify, counts):
+    # one count per orbit of useful cells under the stabilizer of the twist
+    # class (193 and 397 with one per cell), and per pass one class
+    # representative per automorphism, which finds the stabilizer and the
+    # image classes that the pass's table is stored under
+    from toricbott import danilov
+    from toricbott.fan import movers
+    from toricbott.suite import thm11_sweep
+
+    f = suite_fans()[name]
+    calls = {"count": 0, "class": 0}
+    per_pass = []
+    count, cells, representative = _Engine.count, _Engine.cells, danilov.class_representative
+
+    def counting_count(self, *args):
+        calls["count"] += 1
+        return count(self, *args)
+
+    def counting_representative(*args):
+        calls["class"] += 1
+        return representative(*args)
+
+    def counting_cells(self, twist):
+        before, fresh = calls["class"], twist not in self._cells
+        table = cells(self, twist)
+        if fresh:
+            per_pass.append(calls["class"] - before)
+        return table
+
+    monkeypatch.setattr(_Engine, "count", counting_count)
+    monkeypatch.setattr(_Engine, "cells", counting_cells)
+    monkeypatch.setattr(danilov, "class_representative", counting_representative)
+    _engine.cache_clear()
+    assert thm11_sweep(f, certify=certify).all_verified
+    assert calls["count"] == counts
+    assert per_pass and max(per_pass) <= len(movers(f))
 
 
 def test_every_pattern_with_cohomology_is_bounded():
