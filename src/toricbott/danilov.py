@@ -60,29 +60,32 @@ listed for a total.
 support box, the bounding box of the vertices of every pattern with
 cohomology (``_Engine.support_box``).  The weight cap applies to that box,
 and for a total to the box of first r - 1 coordinates that a count runs
-over.  ``_Engine.column`` is the one rule turning margins into ray states,
-one ray's margins at a time, for arrangement vertices (rational margins)
-and lattice weights alike.  A vertex puts the rays of a nonsingular
-r-subset S on chosen levels.  Once per fan and per such S the engine
-tabulates each ray's twist-free margins over every level choice; a twist
-moves all of them by one offset per ray, so each solver keeps, per ray and
-merged flag, a table from that offset to the ray's states over every
-choice, filled by ``column`` on first use.  A pass reads one column per ray
-and zips the columns into each vertex's pattern, and ``box_run`` reads one
-column per ray over its listed weights.  Only the vertices of patterns with
-cohomology are solved for their coordinates, from the adjugate and |det| of
-S's ray matrix.
+over.  ``_Engine.column`` is the one rule turning margins into fine ray
+states (c = 0 RESTRICTED, FREE for c >= 1), one ray's margins at a time, for
+arrangement vertices (rational margins) and lattice weights alike.  A
+weight's pattern in form degree p with log set D' is its fine pattern with
+RESTRICTED turned FREE on the rays of ``_Engine.merged`` (all for p = 0, D'
+for p >= 1), and ``_Engine.coarsen`` is the one rule that does so, for every
+caller.  A vertex puts the rays of a nonsingular r-subset S on chosen
+levels.  Once per fan and per such S the engine tabulates each ray's
+twist-free margins over every level choice; a twist moves all of them by
+one offset per ray, so each solver keeps, per ray, one table from that
+offset to the ray's states over every choice, filled by ``column`` on first
+use and shared by every form degree and log set.  A pass reads one column
+per ray and zips the columns into each vertex's pattern, and ``box_run``
+reads one column per ray over its listed weights and coarsens a merged
+ray's column once.  Only the vertices of patterns with cohomology are
+solved for their coordinates, from the adjugate and |det| of S's ray
+matrix.
 
-The counted totals read one pass per twist class with no ray merged
-(``_Engine.cells``): a weight's pattern in form degree p with log set D' is
-its fine pattern (c = 0 RESTRICTED, FREE for c >= 1) with RESTRICTED turned
-FREE on the rays of ``_Engine.merged`` (all for p = 0, D' for p >= 1).  The
-pass counts each fine cell that some such coarsening gives cohomology
-(``_Engine.useful``), and the one cached lookup ``_log_dims`` (read through
-``_Engine.dims`` by every entry point and check below) sums
-count * h^k(coarsened cell) for any p and D'.  The twist is taken modulo
-principal divisors, so linearly equivalent twists share the pass;
-``cech_cohomology`` keeps a pass with its flags merged.  An automorphism of
+There is one pass shape, with no ray merged.  The counted totals read one
+pass per twist class (``_Engine.cells``): it counts each fine cell that
+some coarsening gives cohomology (``_Engine.useful``), and the one cached
+lookup ``_log_dims`` (read through ``_Engine.dims`` by every entry point
+and check below) sums count * h^k(coarsened cell) for any p and D'.  The
+twist is taken modulo principal divisors, so linearly equivalent twists
+share the pass; ``cech_cohomology`` reads the pass at its own twist and
+hulls each fine pattern whose coarsening has cohomology.  An automorphism of
 the fan induces one of X carrying D_rho to D_pi(rho)
 (``fan.automorphisms``), and with it the complex and the region of weights
 of a margin pattern onto those of the moved pattern.  So a twist class's
@@ -209,11 +212,11 @@ class CohomologyResult:
 class _Engine:
     """Per-fan caches: the cone poset with facet incidences, the vertex
     solvers of the level arrangement with the sign masks of their rows
-    (``edges``) and, per solver, the tables of ray state columns per twist
-    offset and of vertex columns per merged mask that ``chamber_patterns``
-    fills on first use, the ambient complex per form degree, the cohomology
-    per (p, pattern) and the usefulness per fine pattern (``useful``), each
-    stored once per distinct image under the fan's automorphisms
+    (``edges``) and, per solver and ray, the table of fine state columns per
+    twist offset that ``chamber_patterns`` fills on first use, the ambient
+    complex per form degree, the cohomology per (p, pattern) and the
+    usefulness per fine pattern (``useful``), each stored once per distinct
+    image under the fan's automorphisms
     (``orbit``), the counted fine cells per twist class (``cells``), counted
     once per orbit of the class's stabilizer and stored once per image
     class, and the total dims per (degrees, flags, twist class).
@@ -247,18 +250,15 @@ class _Engine:
              for tau in level]
             for level in reversed(by_dim)
         ]
-        # Per nonsingular r-subset S of rays, a solver (S, |det S|, S mask,
-        # rays, choices, vertex columns).  Per ray j, the triple (pairing,
-        # zero, tables): the margins <row_k, u_j> over k in S, where row_k is a
-        # row of fan._scaled_dual_basis(S) (|det S| times the inverse ray
-        # matrix); |det S| times the ray's margins at twist 0 over every level
-        # choice, sum_k level_k <row_k, u_j>; and per value of the ray's merged
-        # flag the table that ``chamber_patterns`` fills, {twist offset: the
-        # ray's states over every level choice}.  Per level choice in
-        # {-1, 0, 1}^S, its bitmask of rays on level 1 and its vertex
-        # ((S, |det S|, rows as columns), levels), solved by ``point``; per
-        # bitmask of merged rays of S, the table ``chamber_patterns`` fills
-        # with each choice's vertex, or None where a merged ray is on level 1.
+        # Per nonsingular r-subset S of rays, a solver (S, |det S|, rays,
+        # vertices).  Per ray j, the triple (pairing, zero, table): the margins
+        # <row_k, u_j> over k in S, where row_k is a row of
+        # fan._scaled_dual_basis(S) (|det S| times the inverse ray matrix);
+        # |det S| times the ray's margins at twist 0 over every level choice,
+        # sum_k level_k <row_k, u_j>; and the table that ``chamber_patterns``
+        # fills, {twist offset: the ray's states over every level choice}.
+        # Per level choice in {-1, 0, 1}^S, its vertex ((S, |det S|, rows as
+        # columns), levels), solved by ``point``.
         # Row k is orthogonal to the r - 1 rays of S other than k; ``edges``
         # holds, per row and in both orientations, the ray masks (pos, neg)
         # where its pairing is > 0 and where it is < 0.
@@ -274,15 +274,11 @@ class _Engine:
                     edges.update(((pos, neg), (neg, pos)))
                 all_levels = tuple(itertools.product((-1, 0, 1), repeat=self.r))
                 rays = tuple(
-                    (pairing, tuple(sum(map(mul, levels, pairing)) for levels in all_levels),
-                     ({}, {}))
+                    (pairing, tuple(sum(map(mul, levels, pairing)) for levels in all_levels), {})
                     for pairing in zip(*values))
                 solver = (subset, scale, tuple(zip(*rows)))
-                choices = tuple((sum(1 << i for i, lv in zip(subset, levels) if lv == 1),
-                                 (solver, levels))
-                                for levels in all_levels)
-                self.solvers.append((subset, scale, sum(1 << i for i in subset), rays, choices,
-                                     {}))
+                self.solvers.append((subset, scale, rays,
+                                     tuple((solver, levels) for levels in all_levels)))
         self.edges = tuple(sorted(edges))
         self._ambient: dict = {}
         self._state_coh: dict = {}
@@ -393,21 +389,30 @@ class _Engine:
 
     def merged(self, p: int, logset: frozenset) -> tuple:
         """Per ray: True where the levels 0 and 1 give the same state (p = 0,
-        or the ray carries a log pole), so a zero margin is already FREE."""
+        or the ray carries a log pole), so ``coarsen`` turns a zero margin
+        FREE."""
         return tuple(p == 0 or i in logset for i in range(self.n))
 
     @staticmethod
-    def column(merged: bool, nums, den: int = 1) -> tuple:
+    def column(nums, den: int = 1) -> tuple:
         """The one state rule: per margin num/den (den > 0) of one ray, its
-        state, or None when the margin lies strictly between two levels that
-        give different states.
+        fine state, or None when the margin lies strictly between two levels.
 
-        Integral margins (den = 1) always have a state: c <= -1 is DEAD,
-        c >= 1 is FREE, and c = 0 is FREE on a merged ray, else RESTRICTED.
+        c <= -1 is DEAD, c = 0 is RESTRICTED and c >= 1 is FREE, so integral
+        margins (den = 1) always have a state.  A form degree and log set
+        read the fine states through ``coarsen``.
         """
-        free = 0 if merged else den
-        return tuple(DEAD if num <= -den else FREE if num >= free else
+        return tuple(DEAD if num <= -den else FREE if num >= den else
                      RESTRICTED if num == 0 else None for num in nums)
+
+    @staticmethod
+    def coarsen(merged, states: tuple) -> tuple:
+        """The one coarsening rule: the fine ``states`` with RESTRICTED
+        turned FREE on the rays flagged in ``merged``, where a zero margin
+        blocks no section; ``states`` itself when no ray is flagged."""
+        if not any(merged):
+            return states
+        return tuple(FREE if mg and st == RESTRICTED else st for mg, st in zip(merged, states))
 
     def pattern_bounded(self, states: tuple) -> bool:
         """Whether the weights with margin pattern ``states`` form a bounded
@@ -428,9 +433,10 @@ class _Engine:
         dead = sum(1 << i for i, st in enumerate(states) if st == DEAD)
         return all(pos & ~free or neg & ~dead for pos, neg in self.edges)
 
-    def chamber_patterns(self, merged: tuple, twist: tuple) -> Dict[tuple, list]:
-        """Realizable margin patterns, each with the arrangement vertices
-        whose pattern it is, as (solver, levels) (see ``point``).
+    def chamber_patterns(self, twist: tuple) -> Dict[tuple, list]:
+        """Realizable fine margin patterns (see ``column``), each with the
+        arrangement vertices whose pattern it is, as (solver, levels) (see
+        ``point``).
 
         Every nonempty margin-pattern region of a complete fan is line-free
         (the rays span), hence has a vertex of the level arrangement; so
@@ -441,29 +447,24 @@ class _Engine:
         |det S| t_j - sum_{k in S} t_k <row_k, u_j>, one per solver and ray
         (0 on the rays of S), so the ray's states over every level choice are
         one column of the solver's table, read by ``column`` on first use of
-        the offset.  Zipping the solver's vertex column with the rays'
-        columns gives one tuple per choice, its vertex and then its pattern;
-        a tuple holding a None (a ray between levels, or a merged ray on
-        level 1) is skipped.  With no rays the tuple is the vertex alone, so
-        the point fan's one choice has the pattern ().  A vertex on more than
-        r level hyperplanes is listed once per solver through it.
+        the offset, whatever the form degree and log set that read the pass.
+        Zipping the solver's vertices with the rays' columns gives one tuple
+        per choice, its vertex and then its pattern; a tuple holding a None
+        (a ray between levels) is skipped.  With no rays the tuple is the
+        vertex alone, so the point fan's one choice has the pattern ().  A
+        vertex on more than r level hyperplanes is listed once per solver
+        through it.
         """
-        merged_mask = sum(1 << i for i, mg in enumerate(merged) if mg)
         patterns: Dict[tuple, list] = {}
-        for subset, den, s_mask, rays, choices, vertex_columns in self.solvers:
+        for subset, den, rays, vertices in self.solvers:
             on_s = [twist[i] for i in subset]
             columns = []
-            for t, mg, (pairing, zero, tables) in zip(twist, merged, rays):
+            for t, (pairing, zero, table) in zip(twist, rays):
                 offset = den * t - sum(map(mul, on_s, pairing))
-                column = tables[mg].get(offset)
+                column = table.get(offset)
                 if column is None:
-                    column = tables[mg][offset] = self.column(mg, [x + offset for x in zero], den)
+                    column = table[offset] = self.column([x + offset for x in zero], den)
                 columns.append(column)
-            on_level_1 = merged_mask & s_mask
-            vertices = vertex_columns.get(on_level_1)
-            if vertices is None:
-                vertices = vertex_columns[on_level_1] = tuple(
-                    None if mask & on_level_1 else vertex for mask, vertex in choices)
             for item in zip(vertices, *columns):
                 if None not in item:
                     patterns.setdefault(item[1:], []).append(item[0])
@@ -497,15 +498,17 @@ class _Engine:
 
     def support_box(self, p: int, merged: tuple, twist: tuple) -> Optional[tuple]:
         """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
-        pattern of one pass with the ray flags ``merged`` that has cohomology
-        in form degree p (see ``hull``); None when there are none.
+        fine pattern of the pass whose coarsening on the rays flagged in
+        ``merged`` has cohomology in form degree p (see ``hull``); None when
+        there are none.
 
-        Every lattice weight with cohomology lies in this box, which
-        ``box_run`` lists for ``cech_cohomology``.  WeightBoxTooLarge if the
-        box is over the weight cap.
+        Every lattice weight lies in some fine cell, so every one with
+        cohomology lies in this box, which ``box_run`` lists for
+        ``cech_cohomology``.  WeightBoxTooLarge if the box is over the
+        weight cap.
         """
-        points = [pt for states, verts in self.chamber_patterns(merged, twist).items()
-                  if any(self.state_cohomology(p, states))
+        points = [pt for states, verts in self.chamber_patterns(twist).items()
+                  if any(self.state_cohomology(p, self.coarsen(merged, states)))
                   for pt in self.hull(states, verts, twist)]
         if not points:
             return None
@@ -518,12 +521,13 @@ class _Engine:
         the weights m of the box ``bounds`` with cohomology.  The one loop
         that lists lattice weights: ``cech_cohomology`` runs it over the
         support box.  The state rule ``column`` reads each ray's margins over
-        all the listed weights at once, so the box and one column per ray are
-        held together.
+        all the listed weights at once, and a merged ray's column is
+        coarsened once, so the box and one column per ray are held together.
         """
         weights = list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)))
         margins = zip(*(self.margins(twist, m) for m in weights))
-        columns = [self.column(mg, nums) for mg, nums in zip(merged, margins)]
+        columns = [self.coarsen((mg,) * len(weights), self.column(nums))
+                   for mg, nums in zip(merged, margins)]
         support: Dict[tuple, tuple] = {}
         for m, *states in zip(weights, *columns):
             dims = self.state_cohomology(p, tuple(states))
@@ -590,8 +594,8 @@ class _Engine:
         cached = self._useful.get(states)
         if cached is None:
             # the last coarsening turns every RESTRICTED ray FREE, as p = 0 reads it
-            coarse = list(itertools.product(*((st, FREE) if st == RESTRICTED else (st,)
-                                              for st in states)))
+            coarse = [self.coarsen(merged, states) for merged in itertools.product(
+                *((False, True) if st == RESTRICTED else (False,) for st in states))]
             cached = any(self.state_cohomology(0, coarse[-1])) or any(
                 any(self.state_cohomology(p, c)) for c in coarse for p in range(1, self.r + 1))
             for (moved,) in self.orbit(states):
@@ -627,7 +631,7 @@ class _Engine:
         if not stabilizer:
             raise ValueError(f"twist {twist} is not a class representative")
         kept, seen = [], set()
-        for states, verts in self.chamber_patterns((False,) * self.n, twist).items():
+        for states, verts in self.chamber_patterns(twist).items():
             if states in seen:
                 continue
             images = {move(states) for move in stabilizer}
@@ -652,8 +656,7 @@ class _Engine:
         key = (degrees, merged, twist)
         cached = self._dims.get(key)
         if cached is None:
-            coarse = [(weights, tuple(FREE if mg and st == RESTRICTED else st
-                                      for st, mg in zip(states, merged)))
+            coarse = [(weights, self.coarsen(merged, states))
                       for states, weights in self.cells(twist)]
             cached = self._dims[key] = tuple(
                 _total(self.r, ([weights * h for h in self.state_cohomology(p, states)]
@@ -678,8 +681,7 @@ def cech_cohomology(f: Fan, s: LogFormSheafSpec) -> CohomologyResult:
     """
     if len(s.twist) != f.n_rays:
         raise ValueError("twist length does not match the fan")
-    if not s.logset <= set(range(f.n_rays)):
-        raise ValueError("logset contains invalid ray indices")
+    sorted_logset(f, s.logset)
     eng = _engine(f)
     merged = eng.merged(s.p, s.logset)
     bounds = eng.support_box(s.p, merged, s.twist)

@@ -231,6 +231,18 @@ def test_cohomology_weights_list_the_cech_support(p2_file, tmp_path, capsys):
     assert data["dims"] == list(result.dims)
 
 
+def test_cohomology_checks_the_logset_alike_on_both_routes(p2_file, tmp_path, capsys):
+    # the listed weights and the counted totals check D' with one rule
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 1, "logset": [5], "twist": [0, 0, 0]}))
+    errors = []
+    for weights in ([], ["--weights"]):
+        assert main(["cohomology", "--fan", p2_file, "--spec", str(spec),
+                     *weights]) == EXIT_MALFORMED
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: logset ray index out of range in (5,)\n"] * 2
+
+
 @pytest.mark.parametrize("options", [["--mode", "box"], ["--box-bound", "6"]])
 def test_cohomology_refuses_the_box_options(p2_file, tmp_path, options):
     # the weights are listed from the support box alone

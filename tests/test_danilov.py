@@ -57,9 +57,11 @@ P2 = projective_space(2)
 # --- weight-level section spaces ------------------------------------------
 
 def _pattern(merged, margins, den=1):
-    """Ray states of the margins num/den, each read by the engine's one state
-    rule ``_Engine.column``; None when some margin lies between levels."""
-    states = tuple(_Engine.column(mg, (num,), den)[0] for mg, num in zip(merged, margins))
+    """Ray states of the margins num/den, read by the engine's one state rule
+    ``_Engine.column`` and coarsened on the ``merged`` rays by its one
+    coarsening rule ``_Engine.coarsen``; None when some margin lies between
+    levels."""
+    states = _Engine.coarsen(merged, _Engine.column(margins, den))
     return None if None in states else states
 
 
@@ -557,15 +559,19 @@ def test_point_fan_has_one_empty_pattern(p):
     # no rays: each level choice's tuple holds only its vertex, and the one
     # choice of the one solver must still give the pattern ()
     eng = _engine(stratum_fan(P2, (0, 1)).fan)
-    patterns = eng.chamber_patterns(eng.merged(p, frozenset()), ())
+    patterns = eng.chamber_patterns(())
     assert list(patterns) == [()]
+    assert eng.coarsen(eng.merged(p, frozenset()), ()) == ()
     assert [eng.point(v, ()) for v in patterns[()]] == [((), 1)]
 
 
 def _oracle_state(merged, num, den):
     """The state of the margin c = num/den, written out apart from the
     engine: DEAD for c <= -1, FREE for c >= 1 (c >= 0 on a merged ray),
-    RESTRICTED for c = 0, and None strictly between those levels."""
+    RESTRICTED for c = 0, and None strictly between those levels.  On a
+    merged ray this is the rule of a pass with the ray's level 1 dropped,
+    which ``test_vertex_table_matches_cramer_oracle`` keeps as the support
+    box's reference."""
     c = Fraction(num, den)
     if c <= -1:
         return DEAD
@@ -582,16 +588,22 @@ def test_state_rule_matches_a_hand_written_oracle():
         # the levels -1, 0 and 1 hit exactly, their neighbours, and random draws
         nums = [-den, 0, den, -den - 1, -den + 1, -1, 1, den - 1, den + 1]
         nums += [rng.randint(-3 * den, 3 * den) for _ in range(40)]
-        for merged in (False, True):
-            assert _Engine.column(merged, nums, den) == tuple(
-                _oracle_state(merged, num, den) for num in nums), (den, merged)
-    assert _Engine.column(True, [], 4) == ()
+        assert _Engine.column(nums, den) == tuple(
+            _oracle_state(False, num, den) for num in nums), den
+    # a lattice weight's coarsened state is the merged rule's
+    nums = list(range(-4, 5)) + [rng.randint(-50, 50) for _ in range(40)]
+    for merged in (False, True):
+        assert _Engine.coarsen((merged,) * len(nums), _Engine.column(nums)) == tuple(
+            _oracle_state(merged, num, 1) for num in nums), merged
+    assert _Engine.column([], 4) == ()
+    # with no ray flagged the states are handed back as they are
+    states = _Engine.column(nums)
+    assert _Engine.coarsen((False,) * len(nums), states) is states
 
 
 def _column_entries(eng):
     """Columns stored in the engine's per-solver tables."""
-    return sum(len(table) for solver in eng.solvers for _, _, tables in solver[3]
-               for table in tables)
+    return sum(len(table) for solver in eng.solvers for _, _, table in solver[2])
 
 
 def test_column_tables_fill_once_and_clear_with_the_engine():
@@ -613,6 +625,26 @@ def test_column_tables_fill_once_and_clear_with_the_engine():
     assert _column_entries(eng) == filled
     _engine.cache_clear()
     assert _column_entries(_engine(p2)) == 0
+
+
+def test_one_column_table_per_ray_serves_every_form_degree():
+    # every form degree and log set reads the one pass with no ray merged,
+    # so after p = 0 with D' empty (every ray merged) a p = 1 call at the
+    # same twist (no ray merged) finds each column it reads already stored
+    rng = random.Random(3407)
+    fans = _golden_fans()
+    _engine.cache_clear()
+    for name in ("p2", "bl1", "p3", "p2xp1"):
+        f = fans[name]
+        eng = _engine(f)
+        twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
+        cech_cohomology(f, sheaf_spec(0, (), twist))
+        filled = _column_entries(eng)
+        assert filled > 0
+        cech_cohomology(f, sheaf_spec(1, (), twist))
+        assert _column_entries(eng) == filled, (name, twist)
+    _engine.cache_clear()
+    assert _column_entries(_engine(f)) == 0
 
 
 def test_form_degree_above_the_dimension_has_no_cohomology():
@@ -880,7 +912,9 @@ def test_pattern_caches_hold_what_each_image_computes():
             logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
             twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
             for p in range(f.dim + 1):
-                patterns = sorted(shared.chamber_patterns(shared.merged(p, logset), twist))
+                merged = shared.merged(p, logset)
+                patterns = sorted({shared.coarsen(merged, states)
+                                   for states in shared.chamber_patterns(twist)})
                 for states in rng.sample(patterns, min(3, len(patterns))):
                     shared.state_cohomology(p, states)
                     for perm in perms:
@@ -1051,35 +1085,53 @@ def _reduced(point):
     return tuple(x // g for x in nums), den // g
 
 
+def _vertex_margins(f, twist, nums, den):
+    """den times the margins of the rays at the point nums/den."""
+    return [sum(a * b for a, b in zip(nums, ray)) + den * t for ray, t in zip(f.rays, twist)]
+
+
 def test_vertex_table_matches_cramer_oracle():
+    # the one pass lists every level choice of every solver; the support box
+    # read off it by coarsening must be the box of the reference rule, a
+    # pass with each merged ray's level 1 dropped and its states read by the
+    # merged oracle, over the patterns of that pass with cohomology
     from toricbott.danilov import _engine
 
     rng = random.Random(2718)
     fans = _golden_fans()
     fans["p1^4"] = product(product(P1, P1), product(P1, P1))
+    boxes = 0
     for name, f in fans.items():
         eng = _engine(f)
+        fine = (False,) * f.n_rays
         for _ in range(2):
             twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
             logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
-            for merged in (eng.merged(0, logset), eng.merged(1, logset)):
-                expected = _cramer_vertices(f, merged, twist)
-                # every level choice of every solver, a merged ray never on level 1
-                table = {_reduced(eng.point(vertex, twist))
-                         for solver in eng.solvers for _, vertex in solver[4]
-                         if not any(lv == 1 and merged[i] for i, lv in zip(solver[0], vertex[1]))}
-                assert table == expected, (name, merged, twist)
-                by_pattern = {}
-                for nums, den in expected:
-                    margins = [sum(a * b for a, b in zip(nums, ray)) + den * t
-                               for ray, t in zip(f.rays, twist)]
-                    states = _pattern(merged, margins, den)
-                    if states is not None:
-                        by_pattern.setdefault(states, set()).add((nums, den))
-                # the pass lists a vertex once per solver through it, unreduced
-                got = {states: set(map(_reduced, (eng.point(v, twist) for v in verts)))
-                       for states, verts in eng.chamber_patterns(merged, twist).items()}
-                assert got == by_pattern, (name, merged, twist)
+            expected = _cramer_vertices(f, fine, twist)
+            table = {_reduced(eng.point(vertex, twist))
+                     for solver in eng.solvers for vertex in solver[3]}
+            assert table == expected, (name, twist)
+            by_pattern = {}
+            for nums, den in expected:
+                states = _pattern(fine, _vertex_margins(f, twist, nums, den), den)
+                if states is not None:
+                    by_pattern.setdefault(states, set()).add((nums, den))
+            # the pass lists a vertex once per solver through it, unreduced
+            got = {states: set(map(_reduced, (eng.point(v, twist) for v in verts)))
+                   for states, verts in eng.chamber_patterns(twist).items()}
+            assert got == by_pattern, (name, twist)
+            for p in range(f.dim + 1):
+                merged = eng.merged(p, logset)
+                points = []
+                for nums, den in _cramer_vertices(f, merged, twist):
+                    states = tuple(_oracle_state(mg, num, den) for mg, num in
+                                   zip(merged, _vertex_margins(f, twist, nums, den)))
+                    if None not in states and any(eng.state_cohomology(p, states)):
+                        points.append((nums, den))
+                reference = eng._integer_box(points) if points else None
+                assert eng.support_box(p, merged, twist) == reference, (name, p, logset, twist)
+                boxes += reference is not None
+    assert boxes > 0
 
 
 def test_shared_pass_matches_one_degree_at_a_time():
@@ -1128,7 +1180,7 @@ def _direct_cells(f, twist):
     zero counts dropped."""
     eng = _Engine(f)
     cells = {}
-    for states, verts in eng.chamber_patterns((False,) * f.n_rays, twist).items():
+    for states, verts in eng.chamber_patterns(twist).items():
         coarse = list(itertools.product(*((st, FREE) if st == RESTRICTED else (st,)
                                           for st in states)))
         if any(eng.state_cohomology(0, coarse[-1])) or any(
