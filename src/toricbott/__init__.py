@@ -37,7 +37,6 @@ from .divisors import (
     hypothesis_feasible,
     intersect_wall,
     is_ample,
-    is_nef,
     is_projective,
     restrict_to_stratum,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "fan_to_dict", "hirzebruch", "product", "projective_space",
     "star_subdivision", "stratum_fan", "validate", "walls",
     "InvariantDivisor", "canonical_divisor", "hypothesis_feasible",
-    "intersect_wall", "is_ample", "is_nef", "is_projective",
+    "intersect_wall", "is_ample", "is_projective",
     "restrict_to_stratum",
     "CohomologyResult", "LogFormSheafSpec", "cech_cohomology",
     "euler_additivity_check", "hodge_count_check", "line_bundle_cohomology",

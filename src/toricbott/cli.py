@@ -239,7 +239,9 @@ def cmd_suite(args) -> int:
             # are reported in name order regardless of completion order
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # the pool starts all its workers at once, so ask for no more
+            # than there are fans
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
                 results = list(pool.map(_thm11_worker, tasks))
         else:
             results = map(_thm11_worker, tasks)

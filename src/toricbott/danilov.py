@@ -50,33 +50,30 @@ realizable pattern; those with cohomology are bounded, hence the hulls of
 their vertices.  Boundedness is read from the sign masks of the vertex
 solvers' rows (``_Engine.pattern_bounded``), with no LP.  The patterns
 partition the lattice weights, so the totals are h^k = sum over patterns
-of count * h^k(pattern), where ``_Engine.count`` counts the lattice points
-of a pattern's closed polytope: it walks the coordinates within the
-bounding box of its vertices, tests each margin row at the last coordinate
-the row reads, and counts the last coordinate's interval.  No weight is
-listed for a total.
-``_Engine.box_run`` is the one loop that lists lattice weights, for
-``cech_cohomology``, which reports each weight with cohomology: it lists the
-support box, the bounding box of the vertices of every pattern with
-cohomology (``_Engine.support_box``).  The weight cap applies to that box,
-and for a total to the box of first r - 1 coordinates that a count runs
-over.  ``_Engine.column`` is the one rule turning margins into fine ray
-states (c = 0 RESTRICTED, FREE for c >= 1), one ray's margins at a time, for
-arrangement vertices (rational margins) and lattice weights alike.  A
-weight's pattern in form degree p with log set D' is its fine pattern with
-RESTRICTED turned FREE on the rays of ``_Engine.merged`` (all for p = 0, D'
-for p >= 1), and ``_Engine.coarsen`` is the one rule that does so, for every
-caller.  A vertex puts the rays of a nonsingular r-subset S on chosen
-levels.  Once per fan and per such S the engine tabulates each ray's
-twist-free margins over every level choice; a twist moves all of them by
-one offset per ray, so each solver keeps, per ray, one table from that
-offset to the ray's states over every choice, filled by ``column`` on first
-use and shared by every form degree and log set.  A pass reads one column
-per ray and zips the columns into each vertex's pattern, and ``box_run``
-reads one column per ray over its listed weights and coarsens a merged
-ray's column once.  Only the vertices of patterns with cohomology are
-solved for their coordinates, from the adjugate and |det| of S's ray
-matrix.
+of count * h^k(pattern).  ``_Engine.slices`` is the one lattice walk: it
+walks the coordinates of a pattern's closed polytope within the bounding
+box of its vertices, tests each margin row at the last coordinate the row
+reads, and yields each last coordinate's interval.  ``_Engine.count`` sums
+the intervals' lengths, so no weight is listed for a total, and
+``_Engine.weights`` lists their points for ``cech_cohomology``, which
+reports each weight with cohomology.  The weight cap applies to the support
+box of a listing, the bounding box of the vertices of every pattern it
+lists, and for a total to the box of first r - 1 coordinates that a count
+runs over.  ``_Engine.column`` is the one rule turning margins into fine ray
+states (c = 0 RESTRICTED, FREE for c >= 1), one ray's margins at a time, at
+the arrangement vertices; a lattice weight's state is that of the fine
+cell its walk lists it from.  A weight's pattern in form degree p with log
+set D' is its fine pattern with RESTRICTED turned FREE on the rays of
+``_Engine.merged`` (all for p = 0, D' for p >= 1), and ``_Engine.coarsen``
+is the one rule that does so, for every caller.  A vertex puts the rays of
+a nonsingular r-subset S on chosen levels.  Once per fan and per such S the
+engine tabulates each ray's twist-free margins over every level choice; a
+twist moves all of them by one offset per ray, so each solver keeps, per
+ray, one table from that offset to the ray's states over every choice,
+filled by ``column`` on first use and shared by every form degree and log
+set.  A pass reads one column per ray and zips the columns into each
+vertex's pattern.  Only the vertices of patterns with cohomology are solved
+for their coordinates, from the adjugate and |det| of S's ray matrix.
 
 There is one pass shape, with no ray merged.  The counted totals read one
 pass per twist class (``_Engine.cells``): it counts each fine cell that
@@ -84,8 +81,9 @@ some coarsening gives cohomology (``_Engine.useful``), and the one cached
 lookup ``_log_dims`` (read through ``_Engine.dims`` by every entry point
 and check below) sums count * h^k(coarsened cell) for any p and D'.  The
 twist is taken modulo principal divisors, so linearly equivalent twists
-share the pass; ``cech_cohomology`` reads the pass at its own twist and
-hulls each fine pattern whose coarsening has cohomology.  An automorphism of
+share the pass; ``cech_cohomology`` reads the pass at its own twist,
+hulls each fine pattern whose coarsening has cohomology and lists its
+weights with the walk.  An automorphism of
 the fan induces one of X carrying D_rho to D_pi(rho)
 (``fan.automorphisms``), and with it the complex and the region of weights
 of a margin pattern onto those of the moved pattern.  So a twist class's
@@ -139,16 +137,16 @@ class ChartConditionFails(ValueError):
 
 
 class WeightBoxTooLarge(ValueError):
-    """The support box that ``cech_cohomology`` lists holds more weights
-    than one call enumerates.  The total dims count weights instead, and
-    meet this cap only on the box of first r - 1 coordinates that a
-    pattern's count runs over."""
+    """The support box of ``cech_cohomology``, the bounding box of the
+    cells it lists, holds more weights than one call enumerates.  The total
+    dims count weights instead, and meet this cap only on the box of first
+    r - 1 coordinates that a pattern's count runs over."""
 
 
 # Per-ray states of a weight, derived from the clipped margin pattern.
 DEAD, RESTRICTED, FREE = 0, 1, 2
 
-# Most lattice weights one listed support box, or one count's box of prefixes, may hold.
+# Most lattice weights one listing's support box, or one count's box of prefixes, may hold.
 _MAX_BOX_WEIGHTS = 5_000_000
 
 
@@ -381,12 +379,6 @@ class _Engine:
             self._state_coh[(p, moved)] = result
         return result
 
-    def margins(self, twist: tuple, m: tuple) -> tuple:
-        return tuple(
-            sum(map(mul, m, ray)) + t
-            for ray, t in zip(self.fan.rays, twist)
-        )
-
     def merged(self, p: int, logset: frozenset) -> tuple:
         """Per ray: True where the levels 0 and 1 give the same state (p = 0,
         or the ray carries a log pole), so ``coarsen`` turns a zero margin
@@ -394,13 +386,13 @@ class _Engine:
         return tuple(p == 0 or i in logset for i in range(self.n))
 
     @staticmethod
-    def column(nums, den: int = 1) -> tuple:
-        """The one state rule: per margin num/den (den > 0) of one ray, its
-        fine state, or None when the margin lies strictly between two levels.
+    def column(nums, den: int) -> tuple:
+        """The one state rule: per margin num/den (den > 0) of one ray at the
+        arrangement vertices, its fine state, or None when the margin lies
+        strictly between two levels.
 
-        c <= -1 is DEAD, c = 0 is RESTRICTED and c >= 1 is FREE, so integral
-        margins (den = 1) always have a state.  A form degree and log set
-        read the fine states through ``coarsen``.
+        c <= -1 is DEAD, c = 0 is RESTRICTED and c >= 1 is FREE.  A form
+        degree and log set read the fine states through ``coarsen``.
         """
         return tuple(DEAD if num <= -den else FREE if num >= den else
                      RESTRICTED if num == 0 else None for num in nums)
@@ -496,58 +488,22 @@ class _Engine:
         return tuple((min(-(-nums[k] // den) for nums, den in points),
                       max(nums[k] // den for nums, den in points)) for k in range(self.r))
 
-    def support_box(self, p: int, merged: tuple, twist: tuple) -> Optional[tuple]:
-        """Per-coordinate (lo, hi) bounds of the arrangement vertices of every
-        fine pattern of the pass whose coarsening on the rays flagged in
-        ``merged`` has cohomology in form degree p (see ``hull``); None when
-        there are none.
-
-        Every lattice weight lies in some fine cell, so every one with
-        cohomology lies in this box, which ``box_run`` lists for
-        ``cech_cohomology``.  WeightBoxTooLarge if the box is over the
-        weight cap.
-        """
-        points = [pt for states, verts in self.chamber_patterns(twist).items()
-                  if any(self.state_cohomology(p, self.coarsen(merged, states)))
-                  for pt in self.hull(states, verts, twist)]
-        if not points:
-            return None
-        box = self._integer_box(points)
-        _require_box_size(box)
-        return box
-
-    def box_run(self, p: int, merged: tuple, twist: tuple, bounds) -> Dict[tuple, tuple]:
-        """{m: h^0..h^r in form degree p, whose ray flags are ``merged``} for
-        the weights m of the box ``bounds`` with cohomology.  The one loop
-        that lists lattice weights: ``cech_cohomology`` runs it over the
-        support box.  The state rule ``column`` reads each ray's margins over
-        all the listed weights at once, and a merged ray's column is
-        coarsened once, so the box and one column per ray are held together.
-        """
-        weights = list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)))
-        margins = zip(*(self.margins(twist, m) for m in weights))
-        columns = [self.coarsen((mg,) * len(weights), self.column(nums))
-                   for mg, nums in zip(merged, margins)]
-        support: Dict[tuple, tuple] = {}
-        for m, *states in zip(weights, *columns):
-            dims = self.state_cohomology(p, tuple(states))
-            if any(dims):
-                support[m] = dims
-        return support
-
-    def count(self, twist: tuple, states: tuple, box: tuple) -> int:
-        """Lattice weights with the margin pattern ``states``: the integer
-        points of its closed polytope, c_j <= -1 on DEAD rays, c_j = 0 on
+    def slices(self, twist: tuple, states: tuple, box: tuple):
+        """The one lattice walk: each last-coordinate slice (prefix, lo, hi)
+        of the lattice weights with the margin pattern ``states``, the
+        weights prefix + (x,) for lo <= x <= hi.  They are the integer points
+        of the pattern's closed polytope, c_j <= -1 on DEAD rays, c_j = 0 on
         RESTRICTED ones and c_j >= 1 on FREE ones, which is bounded and lies
         in ``box``, the integer box of its vertices (``_integer_box``).
 
-        The coordinates are walked in order within the box.  Each condition
-        <row, m> >= bound is tested at the coordinate of its row's last
-        nonzero entry, as an exact floor or ceiling on that coordinate given
-        the partial sums of the ones before it, so a failed condition prunes
-        the whole slice behind it.  The last coordinate's interval is
-        counted, not listed, so the walk runs over the box of the first
-        r - 1 coordinates, which ``cells`` holds to the weight cap.
+        The first r - 1 coordinates are walked in order within the box.
+        Each condition <row, m> >= bound is tested at the coordinate of its
+        row's last nonzero entry, as an exact floor or ceiling on that
+        coordinate given the partial sums of the ones before it, so a failed
+        condition prunes the whole slice behind it, and the last
+        coordinate's interval is yielded whole.  With no coordinate (the
+        point fan) the one weight () is the slice ((), 0, 0), whose point
+        ``weights`` cuts to length r.
         """
         # Condition c reads <rows[c], m> >= rests[c]; ``tested[k]`` lists
         # (c, rows[c][k]) for the rows whose last nonzero entry is at k.
@@ -566,11 +522,12 @@ class _Engine:
                 rows.append(tuple(-x for x in ray))
                 rests.append(t + (st == DEAD))
 
-        def walk(k: int, rest: list) -> int:
-            # lattice points with m[:k] fixed; rest[c] is rests[c] minus the
-            # partial sum of row c over m[:k]
+        def walk(k: int, prefix: tuple, rest: list):
+            # slices with m[:k] = prefix; rest[c] is rests[c] minus the
+            # partial sum of row c over the prefix
             if k == self.r:
-                return 1
+                yield prefix, 0, 0
+                return
             lo, hi = box[k]
             for c, a in tested[k]:
                 if a > 0:
@@ -578,13 +535,28 @@ class _Engine:
                 else:
                     hi = min(hi, rest[c] // a)
             if k == self.r - 1:
-                return max(0, hi - lo + 1)
-            total = 0
+                if lo <= hi:
+                    yield prefix, lo, hi
+                return
             for x in range(lo, hi + 1):
-                total += walk(k + 1, [b - row[k] * x for b, row in zip(rest, rows)])
-            return total
+                yield from walk(k + 1, prefix + (x,),
+                                [b - row[k] * x for b, row in zip(rest, rows)])
 
-        return walk(0, rests)
+        return walk(0, (), rests)
+
+    def count(self, twist: tuple, states: tuple, box: tuple) -> int:
+        """Lattice weights with the margin pattern ``states`` in ``box``:
+        the lengths of the ``slices`` summed, so the walk runs over the box
+        of the first r - 1 coordinates, which ``cells`` holds to the weight
+        cap, and no weight is listed."""
+        return sum(hi - lo + 1 for _, lo, hi in self.slices(twist, states, box))
+
+    def weights(self, twist: tuple, states: tuple, box: tuple):
+        """The lattice weights with the margin pattern ``states`` in ``box``,
+        listed from the ``slices`` of the one walk."""
+        for prefix, lo, hi in self.slices(twist, states, box):
+            for x in range(lo, hi + 1):
+                yield (prefix + (x,))[:self.r]
 
     def useful(self, states: tuple) -> bool:
         """Whether some coarsening of the fine pattern ``states`` has
@@ -673,19 +645,26 @@ def _engine(f: Fan) -> _Engine:
 def cech_cohomology(f: Fan, s: LogFormSheafSpec) -> CohomologyResult:
     """Total cohomology of the sheaf, weight by weight.
 
-    The one weight loop ``_Engine.box_run`` lists the support box that the
-    level arrangement finds (``_Engine.support_box``) and reports each
-    weight with cohomology.  A support box of more than 5,000,000 weights is
-    WeightBoxTooLarge, raised before any weight is listed; the counted
-    totals of ``log_spec_dims`` list no weight.
+    Each fine pattern of the arrangement pass at the twist whose coarsening
+    has cohomology in form degree p is hulled (``_Engine.hull``), and its
+    lattice weights are listed by the one walk that also counts the totals
+    (``_Engine.weights``), each with its coarsened pattern's cohomology.
+    A support box, the integer box of all those vertices, of more than
+    5,000,000 weights is WeightBoxTooLarge, raised before any weight is
+    listed; the counted totals of ``log_spec_dims`` list no weight.
     """
     if len(s.twist) != f.n_rays:
         raise ValueError("twist length does not match the fan")
     sorted_logset(f, s.logset)
     eng = _engine(f)
     merged = eng.merged(s.p, s.logset)
-    bounds = eng.support_box(s.p, merged, s.twist)
-    support = {} if bounds is None else eng.box_run(s.p, merged, s.twist, bounds)
+    cells = [(states, h, eng.hull(states, verts, s.twist))
+             for states, verts in eng.chamber_patterns(s.twist).items()
+             if any(h := eng.state_cohomology(s.p, eng.coarsen(merged, states)))]
+    if cells:
+        _require_box_size(eng._integer_box([pt for *_, corners in cells for pt in corners]))
+    support = {m: h for states, h, corners in cells
+               for m in eng.weights(s.twist, states, eng._integer_box(corners))}
     dims = _total(f.dim, support.values())
     return CohomologyResult(dims, support, euler_characteristic(dims))
 

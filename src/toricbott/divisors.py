@@ -95,16 +95,6 @@ def rayset_divisor(f: Fan, rays: Sequence[int]) -> InvariantDivisor:
     return InvariantDivisor(tuple(int(i in rays) for i in range(f.n_rays)))
 
 
-def principal_divisor(f: Fan, m: Sequence[int]) -> InvariantDivisor:
-    """div(chi^m) = sum <m, u_rho> D_rho; ValueError unless m has one entry
-    per coordinate of the lattice."""
-    if len(m) != f.dim:
-        raise ValueError(f"weight has {len(m)} entries for a lattice of rank {f.dim}")
-    return InvariantDivisor(
-        tuple(sum(mk * uk for mk, uk in zip(m, ray)) for ray in f.rays)
-    )
-
-
 def _zero_on(f: Fan, coeffs: tuple, cone: int, rays) -> tuple:
     """coeffs + div(chi^m) with m = -sum a_rho m_rho over ``rays``, a subset
     of ``max_cones[cone]`` whose dual basis is m_i.
@@ -169,10 +159,6 @@ def _wall_targets(f: Fan, coeffs: tuple) -> tuple:
 
 def wall_numbers(f: Fan, d: InvariantDivisor) -> tuple:
     return _wall_targets(f, d.coeffs)
-
-
-def is_nef(f: Fan, d: InvariantDivisor) -> bool:
-    return all(v >= 0 for v in wall_numbers(f, d))
 
 
 def is_ample(f: Fan, d: InvariantDivisor) -> bool:
@@ -282,10 +268,6 @@ def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> Inva
     sp = stratum_fan(f, tau)
     zero = _zero_on(f, d.coeffs, sp.base_cone, tau)
     return InvariantDivisor(tuple(zero[i] for i in sp.adjacent))
-
-
-def divisor_to_dict(d: InvariantDivisor) -> dict:
-    return {"coeffs": list(d.coeffs)}
 
 
 def divisor_from_dict(data: dict) -> InvariantDivisor:

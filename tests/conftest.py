@@ -1,7 +1,11 @@
+import itertools
+from fractions import Fraction
+from math import ceil, floor
+
 import pytest
 
-from toricbott.danilov import _engine
-from toricbott.exactmath import QMatrix
+from toricbott.danilov import DEAD, FREE, RESTRICTED, _engine
+from toricbott.exactmath import QMatrix, det
 
 
 def _sparse(rows, cols=None) -> QMatrix:
@@ -19,19 +23,68 @@ def dense():
     return _sparse
 
 
+# --- an enumeration reference written apart from the engine's walk ----------
+
+def _margins(f, twist, m) -> list:
+    """The margins <m, u_rho> + t_rho of the rays at the point m, whose
+    coordinates may be ints or Fractions."""
+    return [sum(a * b for a, b in zip(m, ray)) + t for ray, t in zip(f.rays, twist)]
+
+
+def _oracle_state(merged, c):
+    """The state of the margin c: DEAD for c <= -1, FREE for c >= 1 (c >= 0
+    on a merged ray), RESTRICTED for c = 0, and None strictly between those
+    levels.  On a merged ray this is the rule of a pass with the ray's level
+    1 dropped."""
+    if c <= -1:
+        return DEAD
+    if c >= 1 or (merged and c >= 0):
+        return FREE
+    if c == 0:
+        return RESTRICTED
+    return None
+
+
+def _cramer_vertices(f, merged, twist) -> set:
+    """Arrangement vertices, as tuples of Fractions, by Cramer's rule on
+    every r-subset of level hyperplanes: levels -1 and 0 on a merged ray,
+    -1, 0 and 1 on any other."""
+    hyperplanes = [(i, lv - twist[i]) for i in range(f.n_rays)
+                   for lv in ((-1, 0) if merged[i] else (-1, 0, 1))]
+    vertices = set()
+    for combo in itertools.combinations(hyperplanes, f.dim):
+        rows = [list(f.rays[i]) for i, _ in combo]
+        d = det(rows)
+        if d:
+            vertices.add(tuple(
+                Fraction(det([row[:col] + [b] + row[col + 1:] for row, (_, b) in zip(rows, combo)]),
+                         d)
+                for col in range(f.dim)))
+    return vertices
+
+
 def _brute_box(f, s) -> dict:
-    """The weight support of the sheaf spec ``s`` listed by the one weight
-    loop ``_Engine.box_run`` over a box strictly larger than the support box:
-    the support box widened by 1 on each side, or (-1, 1) per coordinate when
-    no pattern has cohomology."""
+    """The weight support of the sheaf spec ``s``, {m: h^0..h^r}, by listing
+    every weight of a box strictly larger than the support box: the integer
+    box of the Cramer vertices whose merged oracle states have cohomology,
+    widened by 1 on each side, or (-1, 1) per coordinate when none has.
+    Each weight's state comes from its margins by ``_oracle_state``; the
+    engine gives only the cohomology of a pattern."""
     eng = _engine(f)
-    merged = eng.merged(s.p, s.logset)
-    support = eng.support_box(s.p, merged, s.twist)
-    if support is None:
-        bounds = tuple((-1, 1) for _ in range(f.dim))
-    else:
-        bounds = tuple((lo - 1, hi + 1) for lo, hi in support)
-    return eng.box_run(s.p, merged, s.twist, bounds)
+    merged = [s.p == 0 or i in s.logset for i in range(f.n_rays)]
+
+    def states(m):
+        return tuple(map(_oracle_state, merged, _margins(f, s.twist, m)))
+
+    corners = [v for v in _cramer_vertices(f, merged, s.twist)
+               if None not in (st := states(v)) and any(eng.state_cohomology(s.p, st))]
+    bounds = [(min(ceil(v[k]) for v in corners) - 1, max(floor(v[k]) for v in corners) + 1)
+              if corners else (-1, 1) for k in range(f.dim)]
+    support = {}
+    for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        if any(dims := eng.state_cohomology(s.p, states(m))):
+            support[m] = dims
+    return support
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +92,18 @@ def brute_box():
     """Lists a sheaf spec's weights over a box beyond its support box:
     ``brute_box(f, s)`` is {m: h^0..h^r}."""
     return _brute_box
+
+
+@pytest.fixture(scope="session")
+def oracle_state():
+    """The margin state rule written apart from the engine:
+    ``oracle_state(merged, c)``."""
+    return _oracle_state
+
+
+@pytest.fixture(scope="session")
+def cramer_vertices():
+    """The level arrangement's vertices by Cramer's rule:
+    ``cramer_vertices(f, merged, twist)`` is a set of Fraction tuples."""
+    return _cramer_vertices
+

@@ -245,7 +245,7 @@ def test_cohomology_checks_the_logset_alike_on_both_routes(p2_file, tmp_path, ca
 
 @pytest.mark.parametrize("options", [["--mode", "box"], ["--box-bound", "6"]])
 def test_cohomology_refuses_the_box_options(p2_file, tmp_path, options):
-    # the weights are listed from the support box alone
+    # the weights are listed from the cells with cohomology alone
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p": 0, "logset": [], "twist": [1, 0, 0]}))
     with pytest.raises(SystemExit) as exc:
@@ -459,6 +459,31 @@ def test_suite_parallel_dispatch(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("p1:")
     assert "ok=True" in out
+
+
+def test_suite_starts_no_more_workers_than_fans(capsys, monkeypatch):
+    # a pool starts every worker it is given at once; a stand-in pool records
+    # the size asked for and maps in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main(["suite", "--select", "thm11", "--fans", "p1,p2", "--jobs", "64"]) == EXIT_OK
+    assert sizes == [2]
+    assert "ok=True" in capsys.readouterr().out
 
 
 def test_suite_unknown_fan(capsys):

@@ -5,7 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import ceil, comb, floor, prod
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +33,9 @@ from toricbott.danilov import (
 from toricbott.divisors import (
     InvariantDivisor,
     canonical_divisor,
-    is_nef,
-    principal_divisor,
     ray_divisor,
     rayset_divisor,
+    wall_numbers,
     zero_divisor,
 )
 from toricbott.exactmath import ComplexNotExactlyComposable, QMatrix, det, rank
@@ -56,6 +55,11 @@ P2 = projective_space(2)
 
 # --- weight-level section spaces ------------------------------------------
 
+def _margins(f, twist, m):
+    """The margins <m, u_rho> + t_rho of the rays at the weight m."""
+    return tuple(sum(a * b for a, b in zip(m, ray)) + t for ray, t in zip(f.rays, twist))
+
+
 def _pattern(merged, margins, den=1):
     """Ray states of the margins num/den, read by the engine's one state rule
     ``_Engine.column`` and coarsened on the ``merged`` rays by its one
@@ -70,7 +74,7 @@ def _chart_wedges(f, s, tau, m):
     the dual-basis wedges of sigma that ``_Engine.sections`` keeps over the
     chart of tau at the weight m, each as its tuple of rays of sigma."""
     eng = _engine(f)
-    states = _pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
+    states = _pattern(eng.merged(s.p, s.logset), _margins(f, s.twist, m))
     level = f.dim - len(tau)
     first = [t for t, _, _ in eng.levels[level]].index(tau) * comb(f.dim, s.p)
     kept = eng.sections(s.p, states)[level]
@@ -124,10 +128,6 @@ def test_weight_sections_independent_of_completion(dense):
             if vecs:
                 # equal subspaces: stacking both bases must not raise the rank
                 assert rank(dense(vecs + other)) == len(vecs)
-
-
-def test_engine_margins():
-    assert _engine(P2).margins((2, 0, 0), (1, 0)) == (3, 0, -1)
 
 
 def test_affine_line_model():
@@ -194,7 +194,8 @@ def test_line_bundles_on_p1():
 
 def test_twist_by_principal_divisor_is_invisible():
     for m in [(1, 0), (-2, 1), (0, 3)]:
-        d = 2 * ray_divisor(P2, 0) + principal_divisor(P2, m)
+        # 2 D_0 + div(chi^m): the margins at m with twist 2 D_0
+        d = InvariantDivisor(_margins(P2, (2, 0, 0), m))
         assert line_bundle_cohomology(P2, d) == (6, 0, 0)
 
 
@@ -363,7 +364,7 @@ def test_nef_line_bundles_have_no_higher_cohomology(name, rnd):
     f = suite_fans()[name]
     for _ in range(10):
         d = InvariantDivisor(tuple(rnd.randint(0, 2) for _ in range(f.n_rays)))
-        if is_nef(f, d):
+        if min(wall_numbers(f, d)) >= 0:
             h = line_bundle_cohomology(f, d)
             assert all(v == 0 for v in h[1:])
             return
@@ -390,7 +391,7 @@ def test_weight_pattern_constancy():
     eng = _engine(P2)
     patterns = {}
     for m, dims in res.weight_support.items():
-        states = _pattern(eng.merged(s.p, s.logset), eng.margins(s.twist, m))
+        states = _pattern(eng.merged(s.p, s.logset), _margins(P2, s.twist, m))
         patterns.setdefault(states, set()).add(dims)
     for dims_set in patterns.values():
         assert len(dims_set) == 1
@@ -410,17 +411,16 @@ def test_chamber_agrees_with_brute_box(brute_box, name, rnd):
 
 
 @pytest.mark.parametrize("name", ["p2", "bl1", "p3"])
-def test_chamber_mode_lists_the_support_box_with_the_box_loop(monkeypatch, name):
-    # one loop over lattice weights: cech_cohomology hands box_run the support box
-    from toricbott.danilov import _Engine
-
+def test_cech_cohomology_lists_each_cell_with_cohomology_through_the_walk(monkeypatch, name):
+    # cech_cohomology lists weights only through the walk, once per fine
+    # cell whose coarsening has cohomology, within the box of its vertices
     f = suite_fans()[name]
     eng = _engine(f)
     rng = random.Random(f"one-loop-{name}")
     calls = []
-    original = _Engine.box_run
-    monkeypatch.setattr(_Engine, "box_run",
-                        lambda self, *args: calls.append(args[-1]) or original(self, *args))
+    original = _Engine.weights
+    monkeypatch.setattr(_Engine, "weights",
+                        lambda self, *args: calls.append(args) or original(self, *args))
     listed = 0
     for _ in range(8):
         s = sheaf_spec(rng.randint(0, f.dim), rng.sample(range(f.n_rays), rng.randint(0, 2)),
@@ -428,11 +428,14 @@ def test_chamber_mode_lists_the_support_box_with_the_box_loop(monkeypatch, name)
         calls.clear()
         result = cech_cohomology(f, s)
         merged = eng.merged(s.p, s.logset)
-        box = eng.support_box(s.p, merged, s.twist)
-        assert calls == ([] if box is None else [box])
-        listed += box is not None
-        if box is not None:
-            assert result.weight_support == eng.box_run(s.p, merged, s.twist, box)
+        cells = {states: eng._integer_box(eng.hull(states, verts, s.twist))
+                 for states, verts in eng.chamber_patterns(s.twist).items()
+                 if any(eng.state_cohomology(s.p, eng.coarsen(merged, states)))}
+        assert sorted(calls) == sorted((s.twist, states, box) for states, box in cells.items())
+        listed += len(calls)
+        assert result.weight_support == {
+            m: eng.state_cohomology(s.p, eng.coarsen(merged, states))
+            for _, states, box in calls for m in original(eng, s.twist, states, box)}
     assert listed
 
 
@@ -489,7 +492,7 @@ def test_p1_to_the_fourth_at_twist_20_lists_no_weight(monkeypatch):
     def no_listing(self, *args):
         raise AssertionError("weights were listed")
 
-    monkeypatch.setattr(_Engine, "box_run", no_listing)
+    monkeypatch.setattr(_Engine, "weights", no_listing)
     _engine.cache_clear()
     p1_4 = product(product(P1, P1), product(P1, P1))
     start = time.process_time()
@@ -543,15 +546,19 @@ def test_point_fan_cohomology():
 
 
 @pytest.mark.parametrize("p, dims, support, box", [(0, (1,), {(): (1,)}, ()), (1, (0,), {}, None)])
-def test_point_fan_cech_cohomology(p, dims, support, box):
+def test_point_fan_cech_cohomology(monkeypatch, p, dims, support, box):
+    # the point fan takes the general path: its one weight () is listed by
+    # the walk, and the support box checked against the weight cap is ()
+    import toricbott.danilov as danilov
+
+    checked = []
+    original = danilov._require_box_size
+    monkeypatch.setattr(danilov, "_require_box_size",
+                        lambda bounds: checked.append(bounds) or original(bounds))
     point = stratum_fan(P2, (0, 1)).fan
-    s = sheaf_spec(p, [], ())
-    result = cech_cohomology(point, s)
+    result = cech_cohomology(point, sheaf_spec(p, [], ()))
     assert (result.dims, result.weight_support) == (dims, support)
-    eng = _engine(point)
-    merged = eng.merged(p, s.logset)
-    assert eng.support_box(p, merged, ()) == box
-    assert eng.box_run(p, merged, (), ()) == support
+    assert checked == ([] if box is None else [box])
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -565,39 +572,22 @@ def test_point_fan_has_one_empty_pattern(p):
     assert [eng.point(v, ()) for v in patterns[()]] == [((), 1)]
 
 
-def _oracle_state(merged, num, den):
-    """The state of the margin c = num/den, written out apart from the
-    engine: DEAD for c <= -1, FREE for c >= 1 (c >= 0 on a merged ray),
-    RESTRICTED for c = 0, and None strictly between those levels.  On a
-    merged ray this is the rule of a pass with the ray's level 1 dropped,
-    which ``test_vertex_table_matches_cramer_oracle`` keeps as the support
-    box's reference."""
-    c = Fraction(num, den)
-    if c <= -1:
-        return DEAD
-    if c >= 1 or (merged and c >= 0):
-        return FREE
-    if c == 0:
-        return RESTRICTED
-    return None
-
-
-def test_state_rule_matches_a_hand_written_oracle():
+def test_state_rule_matches_a_hand_written_oracle(oracle_state):
     rng = random.Random(4242)
     for den in (1, 2, 3, 5, 7):
         # the levels -1, 0 and 1 hit exactly, their neighbours, and random draws
         nums = [-den, 0, den, -den - 1, -den + 1, -1, 1, den - 1, den + 1]
         nums += [rng.randint(-3 * den, 3 * den) for _ in range(40)]
         assert _Engine.column(nums, den) == tuple(
-            _oracle_state(False, num, den) for num in nums), den
-    # a lattice weight's coarsened state is the merged rule's
+            oracle_state(False, Fraction(num, den)) for num in nums), den
+    # an integral margin's coarsened state is the merged rule's
     nums = list(range(-4, 5)) + [rng.randint(-50, 50) for _ in range(40)]
     for merged in (False, True):
-        assert _Engine.coarsen((merged,) * len(nums), _Engine.column(nums)) == tuple(
-            _oracle_state(merged, num, 1) for num in nums), merged
+        assert _Engine.coarsen((merged,) * len(nums), _Engine.column(nums, 1)) == tuple(
+            oracle_state(merged, num) for num in nums), merged
     assert _Engine.column([], 4) == ()
     # with no ray flagged the states are handed back as they are
-    states = _Engine.column(nums)
+    states = _Engine.column(nums, 1)
     assert _Engine.coarsen((False,) * len(nums), states) is states
 
 
@@ -647,12 +637,15 @@ def test_one_column_table_per_ray_serves_every_form_degree():
     assert _column_entries(_engine(f)) == 0
 
 
-def test_form_degree_above_the_dimension_has_no_cohomology():
-    s = sheaf_spec(3, [0], (1, 0, 0))
-    result = cech_cohomology(P2, s)
+def test_form_degree_above_the_dimension_has_no_cohomology(monkeypatch):
+    # no cell has cohomology in form degree 3 on a surface, so the walk
+    # lists nothing
+    def no_listing(self, *args):
+        raise AssertionError("weights were listed")
+
+    monkeypatch.setattr(_Engine, "weights", no_listing)
+    result = cech_cohomology(P2, sheaf_spec(3, [0], (1, 0, 0)))
     assert (result.dims, result.weight_support) == ((0, 0, 0), {})
-    eng = _engine(P2)
-    assert eng.box_run(3, eng.merged(3, s.logset), s.twist, ((-2, 2),) * 2) == {}
 
 
 # --- cone-poset complex ------------------------------------------------------
@@ -848,7 +841,7 @@ def test_cached_dims_depend_only_on_the_twist_class():
             dprime = tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays))))
             twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
             m = tuple(rng.randint(-3, 3) for _ in range(f.dim))
-            moved = InvariantDivisor(twist) + principal_divisor(f, m)
+            moved = InvariantDivisor(_margins(f, twist, m))   # twist + div(chi^m)
             expected = cech_cohomology(f, sheaf_spec(p, dprime, twist)).dims
             assert log_spec_dims(f, p, dprime, moved) == expected, (name, p, dprime, twist, m)
             expected = cech_cohomology(f, sheaf_spec(0, (), twist)).dims
@@ -1060,78 +1053,85 @@ def test_orbit_lists_each_image_once():
 
 # --- arrangement vertices and the shared chamber pass ----------------------
 
-def _cramer_vertices(f, merged, twist):
-    """Arrangement vertices by Cramer's rule on every r-subset of level
-    hyperplanes, gcd-normalised with a positive denominator."""
-    hyperplanes = [(i, lv - twist[i]) for i in range(f.n_rays)
-                   for lv in ((-1, 0) if merged[i] else (-1, 0, 1))]
-    vertices = set()
-    for combo in itertools.combinations(hyperplanes, f.dim):
-        rows = [list(f.rays[i]) for i, _ in combo]
-        d = det(rows)
-        if d == 0:
-            continue
-        nums = [det([row[:col] + [b] + row[col + 1:] for row, (_, b) in zip(rows, combo)])
-                for col in range(f.dim)]
-        if d < 0:
-            d, nums = -d, [-x for x in nums]
-        vertices.add(_reduced((nums, d)))
-    return vertices
-
-
-def _reduced(point):
+def _fractions(point) -> tuple:
+    """The coordinates of an engine point (nums, den) as Fractions."""
     nums, den = point
-    g = gcd(den, *nums)
-    return tuple(x // g for x in nums), den // g
+    return tuple(Fraction(x, den) for x in nums)
 
 
-def _vertex_margins(f, twist, nums, den):
-    """den times the margins of the rays at the point nums/den."""
-    return [sum(a * b for a, b in zip(nums, ray)) + den * t for ray, t in zip(f.rays, twist)]
-
-
-def test_vertex_table_matches_cramer_oracle():
-    # the one pass lists every level choice of every solver; the support box
-    # read off it by coarsening must be the box of the reference rule, a
-    # pass with each merged ray's level 1 dropped and its states read by the
-    # merged oracle, over the patterns of that pass with cohomology
-    from toricbott.danilov import _engine
-
+def test_vertex_table_matches_cramer_oracle(cramer_vertices, oracle_state):
+    # the one pass lists every level choice of every solver, and each
+    # pattern's vertices are the oracle's; every weight cech_cohomology
+    # lists lies in the box of the reference rule, a pass with each merged
+    # ray's level 1 dropped and its states read by the merged oracle, over
+    # the patterns of that pass with cohomology
     rng = random.Random(2718)
     fans = _golden_fans()
     fans["p1^4"] = product(product(P1, P1), product(P1, P1))
-    boxes = 0
+    nonempty = 0
     for name, f in fans.items():
         eng = _engine(f)
         fine = (False,) * f.n_rays
         for _ in range(2):
             twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
             logset = frozenset(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays)))
-            expected = _cramer_vertices(f, fine, twist)
-            table = {_reduced(eng.point(vertex, twist))
+            expected = cramer_vertices(f, fine, twist)
+            table = {_fractions(eng.point(vertex, twist))
                      for solver in eng.solvers for vertex in solver[3]}
             assert table == expected, (name, twist)
             by_pattern = {}
-            for nums, den in expected:
-                states = _pattern(fine, _vertex_margins(f, twist, nums, den), den)
-                if states is not None:
-                    by_pattern.setdefault(states, set()).add((nums, den))
+            for v in expected:
+                states = tuple(oracle_state(False, c) for c in _margins(f, twist, v))
+                if None not in states:
+                    by_pattern.setdefault(states, set()).add(v)
             # the pass lists a vertex once per solver through it, unreduced
-            got = {states: set(map(_reduced, (eng.point(v, twist) for v in verts)))
+            got = {states: {_fractions(eng.point(v, twist)) for v in verts}
                    for states, verts in eng.chamber_patterns(twist).items()}
             assert got == by_pattern, (name, twist)
             for p in range(f.dim + 1):
                 merged = eng.merged(p, logset)
-                points = []
-                for nums, den in _cramer_vertices(f, merged, twist):
-                    states = tuple(_oracle_state(mg, num, den) for mg, num in
-                                   zip(merged, _vertex_margins(f, twist, nums, den)))
+                corners = []
+                for v in cramer_vertices(f, merged, twist):
+                    states = tuple(map(oracle_state, merged, _margins(f, twist, v)))
                     if None not in states and any(eng.state_cohomology(p, states)):
-                        points.append((nums, den))
-                reference = eng._integer_box(points) if points else None
-                assert eng.support_box(p, merged, twist) == reference, (name, p, logset, twist)
-                boxes += reference is not None
-    assert boxes > 0
+                        corners.append(v)
+                listed = cech_cohomology(f, sheaf_spec(p, logset, twist)).weight_support
+                assert all(min(v[k] for v in corners) <= m[k] <= max(v[k] for v in corners)
+                           for m in listed for k in range(f.dim)), (name, p, logset, twist)
+                nonempty += bool(listed)
+    assert nonempty > 0
+
+
+def test_walk_counts_and_lists_what_a_brute_enumeration_finds(oracle_state):
+    # for every fine cell that hull accepts, the count, the number of weights
+    # the listing yields and a brute enumeration of the integer box of the
+    # cell's vertices by the oracle states agree, weight for weight
+    rng = random.Random(8161)
+    fans = _golden_fans()
+    fans["p1^3"] = product(product(P1, P1), P1)
+    fans["point"] = Fan(0, (), ((),))
+    cells = weights = 0
+    for name, f in fans.items():
+        eng = _engine(f)
+        for _ in range(2):
+            twist = tuple(rng.randint(-2, 2) for _ in range(f.n_rays))
+            for states, verts in eng.chamber_patterns(twist).items():
+                if not eng.pattern_bounded(states):
+                    continue
+                hulled = eng.hull(states, verts, twist)
+                corners = list(map(_fractions, hulled))
+                bounds = [(min(ceil(v[k]) for v in corners), max(floor(v[k]) for v in corners))
+                          for k in range(f.dim)]
+                brute = {m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+                         if tuple(oracle_state(False, c) for c in _margins(f, twist, m)) == states}
+                box = eng._integer_box(hulled)
+                listed = list(eng.weights(twist, states, box))
+                assert eng.count(twist, states, box) == len(listed) == len(brute), \
+                    (name, twist, states)
+                assert set(listed) == brute, (name, twist, states)
+                cells += 1
+                weights += len(brute)
+    assert (cells, weights) == (225, 349)
 
 
 def test_shared_pass_matches_one_degree_at_a_time():
@@ -1150,8 +1150,8 @@ def test_shared_pass_matches_one_degree_at_a_time():
 
 def test_coarsened_cells_match_the_listing_route():
     # the totals read every p and D' at a twist off one pass with no ray
-    # merged, by coarsening its cells; the reference lists the weights of
-    # cech_cohomology's pass with the flags of that p and D' merged
+    # merged, by coarsening its cells; the reference is cech_cohomology,
+    # which lists the weights of the cells with cohomology at that p and D'
     rng = random.Random(6151)
     _engine.cache_clear()
     checked = 0

