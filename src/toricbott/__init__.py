@@ -63,8 +63,6 @@ from .certifier import (
 from .counterexample import (
     ScenarioReport,
     minimal_failing_degree,
-    relative_ample_check,
-    riemann_roch_consistency,
     scenario,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "Certificate", "CertificateNode", "VanishingClaim", "build_certificate",
     "certificate_from_dict", "certificate_to_dict", "check_certificate",
     "cross_validate",
-    "ScenarioReport", "minimal_failing_degree", "relative_ample_check",
-    "riemann_roch_consistency", "scenario",
+    "ScenarioReport", "minimal_failing_degree", "scenario",
 ]
 __version__ = "0.1.0"

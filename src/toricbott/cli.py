@@ -27,7 +27,12 @@ EXIT_INTERNAL = 4
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            # nesting deeper than the parser's stack is malformed input, not
+            # an engine fault
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(data: dict, fmt: str, table_lines) -> None:
@@ -193,12 +198,6 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-def _thm11_worker(task):
-    name, certify = task
-    out = suite.thm11_sweep(suite.suite_fans()[name], certify=certify)
-    return name, out
-
-
 def cmd_suite(args) -> int:
     fans = suite.suite_fans()
     names = sorted(fans) if args.fans == "all" else args.fans.split(",")
@@ -212,7 +211,6 @@ def cmd_suite(args) -> int:
         return EXIT_MALFORMED
     thm11 = args.select == "thm11"
     sampled = args.select in ("serre", "euler")
-    _read_only_by(args.jobs is not None and not thm11, "--jobs", "suite --select thm11")
     _read_only_by(args.no_certify and not thm11, "--no-certify", "suite --select thm11")
     _read_only_by(args.bound is not None and args.select != "serre", "--bound",
                   "suite --select serre")
@@ -220,12 +218,11 @@ def cmd_suite(args) -> int:
                   "suite --select serre and euler")
     _read_only_by(args.seed is not None and not sampled, "--seed",
                   "suite --select serre and euler")
-    jobs = 1 if args.jobs is None else args.jobs
     bound = 3 if args.bound is None else args.bound
     sample = 25 if args.sample is None else args.sample
     rng = random.Random(0 if args.seed is None else args.seed)
-    if bound < 0 or sample < 0 or jobs < 1:
-        print("--bound and --sample must be nonnegative and --jobs positive", file=sys.stderr)
+    if bound < 0 or sample < 0:
+        print("--bound and --sample must be nonnegative", file=sys.stderr)
         return EXIT_MALFORMED
     if args.select == "euler" and sample == 0:
         print("--sample 0 draws no euler instance, so it would check nothing", file=sys.stderr)
@@ -233,19 +230,8 @@ def cmd_suite(args) -> int:
     rows = {}
     lines = []
     if thm11:
-        tasks = [(name, not args.no_certify) for name in names]
-        if jobs > 1:
-            # per-instance determinism makes fan-level dispatch safe; results
-            # are reported in name order regardless of completion order
-            from concurrent.futures import ProcessPoolExecutor
-
-            # the pool starts all its workers at once, so ask for no more
-            # than there are fans
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                results = list(pool.map(_thm11_worker, tasks))
-        else:
-            results = map(_thm11_worker, tasks)
-        for name, out in results:
+        for name in names:
+            out = suite.thm11_sweep(fans[name], certify=not args.no_certify)
             ok = out.all_verified and (args.no_certify or out.all_certified)
             rows[name] = dict(vars(out), ok=ok)
             lines.append(f"{name}: {out.feasible}/{out.instances} feasible, "
@@ -329,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--bound", type=int,
                     help="serre checks twists with entries in [-bound, bound] (default 3)")
     st.add_argument("--no-certify", action="store_true")
-    st.add_argument("--jobs", type=int,
-                    help="dispatch whole-fan thm11 sweeps to this many processes (default 1)")
     return parser
 
 

@@ -72,17 +72,3 @@ def minimal_failing_degree() -> int:
         if scenario(d).bott_fails:
             return d
     raise RuntimeError("no failing degree found below the scan limit")
-
-
-def relative_ample_check(d: int) -> bool:
-    """Both contracted classes must meet D = -E - f*(d+1)P in exactly 1."""
-    report = scenario(d)
-    return report.a_dot_D == 1 and report.b_dot_D == 1
-
-
-def riemann_roch_consistency(d: int) -> bool:
-    """The bound equals g - 1 - deg L, and expands to (d^2 - 7d)/2."""
-    report = scenario(d)
-    if report.rr_lower_bound != report.genus - 1 - report.deg_L:
-        return False
-    return 2 * report.rr_lower_bound == d * d - 7 * d

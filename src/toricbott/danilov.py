@@ -342,17 +342,17 @@ class _Engine:
             out.append(dict(zip(kept, range(len(kept)))))
         return out
 
-    def orbit(self, *per_ray: tuple) -> set:
+    def orbit(self, per_ray: tuple) -> set:
         """The one orbit rule of the caches: the distinct images of the
-        per-ray tuples under the fan's automorphisms, read from the table
-        ``fan.movers``, the given tuples themselves included.
+        per-ray tuple under the fan's automorphisms, read from the table
+        ``fan.movers``, the given tuple itself included.
 
         Moving v to v o pi is the action of pi^-1, which carries D_rho to
         D_pi^-1(rho).  A sheaf, a weight's complex and its region of weights
         are carried onto those of the image, so a result computed for the
-        tuples holds for each of them.
+        tuple holds for each of them.
         """
-        return {tuple(move(v) for v in per_ray) for move in movers(self.fan)}
+        return {move(per_ray) for move in movers(self.fan)}
 
     def state_cohomology(self, p: int, states: tuple) -> tuple:
         """h^0..h^r at one margin pattern, from the cone-poset complex
@@ -375,7 +375,7 @@ class _Engine:
             diffs.append(QMatrix(len(targets), len(kept[i]), tuple(map(tuple, rows_))))
         complex_ = ChainComplex(tuple(map(len, kept)), tuple(diffs))
         result = tuple(cohomology_dims(complex_))
-        for (moved,) in self.orbit(states):
+        for moved in self.orbit(states):
             self._state_coh[(p, moved)] = result
         return result
 
@@ -570,7 +570,7 @@ class _Engine:
                 *((False, True) if st == RESTRICTED else (False,) for st in states))]
             cached = any(self.state_cohomology(0, coarse[-1])) or any(
                 any(self.state_cohomology(p, c)) for c in coarse for p in range(1, self.r + 1))
-            for (moved,) in self.orbit(states):
+            for moved in self.orbit(states):
                 self._useful[moved] = cached
         return cached
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from toricbott.counterexample import minimal_failing_degree, relative_ample_check, scenario
+from toricbott.counterexample import minimal_failing_degree, scenario
 from toricbott.danilov import (
     cech_cohomology,
     euler_additivity_check,
@@ -21,7 +21,7 @@ from toricbott.danilov import (
 )
 from toricbott.divisors import InvariantDivisor, zero_divisor
 from toricbott.exactmath import rank
-from toricbott.fan import projective_space
+from toricbott.fan import hirzebruch, projective_space
 from toricbott.suite import (
     hodge_chart_subsets,
     log_serre_duality_failures,
@@ -130,39 +130,48 @@ def test_criterion_6_hodge_counts(fans):
 
 def test_criterion_7_counterexample_arithmetic():
     r8 = scenario(8)
+    rows = [scenario(d) for d in range(1, 51)]
     ok = (
         minimal_failing_degree() == 8
         and r8.genus == 21
         and r8.rr_lower_bound == 4
-        and all(relative_ample_check(d) for d in range(1, 51))
-        and all(2 * scenario(d).rr_lower_bound == d * d - 7 * d for d in range(1, 51))
+        and all(r.a_dot_D == r.b_dot_D == 1 for r in rows)
+        and all(r.rr_lower_bound == r.genus - 1 - r.deg_L for r in rows)
+        and all(2 * r.rr_lower_bound == r.d * r.d - 7 * r.d for r in rows)
     )
     _announce(7, ok, "degree family: minimal failing degree 8, g(8)=21, bound 4, "
-                     "relative ampleness and closed form for 1<=d<=50")
+                     "relative ampleness, the Riemann-Roch bound and its closed form "
+                     "for 1<=d<=50")
     assert ok
+
+
+def _draws(f, rng, count):
+    """``count`` seeded (p, D', twist) draws on the fan ``f``."""
+    for _ in range(count):
+        p = rng.randint(0, f.dim)
+        logset = tuple(sorted(rng.sample(range(f.n_rays), rng.randint(0, f.n_rays))))
+        yield p, logset, InvariantDivisor(tuple(rng.randint(-2, 2) for _ in range(f.n_rays)))
 
 
 def test_criterion_8_method_agreement(fans, brute_box):
     rng = random.Random(SEED)
-    compared = 0
+    instances = [(name, f, draw) for name, f in sorted(fans.items())
+                 for draw in _draws(f, rng, 4)]
+    # a second stream on the fans with a ray entry of size >= 2, where the
+    # walk's ceiling on such a margin row binds at an odd remainder
+    for name, f in (("f2", fans["f2"]), ("f3", hirzebruch(3))):
+        instances += [(name, f, draw) for draw in _draws(f, random.Random(SEED), 40)]
     bad = []
-    for name, f in sorted(fans.items()):
-        for _ in range(4):
-            p = rng.randint(0, f.dim)
-            logset = tuple(sorted(rng.sample(range(f.n_rays),
-                                             rng.randint(0, f.n_rays))))
-            twist = InvariantDivisor(tuple(rng.randint(-2, 2)
-                                           for _ in range(f.n_rays)))
-            s = sheaf_spec(p, logset, twist)
-            chamber = cech_cohomology(f, s)
-            box = brute_box(f, s)
-            counted = log_spec_dims(f, p, logset, twist)
-            compared += 1
-            # chamber.dims is checked to be the sum of its weight support
-            if chamber.weight_support != box or counted != chamber.dims:
-                bad.append((name, p, logset, twist.coeffs))
-    ok = compared > 0 and not bad
+    for name, f, (p, logset, twist) in instances:
+        s = sheaf_spec(p, logset, twist)
+        chamber = cech_cohomology(f, s)
+        box = brute_box(f, s)
+        counted = log_spec_dims(f, p, logset, twist)
+        # chamber.dims is checked to be the sum of its weight support
+        if chamber.weight_support != box or counted != chamber.dims:
+            bad.append((name, p, logset, twist.coeffs))
+    ok = bool(instances) and not bad
     _announce(8, ok, f"chamber and provably-sufficient brute-box enumeration "
                      f"produce identical results, and the counted totals their dims, "
-                     f"on {compared} instances")
+                     f"on {len(instances)} instances")
     assert ok, bad[:3]

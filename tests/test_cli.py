@@ -61,6 +61,28 @@ def test_malformed_fan_file(tmp_path):
     assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
 
 
+def test_deeply_nested_json_is_malformed(p2_file, tmp_path, capsys):
+    # nesting deeper than the JSON parser's stack is a malformed file (exit 2),
+    # not an internal RecursionError (exit 4)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
+    assert main(["vanishing", "check", "--fan", p2_file, "--divisor", str(path)]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.err.count(f"error: {path}") == 2 and captured.out == ""
+
+
+def test_engine_recursion_error_is_internal(p2_file, capsys, monkeypatch):
+    import toricbott.fan as fanmod
+
+    def recurse(f):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(fanmod, "validate", recurse)
+    assert main(["fan", "validate", "--fan", p2_file]) == EXIT_INTERNAL
+    assert "internal RecursionError" in capsys.readouterr().err
+
+
 def test_fan_file_with_float_ray_is_malformed(tmp_path):
     path = tmp_path / "float.json"
     path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1.5, -1]],
@@ -336,14 +358,23 @@ def test_suite_empty_euler_sample_is_malformed(capsys):
     assert "--sample 0" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("select, option", [("serre", ["--jobs", "2"]),
-                                            ("hodge", ["--jobs", "1"]),
-                                            ("euler", ["--no-certify"]),
+@pytest.mark.parametrize("select, option", [("euler", ["--no-certify"]),
                                             ("serre", ["--no-certify"])])
 def test_suite_thm11_options_are_refused_by_other_selections(capsys, select, option):
     assert main(["suite", "--select", select, "--fans", "p1"] + option) == EXIT_MALFORMED
     captured = capsys.readouterr()
     assert option[0] in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("select", ["thm11", "serre", "hodge", "euler"])
+def test_suite_has_no_jobs_option(capsys, select):
+    # the suite runs its fans in one serial loop; argparse refuses the
+    # option with the malformed-input code
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--select", select, "--fans", "p1", "--jobs", "2"])
+    assert exc.value.code == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("select, option", [("hodge", ["--bound", "9"]),
@@ -378,12 +409,6 @@ def test_suite_sample_option_defaults(capsys, select, defaults):
     assert main(["--format", "machine", "suite", "--select", select, "--fans", "p1"]
                 + defaults) == EXIT_OK
     assert capsys.readouterr().out == implicit
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_suite_jobs_must_be_positive(capsys, jobs):
-    assert main(["suite", "--select", "thm11", "--fans", "p1", "--jobs", jobs]) == EXIT_MALFORMED
-    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("select, options, pattern, keys", [
@@ -451,39 +476,6 @@ def test_machine_suite_output_lists_each_failure(capsys, monkeypatch):
 def test_suite_euler_smoke(capsys):
     assert main(["suite", "--select", "euler", "--fans", "p2", "--sample", "3",
                  "--seed", "7"]) == EXIT_OK
-
-
-def test_suite_parallel_dispatch(capsys):
-    assert main(["suite", "--select", "thm11", "--fans", "p1,p2",
-                 "--jobs", "2"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("p1:")
-    assert "ok=True" in out
-
-
-def test_suite_starts_no_more_workers_than_fans(capsys, monkeypatch):
-    # a pool starts every worker it is given at once; a stand-in pool records
-    # the size asked for and maps in this process
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert main(["suite", "--select", "thm11", "--fans", "p1,p2", "--jobs", "64"]) == EXIT_OK
-    assert sizes == [2]
-    assert "ok=True" in capsys.readouterr().out
 
 
 def test_suite_unknown_fan(capsys):

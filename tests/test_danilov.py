@@ -1040,12 +1040,13 @@ def test_orbit_lists_each_image_once():
         eng = _Engine(f)
         perms = automorphisms(f)
         constant = (0,) * f.n_rays
-        assert eng.orbit(constant) == {(constant,)}, name
+        assert eng.orbit(constant) == {constant}, name
         for _ in range(4):
-            per_ray = (tuple(rng.randint(0, 2) for _ in range(f.n_rays)),
-                       tuple(rng.randint(-2, 2) for _ in range(f.n_rays)))
-            old = [tuple(tuple(v[i] for i in perm) for v in per_ray) for perm in perms]
-            images = list(eng.orbit(*per_ray))
+            # two per-ray tuples moved together, as one tuple of per-ray pairs
+            per_ray = tuple(zip(tuple(rng.randint(0, 2) for _ in range(f.n_rays)),
+                                tuple(rng.randint(-2, 2) for _ in range(f.n_rays))))
+            old = [tuple(per_ray[i] for i in perm) for perm in perms]
+            images = list(eng.orbit(per_ray))
             assert sorted(images) == sorted(set(old)), (name, per_ray)
             repeats += len(old) - len(images)
     assert repeats > 0
