@@ -18,6 +18,11 @@ each p, and the leaf test looks at O(E - D) alone, which does not depend
 on p.  Claims therefore carry no p.  Strata are addressed by a descent
 chain of ray indices, one per level (level 0 indexes a ray of the ambient
 fan, level 1 a ray of that stratum's fan, and so on).
+
+The root claim rests on the hypothesis witness d that the caller passes
+in: L - dD' ample, d in [0,1]^{D'}.  The builder and the checker check
+that witness and solve no LP; the ``thm11`` sweep and the CLI decide the
+hypothesis.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .danilov import line_bundle_cohomology, verify_vanishing, VanishingReport
 from .divisors import (
     InvariantDivisor,
     boundary_divisor,
-    hypothesis_feasible,
     is_ample,
     require_witness,
     restrict_to_stratum,
@@ -44,10 +48,6 @@ from .fan import Fan, fan_hash, require_smooth_complete, stratum_fan
 
 class CertificateError(ValueError):
     """Base class for certificate construction/checking failures."""
-
-
-class HypothesisInfeasible(CertificateError):
-    """No witness for the ampleness hypothesis; nothing to certify."""
 
 
 class StratumHypothesisFails(CertificateError):
@@ -130,23 +130,20 @@ def build_certificate(
     f: Fan,
     dprime: Sequence[int],
     l: InvariantDivisor,
-    witness: Optional[Sequence] = None,
+    witness: Sequence,
 ) -> Certificate:
     """Build the induction tree, which serves every p, re-verifying the
     hypothesis on each visited stratum.
 
     Components missing from the log set are added in ascending ray-index
-    order.  A supplied hypothesis ``witness`` is checked (one entry per log
-    ray, in [0,1], with L - dD' ample) instead of re-solving the LP for one.
-    Each stratum re-checks the integer residual class N (L - dD'),
-    restricted: it is ample exactly when the restriction of L - dD' is.
+    order.  The hypothesis ``witness`` is checked (one entry per log ray, in
+    [0,1], with L - dD' ample), not searched for: the ``thm11`` sweep or the
+    CLI decides the hypothesis.  Each stratum re-checks the integer residual
+    class N (L - dD'), restricted: it is ample exactly when the restriction
+    of L - dD' is.
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
-    if witness is None:
-        witness = hypothesis_feasible(f, l, dprime)
-        if witness is None:
-            raise HypothesisInfeasible("the ampleness hypothesis LP has no witness")
     residual = require_witness(f, l, dprime, witness)
 
     def build_node(fan_s: Fan, claim: VanishingClaim,
@@ -258,15 +255,15 @@ class CrossValidationReport:
 
 
 def cross_validate(f: Fan, dprime: Sequence[int], l: InvariantDivisor,
-                   witness: Optional[Sequence] = None) -> CrossValidationReport:
+                   witness: Sequence) -> CrossValidationReport:
     """Run both proof paths; they must both succeed, or something is wrong.
 
-    A supplied hypothesis ``witness`` is checked and used by both paths
-    instead of solving the LP; without one the certificate finds it.
+    Both paths check the hypothesis ``witness`` they are given; neither
+    solves an LP for one.
     """
-    cert = build_certificate(f, dprime, l, witness=witness)
+    cert = build_certificate(f, dprime, l, witness)
     cert_ok = check_certificate(f, cert)
-    direct = verify_vanishing(f, dprime, l, witness=cert.hypothesis_witness)
+    direct = verify_vanishing(f, dprime, l, witness=witness)
     return CrossValidationReport(cert_ok, direct, cert_ok and direct.passed)
 
 

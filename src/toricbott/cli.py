@@ -173,8 +173,12 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.scan:
-        lo, hi = (int(x) for x in args.scan.split(".."))
+    if args.scan is not None:
+        try:
+            lo, hi = (int(x) for x in args.scan.split(".."))
+        except ValueError:
+            raise ValueError(f"scan range must read lo..hi with integers lo and hi, "
+                             f"got {args.scan!r}") from None
         if lo > hi:
             raise ValueError(f"empty scan range {args.scan}")
         reports = [counterexample.scenario(d) for d in range(lo, hi + 1)]

@@ -96,6 +96,10 @@ image.  Within a pass, an automorphism that fixes the twist class (its
 stabilizer) carries each cell onto a cell of the same pass whose region is
 the moved one shifted by a lattice weight, so one cell per stabilizer orbit
 is hulled and counted, and the pass's table is stored once per image class.
+
+``verify_vanishing`` checks the theorem's vanishing with the hypothesis
+witness it is given and solves no LP for one: the ``thm11`` sweep and the
+CLI decide the hypothesis and pass their witness on.
 """
 
 from __future__ import annotations
@@ -111,7 +115,6 @@ from .exactmath import ChainComplex, QMatrix, cohomology_dims, det, json_ints
 from .divisors import (
     InvariantDivisor,
     class_representative,
-    hypothesis_feasible,
     ray_divisor,
     rayset_divisor,
     require_witness,
@@ -129,7 +132,8 @@ class UnboundedCohomologyChamber(RuntimeError):
 
 
 class HypothesisNotVerified(RuntimeError):
-    """verify_vanishing was called without a hypothesis witness."""
+    """verify_vanishing was called with neither a hypothesis witness nor
+    ``unchecked``; it solves no LP to find a witness."""
 
 
 class ChartConditionFails(ValueError):
@@ -712,8 +716,8 @@ class VanishingReport:
 
     @property
     def hypothesis_checked(self) -> bool:
-        """Whether a hypothesis witness was found or checked: every path
-        that has a witness checks it."""
+        """Whether a hypothesis witness was checked: every path that has a
+        witness checks it."""
         return self.witness is not None
 
 
@@ -726,9 +730,11 @@ def verify_vanishing(
 ) -> VanishingReport:
     """Check h^k(Omega^p(log D')(-D') (x) L) = 0 for all p and k >= 1.
 
-    Requires a hypothesis witness (found via the LP if not supplied) unless
-    ``unchecked`` is set, which runs the engine as a negative control.
-    Each path checks D' once: the witness check, the LP or ``sorted_logset``.
+    Requires a hypothesis witness, which is checked and not searched for:
+    the ``thm11`` sweep or the CLI decides the hypothesis and passes its
+    witness on.  ``unchecked`` instead runs the engine as a negative
+    control.  Each path checks D' once: the witness check or
+    ``sorted_logset``.
     """
     require_smooth_complete(f)
     if witness is not None:
@@ -736,11 +742,8 @@ def verify_vanishing(
     elif unchecked:
         sorted_logset(f, dprime)
     else:
-        witness = hypothesis_feasible(f, l, dprime)
-        if witness is None:
-            raise HypothesisNotVerified(
-                "hypothesis LP is infeasible; pass unchecked=True for a negative control"
-            )
+        raise HypothesisNotVerified(
+            "no hypothesis witness; pass unchecked=True for a negative control")
     dprime = frozenset(dprime)
     twist = l - rayset_divisor(f, dprime)
     per_p = _log_dims(f, range(f.dim + 1), dprime, twist.coeffs)

@@ -40,7 +40,7 @@ def test_traced_benchmark_counts_certificate_leaves(monkeypatch):
     # rename of either must fail here rather than in a traced run
     spans = _load_spans(monkeypatch)
     p2 = toricbott.projective_space(2)
-    cert = toricbott.build_certificate(p2, (), toricbott.InvariantDivisor((1, 0, 0)))
+    cert = toricbott.build_certificate(p2, (), toricbott.InvariantDivisor((1, 0, 0)), ())
     tracer = spans.Tracer()
     tracer._observe("certifier.build_certificate", (), cert)
     assert tracer.leaves == toricbott.certifier.leaf_count(cert) > 1

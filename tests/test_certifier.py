@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from toricbott.certifier import (
     Certificate,
-    HypothesisInfeasible,
     LEAF_RULE,
     LeafNonzero,
     MalformedNode,
@@ -23,7 +23,7 @@ from toricbott.certifier import (
     cross_validate,
     leaf_count,
 )
-from toricbott.danilov import verify_vanishing
+from toricbott.danilov import HypothesisNotVerified, verify_vanishing
 from toricbott.divisors import InvariantDivisor, hypothesis_feasible, ray_divisor, zero_divisor
 from toricbott.fan import hirzebruch, product, projective_space, stratum_fan
 from toricbott.suite import suite_fans
@@ -32,14 +32,19 @@ P1 = projective_space(1)
 P2 = projective_space(2)
 
 
+def _certificate(f, dprime, l):
+    """The certificate of (D', L) on the witness that the hypothesis LP finds."""
+    return build_certificate(f, dprime, l, hypothesis_feasible(f, l, dprime))
+
+
 def test_full_boundary_gives_leaf_roots():
-    cert = build_certificate(P2, (0, 1, 2), ray_divisor(P2, 0))
+    cert = _certificate(P2, (0, 1, 2), ray_divisor(P2, 0))
     assert all(root.rule == LEAF_RULE for root in cert.roots)
     assert check_certificate(P2, cert)
 
 
 def test_p2_empty_logset_tree_shape():
-    cert = build_certificate(P2, (), ray_divisor(P2, 0))
+    cert = _certificate(P2, (), ray_divisor(P2, 0))
     root = cert.roots[0]
     # three residue layers along the sub chain, one per ray
     depth = 0
@@ -55,7 +60,7 @@ def test_p2_empty_logset_tree_shape():
 
 
 def test_p1_tree_shape():
-    cert = build_certificate(P1, (), ray_divisor(P1, 0))
+    cert = _certificate(P1, (), ray_divisor(P1, 0))
     root = cert.roots[0]
     assert root.rule == RESIDUE_RULE
     assert root.sub_child.rule == RESIDUE_RULE
@@ -67,7 +72,7 @@ def test_p1_tree_shape():
 def test_p2_first_residue_step_by_hand():
     # adding D_0 to D' = D_1 with E = 2 D_0: the quotient lives on D_0 = P^1,
     # keeps the trace of D_1 (a point) in its log set and twists by O(2)
-    cert = build_certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
     root = cert.roots[0]
     assert root.added_ray == 0
     assert root.sub_child.claim == VanishingClaim((), (0, 1), (2, 0, 0))
@@ -87,7 +92,7 @@ def test_p3_first_residue_step_by_hand():
     p3 = projective_space(3)
     sp = stratum_fan(p3, (0,))
     assert sp.fan == P2 and sp.adjacent == (1, 2, 3) and sp.base_cone == 0
-    cert = build_certificate(p3, (1,), 2 * ray_divisor(p3, 0))
+    cert = _certificate(p3, (1,), 2 * ray_divisor(p3, 0))
     root = cert.roots[0]
     assert root.added_ray == 0
     assert root.sub_child.claim == VanishingClaim((), (0, 1), (2, 0, 0, 0))
@@ -104,8 +109,22 @@ def test_p3_first_residue_step_by_hand():
 
 
 def test_infeasible_raises():
-    with pytest.raises(HypothesisInfeasible):
-        build_certificate(P2, (0,), zero_divisor(P2))
+    # O(0) with D' = D_0 has no witness, and require_witness refuses d = 0
+    assert hypothesis_feasible(P2, zero_divisor(P2), (0,)) is None
+    with pytest.raises(ValueError, match="does not satisfy the hypothesis"):
+        build_certificate(P2, (0,), zero_divisor(P2), (0,))
+
+
+def test_routes_solve_no_lp_for_a_missing_witness():
+    # the sweep or the CLI decides the hypothesis; a route given no witness
+    # fails at once, also where the hypothesis holds (d = 0 makes 2 D_0 ample)
+    l = 2 * ray_divisor(P2, 0)
+    assert hypothesis_feasible(P2, l, (0,)) is not None
+    with pytest.raises(HypothesisNotVerified, match="no hypothesis witness"):
+        verify_vanishing(P2, (0,), l)
+    for route in (build_certificate, cross_validate):
+        with pytest.raises(TypeError, match="witness"):
+            route(P2, (0,), l)
 
 
 def _replace_leaf_twists(node, delta):
@@ -123,7 +142,7 @@ def _replace_leaf_twists(node, delta):
 
 
 def test_tampered_leaf_twist_is_caught_as_leaf_nonzero():
-    cert = build_certificate(P2, (), ray_divisor(P2, 0))
+    cert = _certificate(P2, (), ray_divisor(P2, 0))
     bad_roots = tuple(_replace_leaf_twists(r, -5) for r in cert.roots)
     bad = dataclasses.replace(cert, roots=bad_roots)
     assert not check_certificate(P2, bad)
@@ -132,7 +151,7 @@ def test_tampered_leaf_twist_is_caught_as_leaf_nonzero():
 
 
 def test_tampered_added_ray_is_malformed():
-    cert = build_certificate(P2, (), ray_divisor(P2, 0))
+    cert = _certificate(P2, (), ray_divisor(P2, 0))
     root = cert.roots[0]
     bad_root = dataclasses.replace(root, added_ray=(root.added_ray + 1) % 3)
     bad = dataclasses.replace(cert, roots=(bad_root,) + cert.roots[1:])
@@ -154,7 +173,7 @@ def test_tampered_leaf_below_the_root_quotient_is_rejected():
     # the checker must recurse into quotient children: this leaf sits below
     # the root's quotient child, whose own claim is left as built
     p3 = projective_space(3)
-    cert = build_certificate(p3, (), ray_divisor(p3, 0))
+    cert = _certificate(p3, (), ray_divisor(p3, 0))
     root = cert.roots[0]
     quotient = root.quotient_child
     assert quotient.rule == RESIDUE_RULE
@@ -176,24 +195,25 @@ def test_leaf_with_only_h1_is_leaf_nonzero():
 
 
 def test_certificate_for_wrong_fan_rejected():
-    cert = build_certificate(P2, (), ray_divisor(P2, 0))
+    cert = _certificate(P2, (), ray_divisor(P2, 0))
     with pytest.raises(MalformedNode):
         check_certificate(projective_space(3), cert, raise_on_failure=True)
 
 
 def test_cross_validate_examples():
-    assert cross_validate(P2, (0,), 2 * ray_divisor(P2, 0)).agree
     p1xp1 = product(P1, P1)
     onewone = ray_divisor(p1xp1, 0) + ray_divisor(p1xp1, 2)
-    assert cross_validate(p1xp1, (2, 3), onewone).agree
     f1 = hirzebruch(1)
     ample = InvariantDivisor((1, 0, 1, 2))
-    assert cross_validate(f1, (), ample).agree
+    for f, dprime, l in ((P2, (0,), 2 * ray_divisor(P2, 0)), (p1xp1, (2, 3), onewone),
+                         (f1, (), ample)):
+        assert cross_validate(f, dprime, l, hypothesis_feasible(f, l, dprime)).agree
 
 
 def test_cross_validate_uses_the_witness_it_is_given(monkeypatch):
     import toricbott.certifier as certifier
     import toricbott.danilov as danilov
+    import toricbott.divisors as divisors
     import toricbott.suite as suite
 
     l = 2 * ray_divisor(P2, 0)
@@ -202,8 +222,10 @@ def test_cross_validate_uses_the_witness_it_is_given(monkeypatch):
     def no_lp(*args):
         raise AssertionError("the hypothesis LP ran although a witness was given")
 
-    for module in (certifier, danilov):
-        monkeypatch.setattr(module, "hypothesis_feasible", no_lp)
+    # neither route holds the hypothesis LP, and none reaches it through divisors
+    assert not hasattr(certifier, "hypothesis_feasible")
+    assert not hasattr(danilov, "hypothesis_feasible")
+    monkeypatch.setattr(divisors, "hypothesis_feasible", no_lp)
     assert cross_validate(P2, (0,), l, witness=witness).agree
     # the sweep hands its witness on, so each feasible (D', class of L) gets
     # one direct check and no second hypothesis solve
@@ -218,13 +240,16 @@ def test_cross_validate_uses_the_witness_it_is_given(monkeypatch):
 
 
 def test_supplied_witness_skips_the_lp(monkeypatch):
-    import toricbott.certifier as certifier
+    import toricbott.divisors as divisors
 
     l = InvariantDivisor((2, 1, 0))
     witness = hypothesis_feasible(P2, l, (1,))
-    expected = build_certificate(P2, (1,), l)
-    monkeypatch.setattr(certifier, "hypothesis_feasible", None)
-    assert build_certificate(P2, (1,), l, witness=witness) == expected
+    monkeypatch.setattr(divisors, "hypothesis_feasible", None)
+    cert = build_certificate(P2, (1,), l, witness=witness)
+    assert cert.hypothesis_witness == witness and check_certificate(P2, cert)
+    # the tree does not depend on which witness of the hypothesis is given
+    other = build_certificate(P2, (1,), l, (Fraction(1, 2),))
+    assert other.hypothesis_witness == (Fraction(1, 2),) and other.roots == cert.roots
 
 
 def test_supplied_witness_must_make_residual_ample():
@@ -245,7 +270,7 @@ def test_supplied_witness_must_fit_the_log_set_and_unit_box(dprime, l, witness, 
 def test_log_rays_must_be_rays_of_the_fan():
     with pytest.raises(ValueError, match="out of range"):
         build_certificate(P2, (-1,), InvariantDivisor((1, 0, 0)), witness=(0,))
-    cert = build_certificate(P2, (1,), InvariantDivisor((2, 0, 0)))
+    cert = _certificate(P2, (1,), InvariantDivisor((2, 0, 0)))
     for logset in ((7,), (-1,)):
         tampered = dataclasses.replace(cert, logset=logset)
         assert not check_certificate(P2, tampered)
@@ -254,16 +279,22 @@ def test_log_rays_must_be_rays_of_the_fan():
 
 
 def test_certifying_sweep_decides_each_hypothesis_once(monkeypatch):
-    import toricbott.certifier as certifier
+    import toricbott.divisors as divisors
     import toricbott.suite as suite
 
-    monkeypatch.setattr(certifier, "hypothesis_feasible", None)
+    # the sweep's own solves are the only ones: the routes check its witnesses
+    calls = []
+    original = suite.hypothesis_feasible
+    monkeypatch.setattr(divisors, "hypothesis_feasible", None)
+    monkeypatch.setattr(suite, "hypothesis_feasible",
+                        lambda *a: calls.append(a) or original(*a))
     out = suite.thm11_sweep(P1, certify=True)
     assert out.all_verified and out.all_certified and out.feasible > 0
+    assert len(calls) == out.solved
 
 
 def test_serialization_roundtrip_and_stable_hash():
-    cert = build_certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
     data = certificate_to_dict(cert)
     text = json.dumps(data, sort_keys=True)
     back = certificate_from_dict(json.loads(text))
@@ -273,7 +304,7 @@ def test_serialization_roundtrip_and_stable_hash():
 
 
 def test_malformed_witness_number_is_malformed_node():
-    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
     data["hypothesis_witness"] = ["1/0"]
     with pytest.raises(MalformedNode):
         certificate_from_dict(data)
@@ -291,7 +322,7 @@ def test_malformed_witness_number_is_malformed_node():
 ])
 def test_non_integer_json_numbers_are_malformed_node(path, value):
     # a JSON float or bool is never truncated into an int
-    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -302,21 +333,21 @@ def test_non_integer_json_numbers_are_malformed_node(path, value):
 
 @pytest.mark.parametrize("divisor", [(2, 0), (2, 0, 0, 0)])
 def test_divisor_of_wrong_length_is_malformed(divisor):
-    cert = build_certificate(P2, (2,), InvariantDivisor((2, 0, 0)))
+    cert = _certificate(P2, (2,), InvariantDivisor((2, 0, 0)))
     bad = dataclasses.replace(cert, divisor=divisor)
     with pytest.raises(MalformedNode, match="divisor length"):
         check_certificate(P2, bad, raise_on_failure=True)
 
 
 def test_format_1_is_rejected_by_name():
-    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
     data["format"] = "toricbott-certificate/1"
     with pytest.raises(MalformedNode, match="toricbott-certificate/1"):
         certificate_from_dict(data)
 
 
 def test_certificate_with_two_roots_is_malformed():
-    cert = build_certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
     assert len(cert.roots) == 1
     bad = dataclasses.replace(cert, roots=cert.roots * 2)
     assert not check_certificate(P2, bad)
@@ -331,7 +362,7 @@ def test_certificate_with_two_roots_is_malformed():
      "92e09d89ba1532ddacd2a2e5471e4f81a11c5c795c9d3febd67fb9e076d53e4f"),
 ])
 def test_format_2_hash_is_pinned(fan, dprime, coeffs, digest):
-    cert = build_certificate(fan, dprime, InvariantDivisor(coeffs))
+    cert = _certificate(fan, dprime, InvariantDivisor(coeffs))
     data = certificate_to_dict(cert)
     assert data["format"] == "toricbott-certificate/2"
     assert '"p"' not in json.dumps(data)
@@ -340,7 +371,7 @@ def test_format_2_hash_is_pinned(fan, dprime, coeffs, digest):
 
 
 def test_deeply_nested_roots_are_malformed_node():
-    data = certificate_to_dict(build_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
     node = data["roots"][0]
     for _ in range(5000):
         node = {"claim": node["claim"], "rule": RESIDUE_RULE, "added_ray": 0,
@@ -351,7 +382,7 @@ def test_deeply_nested_roots_are_malformed_node():
 
 
 def test_witness_in_unit_box_and_matching_length():
-    cert = build_certificate(P2, (0, 1), 2 * ray_divisor(P2, 0))
+    cert = _certificate(P2, (0, 1), 2 * ray_divisor(P2, 0))
     assert len(cert.hypothesis_witness) == 2
     bad = dataclasses.replace(cert, hypothesis_witness=(0,))
     with pytest.raises(MalformedNode):
@@ -380,7 +411,7 @@ def test_leaf_count_bound():
         w = hypothesis_feasible(f, l, ())
         if w is None:
             continue
-        cert = build_certificate(f, (), l)
+        cert = build_certificate(f, (), l, w)
         strata = visited_strata(cert)
         assert leaf_count(cert) <= (2 ** f.n_rays) * len(strata)
 
@@ -388,7 +419,7 @@ def test_leaf_count_bound():
 def test_visited_strata_avoid_the_log_set():
     # strata visited by the induction are never contained in D'
     dprime = (0,)
-    cert = build_certificate(P2, dprime, 2 * ray_divisor(P2, 0))
+    cert = _certificate(P2, dprime, 2 * ray_divisor(P2, 0))
     for chain in visited_strata(cert):
         if chain:
             assert chain[0] not in dprime
@@ -401,9 +432,10 @@ def test_round_trip_and_implication_on_samples(name, rnd):
     f = suite_fans()[name]
     l = InvariantDivisor(tuple(rnd.randint(0, 2) for _ in range(f.n_rays)))
     dprime = tuple(sorted(rnd.sample(range(f.n_rays), rnd.randint(0, f.n_rays))))
-    if hypothesis_feasible(f, l, dprime) is None:
+    witness = hypothesis_feasible(f, l, dprime)
+    if witness is None:
         return
-    cert = build_certificate(f, dprime, l)
+    cert = build_certificate(f, dprime, l, witness)
     assert check_certificate(f, cert)
     # checked certificate must imply the direct engine verdict
     report = verify_vanishing(f, dprime, l, witness=cert.hypothesis_witness)

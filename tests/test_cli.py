@@ -343,6 +343,16 @@ def test_counterexample_inverted_scan_is_malformed(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("text", ["3", "1..2..3", "a..b", ""])
+def test_counterexample_scan_names_the_range_form(capsys, text):
+    # the message names the form lo..hi and quotes the input, rather than
+    # echoing a tuple unpacking or an int() failure
+    assert main(["counterexample", "--scan", text]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lo..hi" in captured.err and repr(text) in captured.err
+
+
 @pytest.mark.parametrize("select, option, value", [("serre", "--bound", "-1"),
                                                    ("serre", "--sample", "-2"),
                                                    ("euler", "--sample", "-2")])

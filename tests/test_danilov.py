@@ -33,6 +33,7 @@ from toricbott.danilov import (
 from toricbott.divisors import (
     InvariantDivisor,
     canonical_divisor,
+    hypothesis_feasible,
     ray_divisor,
     rayset_divisor,
     wall_numbers,
@@ -201,13 +202,18 @@ def test_twist_by_principal_divisor_is_invisible():
 
 # --- vanishing checks ------------------------------------------------------
 
+def _verify(f, dprime, l):
+    """The direct check of (D', L) on the witness that the hypothesis LP finds."""
+    return verify_vanishing(f, dprime, l, witness=hypothesis_feasible(f, l, dprime))
+
+
 def test_classical_bott_o1():
-    report = verify_vanishing(P2, (), ray_divisor(P2, 0))
+    report = _verify(P2, (), ray_divisor(P2, 0))
     assert report.passed and report.hypothesis_checked
 
 
 def test_full_boundary_case():
-    report = verify_vanishing(P2, (0, 1, 2), ray_divisor(P2, 0))
+    report = _verify(P2, (0, 1, 2), ray_divisor(P2, 0))
     assert report.passed
     # reduces to the trivial bundle tensor O(-2): no higher cohomology
     assert report.per_p[2] == (0, 0, 0)
@@ -220,7 +226,8 @@ def test_negative_control_hodge_number():
 
 
 def test_infeasible_hypothesis_raises():
-    with pytest.raises(HypothesisNotVerified):
+    # no witness given and no negative control asked for
+    with pytest.raises(HypothesisNotVerified, match="no hypothesis witness"):
         verify_vanishing(P2, (0,), zero_divisor(P2))
 
 
@@ -251,9 +258,9 @@ def test_log_rays_must_be_rays_of_the_fan(dprime, witness, unchecked):
                          unchecked=unchecked)
 
 
-@pytest.mark.parametrize("witness, unchecked", [((0,), False), (None, True), (None, False)])
+@pytest.mark.parametrize("witness, unchecked", [((0,), False), (None, True)])
 def test_verify_checks_the_log_set_once_on_each_path(monkeypatch, witness, unchecked):
-    # the witness check, the unchecked path and the LP each read D' through
+    # the witness check and the unchecked path each read D' through
     # sorted_logset once, and a bad D' is a named ValueError on each
     import toricbott.danilov as danilov
     import toricbott.divisors as divisors
@@ -773,8 +780,10 @@ def test_p1_to_the_fourth_vanishing_instance_is_pinned(monkeypatch):
     # boundedness LP: the engine's edge table decides (4 LPs with one per
     # orbit, 22 with one per pattern)
     p1_4 = product(product(P1, P1), product(P1, P1))
+    l = InvariantDivisor((2, 1, 0, 2, 1, 1, 2, 0))
+    witness = hypothesis_feasible(p1_4, l, (0, 3, 5))
     counts = _count_pattern_work(monkeypatch)
-    report = verify_vanishing(p1_4, (0, 3, 5), InvariantDivisor((2, 1, 0, 2, 1, 1, 2, 0)))
+    report = verify_vanishing(p1_4, (0, 3, 5), l, witness=witness)
     assert report.passed
     assert report.per_p == ((36, 0, 0, 0, 0), (72, 0, 0, 0, 0), (53, 0, 0, 0, 0),
                             (17, 0, 0, 0, 0), (2, 0, 0, 0, 0))

@@ -236,7 +236,7 @@ def test_log_rays_must_be_ints_at_every_entry_point(bad):
              lambda: log_spec_dims(P2, 1, bad, l),
              lambda: hodge_count_check(P2, bad + (1, 2)),
              lambda: hypothesis_feasible(P2, l, bad),
-             lambda: build_certificate(P2, bad, l))
+             lambda: build_certificate(P2, bad, l, (0,) * len(bad)))
     for call in calls:
         with pytest.raises(ValueError, match="is not an integer"):
             call()
