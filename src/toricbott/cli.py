@@ -43,10 +43,14 @@ def _emit(data: dict, fmt: str, table_lines) -> None:
             print(line)
 
 
-def _parse_indices(text: Optional[str]) -> tuple:
+def _parse_indices(text: Optional[str], option: str) -> tuple:
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must read i,j,... with integer ray indices, "
+                         f"got {text!r}") from None
 
 
 def cmd_fan(args) -> int:
@@ -71,7 +75,7 @@ def cmd_fan(args) -> int:
         _emit(data, args.format, lines)
         return EXIT_OK if diag.ok else EXIT_FAIL
     if args.fan_action == "blowup":
-        f = fanmod.star_subdivision(f, _parse_indices(args.cone))
+        f = fanmod.star_subdivision(f, _parse_indices(args.cone, "--cone"))
     payload = fanmod.fan_to_dict(f)
     if args.output:
         with open(args.output, "w") as handle:
@@ -103,7 +107,7 @@ def cmd_vanishing(args) -> int:
     _read_only_by(args.output is not None and not certify, "-o/--output", "vanishing certify")
     f = fanmod.fan_from_dict(_load_json(args.fan))
     l = divisors.divisor_from_dict(_load_json(args.divisor))
-    dprime = _parse_indices(args.logset)
+    dprime = _parse_indices(args.logset, "--logset")
     witness = divisors.hypothesis_feasible(f, l, dprime)
     if witness is None and (certify or not args.unchecked):
         print("hypothesis infeasible: no d in [0,1]^{D'} makes L - dD' ample",

@@ -168,7 +168,12 @@ def is_ample(f: Fan, d: InvariantDivisor) -> bool:
 
 
 def is_projective(f: Fan) -> bool:
-    """A complete fan is projective iff some divisor is ample (strict LP)."""
+    """A complete fan is projective iff some divisor is ample (strict LP).
+
+    The LP runs over coefficients a >= 0, which loses no fan: adding
+    div(chi^m) to an ample D, for m in the interior of its polytope P_D,
+    makes every coefficient > 0 and leaves the wall numbers unchanged.
+    """
     require_smooth_complete(f)
     w = wall_matrix(f)
     rows = [[-x for x in row] for row in w]
@@ -214,7 +219,7 @@ def hypothesis_feasible(
     rows = [list(col) for col in cols] + [[int(i == j) for i in range(k)] for j in range(k)]
     rhs = list(targets) + [1] * k
     strict = [True] * len(cols) + [False] * k
-    witness = lp_feasible_strict(rows, rhs, strict, nonneg=True)
+    witness = lp_feasible_strict(rows, rhs, strict)
     return None if witness is None else tuple(witness)
 
 

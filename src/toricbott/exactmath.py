@@ -10,20 +10,25 @@ computations, J. Symbolic Comput. 2001).  Determinants and the LP share one dens
 fraction-free update, whose every division is exact: determinants by Bareiss
 elimination, and the LP by a simplex tableau of integer rows over one common
 denominator (integer pivoting as in Edmonds and in Avis's lrs).  A stdlib
-``fractions.Fraction`` appears only in an LP's returned witness and value
-(a value that happens to be integral is kept as a plain ``int``).  No
-floating point appears anywhere; ranks and LP verdicts are exact yes/no
-facts, so there is no tolerance to tune.
+``fractions.Fraction`` appears only in an LP's returned witness (an entry
+that happens to be integral is kept as a plain ``int``).  No floating point
+appears anywhere; ranks and LP verdicts are exact yes/no facts, so there is
+no tolerance to tune.
 
 ``json_ints`` is the package's one integer test: every reader of numbers
 (fans, divisors, sheaf specs, weights, boxes, certificates, and the matrices
 and LPs here) passes them through it, so a float, bool or Fraction is a
 ValueError naming the entry instead of a silently truncated number.
 
-The LP solver is a dense two-phase tableau simplex with Bland's rule.  With
-exact pivots, cycling is the only possible failure mode and Bland's rule
-rules it out.  Problem sizes in this package are tiny (tens of rows), so a
-dense tableau is the right tool.
+The package's LP questions all have nonnegative unknowns (the hypothesis
+weights d, the coefficients of an ample divisor, a point's coordinates over
+a cone's rays), so there is one LP form: ``lp_feasible_strict`` finds
+x >= 0 with a.x < b on strict rows and a.x <= b on the rest.  A caller with
+free unknowns splits each as x = u - v, as ``polyhedron_bounded`` does.  The
+solver is a dense two-phase tableau simplex with Bland's rule.  With exact
+pivots, cycling is the only possible failure mode and Bland's rule rules it
+out.  Problem sizes in this package are tiny (tens of rows), so a dense
+tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class EmptyInput(ValueError):
 
 
 class UnboundedAuxiliary(RuntimeError):
-    """The slack-maximization LP reported unbounded; eps <= 1 forbids this."""
+    """The simplex met an unbounded direction; eps <= 1 forbids this."""
 
 
 def json_ints(values, what: str) -> tuple:
@@ -264,10 +269,6 @@ def cohomology_dims(c: ChainComplex) -> list:
     return out
 
 
-class _Unbounded(Exception):
-    pass
-
-
 def _pivot(tableau, basis, row, col, den) -> int:
     """Pivot on tableau[row][col]; returns the new common denominator.
 
@@ -320,40 +321,47 @@ def _run_simplex(tableau, basis, den) -> int:
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise _Unbounded
+            raise UnboundedAuxiliary("eps <= 1 should bound the auxiliary LP")
         den = _pivot(tableau, basis, leave, entering, den)
 
 
-def lp_max(a_rows, b, c, nonneg: bool = False):
-    """Maximize c.x subject to a_rows.x <= b (exact two-phase simplex).
+def lp_feasible_strict(a: Sequence[Sequence], b: Sequence,
+                       strict: Optional[Sequence[bool]] = None):
+    """Witness x >= 0 with a.x < b on strict rows and a.x <= b on the rest,
+    or None; every row is strict when ``strict`` is None.
 
-    Returns (status, x, value) with status one of "optimal", "infeasible",
-    "unbounded".  Variables are free by default and split x = u - v
-    internally; with ``nonneg`` they are constrained to x >= 0 instead,
-    which halves the tableau.  Every coefficient must be an ``int``, and
-    every row must have one per variable.
+    ``a`` is a list of integer coefficient rows, one entry per unknown.  The
+    open system is decided by maximizing a slack eps >= 0 with
+    a.x + eps <= b on strict rows and eps <= 1 (an exact two-phase simplex,
+    with x and eps nonnegative): the system is feasible iff the optimum eps
+    is positive, and the witness then satisfies every strict row with exact
+    slack >= eps.  Entries of the witness are ``Fraction``s, or plain
+    ``int``s where integral.
     """
-    for row in a_rows:
-        json_ints(row, "LP coefficient")
+    a = [list(json_ints(row, "LP coefficient")) for row in a]
     json_ints(b, "LP right-hand side")
-    json_ints(c, "LP objective coefficient")
-    m = len(a_rows)
-    n = len(c)
-    if len(b) != m or any(len(row) != n for row in a_rows):
-        raise ValueError(f"LP needs {m} right-hand sides and {n} coefficients per row")
-    nsplit = n if nonneg else 2 * n
-    ncols = nsplit + m
-    # Phase I is only needed where the slack cannot start basic, i.e. on
-    # sign-flipped rows; artificials are added just there.
-    flipped = [i for i in range(m) if b[i] < 0]
-    basis = [nsplit + i for i in range(m)]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    if strict is None:
+        strict = [True] * m
+    if len(b) != m or len(strict) != m or any(len(row) != n for row in a):
+        raise ValueError(f"LP needs {m} right-hand sides and strict flags, "
+                         f"and {n} coefficients per row")
+    # unknowns x and eps, one slack per row, and an artificial per row whose
+    # right-hand side is negative (its slack cannot start basic)
+    rows = [row + [int(s)] for row, s in zip(a, strict)] + [[0] * n + [1]]
+    rhs = list(b) + [1]
+    m += 1
+    nvars = n + 1
+    ncols = nvars + m
+    flipped = [i for i in range(m) if rhs[i] < 0]
+    basis = [nvars + i for i in range(m)]
     tableau = []
     for i in range(m):
-        coeffs = list(a_rows[i])
-        row = coeffs + ([] if nonneg else [-x for x in coeffs]) + [0] * (m + len(flipped))
-        row[nsplit + i] = 1
-        row.append(b[i])
-        if b[i] < 0:
+        row = rows[i] + [0] * (m + len(flipped))
+        row[nvars + i] = 1
+        row.append(rhs[i])
+        if rhs[i] < 0:
             row = [-x for x in row]
             basis[i] = ncols + flipped.index(i)
             row[basis[i]] = 1
@@ -364,76 +372,45 @@ def lp_max(a_rows, b, c, nonneg: bool = False):
         den = _run_simplex(tableau, basis, den)
         # the objective's last entry is -den times the artificials' sum
         if tableau.pop()[-1] < 0:
-            return "infeasible", None, None
+            return None
         for i in range(len(basis) - 1, -1, -1):
             if basis[i] >= ncols:
-                piv = next((j for j in range(ncols) if tableau[i][j] != 0), None)
-                if piv is None:
-                    del tableau[i]
-                    del basis[i]
-                else:
-                    den = _pivot(tableau, basis, i, piv, den)
+                # The row has a nonzero entry among the first ncols columns:
+                # it is a nonzero combination of the rows of [+-A | +-I], and
+                # the slack identity block keeps those rows independent.
+                piv = next(j for j in range(ncols) if tableau[i][j] != 0)
+                den = _pivot(tableau, basis, i, piv, den)
         for row in tableau:
             del row[ncols:-1]
-    cost = [-x for x in c] + ([] if nonneg else list(c)) + [0] * m
-    tableau.append(_objective(cost, tableau, basis, den))
-    try:
-        den = _run_simplex(tableau, basis, den)
-    except _Unbounded:
-        return "unbounded", None, None
-    values = {j: row[-1] for j, row in zip(basis, tableau)}
-    if nonneg:
-        nums = [values.get(j, 0) for j in range(n)]
-    else:
-        nums = [values.get(j, 0) - values.get(n + j, 0) for j in range(n)]
-    # integral entries of x and the value come back as plain ints
-    x = [Fraction(v, den) for v in nums + [tableau[-1][-1]]]
-    x = [q.numerator if q.denominator == 1 else q for q in x]
-    return "optimal", x[:-1], x[-1]
-
-
-def lp_feasible_strict(a: Sequence[Sequence], b: Sequence,
-                       strict: Optional[Sequence[bool]] = None, nonneg: bool = False):
-    """Witness for {a.x < b on strict rows, a.x <= b on the rest}, or None.
-
-    ``a`` is a list of coefficient rows.  Feasibility of the open system is
-    decided by maximizing a slack eps with a.x + eps <= b on strict rows and
-    eps <= 1; the system is feasible iff the optimum eps is positive, and the
-    witness then satisfies every strict row with exact slack >= eps.
-    ``nonneg`` restricts the witness to x >= 0.
-    """
-    nvars = len(a[0]) if a else 0
-    if strict is None:
-        strict = [True] * len(a)
-    if len(strict) != len(a) or len(b) != len(a):
-        raise ValueError("row count mismatch")
-    rows = [list(row) + [int(is_strict)] for row, is_strict in zip(a, strict)]
-    rows.append([0] * nvars + [1])
-    status, x, value = lp_max(rows, list(b) + [1], [0] * nvars + [1], nonneg=nonneg)
-    if status == "infeasible":
+    # minimize -eps; the objective's last entry is then den times eps
+    tableau.append(_objective([0] * n + [-1] + [0] * m, tableau, basis, den))
+    den = _run_simplex(tableau, basis, den)
+    if tableau[-1][-1] <= 0:
         return None
-    if status == "unbounded":
-        raise UnboundedAuxiliary("eps <= 1 should bound the auxiliary LP")
-    return x[:nvars] if value > 0 else None
+    values = {j: row[-1] for j, row in zip(basis, tableau)}
+    witness = [Fraction(values.get(j, 0), den) for j in range(n)]
+    return [q.numerator if q.denominator == 1 else q for q in witness]
 
 
 def polyhedron_bounded(a: Sequence[Sequence], b: Sequence) -> bool:
     """True iff the nonempty polyhedron {x : a.x <= b} is bounded, for a
     list of coefficient rows ``a``.
 
+    The unknowns are free, so each is split as x = u - v with u, v >= 0.
     Boundedness is equivalent to the recession cone {x : a.x <= 0} being
-    trivial, decided by one LP per signed coordinate direction.
+    trivial, that is, to no x in it having +-x_i > 0: one strict
+    feasibility test per signed coordinate direction.
     """
-    ncols = len(a[0]) if a else 0
-    status, _, _ = lp_max(a, b, [0] * ncols)
-    if status == "infeasible":
+    a = [json_ints(row, "LP coefficient") for row in a]
+    split = [list(row) + [-x for x in row] for row in a]
+    if lp_feasible_strict(split, b, [False] * len(split)) is None:
         raise EmptyInput("polyhedron is empty")
-    zero_rhs = [0] * len(a)
+    ncols = len(a[0]) if a else 0
     for i in range(ncols):
         for sign in (1, -1):
-            direction = [0] * ncols
-            direction[i] = sign
-            status, _, value = lp_max(list(a) + [direction], zero_rhs + [1], direction)
-            if status == "unbounded" or (status == "optimal" and value > 0):
+            direction = [0] * (2 * ncols)
+            direction[i], direction[ncols + i] = -sign, sign
+            if lp_feasible_strict(split + [direction], [0] * (len(split) + 1),
+                                  [False] * len(split) + [True]) is not None:
                 return False
     return True

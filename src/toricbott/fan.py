@@ -19,7 +19,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, Sequence
 
-from .exactmath import det, json_ints, lp_max
+from .exactmath import det, json_ints, lp_feasible_strict
 
 
 class FanError(ValueError):
@@ -223,20 +223,18 @@ def _facet_incidence(f: Fan) -> Dict[tuple, list]:
 def _pairwise_face_check(f: Fan) -> bool:
     """LP check that every pairwise intersection is the common-ray face.
 
-    For simplicial cones sigma = {x : M_sigma x >= 0}, with M_sigma the
-    scaled dual basis; the intersection equals cone(sigma(1) & sigma'(1)) iff
-    no point of it has a positive coordinate at a non-shared ray of sigma.
-    Those coordinates are >= 0 on sigma, so one LP per ordered pair
-    maximizes their sum, bounded by the sum of all of sigma's coordinates
-    <= 1, and the faces meet properly iff the maximum is 0.
+    A point of a simplicial cone sigma is sum_i y_i u_i over its rays, with
+    y >= 0, and it lies in sigma' = {x : M x >= 0}, M the scaled dual basis
+    of sigma', iff M U y >= 0 for the ray matrix U of sigma.  The
+    intersection equals cone(sigma(1) & sigma'(1)) iff no such y has
+    sum y_i > 0 over the rays of sigma outside sigma', so each ordered pair
+    is one strict feasibility test over y >= 0.
     """
     duals = [_scaled_dual_basis(f, c)[1] for c in f.max_cones]
     for a, b in itertools.permutations(range(len(f.max_cones)), 2):
-        rows = [[-x for x in m] for m in duals[a] + duals[b]]
-        rows.append([sum(col) for col in zip(*duals[a])])
-        outside = [m for m, ray in zip(duals[a], f.max_cones[a]) if ray not in f.max_cones[b]]
-        _, _, value = lp_max(rows, [0] * (2 * f.dim) + [1], [sum(col) for col in zip(*outside)])
-        if value:
+        rows = [[-sum(map(mul, m, f.rays[i])) for i in f.max_cones[a]] for m in duals[b]]
+        rows.append([-int(i not in f.max_cones[b]) for i in f.max_cones[a]])
+        if lp_feasible_strict(rows, [0] * (f.dim + 1), [False] * f.dim + [True]) is not None:
             return False
     return True
 

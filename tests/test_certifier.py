@@ -355,6 +355,66 @@ def test_certificate_with_two_roots_is_malformed():
         check_certificate(P2, bad, raise_on_failure=True)
 
 
+def _check_with_sub(change):
+    """Check the certificate whose root's sub child is change(sub child)."""
+    def check(cert):
+        root = cert.roots[0]
+        root = dataclasses.replace(root, sub_child=change(root.sub_child))
+        check_certificate(P2, dataclasses.replace(cert, roots=(root,)), raise_on_failure=True)
+    return check
+
+
+def _check_with_root_twist(cert):
+    root = cert.roots[0]
+    root = dataclasses.replace(root, claim=dataclasses.replace(root.claim, twist=(3, 0, 0)))
+    check_certificate(P2, dataclasses.replace(cert, roots=(root,)), raise_on_failure=True)
+
+
+def _read_with_sub_rule(cert):
+    data = certificate_to_dict(cert)
+    data["roots"][0]["sub"]["rule"] = "bogus"
+    certificate_from_dict(data)
+
+
+def _raise_quotient_twist(sub):
+    quotient = sub.quotient_child
+    twist = tuple(t + 1 for t in quotient.claim.twist)
+    return dataclasses.replace(sub, quotient_child=dataclasses.replace(
+        quotient, claim=dataclasses.replace(quotient.claim, twist=twist)))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_check_with_sub(lambda s: dataclasses.replace(
+        s, claim=dataclasses.replace(s.claim, logset=(0, 1, 3)))),
+     "claim logset has invalid ray indices"),
+    (_check_with_sub(lambda s: dataclasses.replace(
+        s, claim=dataclasses.replace(s.claim, twist=(2, 0)))),
+     "claim twist length does not match"),
+    (_check_with_sub(lambda s: dataclasses.replace(s, rule=LEAF_RULE)),
+     "leaf node carries residue-step data"),
+    (_check_with_sub(lambda s: dataclasses.replace(s, rule=LEAF_RULE, added_ray=None,
+                                                   sub_child=None, quotient_child=None)),
+     "leaf log set must be the full boundary"),
+    (_check_with_sub(lambda s: dataclasses.replace(s, rule="bogus")), "unknown rule 'bogus'"),
+    (_check_with_sub(lambda s: dataclasses.replace(s, added_ray=0)), "bad added component 0"),
+    (_check_with_sub(lambda s: dataclasses.replace(s, quotient_child=None)),
+     "residue step is missing a child"),
+    (_check_with_sub(_raise_quotient_twist),
+     "quotient child claim is not the residue-sequence quotient"),
+    (_check_with_root_twist, "root claim does not match the certificate data"),
+    (_read_with_sub_rule, "unknown rule 'bogus' in serialized certificate"),
+])
+def test_checker_refuses_each_malformed_node(tamper, message):
+    # one edit per case below the root, whose sub child (D' = {0, 1}, adding
+    # ray 2) has a leaf sub child and a leaf quotient child on V(D_2); the
+    # children are checked before their claims are compared with the
+    # residue sequence's
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    assert check_certificate(P2, cert)
+    with pytest.raises(MalformedNode, match=message):
+        tamper(cert)
+
+
 @pytest.mark.parametrize("fan, dprime, coeffs, digest", [
     (P2, (1,), (2, 0, 0),
      "33cc67043eee974d26500e3c2dabd6a25487e4a4887f673a6a4f660f5d99a45b"),

@@ -61,6 +61,26 @@ def test_malformed_fan_file(tmp_path):
     assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"dim": -1, "rays": [], "max_cones": []}, "negative dimension"),
+    ({"dim": 2, "rays": [[1, 0], [0, 1, 0]], "max_cones": [[0, 1]]},
+     "ray (0, 1, 0) has wrong length"),
+    ({"dim": 1, "rays": [[1], [1]], "max_cones": [[0], [1]]}, "duplicate ray (1,)"),
+    ({"dim": 1, "rays": [[1], [-1]], "max_cones": []}, "fan has no maximal cones"),
+    ({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 0]]},
+     "repeated ray index in cone (0, 0)"),
+    ({"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [0]]}, "duplicate maximal cone (0,)"),
+    ({"dim": 1, "rays": [[1], [-1]], "max_cones": [[0]]},
+     "some ray is not used by any maximal cone"),
+])
+def test_validate_refuses_structurally_broken_fans(tmp_path, capsys, data, message):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert main(["fan", "validate", "--fan", str(path)]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_deeply_nested_json_is_malformed(p2_file, tmp_path, capsys):
     # nesting deeper than the JSON parser's stack is a malformed file (exit 2),
     # not an internal RecursionError (exit 4)
@@ -113,6 +133,21 @@ def test_blowup_adds_ray(p2_file, tmp_path):
                  "-o", str(out)]) == EXIT_OK
     fan = fan_from_dict(json.load(open(out)))
     assert fan.n_rays == 4 and (1, 1) in fan.rays
+
+
+@pytest.mark.parametrize("text", ["0,,1", "a", "1,"])
+@pytest.mark.parametrize("command, option", [
+    (["vanishing", "check", "--divisor", "{divisor}"], "--logset"),
+    (["fan", "blowup"], "--cone"),
+])
+def test_index_lists_name_their_option(p2_file, divisor_file, capsys, command, option, text):
+    # the message names the option and quotes the input, rather than echoing
+    # an int() failure
+    argv = [arg.format(divisor=divisor_file([2, 0, 0])) for arg in command]
+    assert main(argv + ["--fan", p2_file, option, text]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err and repr(text) in captured.err
 
 
 def test_vanishing_check_pass(p2_file, divisor_file):

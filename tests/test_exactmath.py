@@ -15,7 +15,6 @@ from toricbott.exactmath import (
     cohomology_dims,
     det,
     lp_feasible_strict,
-    lp_max,
     polyhedron_bounded,
     rank,
 )
@@ -405,16 +404,21 @@ def _systems(with_strict: bool):
 
 @settings(max_examples=200, deadline=None)
 @given(_systems(with_strict=True), st.booleans())
-def test_strict_lp_witness_satisfies_rows_exactly(rows, nonneg):
-    # the verdict must match the oracle, so a wrong None fails too; nonneg
-    # adds the rows -x_i <= 0
+def test_strict_lp_witness_satisfies_rows_exactly(rows, free):
+    # the verdict must match the oracle, so a wrong None fails too.  The LP's
+    # unknowns are nonnegative, which the oracle sees as the rows -x_i <= 0;
+    # free unknowns are split as x = u - v over the rows [a, -a], and the
+    # witness is mapped back to u - v
     a = [r for r, _, _ in rows]
     b = [bi for _, bi, _ in rows]
     strict = [s for _, _, s in rows]
     n = len(a[0])
-    if nonneg:
+    if free:
+        w = lp_feasible_strict([r + [-x for x in r] for r in a], b, strict)
+        w = None if w is None else [u - v for u, v in zip(w[:n], w[n:])]
+    else:
         rows = rows + [([-int(i == j) for j in range(n)], 0, False) for i in range(n)]
-    w = lp_feasible_strict(a, b, strict, nonneg=nonneg)
+        w = lp_feasible_strict(a, b, strict)
     assert (w is not None) == _fourier_motzkin_feasible(rows)
     if w is None:
         return
@@ -447,9 +451,8 @@ def test_polyhedron_bounded_matches_fourier_motzkin(rows):
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, True])
 def test_lp_rejects_non_integer_data(entry):
-    for call in (lambda: lp_max([[entry]], [1], [1]),
-                 lambda: lp_max([[1]], [entry], [1]),
-                 lambda: lp_max([[1]], [1], [entry]),
+    for call in (lambda: lp_feasible_strict([[entry]], [1]),
+                 lambda: lp_feasible_strict([[1]], [entry]),
                  lambda: lp_feasible_strict([[1, entry]], [1]),
                  lambda: polyhedron_bounded([[1], [-1]], [entry, 0])):
         with pytest.raises(ValueError, match="integers"):
@@ -462,9 +465,11 @@ def test_lp_rejects_ragged_rows():
     with pytest.raises(ValueError, match="coefficients per row"):
         lp_feasible_strict([[1], [-1, 3]], [1, 0])
     with pytest.raises(ValueError, match="coefficients per row"):
-        lp_max([[1, 5], [-1, 0]], [1, 0], [1])
+        lp_feasible_strict([[1, 5], [-1]], [1, 0])
     with pytest.raises(ValueError, match="right-hand sides"):
-        lp_max([[1], [-1]], [1], [1])
+        lp_feasible_strict([[1], [-1]], [1])
+    with pytest.raises(ValueError, match="strict flags"):
+        lp_feasible_strict([[1], [-1]], [1, 0], [True])
     with pytest.raises(ValueError, match="coefficients per row"):
         polyhedron_bounded([[1, 0], [-1]], [1, 0])
 
@@ -489,31 +494,15 @@ def test_bounded_rejects_empty():
         polyhedron_bounded(a, [-1, 0])
 
 
-def test_lp_max_simple():
-    status, x, value = lp_max([[1, 1], [1, 0], [0, 1]], [4, 3, 3], [1, 1])
-    assert status == "optimal"
-    assert value == 4
+def test_strict_lp_infeasible_through_phase_one():
+    # {x <= -1, x >= 0}: the flipped row needs an artificial, and Phase I
+    # cannot drive the artificials' sum to zero
+    assert lp_feasible_strict([[1], [-1]], [-1, 0], [False, False]) is None
 
 
-def test_lp_max_unbounded():
-    status, _, _ = lp_max([[-1]], [0], [1])
-    assert status == "unbounded"
-
-
-def test_lp_max_infeasible():
-    status, _, _ = lp_max([[1], [-1]], [-1, 0], [1])
-    assert status == "infeasible"
-
-
-def test_lp_max_drives_an_artificial_out_with_a_negative_pivot():
+def test_strict_lp_drives_an_artificial_out_with_a_negative_pivot():
     # {x <= 2, -x <= -2, x >= 0} is the point 2: Phase I leaves the
     # artificial of the flipped row basic at level 0, and the pivot that
     # drives it out is negative; without negating the tableau to keep its
-    # denominator positive, Phase II answers x = 0
-    assert lp_max([[1], [-1]], [2, -2], [-2], nonneg=True) == ("optimal", [2], -4)
-
-
-def test_lp_max_nonneg_mode():
-    status, x, value = lp_max([[1, 1]], [2, ], [1, 1], nonneg=True)
-    assert status == "optimal" and value == 2
-    assert all(v >= 0 for v in x)
+    # denominator positive, Phase II meets an unbounded column
+    assert lp_feasible_strict([[1], [-1]], [2, -2], [False, False]) == [2]

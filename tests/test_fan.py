@@ -37,6 +37,15 @@ DET_TWO = Fan(2, ((1, 0), (1, 2), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3), (
 MISSING_CONE = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
 # cone(e1, e2) and cone(e1, e1 + e2) overlap in the interior
 OVERLAPPING = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
+# eight smooth cones {i, i + 1 mod 8} around the origin twice: facet pairing
+# and wall connectivity pass, and only the pairwise-face LP refuses it
+WINDS_TWICE = Fan(2, ((1, 0), (-2, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, 1), (-2, -1)),
+                  tuple((i, (i + 1) % 8) for i in range(8)))
+# cone(e1, -e1) spans a line
+DEGENERATE = Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 2), (1, 2), (2, 3), (0, 3)))
+# the cones of two complete fans on disjoint ray sets: no wall joins them
+DISCONNECTED = Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)),
+                   ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 
 
 def test_p2_is_smooth_and_complete():
@@ -63,6 +72,15 @@ def test_validate_diagnostics_are_pinned():
     assert validate(OVERLAPPING) == FanDiagnostics(
         True, False, False, ("two maximal cones overlap beyond their common ray face",
                              "facet (1,) lies in 1 maximal cones"))
+    assert validate(WINDS_TWICE) == FanDiagnostics(
+        True, True, False, ("two maximal cones overlap beyond their common ray face",))
+    assert validate(DEGENERATE) == FanDiagnostics(
+        False, False, False, ("non-unimodular maximal cones: [(0, 2)]",
+                              "degenerate maximal cone; fan axioms not checkable",
+                              "facet (2,) lies in 3 maximal cones"))
+    assert validate(DISCONNECTED) == FanDiagnostics(
+        True, False, False, ("two maximal cones overlap beyond their common ray face",
+                             "wall-adjacency graph is disconnected"))
 
 
 def test_dual_basis_is_dual_to_the_cone_rays():
@@ -100,8 +118,9 @@ def test_fan_axioms_take_one_lp_per_ordered_pair_of_maximal_cones(monkeypatch):
     import toricbott.fan as fanmod
 
     calls = []
-    original = fanmod.lp_max
-    monkeypatch.setattr(fanmod, "lp_max", lambda *a, **k: calls.append(a) or original(*a, **k))
+    original = fanmod.lp_feasible_strict
+    monkeypatch.setattr(fanmod, "lp_feasible_strict",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
     bl3 = suite_fans()["bl3"]
     assert fanmod._pairwise_face_check(bl3)
     assert len(calls) == 6 * 5
