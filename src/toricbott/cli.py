@@ -244,7 +244,8 @@ def cmd_suite(args) -> int:
             rows[name] = dict(vars(out), ok=ok)
             lines.append(f"{name}: {out.feasible}/{out.instances} feasible, "
                          f"verified={out.verified}, certified={out.certified}, "
-                         f"decided={out.decided}, solved={out.solved}, ok={ok}")
+                         f"decided={out.decided}, checked={out.checked}, "
+                         f"solved={out.solved}, ok={ok}")
             lines += [f"    {failure}" for failure in out.failures]
     else:
         for name in names:

@@ -227,11 +227,14 @@ def _pairwise_face_check(f: Fan) -> bool:
     y >= 0, and it lies in sigma' = {x : M x >= 0}, M the scaled dual basis
     of sigma', iff M U y >= 0 for the ray matrix U of sigma.  The
     intersection equals cone(sigma(1) & sigma'(1)) iff no such y has
-    sum y_i > 0 over the rays of sigma outside sigma', so each ordered pair
-    is one strict feasibility test over y >= 0.
+    sum y_i > 0 over the rays of sigma outside sigma', which is one strict
+    feasibility test over y >= 0.  One test per unordered pair suffices:
+    if no point of the intersection is positive at a ray of sigma outside
+    sigma', the intersection is cone(shared rays), a face of both cones, so
+    the test with the two cones swapped finds no such point either.
     """
     duals = [_scaled_dual_basis(f, c)[1] for c in f.max_cones]
-    for a, b in itertools.permutations(range(len(f.max_cones)), 2):
+    for a, b in itertools.combinations(range(len(f.max_cones)), 2):
         rows = [[-sum(map(mul, m, f.rays[i])) for i in f.max_cones[a]] for m in duals[b]]
         rows.append([-int(i not in f.max_cones[b]) for i in f.max_cones[a]])
         if lp_feasible_strict(rows, [0] * (f.dim + 1), [False] * f.dim + [True]) is not None:

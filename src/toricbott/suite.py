@@ -23,7 +23,9 @@ permuted, and the cohomology of Omega^p(log D')(-D') (x) O(L).  The
 coefficient box must be the same on every ray; pi then maps it onto
 itself and each class onto a class of the same size.  So an image of a
 D' whose checks all passed passes on as many instances, and is counted
-without a check.
+without a check.  The same holds for classes at one D': an automorphism
+that fixes D' carries a passing class to one that passes, so the sweep
+checks one class per orbit of the stabilizer of D'.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, Tuple
 from .certifier import cross_validate
 from .danilov import verify_vanishing
 from .divisors import (InvariantDivisor, canonical_divisor, class_representative,
-                       hypothesis_feasible)
+                       hypothesis_feasible, require_witness)
 from .fan import Fan, hirzebruch, movers, product, projective_space, star_subdivision
 
 
@@ -66,11 +68,12 @@ class SweepOutcome:
 
     ``instances``, ``feasible``, ``verified``, ``certified`` and ``agreed``
     count (D', L) pairs; an instance is verified (certified, agreed) when
-    the check of its (D', class of L), or of its image at the
-    representative of D', passed.  ``decided`` counts the distinct
+    the check of its (D', class of L), or of an image of that pair under
+    the fan's automorphisms, passed.  ``decided`` counts the distinct
     (D', class) pairs whose hypothesis was decided, ``checked`` the checks
     that ran (one per feasible (D', class) at a D' not counted by
-    symmetry), and ``solved`` the decisions made through
+    symmetry, except for a class that an automorphism fixing D' carries
+    a passing class onto), and ``solved`` the decisions made through
     ``hypothesis_feasible``; the others were inferred along the D' lattice.
     ``failures`` holds one entry per failing instance, with its own
     coefficients, in sweep order.
@@ -130,6 +133,14 @@ def _check(out: SweepOutcome, fan: Fan, dprime: tuple, members: list,
             for index, m in members for kind, detail in kinds]
 
 
+def _count_passed(out: SweepOutcome, n: int, certify: bool) -> None:
+    """Tally ``n`` feasible instances counted by symmetry, without a check."""
+    out.feasible += n
+    out.verified += n
+    out.certified += certify * n
+    out.agreed += certify * n
+
+
 def thm11_sweep(fan: Fan, certify: bool = True,
                 coeffs: Tuple[int, ...] = (0, 1, 2)) -> SweepOutcome:
     """Run the vanishing check on every hypothesis-feasible (D', L) of the
@@ -156,17 +167,31 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     automorphisms: the ray indices set in each image of D''s flag tuple
     under ``fan.movers``, the table that ``danilov._Engine.orbit`` reads;
     ``combinations`` lists each size in lexicographic order, so the
-    representative comes first.  At a representative every feasible class
-    is checked, which re-checks its witness.  An image of a representative
-    with no failures runs no check: an automorphism pi carries (D', L) to
-    (pi D', pi_* L), the ampleness of L - dD' with d permuted, and the
-    cohomology of Omega^p(log D')(-D') (x) O(L).  The box ``coeffs`` is
-    the same on every ray, so pi maps it onto itself and each class onto a
-    class of the same size.  The image's feasible count must then equal the
+    representative comes first.  At a representative the feasible classes
+    are walked in order and one per orbit of the stabilizer of D' (the
+    movers that fix D''s flag tuple) is checked, which re-checks its
+    witness.  When a check passes, the classes of its first member's images
+    under the stabilizer are covered: pi fixing D' carries (D', L) to
+    (D', pi_* L).
+    A covered class runs no check; its witness is re-checked by
+    ``require_witness`` and it is counted as verified, and with
+    ``certify`` as certified and agreed.  The images are looked up in one
+    table from each member of a class feasible at all rays to its class:
+    pi maps the box onto itself, so every image is a member of the sweep.
+    Every covered class must be feasible at D' (AssertionError if not, and
+    if an image is in no class of the table).  A failing check covers
+    nothing, so the images of a failing class are checked themselves.
+
+    An image of a representative with no failures runs no check: an
+    automorphism pi carries (D', L) to (pi D', pi_* L), the ampleness of
+    L - dD' with d permuted, and the cohomology of
+    Omega^p(log D')(-D') (x) O(L).  The box ``coeffs`` is the same on every
+    ray, so pi maps it onto itself and each class onto a class of the same
+    size.  The image's feasible count must then equal the
     representative's (AssertionError if not), and it is counted as
     verified, and with ``certify`` as certified and agreed.  An image of a
-    failing representative is checked itself, so ``failures`` still lists
-    every failing instance.
+    failing representative is checked itself, class by class as at a
+    representative, so ``failures`` still lists every failing instance.
     """
     out = SweepOutcome()
     classes = {}
@@ -178,6 +203,7 @@ def thm11_sweep(fan: Fan, certify: bool = True,
            for members in classes.values()]
     out.solved = len(top)
     top = [(members, witness) for members, witness in top if witness is not None]
+    member_class = {m.coeffs: cls for cls, (members, _) in enumerate(top) for _, m in members}
     moves = movers(fan)
     below = {}
     for size in range(fan.n_rays + 1):
@@ -187,9 +213,12 @@ def thm11_sweep(fan: Fan, certify: bool = True,
             out.instances += len(coeffs) ** fan.n_rays
             out.decided += len(classes)
             flags = tuple(i in dprime for i in rays)
-            rep = min(tuple(i for i, x in enumerate(move(flags)) if x) for move in moves)
+            images = [move(flags) for move in moves]
+            rep = min(tuple(i for i, x in enumerate(image) if x) for image in images)
             by_symmetry = rep in clean
+            stabilizer = [move for move, image in zip(moves, images) if image == flags]
             found = level[dprime] = {}
+            covered = {}
             failures = []
             feasible = 0
             for cls, (members, witness) in enumerate(top):
@@ -202,17 +231,29 @@ def thm11_sweep(fan: Fan, certify: bool = True,
                         continue
                 found[cls] = witness
                 feasible += len(members)
-                if not by_symmetry:
-                    failures += _check(out, fan, dprime, members, witness, certify)
+                if by_symmetry:
+                    continue
+                if cls in covered:
+                    require_witness(fan, members[0][1], dprime, witness)
+                    _count_passed(out, len(members), certify)
+                    continue
+                failed = _check(out, fan, dprime, members, witness, certify)
+                failures += failed
+                if not failed:
+                    for move in stabilizer:
+                        image = move(members[0][1].coeffs)
+                        covered[member_class.get(image)] = image
+            for cls, image in covered.items():
+                if cls not in found:
+                    raise AssertionError(
+                        f"{fan}: D' {dprime} is fixed by an automorphism that carries a "
+                        f"passing class onto the class of {image}, which is not feasible")
             if by_symmetry:
                 if feasible != clean[rep]:
                     raise AssertionError(
                         f"{fan}: D' {dprime} has {feasible} feasible instances, "
                         f"its representative {rep} has {clean[rep]}")
-                out.feasible += feasible
-                out.verified += feasible
-                out.certified += certify * feasible
-                out.agreed += certify * feasible
+                _count_passed(out, feasible, certify)
             elif rep == dprime and not failures:
                 clean[dprime] = feasible
             failures.sort(key=itemgetter(0))

@@ -459,8 +459,8 @@ def test_suite_sample_option_defaults(capsys, select, defaults):
 @pytest.mark.parametrize("select, options, pattern, keys", [
     ("thm11", ["--fans", "p1,p2", "--no-certify"],
      r"(\w+): (\d+)/(\d+) feasible, verified=(\d+), certified=(\d+), decided=(\d+), "
-     r"solved=(\d+), ok=(\w+)",
-     ("feasible", "instances", "verified", "certified", "decided", "solved", "ok")),
+     r"checked=(\d+), solved=(\d+), ok=(\w+)",
+     ("feasible", "instances", "verified", "certified", "decided", "checked", "solved", "ok")),
     ("serre", ["--fans", "p1,p2", "--bound", "1", "--sample", "3"],
      r"(\w+): serre duality failures = (\d+), log serre duality failures = (\d+)",
      ("serre_failures", "log_serre_failures")),

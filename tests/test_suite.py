@@ -89,10 +89,12 @@ def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
 
 
 @pytest.mark.parametrize("name, decided, checked", [
-    ("p2", 56, 24), ("p3", 144, 40), ("bl3", 27_200, 599)])
+    ("p2", 56, 24), ("p3", 144, 40), ("p1xp1", 400, 78), ("bl3", 27_200, 336)])
 def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     # ``solved`` counts the decisions that called the hypothesis; the rest
-    # were inferred along the D' lattice
+    # were inferred along the D' lattice.  ``checked`` skips the D' counted
+    # by symmetry and the classes covered under the stabilizer of their D',
+    # of which P2 and P3 have none
     calls = []
 
     def counting(fan, l, dprime):
@@ -102,7 +104,7 @@ def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     monkeypatch.setattr(suite, "hypothesis_feasible", counting)
     out = thm11_sweep(suite_fans()[name], certify=False)
     assert out.all_verified
-    solved = {"p2": 13, "p3": 17, "bl3": 3_930}[name]
+    solved = {"p2": 13, "p3": 17, "p1xp1": 41, "bl3": 3_930}[name]
     assert (out.decided, out.checked, out.solved) == (decided, checked, solved)
     assert len(calls) == solved
 
@@ -163,18 +165,94 @@ def test_fan_automorphisms_carry_the_sweep_check_to_its_image():
 
 
 def test_the_sweep_refuses_a_count_that_breaks_the_symmetry(monkeypatch):
-    # swapping rays 0 and 1 of F_1 is no automorphism: D_0 has
-    # self-intersection 0 and D_1 has -1.  Read as one, it makes (0,) the
-    # representative of (1,), whose feasible count differs
+    # a fake mover read as an automorphism: swapping rays 0 and 1 of F_1 is
+    # none (D_0 has self-intersection 0, D_1 has -1); it fixes D' = () and
+    # carries a passing class there onto one that is not feasible.  Rotating
+    # bl2's rays by two makes (1,) the representative of (3,), whose
+    # feasible count differs
     from operator import itemgetter
 
     from toricbott.fan import movers
 
-    fan = suite_fans()["f1"]
-    monkeypatch.setattr(suite, "movers", lambda f: movers(f) + (itemgetter(1, 0, 2, 3),))
-    with pytest.raises(AssertionError) as raised:
-        thm11_sweep(fan, certify=False)
-    message = str(raised.value)
-    assert str(fan) in message
-    assert "D' (1,) has 60 feasible instances" in message
-    assert "representative (0,) has 43" in message
+    fans = suite_fans()
+    for name, fake, message in [
+        ("f1", itemgetter(1, 0, 2, 3),
+         "D' () is fixed by an automorphism that carries a passing class onto "
+         "the class of (0, 2, 2, 1), which is not feasible"),
+        ("bl2", itemgetter(2, 3, 4, 0, 1),
+         "D' (3,) has 57 feasible instances, its representative (1,) has 73"),
+    ]:
+        monkeypatch.setattr(suite, "movers", lambda f, fake=fake: movers(f) + (fake,))
+        with pytest.raises(AssertionError) as raised:
+            thm11_sweep(fans[name], certify=False)
+        assert str(raised.value) == f"{fans[name]}: {message}"
+
+
+@pytest.mark.parametrize("name", ["p1xp1", "bl2", "bl3"])
+def test_each_covered_class_passes_as_its_orbit_representative(monkeypatch, name):
+    # a class covered under the stabilizer of D' runs no check in the
+    # sweep; checked here with the sweep's witness on an emptied engine,
+    # it must pass with the dimensions of a checked class that a
+    # stabilizer automorphism carries onto it
+    from toricbott.danilov import _engine
+    from toricbott.divisors import class_representative
+    from toricbott.fan import movers
+
+    fan = suite_fans()[name]
+    checked = {}
+    covered = []
+    original_check, original_require = suite.verify_vanishing, suite.require_witness
+
+    def checking(f, dprime, l, witness=None):
+        report = original_check(f, dprime, l, witness=witness)
+        checked.setdefault(dprime, []).append((l.coeffs, report.per_p))
+        return report
+
+    def requiring(f, l, dprime, witness):
+        covered.append((dprime, l, witness))
+        return original_require(f, l, dprime, witness)
+
+    monkeypatch.setattr(suite, "verify_vanishing", checking)
+    monkeypatch.setattr(suite, "require_witness", requiring)
+    assert thm11_sweep(fan, certify=False).all_verified
+    assert covered
+    _engine.cache_clear()
+    for dprime, l, witness in covered:
+        report = verify_vanishing(fan, dprime, l, witness=witness)
+        assert report.passed, (name, dprime, l.coeffs)
+        flags = tuple(i in dprime for i in range(fan.n_rays))
+        target = class_representative(fan, l.coeffs)
+        reps = [per_p for coeffs, per_p in checked[dprime] for move in movers(fan)
+                if move(flags) == flags and class_representative(fan, move(coeffs)) == target]
+        assert reps and all(per_p == report.per_p for per_p in reps), (name, dprime, l.coeffs)
+
+
+def test_a_failing_class_has_its_image_classes_checked(monkeypatch):
+    # fail bidegree (1, 2) on P1 x P1 at D' = (); swapping the factors fixes
+    # D' and carries it onto bidegree (2, 1), which the passing sweep covers.
+    # Now that class must be checked itself, and every instance counted as
+    # by a check at every (D', L)
+    fan = suite_fans()["p1xp1"]
+    original = verify_vanishing
+    failing = set()
+    seen = []
+
+    def patched(f, dprime, l, witness=None):
+        report = original(f, dprime, l, witness=witness)
+        bidegree = (l.coeffs[0] + l.coeffs[1], l.coeffs[2] + l.coeffs[3])
+        seen.append((dprime, bidegree))
+        if dprime == () and bidegree in failing:
+            report = dataclasses.replace(report, passed=False, violations=((1, 1, 1),))
+        return report
+
+    monkeypatch.setattr(suite, "verify_vanishing", patched)
+    assert thm11_sweep(fan, certify=False).checked == 78
+    assert ((), (1, 2)) in seen and ((), (2, 1)) not in seen
+    failing.add((1, 2))
+    seen.clear()
+    out = thm11_sweep(fan, certify=False)
+    assert ((), (2, 1)) in seen and out.checked == 79
+    assert out.failures and all(failure[1] == () for failure in out.failures)
+    monkeypatch.setitem(globals(), "verify_vanishing", patched)
+    assert dataclasses.replace(out, decided=0, checked=0, solved=0) == per_instance_sweep(
+        fan, certify=False, coeffs=(0, 1, 2))
