@@ -11,10 +11,14 @@ ample for some d in [0,1]^{D'}" reads L only through its wall numbers, and
 the sheaf Omega^p(log D')(-D') (x) O(L) only through O(L); linearly
 equivalent L share both.  So ``verified`` and ``certified`` count the
 instances whose class passed, and a failing class lists each of its
-members among the failures.  The sweep walks the D' lattice: the
-hypothesis is monotone in D', so a class infeasible at D' = all rays is
-never visited again, and a witness at D' minus one ray, extended by a
-zero, is a witness at D'.
+members among the failures.  The sweep walks the D' lattice downward,
+from all rays to the empty set.  The hypothesis is monotone in D' both
+ways: a witness at D', extended by a zero, is one at every superset, so a
+class infeasible at some superset of D' is infeasible at D'.  A class
+infeasible at D' = all rays is never visited again; below it, a class
+infeasible at some D' plus one ray is infeasible at D' with no test, and a
+witness at D' plus one ray that is 0 on that ray, with the entry dropped,
+is a witness at D'.
 
 The sweep checks one D' per orbit of the fan's automorphisms
 (``fan.automorphisms``).  An automorphism pi carries D_rho to D_pi(rho),
@@ -76,7 +80,8 @@ class SweepOutcome:
     a passing class onto), and ``solved`` the decisions made through
     ``hypothesis_feasible``; the others were inferred along the D' lattice.
     ``failures`` holds one entry per failing instance, with its own
-    coefficients, in sweep order.
+    coefficients, ordered by D' (by size, then lexicographically), then by
+    the instance's index in the coefficient box.
     """
 
     instances: int = 0
@@ -98,15 +103,18 @@ class SweepOutcome:
         return self.certified == self.feasible and self.agreed == self.feasible
 
 
-def _inherited(below: dict, dprime: tuple, cls: int):
-    """A witness at ``dprime`` for class ``cls`` from one at a one-smaller
-    subset in ``below``, with 0 inserted at the dropped ray; None if the
-    class is feasible at none of them."""
-    for i in range(len(dprime)):
-        witness = below[dprime[:i] + dprime[i + 1:]].get(cls)
-        if witness is not None:
-            return witness[:i] + (0,) + witness[i:]
-    return None
+def _inherited(supersets: list, cls: int):
+    """The verdict for class ``cls`` at D' read off the one-larger supersets
+    D' + {j}, given as (witnesses there by class, position of j) pairs: None
+    if the class is infeasible at one of them; a witness there with 0 at j,
+    with that entry dropped; or False if neither, and the hypothesis test
+    decides.  The first superset that settles it is right: a class with
+    such a witness is feasible at D', so at every superset of D'."""
+    for witnesses, at in supersets:
+        witness = witnesses.get(cls)
+        if witness is None or witness[at] == 0:
+            return witness and witness[:at] + witness[at + 1:]
+    return False
 
 
 def _check(out: SweepOutcome, fan: Fan, dprime: tuple, members: list,
@@ -154,13 +162,19 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     only through O(L), both fixed by the class.
 
     The hypothesis is monotone in D': a witness at D', extended by zeros,
-    is one at every superset.  So each class is decided first at D' = all
-    rays, and a class infeasible there is never visited again.  The others
-    are walked by size of D', then lexicographically; below all rays, a
-    class feasible at some D' minus one ray inherits that witness with 0 at
-    the dropped ray, and only a class feasible at no such subset calls
+    is one at every superset, so a class infeasible at D' is infeasible at
+    every subset.  So each class is decided first at D' = all rays, and a
+    class infeasible there is never visited again.  The others are walked
+    downward by size of D', from n - 1 rays to none, and lexicographically
+    within a size.  At each D' the one-larger supersets D' + {j} of the
+    previous size, and the position of j in each, are listed once, and
+    ``_inherited`` reads each class off them: a class infeasible at one of
+    them is infeasible at D'; otherwise a witness there with 0 at j, with
+    that entry dropped, is a witness at D'; only a class with neither calls
     ``hypothesis_feasible``.  Only the feasible witnesses of the previous
-    size are kept.
+    size are kept.  Each D''s failures are listed in instance order, and
+    one stable sort by D' at the end puts them in the order of
+    ``SweepOutcome.failures``.
 
     Each D' is checked or counted through its representative, the
     lexicographically least sorted image of D' under the fan's
@@ -205,8 +219,8 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     top = [(members, witness) for members, witness in top if witness is not None]
     member_class = {m.coeffs: cls for cls, (members, _) in enumerate(top) for _, m in members}
     moves = movers(fan)
-    below = {}
-    for size in range(fan.n_rays + 1):
+    above = {}
+    for size in range(fan.n_rays, -1, -1):
         level = {}
         clean = {}
         for dprime in itertools.combinations(rays, size):
@@ -217,18 +231,20 @@ def thm11_sweep(fan: Fan, certify: bool = True,
             rep = min(tuple(i for i, x in enumerate(image) if x) for image in images)
             by_symmetry = rep in clean
             stabilizer = [move for move, image in zip(moves, images) if image == flags]
+            supersets = [(above[tuple(sorted(dprime + (j,)))], sum(i < j for i in dprime))
+                         for j in rays if j not in dprime]
             found = level[dprime] = {}
             covered = {}
             failures = []
             feasible = 0
             for cls, (members, witness) in enumerate(top):
                 if dprime != rays:
-                    witness = _inherited(below, dprime, cls)
-                if witness is None:
+                    witness = _inherited(supersets, cls)
+                if witness is False:
                     witness = hypothesis_feasible(fan, members[0][1], dprime)
                     out.solved += 1
-                    if witness is None:
-                        continue
+                if witness is None:
+                    continue
                 found[cls] = witness
                 feasible += len(members)
                 if by_symmetry:
@@ -258,7 +274,8 @@ def thm11_sweep(fan: Fan, certify: bool = True,
                 clean[dprime] = feasible
             failures.sort(key=itemgetter(0))
             out.failures += [failure for _, failure in failures]
-        below = level
+        above = level
+    out.failures.sort(key=lambda failure: (len(failure[1]), failure[1]))
     return out
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,12 +90,13 @@ def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
 
 
 @pytest.mark.parametrize("name, decided, checked", [
-    ("p2", 56, 24), ("p3", 144, 40), ("p1xp1", 400, 78), ("bl3", 27_200, 336)])
+    ("p1", 20, 12), ("p2", 56, 24), ("p3", 144, 40), ("p1xp1", 400, 78), ("f1", 464, 180),
+    ("f2", 528, 168), ("bl1", 464, 180), ("bl2", 3_680, 458), ("bl3", 27_200, 336)])
 def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     # ``solved`` counts the decisions that called the hypothesis; the rest
-    # were inferred along the D' lattice.  ``checked`` skips the D' counted
-    # by symmetry and the classes covered under the stabilizer of their D',
-    # of which P2 and P3 have none
+    # were inferred from the one-larger supersets of D'.  ``checked`` skips
+    # the D' counted by symmetry and the classes covered under the
+    # stabilizer of their D', of which P2 and P3 have none
     calls = []
 
     def counting(fan, l, dprime):
@@ -104,9 +106,28 @@ def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     monkeypatch.setattr(suite, "hypothesis_feasible", counting)
     out = thm11_sweep(suite_fans()[name], certify=False)
     assert out.all_verified
-    solved = {"p2": 13, "p3": 17, "p1xp1": 41, "bl3": 3_930}[name]
+    solved = {"p1": 5, "p2": 7, "p3": 9, "p1xp1": 25, "f1": 33, "f2": 41, "bl1": 33,
+              "bl2": 148, "bl3": 563}[name]
     assert (out.decided, out.checked, out.solved) == (decided, checked, solved)
     assert len(calls) == solved
+
+
+def test_a_verdict_is_inherited_from_the_one_larger_supersets():
+    # each superset D' + {j} gives its witnesses by class and the position
+    # of j in it; a class missing from one is infeasible at D', a witness
+    # with 0 at j is one at D' with that entry dropped, and witnesses with
+    # no such zero leave the hypothesis test to decide
+    half = Fraction(1, 2)
+    at_02 = {0: (1, 0), 1: (half, 1), 2: (half, half)}
+    at_12 = {0: (1, 1), 1: (0, half), 2: (1, half)}
+    supersets = [(at_02, 1), (at_12, 0)]
+    assert suite._inherited(supersets, 0) == (1,)
+    assert suite._inherited(supersets, 1) == (half,)
+    assert suite._inherited(supersets, 2) is False
+    assert suite._inherited([({1: (0, 0)}, 0)] + supersets, 0) is None
+    assert suite._inherited([(at_02, 1), ({0: (1, 1)}, 0)], 2) is None
+    assert suite._inherited([({0: (0,)}, 0)], 0) == ()
+    assert suite._inherited([], 0) is False
 
 
 def _image(perm, dprime, coeffs, witness=None):
@@ -165,22 +186,26 @@ def test_fan_automorphisms_carry_the_sweep_check_to_its_image():
 
 
 def test_the_sweep_refuses_a_count_that_breaks_the_symmetry(monkeypatch):
-    # a fake mover read as an automorphism: swapping rays 0 and 1 of F_1 is
-    # none (D_0 has self-intersection 0, D_1 has -1); it fixes D' = () and
-    # carries a passing class there onto one that is not feasible.  Rotating
-    # bl2's rays by two makes (1,) the representative of (3,), whose
-    # feasible count differs
+    # a fake mover read as an automorphism.  Swapping rays 2 and 3 of F_1 is
+    # none (D_2 has self-intersection 0, D_3 has 1); it fixes D' = all rays,
+    # the first D' of the walk, and carries a passing class there onto one
+    # that is not feasible.  Swapping rays 0 and 1 (self-intersections 0
+    # and -1) makes (0, 3) the representative of (1, 3), and rotating bl2's
+    # rays by two makes (0, 1, 2, 3) that of (0, 2, 3, 4), whose feasible
+    # counts differ
     from operator import itemgetter
 
     from toricbott.fan import movers
 
     fans = suite_fans()
     for name, fake, message in [
+        ("f1", itemgetter(0, 1, 3, 2),
+         "D' (0, 1, 2, 3) is fixed by an automorphism that carries a passing class onto "
+         "the class of (0, 0, 2, 0), which is not feasible"),
         ("f1", itemgetter(1, 0, 2, 3),
-         "D' () is fixed by an automorphism that carries a passing class onto "
-         "the class of (0, 2, 2, 1), which is not feasible"),
+         "D' (1, 3) has 60 feasible instances, its representative (0, 3) has 43"),
         ("bl2", itemgetter(2, 3, 4, 0, 1),
-         "D' (3,) has 57 feasible instances, its representative (1,) has 73"),
+         "D' (0, 2, 3, 4) has 91 feasible instances, its representative (0, 1, 2, 3) has 94"),
     ]:
         monkeypatch.setattr(suite, "movers", lambda f, fake=fake: movers(f) + (fake,))
         with pytest.raises(AssertionError) as raised:
