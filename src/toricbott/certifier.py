@@ -19,10 +19,11 @@ on p.  Claims therefore carry no p.  Strata are addressed by a descent
 chain of ray indices, one per level (level 0 indexes a ray of the ambient
 fan, level 1 a ray of that stratum's fan, and so on).
 
-The root claim rests on the hypothesis witness d that the caller passes
-in: L - dD' ample, d in [0,1]^{D'}.  The builder and the checker check
-that witness and solve no LP; the ``thm11`` sweep and the CLI decide the
-hypothesis.
+The root claim is the statement: its log set is D' and its twist is L,
+and the certificate keeps no other copy of them.  It rests on the
+hypothesis witness d that the caller passes in: L - dD' ample, d in
+[0,1]^{D'}.  The builder and the checker check that witness and solve no
+LP; the ``thm11`` sweep and the CLI decide the hypothesis.
 """
 
 from __future__ import annotations
@@ -101,16 +102,15 @@ class CertificateNode:
 @dataclass(frozen=True)
 class Certificate:
     """The claim tree, held as a one-element ``roots`` tuple, plus the
-    hypothesis witness."""
+    hypothesis witness.  The root claim is the statement: D' is its log set
+    and L its twist."""
 
     roots: tuple
     hypothesis_witness: tuple
     fan_sha256: str
-    logset: tuple
-    divisor: tuple
 
 
-FORMAT = "toricbott-certificate/2"
+FORMAT = "toricbott-certificate/3"
 
 
 def _residue_step(fan_s: Fan, claim: VanishingClaim, h: int):
@@ -164,7 +164,7 @@ def build_certificate(
                                build_node(sp.fan, quotient, restricted_ample))
 
     root = build_node(f, VanishingClaim((), dprime, l.coeffs), residual)
-    return Certificate((root,), tuple(witness), fan_hash(f), dprime, tuple(l.coeffs))
+    return Certificate((root,), tuple(witness), fan_hash(f))
 
 
 def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> None:
@@ -211,7 +211,8 @@ def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False)
     """Independently re-check a certificate against the fan.
 
     Leaves are recomputed as line-bundle cohomology; residue steps are
-    checked structurally; the stored witness must satisfy the hypothesis.
+    checked structurally; the stored witness must satisfy the hypothesis
+    of the root claim, whose log set is D' and whose twist is L.
     """
     try:
         require_smooth_complete(f)
@@ -219,18 +220,13 @@ def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False)
             raise MalformedNode("certificate was built for a different fan")
         if len(cert.roots) != 1:
             raise MalformedNode("certificate must carry exactly one root")
-        if not set(cert.logset) <= set(range(f.n_rays)):
-            raise MalformedNode("certificate log set has invalid ray indices")
-        if len(cert.divisor) != f.n_rays:
-            raise MalformedNode("certificate divisor length does not match the fan")
+        root = cert.roots[0]
         try:
-            require_witness(f, InvariantDivisor(cert.divisor), cert.logset,
+            require_witness(f, InvariantDivisor(root.claim.twist), root.claim.logset,
                             cert.hypothesis_witness)
         except ValueError as exc:
             raise MalformedNode(str(exc)) from exc
-        if cert.roots[0].claim != VanishingClaim((), cert.logset, cert.divisor):
-            raise MalformedNode("root claim does not match the certificate data")
-        _check_node(f, cert.roots[0], ())
+        _check_node(f, root, ())
         return True
     except CertificateError:
         if raise_on_failure:
@@ -307,8 +303,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "format": FORMAT,
         "fan_sha256": cert.fan_sha256,
-        "logset": list(cert.logset),
-        "divisor": list(cert.divisor),
         "hypothesis_witness": [str(Fraction(x)) for x in cert.hypothesis_witness],
         "roots": [_node_to_dict(r) for r in cert.roots],
     }
@@ -318,14 +312,16 @@ def certificate_from_dict(data: dict) -> Certificate:
     try:
         if data["format"] != FORMAT:
             raise MalformedNode(f"unsupported certificate format {data['format']!r}")
+        if set(data) != {"format", "fan_sha256", "hypothesis_witness", "roots"}:
+            raise MalformedNode(f"certificate keys {sorted(data)} are not those of {FORMAT}")
+        if not all(type(data[key]) is list for key in ("roots", "hypothesis_witness")):
+            raise MalformedNode("roots and hypothesis_witness must be lists")
         return Certificate(
             tuple(_node_from_dict(r) for r in data["roots"]),
             # an int or an exact "a/b" string; a JSON float is not exact
             tuple(Fraction(x) if isinstance(x, str) else Fraction(*json_ints([x], "witness entry"))
                   for x in data["hypothesis_witness"]),
             str(data["fan_sha256"]),
-            json_ints(data["logset"], "log ray"),
-            json_ints(data["divisor"], "coefficient"),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         # RecursionError: nesting far deeper than any fan's ray count

@@ -134,13 +134,16 @@ def cmd_vanishing(args) -> int:
         if args.unchecked and witness is None:
             return EXIT_OK
         return EXIT_OK if report.passed and (both is None or both.agree) else EXIT_FAIL
-    # certify
+    # certify: the certificate checked is the text written, as read back
     cert = certifier.build_certificate(f, dprime, l, witness=witness)
-    ok = certifier.check_certificate(f, cert)
-    payload = certifier.certificate_to_dict(cert)
+    text = json.dumps(certifier.certificate_to_dict(cert), sort_keys=True)
+    try:
+        ok = certifier.check_certificate(f, certifier.certificate_from_dict(json.loads(text)))
+    except certifier.MalformedNode:
+        ok = False
     if args.output:
         with open(args.output, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            handle.write(text)
     data = {
         "checked": ok,
         "leaves": certifier.leaf_count(cert),

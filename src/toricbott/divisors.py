@@ -9,8 +9,8 @@ rule of the engine and the sweep) all use it.  Positivity on a complete fan
 is decided through intersection numbers with the invariant wall curves, all
 in exact arithmetic; tests/test_divisors.py pins the sign of the wall
 formula (O(1) . line = 1 on P^2).  ``hypothesis_feasible`` decides the paper's
-hypothesis, L - dD' ample for some d in [0,1]^{D'}: an interval bound, three
-candidate points and the exact LP, with no cache of its own.
+hypothesis, L - dD' ample for some d in [0,1]^{D'}: an interval bound, the
+candidate point d = 0 and the exact LP, with no cache of its own.
 """
 
 from __future__ import annotations
@@ -184,12 +184,11 @@ def is_projective(f: Fan) -> bool:
 @lru_cache(maxsize=65_536)
 def _dprime_rows(f: Fan, dprime: tuple) -> tuple:
     """Per-wall coefficient rows of the hypothesis LP, with each row's box
-    minimum and full sum (depends on D' only)."""
+    minimum (depends on D' only)."""
     w = wall_matrix(f)
     cols = tuple(tuple(row[j] for j in dprime) for row in w)
     minsums = tuple(sum(c for c in col if c < 0) for col in cols)
-    fullsums = tuple(sum(col) for col in cols)
-    return cols, minsums, fullsums
+    return cols, minsums
 
 
 def hypothesis_feasible(
@@ -198,23 +197,22 @@ def hypothesis_feasible(
     """Rational witness d in [0,1]^{D'} with l - sum d_j D_j ample, or None.
 
     An interval bound per wall rules out the instances that no d in the box
-    can make ample on that wall; then the points d = 0, 1 and 1/2 on every
-    ray are tried as witnesses, and the exact LP (wall rows strict, box rows
-    not) decides the rest.
+    can make ample on that wall; then d = 0 is tried as the witness (L
+    itself ample), and the exact LP (wall rows strict, box rows not) decides
+    the rest.
     """
     require_smooth_complete(f)
     dprime = sorted_logset(f, dprime)
     targets = wall_numbers(f, l)
     k = len(dprime)
-    cols, minsums, fullsums = _dprime_rows(f, dprime)
+    cols, minsums = _dprime_rows(f, dprime)
 
     # Necessary condition per wall: the box minimum of the row must beat it.
     if any(ms >= b for ms, b in zip(minsums, targets)):
         return None
 
-    for d in (0, 1, Fraction(1, 2)):
-        if all(d * s < b for s, b in zip(fullsums, targets)):
-            return (d,) * k
+    if all(b > 0 for b in targets):
+        return (0,) * k
 
     rows = [list(col) for col in cols] + [[int(i == j) for i in range(k)] for j in range(k)]
     rhs = list(targets) + [1] * k
@@ -243,11 +241,13 @@ def require_witness(
     """Check a supplied hypothesis witness and return its integer residual
     class N (l - dD') (see ``residual_divisor``).
 
-    The witness must have one int or Fraction entry per ray of D' (in
-    sorted order), lie in [0,1]^{D'} and make the residual ample; otherwise
-    ValueError.
+    L must have one coefficient per ray, and the witness one int or
+    Fraction entry per ray of D' (in sorted order); it must lie in [0,1]^{D'}
+    and make the residual ample.  Otherwise ValueError.
     """
     dprime = sorted_logset(f, dprime)
+    if len(l.coeffs) != f.n_rays:
+        raise ValueError(f"divisor has {len(l.coeffs)} coefficients for {f.n_rays} rays")
     if len(witness) != len(dprime):
         raise ValueError("supplied witness does not satisfy the hypothesis: "
                          f"{len(witness)} entries for {len(dprime)} log rays")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -56,7 +57,11 @@ class UnboundedAuxiliary(RuntimeError):
 def json_ints(values, what: str) -> tuple:
     """``values`` as a tuple; ValueError naming the first entry that is not
     an ``int`` (a bool, float, Fraction or string), described as ``what``,
-    and ValueError if ``values`` is not a sequence at all."""
+    and ValueError if ``values`` is not a sequence at all or is a string,
+    bytes or mapping, whose iteration would read characters or keys."""
+    # the type test first: the ABC test would cost every tuple and list
+    if type(values) not in (tuple, list) and isinstance(values, (str, bytes, Mapping)):
+        raise ValueError(f"{what} values must come as a list, not {type(values).__name__}")
     try:
         values = tuple(values)
     except TypeError as exc:

@@ -17,6 +17,26 @@ def _sparse(rows, cols=None) -> QMatrix:
                    tuple(tuple((j, x) for j, x in enumerate(row) if x != 0) for row in rows))
 
 
+@pytest.fixture
+def wrong_h0(monkeypatch):
+    """A negative control: ``wrong_h0(hit)`` makes every cohomology lookup
+    read h^0 at p = 0 one higher wherever ``hit(fan, logset, twist)``."""
+    import toricbott.danilov as danilov
+
+    original = danilov._log_dims
+
+    def patch(hit):
+        def off_by_one(f, ps, logset, twist):
+            dims = original(f, ps, logset, twist)
+            if ps[0] == 0 and hit(f, logset, twist):
+                dims = ((dims[0][0] + 1,) + dims[0][1:],) + dims[1:]
+            return dims
+
+        monkeypatch.setattr(danilov, "_log_dims", off_by_one)
+
+    return patch
+
+
 @pytest.fixture(scope="session")
 def dense():
     """Builds a QMatrix from dense rows: ``dense(rows)`` or ``dense(rows, cols)``."""

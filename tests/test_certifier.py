@@ -267,14 +267,28 @@ def test_supplied_witness_must_fit_the_log_set_and_unit_box(dprime, l, witness, 
         build_certificate(P2, dprime, l, witness=witness)
 
 
+def _with_root_claim(cert, **changes):
+    """The certificate whose root claim, which states D' and L, is changed."""
+    root = cert.roots[0]
+    claim = dataclasses.replace(root.claim, **changes)
+    return dataclasses.replace(cert, roots=(dataclasses.replace(root, claim=claim),))
+
+
+def test_routes_refuse_a_divisor_of_the_wrong_length():
+    # a log ray beyond the end of L once escaped as an IndexError
+    for route in (build_certificate, cross_validate, verify_vanishing):
+        with pytest.raises(ValueError, match="2 coefficients for 3 rays"):
+            route(P2, (2,), InvariantDivisor((2, 0)), witness=(0,))
+
+
 def test_log_rays_must_be_rays_of_the_fan():
     with pytest.raises(ValueError, match="out of range"):
         build_certificate(P2, (-1,), InvariantDivisor((1, 0, 0)), witness=(0,))
     cert = _certificate(P2, (1,), InvariantDivisor((2, 0, 0)))
     for logset in ((7,), (-1,)):
-        tampered = dataclasses.replace(cert, logset=logset)
+        tampered = _with_root_claim(cert, logset=logset)
         assert not check_certificate(P2, tampered)
-        with pytest.raises(MalformedNode, match="invalid ray indices"):
+        with pytest.raises(MalformedNode, match="out of range"):
             check_certificate(P2, tampered, raise_on_failure=True)
 
 
@@ -294,13 +308,22 @@ def test_certifying_sweep_decides_each_hypothesis_once(monkeypatch):
 
 
 def test_serialization_roundtrip_and_stable_hash():
-    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
-    data = certificate_to_dict(cert)
-    text = json.dumps(data, sort_keys=True)
-    back = certificate_from_dict(json.loads(text))
-    assert back == cert
-    assert certificate_hash(back) == certificate_hash(cert)
-    assert check_certificate(P2, back)
+    # D' and L are stated once, in the root claim
+    assert [f.name for f in dataclasses.fields(Certificate)] == [
+        "roots", "hypothesis_witness", "fan_sha256"]
+    for f, dprime, l in ((P2, (1,), 2 * ray_divisor(P2, 0)),
+                         (hirzebruch(2), (1,), InvariantDivisor((0, 1, 1, 0)))):
+        cert = _certificate(f, dprime, l)
+        assert cert.roots[0].claim == VanishingClaim((), dprime, l.coeffs)
+        data = certificate_to_dict(cert)
+        assert set(data) == {"format", "fan_sha256", "hypothesis_witness", "roots"}
+        text = json.dumps(data, sort_keys=True)
+        back = certificate_from_dict(json.loads(text))
+        assert back == cert
+        assert certificate_hash(back) == certificate_hash(cert)
+        assert check_certificate(f, back)
+    # F2's witness is the LP's 2/3, written as an exact "a/b" string
+    assert data["hypothesis_witness"] == ["2/3"]
 
 
 def test_malformed_witness_number_is_malformed_node():
@@ -312,9 +335,9 @@ def test_malformed_witness_number_is_malformed_node():
 
 @pytest.mark.parametrize("path, value", [
     (("hypothesis_witness",), [0.5]),
-    (("divisor",), [2.7, 0, 0]),
-    (("divisor",), [True, 0, 0]),
-    (("logset",), [1.0]),
+    (("roots", 0, "claim", "twist"), [2.7, 0, 0]),
+    (("roots", 0, "claim", "twist"), [True, 0, 0]),
+    (("roots", 0, "claim", "logset"), [1.0]),
     (("roots", 0, "claim", "stratum"), [0.0]),
     (("roots", 0, "claim", "twist"), [2, 0.5, 0]),
     (("roots", 0, "added_ray"), 0.0),
@@ -333,9 +356,10 @@ def test_non_integer_json_numbers_are_malformed_node(path, value):
 
 @pytest.mark.parametrize("divisor", [(2, 0), (2, 0, 0, 0)])
 def test_divisor_of_wrong_length_is_malformed(divisor):
+    # L is the root claim's twist
     cert = _certificate(P2, (2,), InvariantDivisor((2, 0, 0)))
-    bad = dataclasses.replace(cert, divisor=divisor)
-    with pytest.raises(MalformedNode, match="divisor length"):
+    bad = _with_root_claim(cert, twist=divisor)
+    with pytest.raises(MalformedNode, match=f"{len(divisor)} coefficients for 3 rays"):
         check_certificate(P2, bad, raise_on_failure=True)
 
 
@@ -343,6 +367,44 @@ def test_format_1_is_rejected_by_name():
     data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
     data["format"] = "toricbott-certificate/1"
     with pytest.raises(MalformedNode, match="toricbott-certificate/1"):
+        certificate_from_dict(data)
+
+
+def test_format_2_is_rejected_by_name():
+    # /2 kept a second copy of D' and L at the top level; there is no reader
+    # for it, also when the copies agree with the root claim
+    data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data.update(format="toricbott-certificate/2", logset=[1], divisor=[2, 0, 0])
+    with pytest.raises(MalformedNode, match="toricbott-certificate/2"):
+        certificate_from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hypothesis_witness", "0"),
+    ("hypothesis_witness", {"0": 1}),
+    ("roots", {"0": None}),
+    ("roots", "r"),
+])
+def test_string_or_object_where_a_list_belongs_is_malformed(key, value):
+    # the string "0" used to be read as the witness [0], which then checked
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    assert cert.hypothesis_witness == (0,)
+    data = certificate_to_dict(cert)
+    data[key] = value
+    with pytest.raises(MalformedNode, match="must be lists"):
+        certificate_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["logset", "divisor"])
+def test_a_second_statement_beside_the_root_claim_is_malformed(key):
+    # a /3 file has no top-level copy of D' or L that could disagree with
+    # the root claim
+    data = certificate_to_dict(_certificate(P2, (1,), 2 * ray_divisor(P2, 0)))
+    data[key] = [2]
+    with pytest.raises(MalformedNode, match="are not those of toricbott-certificate/3"):
+        certificate_from_dict(data)
+    del data[key], data["fan_sha256"]
+    with pytest.raises(MalformedNode, match="are not those of"):
         certificate_from_dict(data)
 
 
@@ -362,12 +424,6 @@ def _check_with_sub(change):
         root = dataclasses.replace(root, sub_child=change(root.sub_child))
         check_certificate(P2, dataclasses.replace(cert, roots=(root,)), raise_on_failure=True)
     return check
-
-
-def _check_with_root_twist(cert):
-    root = cert.roots[0]
-    root = dataclasses.replace(root, claim=dataclasses.replace(root.claim, twist=(3, 0, 0)))
-    check_certificate(P2, dataclasses.replace(cert, roots=(root,)), raise_on_failure=True)
 
 
 def _read_with_sub_rule(cert):
@@ -401,7 +457,6 @@ def _raise_quotient_twist(sub):
      "residue step is missing a child"),
     (_check_with_sub(_raise_quotient_twist),
      "quotient child claim is not the residue-sequence quotient"),
-    (_check_with_root_twist, "root claim does not match the certificate data"),
     (_read_with_sub_rule, "unknown rule 'bogus' in serialized certificate"),
 ])
 def test_checker_refuses_each_malformed_node(tamper, message):
@@ -417,14 +472,14 @@ def test_checker_refuses_each_malformed_node(tamper, message):
 
 @pytest.mark.parametrize("fan, dprime, coeffs, digest", [
     (P2, (1,), (2, 0, 0),
-     "33cc67043eee974d26500e3c2dabd6a25487e4a4887f673a6a4f660f5d99a45b"),
+     "48a6ec8b0698b5c69b7e902d44a50d868b4a6c4ef69904f8c4b07666964bdb59"),
     (projective_space(3), (2,), (1, 0, 1, 0),
-     "92e09d89ba1532ddacd2a2e5471e4f81a11c5c795c9d3febd67fb9e076d53e4f"),
+     "cbd4308f0cd269899a501e0b38d7e368e000a1c6fc756671ed8155a5383294ad"),
 ])
-def test_format_2_hash_is_pinned(fan, dprime, coeffs, digest):
+def test_format_3_hash_is_pinned(fan, dprime, coeffs, digest):
     cert = _certificate(fan, dprime, InvariantDivisor(coeffs))
     data = certificate_to_dict(cert)
-    assert data["format"] == "toricbott-certificate/2"
+    assert data["format"] == "toricbott-certificate/3"
     assert '"p"' not in json.dumps(data)
     assert certificate_hash(cert) == digest
     assert certificate_hash(certificate_from_dict(json.loads(json.dumps(data)))) == digest

@@ -11,9 +11,15 @@ from toricbott.cli import (
     EXIT_OK,
     main,
 )
-from toricbott.certifier import certificate_from_dict, leaf_count
+from toricbott.certifier import (
+    build_certificate,
+    certificate_from_dict,
+    certificate_hash,
+    leaf_count,
+)
 from toricbott.danilov import cech_cohomology, sheaf_spec
-from toricbott.fan import fan_from_dict, fan_to_dict, product, projective_space
+from toricbott.divisors import InvariantDivisor
+from toricbott.fan import fan_from_dict, fan_to_dict, hirzebruch, product, projective_space
 
 
 @pytest.fixture
@@ -45,6 +51,11 @@ def test_validate_ok(p2_file, capsys):
     assert "smooth: True" in out
 
 
+def test_builtin_without_output_prints_the_fan(capsys):
+    assert main(["fan", "builtin", "--name", "hirzebruch", "--param", "1"]) == EXIT_OK
+    assert fan_from_dict(json.loads(capsys.readouterr().out)) == hirzebruch(1)
+
+
 def test_validate_incomplete_fan(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -53,6 +64,17 @@ def test_validate_incomplete_fan(tmp_path):
         "max_cones": [[0, 1], [1, 2]],
     }))
     assert main(["fan", "validate", "--fan", str(path)]) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("action", ["check", "certify", "cross-validate"])
+def test_vanishing_on_an_incomplete_fan_is_malformed(tmp_path, divisor_file, capsys, action):
+    # the facet spanned by ray 2 lies in one cone only: no cone (0, 2)
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                                "max_cones": [[0, 1], [1, 2]]}))
+    assert main(["vanishing", action, "--fan", str(path),
+                 "--divisor", divisor_file([1, 0, 0])]) == EXIT_MALFORMED
+    assert "not smooth/complete/valid" in capsys.readouterr().err
 
 
 def test_malformed_fan_file(tmp_path):
@@ -229,11 +251,51 @@ def test_vanishing_certify_writes_certificate(p2_file, divisor_file, tmp_path, c
     assert main(["vanishing", "certify", "--fan", p2_file, "--divisor", d,
                  "-o", str(cert_path)]) == EXIT_OK
     data = json.load(open(cert_path))
-    assert data["format"] == "toricbott-certificate/2"
+    assert data["format"] == "toricbott-certificate/3"
+    assert set(data) == {"format", "fan_sha256", "hypothesis_witness", "roots"}
     assert len(data["roots"]) == 1
+    # D' = {} and L = D_0, stated once, in the root claim
+    assert data["roots"][0]["claim"] == {"stratum": [], "logset": [], "twist": [1, 0, 0]}
     printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     cert = certificate_from_dict(data)
+    assert printed["checked"] == "True"
     assert int(printed["leaves"]) == leaf_count(cert) > 0
+    assert printed["hash"] == certificate_hash(cert)
+
+
+def _drop_the_root_quotient(data):
+    del data["roots"][0]["quotient"]
+
+
+def _shift_the_root_twist(data):
+    data["roots"][0]["claim"]["twist"][0] += 1
+
+
+@pytest.mark.parametrize("corrupt", [_drop_the_root_quotient, _shift_the_root_twist])
+def test_vanishing_certify_checks_the_certificate_it_writes(p2_file, divisor_file, tmp_path,
+                                                            capsys, monkeypatch, corrupt):
+    # the in-memory certificate is sound; the serialized one is not, and it
+    # is the one that is read back, checked and written
+    import toricbott.certifier as certifier
+
+    original = certifier.certificate_to_dict
+
+    def corrupted(cert):
+        data = original(cert)
+        corrupt(data)
+        return data
+
+    monkeypatch.setattr(certifier, "certificate_to_dict", corrupted)
+    d = divisor_file([1, 0, 0])
+    cert_path = tmp_path / "cert.json"
+    assert main(["vanishing", "certify", "--fan", p2_file, "--divisor", d,
+                 "-o", str(cert_path)]) == EXIT_FAIL
+    assert "checked: False" in capsys.readouterr().out.splitlines()
+    # the file holds the corrupted text that was checked
+    expected = original(build_certificate(projective_space(2), (), InvariantDivisor((1, 0, 0)),
+                                          witness=()))
+    corrupt(expected)
+    assert json.load(open(cert_path)) == expected
 
 
 def test_cross_validate_command(p2_file, divisor_file):
@@ -267,6 +329,18 @@ def test_cohomology_command(p2_file, tmp_path, capsys):
                  "--spec", str(spec)]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["dims"] == [6, 0, 0]
+
+
+@pytest.mark.parametrize("field, value", [("logset", {}), ("logset", ""), ("twist", "000")])
+def test_cohomology_spec_with_a_string_or_object_for_a_list_is_malformed(
+        p2_file, tmp_path, capsys, field, value):
+    # {"logset": {}} used to run as D' = {} and exit 0
+    raw = {"p": 1, "logset": [], "twist": [0, 0, 0]}
+    raw[field] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert main(["cohomology", "--fan", p2_file, "--spec", str(spec)]) == EXIT_MALFORMED
+    assert "must come as a list" in capsys.readouterr().err
 
 
 def test_cohomology_spec_with_float_is_malformed(p2_file, tmp_path):
@@ -516,6 +590,28 @@ def test_machine_suite_output_lists_each_failure(capsys, monkeypatch):
     row = json.loads(capsys.readouterr().out)["fans"]["p1"]
     assert row["failures"] == [["verify", [0], [1, 0], [[0, 1, 1]]]]
     assert (row["instances"], row["feasible"], row["verified"], row["ok"]) == (1, 1, 0, False)
+
+
+def test_suite_serre_exits_1_on_a_wrong_cohomology_entry(capsys, wrong_h0):
+    # h^0(O) read as 2 breaks Serre duality with O(K)
+    wrong_h0(lambda f, logset, twist: not logset and twist == (0, 0, 0))
+    assert main(["suite", "--select", "serre", "--fans", "p2", "--bound", "1",
+                 "--sample", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().out == (
+        "p2: serre duality failures = 2, log serre duality failures = 0\n")
+
+
+def test_suite_euler_exits_1_on_a_wrong_cohomology_entry(capsys, wrong_h0):
+    # one h^0 of the drawn instance's middle term off by one
+    import random
+
+    import toricbott.suite as suite
+
+    p2 = suite.suite_fans()["p2"]
+    [(_, _, dprime, _, _)] = suite.sample_euler_instances({"p2": p2}, random.Random(0), 1)
+    wrong_h0(lambda f, logset, twist: f == p2 and logset == frozenset(dprime))
+    assert main(["suite", "--select", "euler", "--fans", "p2", "--sample", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().out == "p2: euler additivity ok=False\n"
 
 
 def test_suite_euler_smoke(capsys):

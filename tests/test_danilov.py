@@ -279,6 +279,12 @@ def test_verify_checks_the_log_set_once_on_each_path(monkeypatch, witness, unche
             verify_vanishing(P2, dprime, l, witness=witness, unchecked=unchecked)
 
 
+def test_cech_cohomology_refuses_a_twist_of_the_wrong_length():
+    for twist in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="twist length does not match the fan"):
+            cech_cohomology(P2, sheaf_spec(0, (), twist))
+
+
 def test_log_spec_dims_rejects_a_log_ray_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         log_spec_dims(P2, 1, (7,), zero_divisor(P2))
@@ -326,6 +332,16 @@ def test_euler_additivity_p0_is_ideal_sheaf_arithmetic():
     report = euler_additivity_check(P2, (), 0, l)
     p0 = report.per_p[0]
     assert p0[1] == 6 and p0[2] == 3 and p0[3] == 3
+
+
+def test_euler_additivity_fails_on_a_wrong_cohomology_entry(wrong_h0):
+    # one h^0 of the middle term off by one breaks chi additivity at p = 0 only
+    wrong_h0(lambda f, logset, twist: f == P2 and not logset)
+    report = euler_additivity_check(P2, (), 0, zero_divisor(P2))
+    assert not report.passed
+    # chi(O) read as 2 against chi(O(-H)) + chi(O_H) = 0 + 1
+    assert report.per_p[0] == (0, 2, 0, 1)
+    assert all(mid == sub + quot for _, mid, sub, quot in report.per_p[1:])
 
 
 def test_euler_additivity_rejects_log_ray():

@@ -14,6 +14,7 @@ from toricbott.exactmath import (
     _bareiss,
     cohomology_dims,
     det,
+    json_ints,
     lp_feasible_strict,
     polyhedron_bounded,
     rank,
@@ -281,6 +282,16 @@ def test_cohomology_accepts_cancelling_nonzero_entries(dense):
     assert cohomology_dims(ChainComplex((1, 2, 1), (d0, d1))) == [0, 0, 0]
 
 
+def test_complex_needs_one_more_term_than_differential(dense):
+    with pytest.raises(ValueError, match="one more term than differential"):
+        ChainComplex((1, 1, 1), (dense(((1,),)),))
+
+
+def test_complex_refuses_a_differential_of_the_wrong_shape(dense):
+    with pytest.raises(ValueError, match=r"differential 0 has shape 1x2, expected 1x1"):
+        ChainComplex((1, 1), (dense(((1, 0),)),))
+
+
 def test_single_term_complex():
     c = ChainComplex((3,), ())
     assert cohomology_dims(c) == [3]
@@ -506,3 +517,11 @@ def test_strict_lp_drives_an_artificial_out_with_a_negative_pivot():
     # drives it out is negative; without negating the tableau to keep its
     # denominator positive, Phase II meets an unbounded column
     assert lp_feasible_strict([[1], [-1]], [2, -2], [False, False]) == [2]
+
+
+@pytest.mark.parametrize("values", [{}, "", "12", b"\x01", {1: 2}])
+def test_json_ints_refuses_a_string_bytes_or_mapping(values):
+    # iterating one would read characters, bytes or keys as the entries:
+    # {} and "" were read as the empty list, b"\x01" as [1]
+    with pytest.raises(ValueError, match="log ray values must come as a list"):
+        json_ints(values, "log ray")

@@ -172,6 +172,20 @@ def test_star_subdivision_requires_a_cone():
     assert p1xp1.rays[0] == (1, 0) and p1xp1.rays[1] == (-1, 0)
     with pytest.raises(NotACone):
         star_subdivision(p1xp1, (0, 1))
+    with pytest.raises(NotACone, match="does not span a cone"):
+        stratum_fan(p1xp1, (0, 1))
+
+
+def test_star_subdivision_requires_a_smooth_fan():
+    with pytest.raises(FanError, match="requires a smooth fan"):
+        star_subdivision(DET_TWO, (0, 3))
+
+
+def test_star_subdivision_refuses_a_ray_already_present():
+    # OVERLAPPING is smooth cone by cone, and e1 + e2 is already its ray 2
+    assert validate(OVERLAPPING).smooth
+    with pytest.raises(MalformedInput, match=r"ray \(1, 1\) already present"):
+        star_subdivision(OVERLAPPING, (0, 1))
 
 
 def test_star_subdivision_preserves_smooth_complete():
@@ -247,6 +261,12 @@ def test_hirzebruch_zero_is_p1xp1():
     assert cone_vectors(f0) == cone_vectors(p1xp1)
 
 
+@pytest.mark.parametrize("family, param", [(projective_space, 0), (hirzebruch, -1)])
+def test_families_refuse_parameters_out_of_range(family, param):
+    with pytest.raises(UnknownFamily, match="needs"):
+        family(param)
+
+
 def test_builtin_dispatch():
     assert builtin("projective_space", dim=2) == P2
     assert builtin("hirzebruch", param=1) == hirzebruch(1)
@@ -317,6 +337,14 @@ def test_fan_from_dict_rejects_non_integer_numbers(field, value):
     data = fan_to_dict(P2)
     data[field] = value
     with pytest.raises(MalformedInput):
+        fan_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["dim", "rays", "max_cones"])
+def test_fan_from_dict_names_a_missing_key(key):
+    data = fan_to_dict(P2)
+    del data[key]
+    with pytest.raises(MalformedInput, match=f"bad fan data: '{key}'"):
         fan_from_dict(data)
 
 

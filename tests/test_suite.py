@@ -281,3 +281,23 @@ def test_a_failing_class_has_its_image_classes_checked(monkeypatch):
     monkeypatch.setitem(globals(), "verify_vanishing", patched)
     assert dataclasses.replace(out, decided=0, checked=0, solved=0) == per_instance_sweep(
         fan, certify=False, coeffs=(0, 1, 2))
+
+
+def test_serre_duality_lists_a_wrong_cohomology_entry(wrong_h0):
+    # h^0(O) read as 2 breaks duality with O(K) both ways
+    p2 = suite_fans()["p2"]
+    assert suite.serre_duality_failures(p2, bound=1) == []
+    wrong_h0(lambda f, logset, twist: twist == (0, 0, 0))
+    failures = suite.serre_duality_failures(p2, bound=1)
+    assert sorted(failures) == [((-1, -1, -1), (0, 0, 1), (2, 0, 0)),
+                                ((0, 0, 0), (2, 0, 0), (0, 0, 1))]
+
+
+def test_log_serre_duality_lists_a_wrong_cohomology_entry(wrong_h0):
+    # h^0 read one higher at p = 0 breaks the pairing of p = 0 with p = r,
+    # and only that
+    p2 = suite_fans()["p2"]
+    assert suite.log_serre_duality_failures(p2, random.Random(0), 25) == []
+    wrong_h0(lambda f, logset, twist: True)
+    failures = suite.log_serre_duality_failures(p2, random.Random(0), 25)
+    assert failures and all(p in (0, 2) for p, *_ in failures)
