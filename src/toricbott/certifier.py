@@ -170,6 +170,15 @@ def build_certificate(
 def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> None:
     """Validate one node and, recursively, its children."""
     claim = node.claim
+    # a float or bool would compare equal to its int below and then reach
+    # the fan and divisor code, which raise errors of their own
+    added = () if node.added_ray is None else (node.added_ray,)
+    try:
+        for values, what in ((claim.stratum, "stratum index"), (claim.logset, "log ray"),
+                             (claim.twist, "twist entry"), (added, "added ray")):
+            json_ints(values, what)
+    except ValueError as exc:
+        raise MalformedNode(str(exc)) from exc
     if claim.stratum != chain:
         raise MalformedNode(f"claim stratum {claim.stratum} does not match chain {chain}")
     if not set(claim.logset) <= set(range(fan_s.n_rays)):

@@ -18,7 +18,12 @@ class infeasible at some superset of D' is infeasible at D'.  A class
 infeasible at D' = all rays is never visited again; below it, a class
 infeasible at some D' plus one ray is infeasible at D' with no test, and a
 witness at D' plus one ray that is 0 on that ray, with the entry dropped,
-is a witness at D'.
+is a witness at D'.  The hypothesis is monotone in L too: a witness d for
+wall numbers b has W_{D'} d < b <= b', so it is a witness for every class
+whose wall numbers b' are no smaller.  So at each D' a class that the
+supersets leave open borrows the witness of a class that the hypothesis
+test decided feasible there, if that class's wall numbers are at most its
+own.
 
 The sweep checks one D' per orbit of the fan's automorphisms
 (``fan.automorphisms``).  An automorphism pi carries D_rho to D_pi(rho),
@@ -37,13 +42,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Dict, Tuple
 
 from .certifier import cross_validate
 from .danilov import verify_vanishing
 from .divisors import (InvariantDivisor, canonical_divisor, class_representative,
-                       hypothesis_feasible, require_witness)
+                       hypothesis_feasible, require_witness, wall_numbers)
 from .fan import Fan, hirzebruch, movers, product, projective_space, star_subdivision
 
 
@@ -78,7 +83,8 @@ class SweepOutcome:
     that ran (one per feasible (D', class) at a D' not counted by
     symmetry, except for a class that an automorphism fixing D' carries
     a passing class onto), and ``solved`` the decisions made through
-    ``hypothesis_feasible``; the others were inferred along the D' lattice.
+    ``hypothesis_feasible``; the others were inferred along the D' lattice,
+    or from a class with no larger wall numbers at the same D'.
     ``failures`` holds one entry per failing instance, with its own
     coefficients, ordered by D' (by size, then lexicographically), then by
     the instance's index in the coefficient box.
@@ -107,14 +113,34 @@ def _inherited(supersets: list, cls: int):
     """The verdict for class ``cls`` at D' read off the one-larger supersets
     D' + {j}, given as (witnesses there by class, position of j) pairs: None
     if the class is infeasible at one of them; a witness there with 0 at j,
-    with that entry dropped; or False if neither, and the hypothesis test
-    decides.  The first superset that settles it is right: a class with
-    such a witness is feasible at D', so at every superset of D'."""
+    with that entry dropped; or False if neither, and ``_decide`` decides.
+    The first superset that settles it is right: a class with such a
+    witness is feasible at D', so at every superset of D'."""
     for witnesses, at in supersets:
         witness = witnesses.get(cls)
         if witness is None or witness[at] == 0:
             return witness and witness[:at] + witness[at + 1:]
     return False
+
+
+def _decide(out: SweepOutcome, fan: Fan, l: InvariantDivisor, dprime: tuple,
+            kept: list):
+    """The hypothesis witness for L at D', or None.  ``kept`` holds the
+    (wall numbers, witness) pairs that ``hypothesis_feasible`` found at this
+    D'; a pair whose wall numbers are at most L's, entry by entry, lends its
+    witness, since W_{D'} d < b <= W L.  Otherwise the test decides, is
+    counted in ``solved``, and a nonzero witness is kept.  A d = 0 witness
+    is not: a class bounded below by an ample class is ample, and the test
+    finds d = 0 for it with no LP."""
+    numbers = wall_numbers(fan, l)
+    for bound, witness in kept:
+        if all(map(le, bound, numbers)):
+            return witness
+    witness = hypothesis_feasible(fan, l, dprime)
+    out.solved += 1
+    if witness is not None and any(witness):
+        kept.append((numbers, witness))
+    return witness
 
 
 def _check(out: SweepOutcome, fan: Fan, dprime: tuple, members: list,
@@ -170,11 +196,15 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     previous size, and the position of j in each, are listed once, and
     ``_inherited`` reads each class off them: a class infeasible at one of
     them is infeasible at D'; otherwise a witness there with 0 at j, with
-    that entry dropped, is a witness at D'; only a class with neither calls
-    ``hypothesis_feasible``.  Only the feasible witnesses of the previous
-    size are kept.  Each D''s failures are listed in instance order, and
-    one stable sort by D' at the end puts them in the order of
-    ``SweepOutcome.failures``.
+    that entry dropped, is a witness at D'.  A class with neither, and
+    every class at D' = all rays, goes to ``_decide``: the hypothesis is
+    monotone in L's wall numbers, so a class borrows the witness of a class
+    that ``hypothesis_feasible`` decided feasible at the same D' with wall
+    numbers at most its own, and only a class with no such lender calls
+    ``hypothesis_feasible``.  The lenders are listed afresh at each D'.
+    Only the feasible witnesses of the previous size are held.  Each D''s
+    failures are listed in instance order, and one stable sort by D' at the
+    end puts them in the order of ``SweepOutcome.failures``.
 
     Each D' is checked or counted through its representative, the
     lexicographically least sorted image of D' under the fan's
@@ -213,9 +243,9 @@ def thm11_sweep(fan: Fan, certify: bool = True,
         classes.setdefault(class_representative(fan, lc), []).append(
             (index, InvariantDivisor(lc)))
     rays = tuple(range(fan.n_rays))
-    top = [(members, hypothesis_feasible(fan, members[0][1], rays))
+    kept = []
+    top = [(members, _decide(out, fan, members[0][1], rays, kept))
            for members in classes.values()]
-    out.solved = len(top)
     top = [(members, witness) for members, witness in top if witness is not None]
     member_class = {m.coeffs: cls for cls, (members, _) in enumerate(top) for _, m in members}
     moves = movers(fan)
@@ -234,6 +264,7 @@ def thm11_sweep(fan: Fan, certify: bool = True,
             supersets = [(above[tuple(sorted(dprime + (j,)))], sum(i < j for i in dprime))
                          for j in rays if j not in dprime]
             found = level[dprime] = {}
+            kept = []
             covered = {}
             failures = []
             feasible = 0
@@ -241,8 +272,7 @@ def thm11_sweep(fan: Fan, certify: bool = True,
                 if dprime != rays:
                     witness = _inherited(supersets, cls)
                 if witness is False:
-                    witness = hypothesis_feasible(fan, members[0][1], dprime)
-                    out.solved += 1
+                    witness = _decide(out, fan, members[0][1], dprime, kept)
                 if witness is None:
                     continue
                 found[cls] = witness

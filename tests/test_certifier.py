@@ -470,6 +470,40 @@ def test_checker_refuses_each_malformed_node(tamper, message):
         tamper(cert)
 
 
+def _float_sub_twist(root):
+    claim = root.sub_child.claim
+    sub = dataclasses.replace(root.sub_child, claim=dataclasses.replace(
+        claim, twist=(float(claim.twist[0]),) + claim.twist[1:]))
+    return dataclasses.replace(root, sub_child=sub)
+
+
+def _float_quotient_logset(root):
+    quotient = root.quotient_child
+    assert quotient.claim.logset == (0,)
+    return dataclasses.replace(root, quotient_child=dataclasses.replace(
+        quotient, claim=dataclasses.replace(quotient.claim, logset=(0.0,))))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_float_sub_twist, "twist entry 2.0 is not an integer"),
+    (lambda root: dataclasses.replace(root, added_ray=0.0), "added ray 0.0 is not an integer"),
+    (_float_quotient_logset, "log ray 0.0 is not an integer"),
+])
+def test_non_integer_claim_in_memory_is_malformed_node(tamper, message):
+    # the reader refuses these numbers, but a certificate built in memory
+    # reaches the checker as it is: a float twist once escaped from
+    # InvariantDivisor as a bare ValueError, a float added ray from
+    # stratum_fan as MalformedInput, and a float log set compared equal to
+    # the int one and checked
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    root = cert.roots[0]
+    assert root.added_ray == 0 and root.sub_child.claim.twist[0] == 2
+    bad = dataclasses.replace(cert, roots=(tamper(root),))
+    assert not check_certificate(P2, bad)
+    with pytest.raises(MalformedNode, match=message):
+        check_certificate(P2, bad, raise_on_failure=True)
+
+
 @pytest.mark.parametrize("fan, dprime, coeffs, digest", [
     (P2, (1,), (2, 0, 0),
      "48a6ec8b0698b5c69b7e902d44a50d868b4a6c4ef69904f8c4b07666964bdb59"),

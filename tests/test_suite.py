@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import toricbott.divisors as divisors
 import toricbott.suite as suite
 from toricbott.certifier import cross_validate
 from toricbott.danilov import verify_vanishing
-from toricbott.divisors import InvariantDivisor, hypothesis_feasible
+from toricbott.divisors import InvariantDivisor, hypothesis_feasible, wall_numbers
 from toricbott.suite import SweepOutcome, suite_fans, thm11_sweep
 
 
@@ -94,22 +95,31 @@ def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
     ("f2", 528, 168), ("bl1", 464, 180), ("bl2", 3_680, 458), ("bl3", 27_200, 336)])
 def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     # ``solved`` counts the decisions that called the hypothesis; the rest
-    # were inferred from the one-larger supersets of D'.  ``checked`` skips
-    # the D' counted by symmetry and the classes covered under the
-    # stabilizer of their D', of which P2 and P3 have none
+    # were inferred from the one-larger supersets of D' or lent by a class
+    # with no larger wall numbers at the same D'.  ``checked`` skips the D'
+    # counted by symmetry and the classes covered under the stabilizer of
+    # their D', of which P2 and P3 have none
     calls = []
+    lps = []
+    lp = divisors.lp_feasible_strict
 
     def counting(fan, l, dprime):
         calls.append(dprime)
         return hypothesis_feasible(fan, l, dprime)
 
+    def counting_lp(*args):
+        lps.append(args)
+        return lp(*args)
+
     monkeypatch.setattr(suite, "hypothesis_feasible", counting)
+    monkeypatch.setattr(divisors, "lp_feasible_strict", counting_lp)
     out = thm11_sweep(suite_fans()[name], certify=False)
     assert out.all_verified
-    solved = {"p1": 5, "p2": 7, "p3": 9, "p1xp1": 25, "f1": 33, "f2": 41, "bl1": 33,
-              "bl2": 148, "bl3": 563}[name]
+    solved = {"p1": 5, "p2": 7, "p3": 9, "p1xp1": 25, "f1": 30, "f2": 35, "bl1": 30,
+              "bl2": 123, "bl3": 515}[name]
     assert (out.decided, out.checked, out.solved) == (decided, checked, solved)
     assert len(calls) == solved
+    assert len(lps) == {"f1": 1, "f2": 2, "bl1": 1, "bl2": 4, "bl3": 30}.get(name, 0)
 
 
 def test_a_verdict_is_inherited_from_the_one_larger_supersets():
@@ -128,6 +138,43 @@ def test_a_verdict_is_inherited_from_the_one_larger_supersets():
     assert suite._inherited([(at_02, 1), ({0: (1, 1)}, 0)], 2) is None
     assert suite._inherited([({0: (0,)}, 0)], 0) == ()
     assert suite._inherited([], 0) is False
+
+
+def test_a_kept_witness_is_lent_to_a_class_with_no_smaller_wall_numbers(monkeypatch):
+    # F2, D' = {D_1}: the LP finds d = 2/3 for (0, 1, 1, 0), whose wall
+    # numbers are (1, -1, 1, 1).  W_{D'} d < b <= b' makes it a witness for
+    # every class whose wall numbers b' are no smaller
+    f2 = suite_fans()["f2"]
+    calls = []
+
+    def counting(fan, l, dprime):
+        calls.append(l.coeffs)
+        return hypothesis_feasible(fan, l, dprime)
+
+    monkeypatch.setattr(suite, "hypothesis_feasible", counting)
+    out = SweepOutcome()
+    kept = []
+    l = InvariantDivisor((0, 1, 1, 0))
+    assert suite._decide(out, f2, l, (1,), kept) == (Fraction(2, 3),)
+    assert kept == [((1, -1, 1, 1), (Fraction(2, 3),))] and out.solved == 1
+    # (2, 0, 2, 4) >= (1, -1, 1, 1): lent with no hypothesis call, where the
+    # LP would find 1/2
+    larger = InvariantDivisor((0, 1, 2, 1))
+    assert wall_numbers(f2, larger) == (2, 0, 2, 4)
+    assert hypothesis_feasible(f2, larger, (1,)) == (Fraction(1, 2),)
+    assert suite._decide(out, f2, larger, (1,), kept) == (Fraction(2, 3),)
+    assert calls == [l.coeffs] and out.solved == 1
+    # (3, -3, 3, 3) is below on one wall only: the test decides, and finds none
+    below = InvariantDivisor((0, 2, 1, 1))
+    assert wall_numbers(f2, below) == (3, -3, 3, 3)
+    assert suite._decide(out, f2, below, (1,), kept) is None
+    assert calls == [l.coeffs, below.coeffs] and out.solved == 2 and len(kept) == 1
+    # a d = 0 witness, L itself ample, is not kept
+    kept = []
+    ample = InvariantDivisor((1, 1, 2, 0))
+    assert wall_numbers(f2, ample) == (1, 1, 1, 3)
+    assert suite._decide(out, f2, ample, (1,), kept) == (0,)
+    assert kept == [] and out.solved == 3
 
 
 def _image(perm, dprime, coeffs, witness=None):
