@@ -235,7 +235,11 @@ def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False)
                             cert.hypothesis_witness)
         except ValueError as exc:
             raise MalformedNode(str(exc)) from exc
-        _check_node(f, root, ())
+        try:
+            _check_node(f, root, ())
+        except RecursionError as exc:
+            # an in-memory tree nested far deeper than any fan's ray count
+            raise MalformedNode(f"certificate tree nested too deep: {exc}") from exc
         return True
     except CertificateError:
         if raise_on_failure:

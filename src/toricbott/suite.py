@@ -25,16 +25,14 @@ supersets leave open borrows the witness of a class that the hypothesis
 test decided feasible there, if that class's wall numbers are at most its
 own.
 
-The sweep checks one D' per orbit of the fan's automorphisms
+The sweep has one orbit rule, through the fan's automorphisms
 (``fan.automorphisms``).  An automorphism pi carries D_rho to D_pi(rho),
 so it carries (D', L) to (pi D', pi_* L): it keeps L - dD' ample, with d
 permuted, and the cohomology of Omega^p(log D')(-D') (x) O(L).  The
 coefficient box must be the same on every ray; pi then maps it onto
-itself and each class onto a class of the same size.  So an image of a
-D' whose checks all passed passes on as many instances, and is counted
-without a check.  The same holds for classes at one D': an automorphism
-that fixes D' carries a passing class to one that passes, so the sweep
-checks one class per orbit of the stabilizer of D'.
+itself and each class onto a class of the same size.  So a passing check
+of (D', class of L) covers every image (pi D', class of pi_* L), and a
+covered class is counted without a check.
 """
 
 from __future__ import annotations
@@ -80,9 +78,8 @@ class SweepOutcome:
     the check of its (D', class of L), or of an image of that pair under
     the fan's automorphisms, passed.  ``decided`` counts the distinct
     (D', class) pairs whose hypothesis was decided, ``checked`` the checks
-    that ran (one per feasible (D', class) at a D' not counted by
-    symmetry, except for a class that an automorphism fixing D' carries
-    a passing class onto), and ``solved`` the decisions made through
+    that ran (one per feasible (D', class) that no passing check covers),
+    and ``solved`` the decisions made through
     ``hypothesis_feasible``; the others were inferred along the D' lattice,
     or from a class with no larger wall numbers at the same D'.
     ``failures`` holds one entry per failing instance, with its own
@@ -168,7 +165,7 @@ def _check(out: SweepOutcome, fan: Fan, dprime: tuple, members: list,
 
 
 def _count_passed(out: SweepOutcome, n: int, certify: bool) -> None:
-    """Tally ``n`` feasible instances counted by symmetry, without a check."""
+    """Tally ``n`` feasible instances of a covered class, without a check."""
     out.feasible += n
     out.verified += n
     out.certified += certify * n
@@ -206,36 +203,21 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     failures are listed in instance order, and one stable sort by D' at the
     end puts them in the order of ``SweepOutcome.failures``.
 
-    Each D' is checked or counted through its representative, the
-    lexicographically least sorted image of D' under the fan's
-    automorphisms: the ray indices set in each image of D''s flag tuple
-    under ``fan.movers``, the table that ``danilov._Engine.orbit`` reads;
-    ``combinations`` lists each size in lexicographic order, so the
-    representative comes first.  At a representative the feasible classes
-    are walked in order and one per orbit of the stabilizer of D' (the
-    movers that fix D''s flag tuple) is checked, which re-checks its
-    witness.  When a check passes, the classes of its first member's images
-    under the stabilizer are covered: pi fixing D' carries (D', L) to
-    (D', pi_* L).
-    A covered class runs no check; its witness is re-checked by
-    ``require_witness`` and it is counted as verified, and with
-    ``certify`` as certified and agreed.  The images are looked up in one
-    table from each member of a class feasible at all rays to its class:
-    pi maps the box onto itself, so every image is a member of the sweep.
-    Every covered class must be feasible at D' (AssertionError if not, and
-    if an image is in no class of the table).  A failing check covers
-    nothing, so the images of a failing class are checked themselves.
-
-    An image of a representative with no failures runs no check: an
-    automorphism pi carries (D', L) to (pi D', pi_* L), the ampleness of
-    L - dD' with d permuted, and the cohomology of
-    Omega^p(log D')(-D') (x) O(L).  The box ``coeffs`` is the same on every
-    ray, so pi maps it onto itself and each class onto a class of the same
-    size.  The image's feasible count must then equal the
-    representative's (AssertionError if not), and it is counted as
-    verified, and with ``certify`` as certified and agreed.  An image of a
-    failing representative is checked itself, class by class as at a
-    representative, so ``failures`` still lists every failing instance.
+    One orbit rule spares checks: when a check passes, the sweep covers
+    the images (pi D', class of pi_* L) of its D' and first member under
+    every mover of ``fan.movers``, the table that ``danilov._Engine.orbit``
+    reads.  pi maps the box onto itself, so every image is a member of the
+    sweep; the images are looked up in one table from each member of a
+    class feasible at all rays to its class.  At each D' a feasible class
+    that is covered runs no check and is counted as verified, and with
+    ``certify`` as certified and agreed; every other feasible class is
+    checked.  A class covered by a check at its own D' (pi fixes D') has
+    its witness re-checked by ``require_witness``; a class covered from
+    another D' does not.  pi keeps the size of D', so once every D' of a
+    size is walked, every class covered there must be feasible at its D'
+    (AssertionError if not, and if an image is in no class of the table).
+    A failing check covers nothing, so the images of a failing class are
+    checked themselves and ``failures`` lists every failing instance.
     """
     out = SweepOutcome()
     classes = {}
@@ -252,22 +234,17 @@ def thm11_sweep(fan: Fan, certify: bool = True,
     above = {}
     for size in range(fan.n_rays, -1, -1):
         level = {}
-        clean = {}
+        covered = {}
         for dprime in itertools.combinations(rays, size):
             out.instances += len(coeffs) ** fan.n_rays
             out.decided += len(classes)
             flags = tuple(i in dprime for i in rays)
-            images = [move(flags) for move in moves]
-            rep = min(tuple(i for i, x in enumerate(image) if x) for image in images)
-            by_symmetry = rep in clean
-            stabilizer = [move for move, image in zip(moves, images) if image == flags]
+            images = [(tuple(i for i, x in enumerate(move(flags)) if x), move) for move in moves]
             supersets = [(above[tuple(sorted(dprime + (j,)))], sum(i < j for i in dprime))
                          for j in rays if j not in dprime]
             found = level[dprime] = {}
             kept = []
-            covered = {}
             failures = []
-            feasible = 0
             for cls, (members, witness) in enumerate(top):
                 if dprime != rays:
                     witness = _inherited(supersets, cls)
@@ -276,34 +253,24 @@ def thm11_sweep(fan: Fan, certify: bool = True,
                 if witness is None:
                     continue
                 found[cls] = witness
-                feasible += len(members)
-                if by_symmetry:
-                    continue
-                if cls in covered:
-                    require_witness(fan, members[0][1], dprime, witness)
+                if (dprime, cls) in covered:
+                    if covered[dprime, cls][0] == dprime:
+                        require_witness(fan, members[0][1], dprime, witness)
                     _count_passed(out, len(members), certify)
                     continue
                 failed = _check(out, fan, dprime, members, witness, certify)
                 failures += failed
                 if not failed:
-                    for move in stabilizer:
-                        image = move(members[0][1].coeffs)
-                        covered[member_class.get(image)] = image
-            for cls, image in covered.items():
-                if cls not in found:
-                    raise AssertionError(
-                        f"{fan}: D' {dprime} is fixed by an automorphism that carries a "
-                        f"passing class onto the class of {image}, which is not feasible")
-            if by_symmetry:
-                if feasible != clean[rep]:
-                    raise AssertionError(
-                        f"{fan}: D' {dprime} has {feasible} feasible instances, "
-                        f"its representative {rep} has {clean[rep]}")
-                _count_passed(out, feasible, certify)
-            elif rep == dprime and not failures:
-                clean[dprime] = feasible
+                    for image, move in images:
+                        moved = move(members[0][1].coeffs)
+                        covered.setdefault((image, member_class.get(moved)), (dprime, moved))
             failures.sort(key=itemgetter(0))
             out.failures += [failure for _, failure in failures]
+        for (dprime, cls), (source, moved) in covered.items():
+            if cls not in level[dprime]:
+                raise AssertionError(
+                    f"{fan}: an automorphism carries a passing check at D' {source} onto "
+                    f"D' {dprime} and the class of {moved}, which is not feasible there")
         above = level
     out.failures.sort(key=lambda failure: (len(failure[1]), failure[1]))
     return out

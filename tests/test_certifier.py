@@ -530,6 +530,21 @@ def test_deeply_nested_roots_are_malformed_node():
         certificate_from_dict(data)
 
 
+def test_a_deeply_nested_tree_in_memory_is_malformed_node():
+    # no reader stands in the way: 5,000 residue steps, each with the root's
+    # claim as its sub child, exceed the interpreter's stack in the check
+    cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
+    assert cert.hypothesis_witness == (0,)
+    root = node = cert.roots[0]
+    for _ in range(5000):
+        node = CertificateNode(root.claim, RESIDUE_RULE, root.added_ray, node,
+                               root.quotient_child)
+    deep = dataclasses.replace(cert, roots=(node,))
+    assert check_certificate(P2, deep) is False
+    with pytest.raises(MalformedNode, match="nested too deep"):
+        check_certificate(P2, deep, raise_on_failure=True)
+
+
 def test_witness_in_unit_box_and_matching_length():
     cert = _certificate(P2, (0, 1), 2 * ray_divisor(P2, 0))
     assert len(cert.hypothesis_witness) == 2

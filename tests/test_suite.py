@@ -96,9 +96,9 @@ def test_a_failing_class_lists_every_member_in_instance_order(monkeypatch):
 def test_sweep_decides_each_class_once(monkeypatch, name, decided, checked):
     # ``solved`` counts the decisions that called the hypothesis; the rest
     # were inferred from the one-larger supersets of D' or lent by a class
-    # with no larger wall numbers at the same D'.  ``checked`` skips the D'
-    # counted by symmetry and the classes covered under the stabilizer of
-    # their D', of which P2 and P3 have none
+    # with no larger wall numbers at the same D'.  ``checked`` skips every
+    # class that a passing check covers: its images under the fan's
+    # automorphisms, at the same D' (none on P2 and P3) or at another
     calls = []
     lps = []
     lp = divisors.lp_feasible_strict
@@ -191,9 +191,9 @@ def _image(perm, dprime, coeffs, witness=None):
 
 
 def test_fan_automorphisms_carry_the_sweep_check_to_its_image():
-    # the sweep counts an image D' by the check at its representative; for
-    # every automorphism pi, the hypothesis and both routes of the check at
-    # (pi D', pi_* L) must be those at (D', L)
+    # the sweep counts (pi D', class of pi_* L) by a passing check at
+    # (D', L); for every automorphism pi, the hypothesis and both routes of
+    # the check there must be those at (D', L)
     from toricbott.danilov import _engine
     from toricbott.divisors import require_witness
     from toricbott.fan import automorphisms
@@ -232,14 +232,14 @@ def test_fan_automorphisms_carry_the_sweep_check_to_its_image():
     assert feasible > 20 and infeasible > 20
 
 
-def test_the_sweep_refuses_a_count_that_breaks_the_symmetry(monkeypatch):
-    # a fake mover read as an automorphism.  Swapping rays 2 and 3 of F_1 is
-    # none (D_2 has self-intersection 0, D_3 has 1); it fixes D' = all rays,
-    # the first D' of the walk, and carries a passing class there onto one
-    # that is not feasible.  Swapping rays 0 and 1 (self-intersections 0
-    # and -1) makes (0, 3) the representative of (1, 3), and rotating bl2's
-    # rays by two makes (0, 1, 2, 3) that of (0, 2, 3, 4), whose feasible
-    # counts differ
+def test_the_sweep_refuses_a_mover_that_is_no_automorphism(monkeypatch):
+    # a fake mover read as an automorphism carries a passing check onto a
+    # (D', class) that is not feasible.  Swapping rays 2 and 3 of F_1 is
+    # none (D_2 has self-intersection 0, D_3 has 1); it fixes D' = all
+    # rays, the first D' of the walk.  Swapping rays 0 and 1
+    # (self-intersections 0 and -1) is caught at |D'| = 3, from a check at
+    # a D' that the walk reaches after the image, and rotating bl2's rays by
+    # two at |D'| = 4
     from operator import itemgetter
 
     from toricbott.fan import movers
@@ -247,12 +247,14 @@ def test_the_sweep_refuses_a_count_that_breaks_the_symmetry(monkeypatch):
     fans = suite_fans()
     for name, fake, message in [
         ("f1", itemgetter(0, 1, 3, 2),
-         "D' (0, 1, 2, 3) is fixed by an automorphism that carries a passing class onto "
-         "the class of (0, 0, 2, 0), which is not feasible"),
+         "an automorphism carries a passing check at D' (0, 1, 2, 3) onto D' (0, 1, 2, 3) "
+         "and the class of (0, 0, 1, 0), which is not feasible there"),
         ("f1", itemgetter(1, 0, 2, 3),
-         "D' (1, 3) has 60 feasible instances, its representative (0, 3) has 43"),
+         "an automorphism carries a passing check at D' (1, 2, 3) onto D' (0, 2, 3) "
+         "and the class of (0, 2, 2, 2), which is not feasible there"),
         ("bl2", itemgetter(2, 3, 4, 0, 1),
-         "D' (0, 2, 3, 4) has 91 feasible instances, its representative (0, 1, 2, 3) has 94"),
+         "an automorphism carries a passing check at D' (0, 1, 2, 3) onto D' (0, 1, 3, 4) "
+         "and the class of (1, 0, 2, 2, 2), which is not feasible there"),
     ]:
         monkeypatch.setattr(suite, "movers", lambda f, fake=fake: movers(f) + (fake,))
         with pytest.raises(AssertionError) as raised:
@@ -262,8 +264,9 @@ def test_the_sweep_refuses_a_count_that_breaks_the_symmetry(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p1xp1", "bl2", "bl3"])
 def test_each_covered_class_passes_as_its_orbit_representative(monkeypatch, name):
-    # a class covered under the stabilizer of D' runs no check in the
-    # sweep; checked here with the sweep's witness on an emptied engine,
+    # a class covered by a check at its own D' (under the stabilizer of D')
+    # runs no check in the sweep; checked here with the sweep's witness,
+    # which the sweep re-checks, on an emptied engine,
     # it must pass with the dimensions of a checked class that a
     # stabilizer automorphism carries onto it
     from toricbott.danilov import _engine
@@ -297,6 +300,59 @@ def test_each_covered_class_passes_as_its_orbit_representative(monkeypatch, name
         reps = [per_p for coeffs, per_p in checked[dprime] for move in movers(fan)
                 if move(flags) == flags and class_representative(fan, move(coeffs)) == target]
         assert reps and all(per_p == report.per_p for per_p in reps), (name, dprime, l.coeffs)
+
+
+@pytest.mark.parametrize("name, count", [("p1xp1", 160), ("bl2", 314)])
+def test_each_class_covered_from_another_dprime_passes_as_its_image(monkeypatch, name, count):
+    # a class that a passing check at another D' covers runs neither a
+    # check nor a re-check in the sweep.  Those classes are the images of
+    # the checks at other D' that the sweep neither checked nor re-checked,
+    # and with those two they hold every feasible instance.  Decided and
+    # checked here on an emptied engine, each must pass with the dimensions
+    # of every check that an automorphism carries onto it
+    from collections import Counter
+
+    from toricbott.danilov import _engine
+    from toricbott.divisors import class_representative
+    from toricbott.fan import automorphisms
+
+    fan = suite_fans()[name]
+    checked, rechecked = {}, set()
+    original_check, original_require = suite.verify_vanishing, suite.require_witness
+
+    def checking(f, dprime, l, witness=None):
+        report = original_check(f, dprime, l, witness=witness)
+        checked[dprime, class_representative(f, l.coeffs)] = (l.coeffs, report.per_p)
+        return report
+
+    def requiring(f, l, dprime, witness):
+        rechecked.add((dprime, class_representative(f, l.coeffs)))
+        return original_require(f, l, dprime, witness)
+
+    monkeypatch.setattr(suite, "verify_vanishing", checking)
+    monkeypatch.setattr(suite, "require_witness", requiring)
+    out = thm11_sweep(fan, certify=False)
+    assert out.all_verified
+    onto = {}
+    for (dprime, _), (coeffs, per_p) in checked.items():
+        for perm in automorphisms(fan):
+            image, moved = _image(perm, dprime, coeffs)
+            if image != dprime:
+                key = (image, class_representative(fan, moved.coeffs))
+                onto.setdefault(key, (moved, []))[1].append(per_p)
+    covered = set(onto) - set(checked) - rechecked
+    assert len(covered) == count
+    sizes = Counter(class_representative(fan, lc)
+                    for lc in itertools.product((0, 1, 2), repeat=fan.n_rays))
+    assert out.feasible == sum(sizes[cls] for _, cls in covered | rechecked | set(checked))
+    _engine.cache_clear()
+    for dprime, cls in covered:
+        l, per_ps = onto[dprime, cls]
+        witness = hypothesis_feasible(fan, l, dprime)
+        assert witness is not None, (name, dprime, l.coeffs)
+        report = verify_vanishing(fan, dprime, l, witness=witness)
+        assert report.passed and all(per_p == report.per_p for per_p in per_ps), (
+            name, dprime, l.coeffs)
 
 
 def test_a_failing_class_has_its_image_classes_checked(monkeypatch):
