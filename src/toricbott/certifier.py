@@ -24,14 +24,27 @@ and the certificate keeps no other copy of them.  It rests on the
 hypothesis witness d that the caller passes in: L - dD' ample, d in
 [0,1]^{D'}.  The builder and the checker check that witness and solve no
 LP; the ``thm11`` sweep and the CLI decide the hypothesis.
+
+The certificates of a sweep share two pure derivations, each in a bounded
+``lru_cache``: ``_residue_step``, keyed on (stratum fan, claim, added ray),
+and ``divisors.restrict_to_stratum``, keyed on (fan, twist coefficients,
+sorted int cone).  The builder and the checker both read them, so a step
+derived once is not derived again, but every node is still checked in
+full: its numbers are ints, its structure is a residue step or a leaf, its
+children's claims are compared with the derived ones and each leaf's
+cohomology is recomputed.  A cold start clears them with
+``_residue_step.cache_clear()`` and ``divisors._restriction.cache_clear()``,
+beside ``danilov._engine.cache_clear()``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .danilov import line_bundle_cohomology, verify_vanishing, VanishingReport
@@ -113,9 +126,14 @@ class Certificate:
 FORMAT = "toricbott-certificate/3"
 
 
+@lru_cache(maxsize=65_536)
 def _residue_step(fan_s: Fan, claim: VanishingClaim, h: int):
     """The stratum V(h) and the sub and quotient claims of the residue
-    sequence that adds ray h of ``fan_s`` to the log set of ``claim``."""
+    sequence that adds ray h of ``fan_s`` to the log set of ``claim``.
+
+    The claim and h must hold ints only: the cache would take a float or
+    bool for the int it equals, so the checker runs ``json_ints`` first.
+    """
     sp = stratum_fan(fan_s, (h,))
     sub = VanishingClaim(claim.stratum, claim.logset + (h,), claim.twist)
     quotient = VanishingClaim(
@@ -216,6 +234,16 @@ def _check_node(fan_s: Fan, node: CertificateNode, chain: tuple) -> None:
         raise MalformedNode("quotient child claim is not the residue-sequence quotient")
 
 
+@contextmanager
+def _shallow_tree():
+    """Refuse an in-memory tree nested deeper than the interpreter's stack,
+    far deeper than any fan's ray count, as MalformedNode."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise MalformedNode(f"certificate tree nested too deep: {exc}") from exc
+
+
 def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False) -> bool:
     """Independently re-check a certificate against the fan.
 
@@ -235,11 +263,8 @@ def check_certificate(f: Fan, cert: Certificate, raise_on_failure: bool = False)
                             cert.hypothesis_witness)
         except ValueError as exc:
             raise MalformedNode(str(exc)) from exc
-        try:
+        with _shallow_tree():
             _check_node(f, root, ())
-        except RecursionError as exc:
-            # an in-memory tree nested far deeper than any fan's ray count
-            raise MalformedNode(f"certificate tree nested too deep: {exc}") from exc
         return True
     except CertificateError:
         if raise_on_failure:
@@ -253,7 +278,8 @@ def leaf_count(cert: Certificate) -> int:
             return 1
         return count(node.sub_child) + count(node.quotient_child)
 
-    return sum(count(root) for root in cert.roots)
+    with _shallow_tree():
+        return sum(count(root) for root in cert.roots)
 
 
 @dataclass(frozen=True)
@@ -313,12 +339,13 @@ def _node_from_dict(data: dict) -> CertificateNode:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "format": FORMAT,
-        "fan_sha256": cert.fan_sha256,
-        "hypothesis_witness": [str(Fraction(x)) for x in cert.hypothesis_witness],
-        "roots": [_node_to_dict(r) for r in cert.roots],
-    }
+    with _shallow_tree():
+        return {
+            "format": FORMAT,
+            "fan_sha256": cert.fan_sha256,
+            "hypothesis_witness": [str(Fraction(x)) for x in cert.hypothesis_witness],
+            "roots": [_node_to_dict(r) for r in cert.roots],
+        }
 
 
 def certificate_from_dict(data: dict) -> Certificate:

@@ -11,6 +11,8 @@ in exact arithmetic; tests/test_divisors.py pins the sign of the wall
 formula (O(1) . line = 1 on P^2).  ``hypothesis_feasible`` decides the paper's
 hypothesis, L - dD' ample for some d in [0,1]^{D'}: an interval bound, the
 candidate point d = 0 and the exact LP, with no cache of its own.
+``restrict_to_stratum`` is cached on (fan, coefficients, sorted int cone):
+the certificates of a sweep restrict the same twists again and again.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .exactmath import json_ints, lp_feasible_strict
-from .fan import Fan, Wall, _dual_pairings, require_smooth_complete, stratum_fan, walls
+from .fan import (Fan, Wall, _cone_indices, _dual_pairings, require_smooth_complete,
+                  stratum_fan, walls)
 
 
 @dataclass(frozen=True)
@@ -267,11 +270,19 @@ def restrict_to_stratum(f: Fan, d: InvariantDivisor, tau: Sequence[int]) -> Inva
     The class is moved by the character that makes it vanish on tau and
     leaves the other rays of the base cone alone (``_zero_on``), after which
     the adjacent-ray coefficients restrict verbatim.  Another such character
-    would change the result only up to linear equivalence.
+    would change the result only up to linear equivalence.  A cone index
+    that is not an int (a bool or float) is MalformedInput, checked before
+    the cache behind this function would take True for ray 1.
     """
-    tau = tuple(sorted(tau))
+    return _restriction(f, d.coeffs, _cone_indices(tau))
+
+
+@lru_cache(maxsize=262_144)
+def _restriction(f: Fan, coeffs: tuple, tau: tuple) -> InvariantDivisor:
+    """``restrict_to_stratum`` at int coefficients and a sorted tuple of int
+    ray indices."""
     sp = stratum_fan(f, tau)
-    zero = _zero_on(f, d.coeffs, sp.base_cone, tau)
+    zero = _zero_on(f, coeffs, sp.base_cone, tau)
     return InvariantDivisor(tuple(zero[i] for i in sp.adjacent))
 
 

@@ -54,6 +54,10 @@ def test_traced_sweep_sees_every_layer(monkeypatch):
     # start cold, so that complexes and ranks are computed inside the sweep
     # even when earlier tests have filled the caches
     toricbott.danilov._engine.cache_clear()
+    # and so that the certificates derive their residue steps and
+    # restrictions inside the sweep
+    toricbott.certifier._residue_step.cache_clear()
+    toricbott.divisors._restriction.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricbott.certifier as certifier
+import toricbott.divisors as divisors
 from toricbott.certifier import (
     Certificate,
     LEAF_RULE,
@@ -15,6 +17,7 @@ from toricbott.certifier import (
     CertificateNode,
     VanishingClaim,
     _check_node,
+    _residue_step,
     build_certificate,
     certificate_from_dict,
     certificate_hash,
@@ -26,10 +29,16 @@ from toricbott.certifier import (
 from toricbott.danilov import HypothesisNotVerified, verify_vanishing
 from toricbott.divisors import InvariantDivisor, hypothesis_feasible, ray_divisor, zero_divisor
 from toricbott.fan import hirzebruch, product, projective_space, stratum_fan
-from toricbott.suite import suite_fans
+from toricbott.suite import suite_fans, thm11_sweep
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+
+
+def _clear_derivations():
+    """Empty the two derivation caches that the certificates of a sweep share."""
+    _residue_step.cache_clear()
+    divisors._restriction.cache_clear()
 
 
 def _certificate(f, dprime, l):
@@ -511,12 +520,15 @@ def test_non_integer_claim_in_memory_is_malformed_node(tamper, message):
      "cbd4308f0cd269899a501e0b38d7e368e000a1c6fc756671ed8155a5383294ad"),
 ])
 def test_format_3_hash_is_pinned(fan, dprime, coeffs, digest):
-    cert = _certificate(fan, dprime, InvariantDivisor(coeffs))
-    data = certificate_to_dict(cert)
-    assert data["format"] == "toricbott-certificate/3"
-    assert '"p"' not in json.dumps(data)
-    assert certificate_hash(cert) == digest
-    assert certificate_hash(certificate_from_dict(json.loads(json.dumps(data)))) == digest
+    # built on cleared derivation caches, then again on the filled ones
+    _clear_derivations()
+    for _ in range(2):
+        cert = _certificate(fan, dprime, InvariantDivisor(coeffs))
+        data = certificate_to_dict(cert)
+        assert data["format"] == "toricbott-certificate/3"
+        assert '"p"' not in json.dumps(data)
+        assert certificate_hash(cert) == digest
+        assert certificate_hash(certificate_from_dict(json.loads(json.dumps(data)))) == digest
 
 
 def test_deeply_nested_roots_are_malformed_node():
@@ -530,19 +542,31 @@ def test_deeply_nested_roots_are_malformed_node():
         certificate_from_dict(data)
 
 
-def test_a_deeply_nested_tree_in_memory_is_malformed_node():
-    # no reader stands in the way: 5,000 residue steps, each with the root's
-    # claim as its sub child, exceed the interpreter's stack in the check
+def _deep_chain() -> Certificate:
+    """5,000 residue steps, each with the root's claim as its sub child:
+    no reader stands in the way, and the chain exceeds the interpreter's
+    stack in every walk of the tree."""
     cert = _certificate(P2, (1,), 2 * ray_divisor(P2, 0))
     assert cert.hypothesis_witness == (0,)
     root = node = cert.roots[0]
     for _ in range(5000):
         node = CertificateNode(root.claim, RESIDUE_RULE, root.added_ray, node,
                                root.quotient_child)
-    deep = dataclasses.replace(cert, roots=(node,))
+    return dataclasses.replace(cert, roots=(node,))
+
+
+def test_a_deeply_nested_tree_in_memory_is_malformed_node():
+    deep = _deep_chain()
     assert check_certificate(P2, deep) is False
     with pytest.raises(MalformedNode, match="nested too deep"):
         check_certificate(P2, deep, raise_on_failure=True)
+
+
+@pytest.mark.parametrize("walk", [leaf_count, certificate_to_dict, certificate_hash])
+def test_every_walk_of_a_deeply_nested_tree_is_malformed_node(walk):
+    # these once raised a bare RecursionError on the chain that the check refuses
+    with pytest.raises(MalformedNode, match="nested too deep"):
+        walk(_deep_chain())
 
 
 def test_witness_in_unit_box_and_matching_length():
@@ -604,3 +628,60 @@ def test_round_trip_and_implication_on_samples(name, rnd):
     # checked certificate must imply the direct engine verdict
     report = verify_vanishing(f, dprime, l, witness=cert.hypothesis_witness)
     assert report.passed
+
+
+@pytest.mark.parametrize("name", ["p3", "p2", "f1"])
+def test_shared_derivations_do_not_change_a_sweep(monkeypatch, name):
+    # the certificates of a sweep share residue steps and restrictions; the
+    # sweep must read the same whether each certificate starts cold or warm
+    fan = suite_fans()[name]
+    thm11_sweep(fan, certify=True)
+    warm = thm11_sweep(fan, certify=True)
+    assert _residue_step.cache_info().hits > 0
+
+    def cold(route):
+        def run(*args, **kwargs):
+            _clear_derivations()
+            return route(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(certifier, "build_certificate", cold(certifier.build_certificate))
+    monkeypatch.setattr(certifier, "check_certificate", cold(certifier.check_certificate))
+    assert thm11_sweep(fan, certify=True) == warm
+    assert warm.certified == warm.agreed == warm.feasible > 0
+
+
+def test_a_cold_certifying_sweep_derives_each_step_once():
+    # the P3 sweep's 40 certificates make 400 residue steps and 600
+    # restrictions; 112 and 87 of them are distinct
+    _clear_derivations()
+    out = thm11_sweep(suite_fans()["p3"], certify=True)
+    assert (out.checked, out.certified) == (40, 1280)
+    steps, restrictions = _residue_step.cache_info(), divisors._restriction.cache_info()
+    assert (steps.misses, steps.hits + steps.misses) == (112, 400)
+    assert (restrictions.misses, restrictions.hits + restrictions.misses) == (87, 312)
+
+
+def _raise_root_quotient_twist(root):
+    quotient = root.quotient_child
+    twist = (quotient.claim.twist[0] + 1,) + quotient.claim.twist[1:]
+    return dataclasses.replace(root, quotient_child=dataclasses.replace(
+        quotient, claim=dataclasses.replace(quotient.claim, twist=twist)))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_raise_root_quotient_twist, "is not the residue-sequence"),
+    (lambda root: dataclasses.replace(root, added_ray=root.added_ray + 1),
+     r"claim stratum \(0,\) does not match chain \(1,\)"),
+])
+def test_a_tampered_copy_is_refused_from_warm_derivations(tamper, message):
+    # every untampered step of the copy is already cached by the build and
+    # the check of the original; each node of the copy must still be checked
+    p3 = projective_space(3)
+    cert = _certificate(p3, (), ray_divisor(p3, 0))
+    assert check_certificate(p3, cert)
+    before = _residue_step.cache_info().hits
+    bad = dataclasses.replace(cert, roots=(tamper(cert.roots[0]),))
+    with pytest.raises(MalformedNode, match=message):
+        check_certificate(p3, bad, raise_on_failure=True)
+    assert _residue_step.cache_info().hits > before

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toricbott.exactmath import lp_feasible_strict
 from toricbott.divisors import (
     InvariantDivisor,
+    _restriction,
     _zero_on,
     canonical_divisor,
     divisor_from_dict,
@@ -27,6 +28,7 @@ from toricbott.divisors import (
     zero_divisor,
 )
 from toricbott.fan import (
+    MalformedInput,
     _dual_basis,
     hirzebruch,
     product,
@@ -490,3 +492,15 @@ def test_hyperplane_restricts_to_o_one_on_a_hyperplane():
     restricted = restrict_to_stratum(p3, ray_divisor(p3, 0), (1,))
     assert stratum_fan(p3, (1,)).fan == P2
     assert wall_numbers(P2, restricted) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("tau", [(True,), (0.0,), (False,), (1.0,)])
+def test_a_cached_restriction_does_not_answer_for_a_bool_or_float_cone(tau):
+    # True == 1 and 0.0 == 0 with equal hashes: a cache keyed on the cone as
+    # given would return the restriction to the ray they equal
+    d = InvariantDivisor((2, -1, 3))
+    for ray in (1, 0):
+        restrict_to_stratum(P2, d, (ray,))
+    assert _restriction.cache_info().currsize >= 2
+    with pytest.raises(MalformedInput, match="is not an integer"):
+        restrict_to_stratum(P2, d, tau)
